@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -125,6 +126,17 @@ class Detection:
             raise ValueError("detected tag must lie in front of the camera (z > 0)")
 
 
+@dataclass(frozen=True)
+class Frame:
+    """One frame of input to the estimator: its detections, plus the true
+    body pose when the frame was simulated (None when read from a stream)."""
+
+    index: int
+    t: float
+    truth: Pose | None
+    detections: tuple[Detection, ...]
+
+
 def visible_tags(tag_map: TagMap, cam: CameraModel,
                  body_pose_true: Pose) -> list[tuple[TagEntry, float]]:
     """Tags in view of the camera, with their apparent side length [px].
@@ -228,3 +240,20 @@ def parse_detection_line(line: str) -> tuple[int, float, Detection]:
     apparent = float(tokens[10])
     pose = Pose(np.array([px, py, pz]), UnitQuaternion(qw, qx, qy, qz))
     return frame, t, Detection(tag_id, pose, apparent)
+
+
+def read_detection_stream(path: str | Path) -> list[Frame]:
+    """Frames of a dumped detection stream in frame order, without ground
+    truth. A frame takes its time from its first line; errors name the file
+    and line."""
+    by_index: dict[int, tuple[float, list[Detection]]] = {}
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            index, t, det = parse_detection_line(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        by_index.setdefault(index, (t, []))[1].append(det)
+    return [Frame(index, t, None, tuple(dets))
+            for index, (t, dets) in sorted(by_index.items())]

@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .camsim import NoiseModel, default_camera, detect, format_detection_line, parse_detection_line
-from .geometry import Pose, quat_from_yaw
+from .camsim import NoiseModel, default_camera, format_detection_line, read_detection_stream
 from .harness import (
     RunConfig,
     Trajectory,
@@ -27,6 +26,7 @@ from .harness import (
     hover_trajectory,
     load_waypoints,
     run,
+    simulate,
     spline_trajectory_t3,
     square_trajectory_t1,
     steps_trajectory_t2,
@@ -34,7 +34,7 @@ from .harness import (
     write_frames_jsonl,
     write_timeseries_csv,
 )
-from .pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme, apply_variant, step
+from .pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme, apply_variant
 from .tagmap import MapFormatError, build_pattern_map, load_map, save_map
 
 
@@ -263,7 +263,6 @@ def build_run_config(settings: Settings) -> RunConfig:
         weights=WeightScheme(settings.get("pipeline", "weights")),
         rot_mean=RotMeanMethod(settings.get("pipeline", "rot_mean")),
         fir_length=settings.get("pipeline", "fir_length"),
-        camera_in_body=camera.pose_in_body,
     )
     return RunConfig(
         trajectory=_build_trajectory(settings),
@@ -363,15 +362,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_dump_detections(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    noise = replace(cfg.noise, seed=cfg.seed)
-    n_frames = max(1, int(round(cfg.trajectory.duration * cfg.sample_rate)))
-    lines = []
-    for frame in range(n_frames):
-        t = frame / cfg.sample_rate
-        position, yaw = cfg.trajectory.sample(t)
-        truth = Pose(position, quat_from_yaw(yaw))
-        for det in detect(cfg.tag_map, cfg.camera, noise, truth, frame):
-            lines.append(format_detection_line(frame, t, det))
+    lines: list[str] = []
+    n_frames = 0
+    for n_frames, frame in enumerate(simulate(cfg), 1):
+        lines += (format_detection_line(frame.index, frame.t, det) for det in frame.detections)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} detections over {n_frames} frames to {args.out}")
     return 0
@@ -379,29 +373,21 @@ def cmd_dump_detections(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    pipe_cfg = replace(cfg.pipeline, camera_in_body=cfg.camera.pose_in_body)
-    by_frame: dict[int, tuple[float, list]] = {}
-    for line in Path(args.detections).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        frame, t, det = parse_detection_line(line)
-        by_frame.setdefault(frame, (t, []))[1].append(det)
-    state = None
+    records = run(cfg, read_detection_stream(args.detections)).frames
     out_lines = ["frame,t,px,py,pz,qw,qx,qy,qz,tags_used"]
-    for frame in sorted(by_frame):
-        t, detections = by_frame[frame]
-        output, state = step(detections, cfg.tag_map, pipe_cfg, state, timestamp=t)
+    for record in records:
+        output = record.output
         if output.pose is None:
-            out_lines.append(f"{frame},{t:.6f},,,,,,,,0")
+            out_lines.append(f"{record.frame},{record.t:.6f},,,,,,,,0")
         else:
             p = output.pose.position
             q = output.pose.orientation
             out_lines.append(
-                f"{frame},{t:.6f},{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
+                f"{record.frame},{record.t:.6f},{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
                 f"{q.w:.9f},{q.x:.9f},{q.y:.9f},{q.z:.9f},{len(output.tags_used)}"
             )
     Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
-    print(f"replayed {len(by_frame)} frames to {args.out}")
+    print(f"replayed {len(records)} frames to {args.out}")
     return 0
 
 

@@ -1,11 +1,12 @@
 """Experiment harness: ground-truth trajectories, run executor, statistics.
 
-Trajectories produce (position, yaw) samples; the executor feeds the camera
-simulator and pipeline frame by frame against exact ground truth (the motion
-capture reference role) and accumulates position errors [cm] and orientation
-errors [deg]. compare_matrix replays scenarios across method variants with
-paired seeds: the detection stream depends only on (seed, frame, tag), so
-every variant sees identical input.
+Trajectories produce (position, yaw) samples; `simulate` turns them into
+frames of camera detections with exact ground truth (the motion capture
+reference role), and `run`, the one frame loop, steps the pipeline over
+frames and accumulates position errors [cm] and orientation errors [deg].
+compare_matrix simulates each scenario once and runs every method variant
+on those frames: the detection stream depends only on (seed, frame, tag),
+so every variant sees identical input.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .camsim import CameraModel, NoiseModel, detect
+from .camsim import CameraModel, Frame, NoiseModel, detect
 from .geometry import Pose, quat_from_yaw, quat_rotation_angle, wrap_angle
 from .pipeline import EstimateOutput, PipelineConfig, apply_variant, step
 from .tagmap import TagMap
@@ -252,7 +253,7 @@ class FrameRecord:
     frame: int
     t: float
     phase: str | None
-    pose_true: Pose
+    pose_true: Pose | None
     output: EstimateOutput
     ep_cm: float | None
     eo_deg: float | None
@@ -265,35 +266,44 @@ class RunResult:
     phase_stats: dict[str, ErrorStats]
 
 
-def run(cfg: RunConfig) -> RunResult:
-    """Execute one experiment: sample ground truth, simulate detections,
-    run the pipeline, accumulate Eq.-style error statistics. Frames without
-    an estimate are counted as dropped and excluded from mnv/std."""
+def simulate(cfg: RunConfig) -> Iterator[Frame]:
+    """The run's simulated frames: ground truth sampled from the trajectory
+    at the sample rate, detections drawn with the run seed."""
     noise = replace(cfg.noise, seed=cfg.seed)
-    pipe_cfg = replace(cfg.pipeline, camera_in_body=cfg.camera.pose_in_body)
     n_frames = max(1, int(round(cfg.trajectory.duration * cfg.sample_rate)))
-    state = None
-    frames: list[FrameRecord] = []
     for k in range(n_frames):
         t = k / cfg.sample_rate
         position, yaw = cfg.trajectory.sample(t)
         truth = Pose(position, quat_from_yaw(yaw))
-        detections = detect(cfg.tag_map, cfg.camera, noise, truth, k)
-        output, state = step(detections, cfg.tag_map, pipe_cfg, state, timestamp=t)
-        if output.pose is not None:
-            ep_cm = float(np.linalg.norm(output.pose.position - truth.position)) * 100.0
-            eo_deg = math.degrees(
-                quat_rotation_angle(output.pose.orientation, truth.orientation))
-        else:
-            ep_cm = eo_deg = None
-        frames.append(FrameRecord(k, t, cfg.trajectory.phase(t), truth, output, ep_cm, eo_deg))
-    return RunResult(_stats_of(frames), frames, _phase_stats_of(frames))
+        yield Frame(k, t, truth, tuple(detect(cfg.tag_map, cfg.camera, noise, truth, k)))
+
+
+def run(cfg: RunConfig, frames: Iterable[Frame] | None = None) -> RunResult:
+    """Execute one experiment: run the pipeline over `frames` (by default
+    `simulate(cfg)`) and accumulate Eq.-style error statistics over the
+    frames that carry ground truth. Frames without an estimate are counted
+    as dropped and excluded from mnv/std."""
+    pipe_cfg = replace(cfg.pipeline, camera_in_body=cfg.camera.pose_in_body)
+    state = None
+    records: list[FrameRecord] = []
+    for frame in simulate(cfg) if frames is None else frames:
+        output, state = step(frame.detections, cfg.tag_map, pipe_cfg, state, timestamp=frame.t)
+        truth = frame.truth
+        phase = ep_cm = eo_deg = None
+        if truth is not None:
+            phase = cfg.trajectory.phase(frame.t)
+            if output.pose is not None:
+                ep_cm = float(np.linalg.norm(output.pose.position - truth.position)) * 100.0
+                eo_deg = math.degrees(
+                    quat_rotation_angle(output.pose.orientation, truth.orientation))
+        records.append(FrameRecord(frame.index, frame.t, phase, truth, output, ep_cm, eo_deg))
+    return RunResult(_stats_of(records), records, _phase_stats_of(records))
 
 
 def _stats_of(frames: Sequence[FrameRecord]) -> ErrorStats:
     used = [f for f in frames if f.ep_cm is not None]
-    return ErrorStats.from_samples(
-        [f.ep_cm for f in used], [f.eo_deg for f in used], len(frames) - len(used))
+    dropped = sum(1 for f in frames if f.output.pose is None)
+    return ErrorStats.from_samples([f.ep_cm for f in used], [f.eo_deg for f in used], dropped)
 
 
 def _phase_stats_of(frames: Sequence[FrameRecord]) -> dict[str, ErrorStats]:
@@ -323,7 +333,8 @@ def compare_matrix(base: RunConfig, variants: Sequence[str],
 
     Variants are dash-separated token strings (e.g. 'tbs-or', 'all-noor');
     an empty list compares the base configuration alone. Scenarios default
-    to the base trajectory.
+    to the base trajectory. Each scenario is simulated once and its frames
+    are held in memory while every variant runs over them.
     """
     scenario_list = list(scenarios) if scenarios else [(base.trajectory.label, base.trajectory)]
     if variants:
@@ -332,9 +343,11 @@ def compare_matrix(base: RunConfig, variants: Sequence[str],
         variant_list = [("base", base.pipeline)]
     rows = []
     for scenario_name, trajectory in scenario_list:
+        scenario = replace(base, trajectory=trajectory)
+        frames = list(simulate(scenario))
         for variant_name, pipeline_cfg in variant_list:
-            cfg = replace(base, trajectory=trajectory, pipeline=pipeline_cfg)
-            rows.append(CompareRow(scenario_name, variant_name, run(cfg).stats))
+            stats = run(replace(scenario, pipeline=pipeline_cfg), frames).stats
+            rows.append(CompareRow(scenario_name, variant_name, stats))
     return rows
 
 
@@ -377,7 +390,7 @@ def frame_to_json(record: FrameRecord) -> dict:
         "frame": record.frame,
         "t": record.t,
         "phase": record.phase,
-        "pose_true": {
+        "pose_true": None if record.pose_true is None else {
             "p": [float(v) for v in record.pose_true.position],
             "q": [float(v) for v in record.pose_true.orientation.as_array()],
         },

@@ -12,6 +12,7 @@ from taglok.camsim import (
     down_facing_mount,
     format_detection_line,
     parse_detection_line,
+    read_detection_stream,
     visible_tags,
 )
 from taglok.geometry import Pose, UnitQuaternion, quat_rotation_angle
@@ -233,3 +234,13 @@ class TestStreamFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             parse_detection_line("1 2 3")
+
+    def test_stream_grouped_by_frame_in_frame_order(self, tmp_path):
+        pose = Pose(np.array([0.1, -0.2, 1.5]), UnitQuaternion.identity())
+        lines = [format_detection_line(frame, t, Detection(tag, pose, 50.0))
+                 for frame, t, tag in ((3, 0.15, 7), (1, 0.05, 2), (3, 0.15, 4))]
+        path = tmp_path / "stream.txt"
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n", encoding="utf-8")
+        frames = read_detection_stream(path)
+        assert [(f.index, f.t, f.truth) for f in frames] == [(1, 0.05, None), (3, 0.15, None)]
+        assert [[d.tag_id for d in f.detections] for f in frames] == [[2], [7, 4]]

@@ -281,23 +281,64 @@ class TestCompareCommand:
 
 class TestDumpAndReplay:
     def test_round_trip_matches_direct_run(self, tmp_path):
+        from taglok.camsim import read_detection_stream
+        from taglok.harness import frame_to_json
         from taglok.harness import run as run_experiment
 
         cfg_path = write_cfg(tmp_path, QUICK)
         stream = tmp_path / "stream.txt"
         est = tmp_path / "est.csv"
         assert main(["dump-detections", "--config", cfg_path, "--out", str(stream)]) == 0
+        # one more frame that sees only a tag missing from the map: replay has no estimate
+        with open(stream, "a", encoding="utf-8") as handle:
+            handle.write("10 0.5 9999 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0\n")
         assert main(["replay", "--config", cfg_path, "--detections", str(stream),
                      "--out", str(est)]) == 0
 
-        result = run_experiment(load_run_config(cfg_path))
-        lines = est.read_text().strip().split("\n")[1:]
-        assert len(lines) == len([f for f in result.frames if f.output.pose is not None])
-        for line, record in zip(lines, result.frames):
-            fields = line.split(",")
-            assert int(fields[0]) == record.frame
-            got = np.array([float(fields[2]), float(fields[3]), float(fields[4])])
-            assert np.allclose(got, record.output.pose.position, atol=1e-8)
+        cfg = load_run_config(cfg_path)
+        expected = {}
+        for record in run_experiment(cfg).frames:
+            if record.output.stage_trace.n_detections == 0:
+                continue  # frames without detections leave no line in the stream
+            pose = record.output.pose
+            columns = [f"{record.t:.6f}"] + [""] * 7 + ["0"]
+            if pose is not None:
+                values = [*pose.position, *pose.orientation.as_array()]
+                columns[1:] = [f"{v:.9f}" for v in values] + [str(len(record.output.tags_used))]
+            expected[record.frame] = ",".join(columns)
+        expected[10] = "0.500000,,,,,,,,0"
+        rows = {}
+        for line in est.read_text().strip().split("\n")[1:]:
+            frame, rest = line.split(",", 1)
+            rows[int(frame)] = rest
+        assert rows == expected
+
+        replayed = run_experiment(cfg, read_detection_stream(stream))
+        no_estimate = [r.frame for r in replayed.frames if r.output.pose is None]
+        assert no_estimate == [10]
+        assert replayed.stats.frames == 0
+        assert replayed.stats.dropped == len(no_estimate)
+        assert frame_to_json(replayed.frames[0])["pose_true"] is None
+
+    @pytest.mark.parametrize("bad_line", [
+        "0 0.0 5 1.0 2.0",
+        "0 0.0 5 0.0 0.0 -1.0 1.0 0.0 0.0 0.0 50.0",
+    ], ids=["too-few-fields", "tag-behind-camera"])
+    def test_bad_stream_line_names_file_and_line(self, tmp_path, capsys, bad_line):
+        cfg_path = write_cfg(tmp_path, QUICK)
+        stream = tmp_path / "stream.txt"
+        est = tmp_path / "est.csv"
+        assert main(["dump-detections", "--config", cfg_path, "--out", str(stream),
+                     "--frames", "1"]) == 0
+        lines = stream.read_text(encoding="utf-8").splitlines()
+        lines[3] = bad_line
+        stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", "--config", cfg_path, "--detections", str(stream),
+                     "--out", str(est)]) == 2
+        err = capsys.readouterr().err
+        assert f"{stream}: line 4: " in err
+        assert not est.exists()
 
     def test_dump_deterministic(self, tmp_path):
         cfg_path = write_cfg(tmp_path, QUICK)

@@ -282,16 +282,27 @@ class TestCompareMatrix:
         assert rows[0].scenario == "hover"
 
     def test_cells_match_manual_runs(self, default_map):
+        # compare_matrix simulates each scenario once; every cell must equal
+        # a run that simulates on its own
         noise = NoiseModel(0.01, 0.02, 100.0, outlier_probability=0.05,
                            outlier_position_scale=10.0)
         base = quick_config(default_map, hover_trajectory((1.5, 2.5, 1.4), duration=1.0),
                             noise=noise, seed=17)
-        rows = compare_matrix(base, ["jbt", "tbs-or"])
-        by_variant = {r.variant: r.stats for r in rows}
+        scenarios = [
+            ("h14", hover_trajectory((1.5, 2.5, 1.4), duration=1.0)),
+            ("h20", hover_trajectory((1.5, 2.5, 2.0), duration=0.5)),
+        ]
+        variants = ["jbt", "all-noor", "all-or", "tbs-noor", "tbs-or"]
+        rows = compare_matrix(base, variants, scenarios)
         from dataclasses import replace
-        for name in ("jbt", "tbs-or"):
-            manual = run(replace(base, pipeline=apply_variant(base.pipeline, name))).stats
-            assert by_variant[name] == manual
+        manual = [
+            CompareRow(name, variant, run(replace(
+                base, trajectory=trajectory,
+                pipeline=apply_variant(base.pipeline, variant))).stats)
+            for name, trajectory in scenarios for variant in variants
+        ]
+        assert [r.stats for r in rows] == [r.stats for r in manual]
+        assert format_compare_csv(rows) == format_compare_csv(manual)
 
 
 class TestEmission:
