@@ -1,4 +1,4 @@
-"""Rigid-body geometry: unit quaternions, rotation matrices, poses, ZYX Euler angles.
+"""Rigid-body geometry: unit quaternions, rotation matrices, poses.
 
 Conventions (used everywhere in this package):
   - quaternions are scalar-first (w, x, y, z), Hamilton product;
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _NORM_TOL = 1e-12
-_ORTHO_TOL = 1e-6
 
 
 def wrap_angle(angle: float) -> float:
@@ -104,43 +103,6 @@ def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
     )
 
 
-def is_rotation_matrix(matrix: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
-    """True when matrix is 3x3, orthonormal within tol, and det = +1 within tol."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (3, 3):
-        return False
-    if not np.allclose(matrix.T @ matrix, np.eye(3), atol=tol):
-        return False
-    return abs(float(np.linalg.det(matrix)) - 1.0) <= tol
-
-
-def matrix_to_quat(matrix: np.ndarray) -> UnitQuaternion:
-    """Quaternion of a rotation matrix, canonical sign.
-
-    Uses the Shepperd-style branch on the largest of trace / diagonal
-    elements, which stays well-conditioned near 180 degree rotations.
-    Raises ValueError when the input fails orthonormality by more than 1e-6.
-    """
-    R = np.asarray(matrix, dtype=float)
-    if not is_rotation_matrix(R):
-        raise ValueError("matrix is not a rotation: orthonormality/det check failed")
-
-    trace = R[0, 0] + R[1, 1] + R[2, 2]
-    if trace > max(R[0, 0], R[1, 1], R[2, 2]):
-        s = math.sqrt(trace + 1.0) * 2.0
-        q = (0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s)
-    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = ((R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s)
-    elif R[1, 1] >= R[2, 2]:
-        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = ((R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s)
-    else:
-        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = ((R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s)
-    return UnitQuaternion(*q).canonical()
-
-
 def rotate_vector(q: UnitQuaternion, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector by q (equivalent to quat_to_matrix(q) @ v)."""
     w, x, y, z = q.w, q.x, q.y, q.z
@@ -197,69 +159,6 @@ def quat_rotation_angle(a: UnitQuaternion, b: UnitQuaternion) -> float:
     rel = quat_multiply(a, b.conjugate())
     vec_norm = math.sqrt(rel.x**2 + rel.y**2 + rel.z**2)
     return 2.0 * math.atan2(vec_norm, abs(rel.w))
-
-
-def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Geodesic distance on SO(3): the rotation angle of a @ b.T, in [0, pi]."""
-    rel = np.asarray(a, dtype=float) @ np.asarray(b, dtype=float).T
-    cos_term = (np.trace(rel) - 1.0) / 2.0
-    skew = 0.5 * np.array([rel[2, 1] - rel[1, 2], rel[0, 2] - rel[2, 0], rel[1, 0] - rel[0, 1]])
-    sin_term = float(np.linalg.norm(skew))
-    return math.atan2(sin_term, float(cos_term))
-
-
-def quat_l2_distance(a: UnitQuaternion, b: UnitQuaternion) -> float:
-    """Sign-invariant quaternion metric: min(|a - b|, |a + b|)."""
-    av, bv = a.as_array(), b.as_array()
-    return float(min(np.linalg.norm(av - bv), np.linalg.norm(av + bv)))
-
-
-def chordal_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius-norm distance between two rotation matrices."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-
-
-@dataclass(frozen=True)
-class EulerZYX:
-    """ZYX (yaw-pitch-roll) Euler angles, each wrapped to (-pi, pi]."""
-
-    roll: float
-    pitch: float
-    yaw: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roll", wrap_angle(self.roll))
-        object.__setattr__(self, "pitch", wrap_angle(self.pitch))
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
-
-def euler_zyx_to_matrix(e: EulerZYX) -> np.ndarray:
-    """R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    cr, sr = math.cos(e.roll), math.sin(e.roll)
-    cp, sp = math.cos(e.pitch), math.sin(e.pitch)
-    cy, sy = math.cos(e.yaw), math.sin(e.yaw)
-    return np.array(
-        [
-            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
-            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
-            [-sp, cp * sr, cp * cr],
-        ]
-    )
-
-
-def matrix_to_euler_zyx(matrix: np.ndarray) -> EulerZYX:
-    """Extract ZYX angles; at gimbal lock (|pitch| = pi/2) roll is set to 0."""
-    R = np.asarray(matrix, dtype=float)
-    sp = -R[2, 0]
-    sp = min(1.0, max(-1.0, float(sp)))
-    pitch = math.asin(sp)
-    if abs(math.cos(pitch)) > 1e-9:
-        roll = math.atan2(R[2, 1], R[2, 2])
-        yaw = math.atan2(R[1, 0], R[0, 0])
-    else:
-        roll = 0.0
-        yaw = math.atan2(-R[0, 1], R[1, 1])
-    return EulerZYX(roll, pitch, yaw)
 
 
 def quat_from_yaw(yaw: float) -> UnitQuaternion:

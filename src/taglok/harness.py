@@ -401,7 +401,7 @@ def frame_to_json(record: FrameRecord) -> dict:
         "ep_cm": record.ep_cm,
         "eo_deg": record.eo_deg,
         "tags_used": list(record.output.tags_used),
-        "tags_rejected": list(record.output.tags_rejected),
+        "tags_rejected": list(record.output.stage_trace.rejected_ids),
         "trace": record.output.stage_trace.to_dict(),
     }
 

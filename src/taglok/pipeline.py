@@ -15,18 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .camsim import Detection
-from .geometry import (
-    Pose,
-    UnitQuaternion,
-    compose,
-    inverse,
-    quat_rotation_angle,
-)
+from .geometry import Pose, UnitQuaternion, compose, inverse
 from .tagmap import SizeClass, TagMap
 
 # Treat a coordinate axis whose sample spread is below this as "all equal":
@@ -137,7 +131,6 @@ class EstimateOutput:
     timestamp: float
     pose: Pose | None
     tags_used: tuple[int, ...]
-    tags_rejected: tuple[int, ...]
     stage_trace: StageTrace
 
 
@@ -194,14 +187,16 @@ def estimate_body_pose_per_tag(detection: Detection, tag_map: TagMap,
                           weights.weight_for(entry.size_class))
 
 
-def iqr_bounds(samples: Sequence[float], gain: float = 1.5) -> tuple[float, float] | None:
+def iqr_bounds(samples: Sequence[float] | np.ndarray, gain: float = 1.5
+               ) -> tuple[float | np.ndarray, float | np.ndarray] | None:
     """Tukey fences (Q1 - gain*IQR, Q3 + gain*IQR) with linearly interpolated
-    quartiles. Returns None for fewer than three samples."""
+    quartiles, taken along axis 0: scalars for a flat sample, one fence per
+    column for an (n, k) array. Returns None for fewer than three samples."""
     if len(samples) < 3:
         return None
-    q1, q3 = np.percentile(np.asarray(samples, dtype=float), [25.0, 75.0])
+    q1, q3 = np.percentile(np.asarray(samples, dtype=float), [25.0, 75.0], axis=0)
     spread = q3 - q1
-    return float(q1 - gain * spread), float(q3 + gain * spread)
+    return q1 - gain * spread, q3 + gain * spread
 
 
 def remove_outliers(estimates: Sequence[PerTagEstimate], gain: float = 1.5
@@ -214,13 +209,9 @@ def remove_outliers(estimates: Sequence[PerTagEstimate], gain: float = 1.5
     if len(ordered) < 3:
         return ordered, []
     positions = np.array([e.body_pose_est.position for e in ordered])
-    keep = np.ones(len(ordered), dtype=bool)
-    for axis in range(3):
-        column = positions[:, axis]
-        if column.max() - column.min() <= EQUAL_SPREAD_TOL:
-            continue
-        lower, upper = iqr_bounds(column, gain)
-        keep &= (column > lower) & (column < upper)
+    lower, upper = iqr_bounds(positions, gain)
+    flat = np.ptp(positions, axis=0) <= EQUAL_SPREAD_TOL
+    keep = np.all(flat | ((positions > lower) & (positions < upper)), axis=1)
     kept = [e for e, k in zip(ordered, keep) if k]
     rejected = [e for e, k in zip(ordered, keep) if not k]
     return kept, rejected
@@ -237,46 +228,40 @@ def fuse_positions(kept: Sequence[PerTagEstimate]) -> np.ndarray:
 
 def _reference_index(kept: Sequence[PerTagEstimate]) -> int:
     """Largest weight wins, ties broken by smallest tag id."""
-    return max(range(len(kept)), key=lambda i: (kept[i].weight, -kept[i].tag_id))
+    return int(np.lexsort(([e.tag_id for e in kept], [-e.weight for e in kept]))[0])
 
 
-def _sign_aligned_weighted_sum(quats: Sequence[UnitQuaternion],
-                               weights: Sequence[float],
+def _quat_rows(quats: Iterable[UnitQuaternion]) -> np.ndarray:
+    """Stack quaternions as the (w, x, y, z) rows of an (n, 4) array."""
+    return np.array([(q.w, q.x, q.y, q.z) for q in quats])
+
+
+def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray,
                                ref_index: int) -> UnitQuaternion | None:
-    """Flip each quaternion to the hemisphere of the reference, then return
-    the normalized weighted sum, or None when the sum collapses."""
-    ref = quats[ref_index].as_array()
-    total = np.zeros(4)
-    for q, w in zip(quats, weights):
-        qv = q.as_array()
-        if ref @ qv < 0.0:
-            qv = -qv
-        total += w * qv
+    """Flip each (n, 4) quaternion row to the hemisphere of row ref_index,
+    then return the normalized weighted sum, or None when the sum collapses."""
+    flip = quats @ quats[ref_index] < 0.0
+    aligned = np.where(flip[:, None], -quats, quats)
+    total = (weights[:, None] * aligned).sum(axis=0)
     norm = np.linalg.norm(total)
     if norm < _DEGENERATE_NORM:
         return None
     return UnitQuaternion.from_array(total / norm)
 
 
-def _pairwise_dispersion_exceeds(quats: Sequence[UnitQuaternion], limit: float) -> bool:
-    for i in range(len(quats)):
-        for j in range(i + 1, len(quats)):
-            if quat_rotation_angle(quats[i], quats[j]) >= limit:
-                return True
-    return False
-
-
 def fuse_rotations_ql2(kept: Sequence[PerTagEstimate]) -> RotationFusion:
     """Closed-form weighted quaternion L2 mean: sign-align to the largest-
     weight estimate, sum, normalize. The closed form is the global optimum
     when all pairwise rotation angles stay under pi/2; beyond that the
-    result is still returned but flagged."""
+    result is still returned but flagged. A pair's angle is
+    2*atan2(|v|, |w|) of its relative rotation with |w| = |qi . qj|, so the
+    flag is |qi . qj| <= 1/sqrt(2) for some pair."""
     if not kept:
         raise ValueError("cannot fuse an empty estimate set")
-    quats = [e.body_pose_est.orientation for e in kept]
-    weights = [e.weight for e in kept]
+    quats = _quat_rows(e.body_pose_est.orientation for e in kept)
+    weights = np.array([e.weight for e in kept])
     mean = _sign_aligned_weighted_sum(quats, weights, _reference_index(kept))
-    warning = _pairwise_dispersion_exceeds(quats, math.pi / 2.0)
+    warning = bool(np.any(np.abs(quats @ quats.T) <= math.sqrt(0.5)))
     if mean is None:
         return RotationFusion(None, dispersion_warning=warning, degenerate=True)
     return RotationFusion(mean, dispersion_warning=warning)
@@ -288,10 +273,10 @@ def fuse_rotations_cl2(kept: Sequence[PerTagEstimate]) -> RotationFusion:
     an (almost) repeated top eigenvalue marks the fusion degenerate."""
     if not kept:
         raise ValueError("cannot fuse an empty estimate set")
-    accumulator = np.zeros((4, 4))
-    for e in kept:
-        q = e.body_pose_est.orientation.as_array()
-        accumulator += e.weight * np.outer(q, q)
+    quats = _quat_rows(e.body_pose_est.orientation for e in kept)
+    weights = np.array([e.weight for e in kept])
+    outer = quats[:, :, None] * quats[:, None, :]
+    accumulator = (weights[:, None, None] * outer).sum(axis=0)
     eigenvalues, eigenvectors = np.linalg.eigh(accumulator)
     if eigenvalues[-1] - eigenvalues[-2] < _EIGENVALUE_GAP_TOL:
         return RotationFusion(None, degenerate=True)
@@ -304,18 +289,14 @@ def fir_smooth(history: Sequence[Pose], new_pose: Pose, length: int) -> Pose:
     the newest pose as sign reference. A constant window is reproduced
     bit-exactly (a plain mean of identical doubles is not)."""
     window = (list(history) + [new_pose])[-length:]
-    head = window[0]
-    if all(
-        np.array_equal(p.position, head.position) and p.orientation == head.orientation
-        for p in window[1:]
-    ):
-        return head
-    position = np.mean([p.position for p in window], axis=0)
-    quats = [p.orientation for p in window]
-    mean = _sign_aligned_weighted_sum(quats, [1.0] * len(quats), len(quats) - 1)
+    positions = np.array([p.position for p in window])
+    quats = _quat_rows(p.orientation for p in window)
+    if (positions == positions[0]).all() and (quats == quats[0]).all():
+        return window[0]
+    mean = _sign_aligned_weighted_sum(quats, np.ones(len(window)), len(window) - 1)
     if mean is None:
         mean = new_pose.orientation
-    return Pose(position, mean)
+    return Pose(positions.mean(axis=0), mean)
 
 
 def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfig,
@@ -337,7 +318,7 @@ def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfi
         trace = StageTrace(n_detections=len(detections), unknown_ids=unknown,
                            reason=reason, rejected_ids=rejected,
                            **(trace_kwargs or {}))
-        return EstimateOutput(timestamp, None, (), rejected, trace), state
+        return EstimateOutput(timestamp, None, (), trace), state
 
     if not known:
         return no_estimate("no-tags")
@@ -352,10 +333,10 @@ def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfi
         kept, rejected = remove_outliers(estimates, config.iqr_gain)
         or_applied = len(estimates) >= 3
     else:
-        kept, rejected = sorted(estimates, key=lambda e: e.tag_id), []
+        kept, rejected = estimates, []
         or_applied = False
     rejected_ids = tuple(e.tag_id for e in rejected)
-    selected_ids = tuple(e.tag_id for e in sorted(estimates, key=lambda e: e.tag_id))
+    selected_ids = tuple(d.tag_id for d in selected)
 
     if not kept:
         return no_estimate("all-rejected", rejected_ids,
@@ -386,8 +367,7 @@ def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfi
         fusion_degenerate=fusion.degenerate,
         fir_taps=len(new_state.fir_history),
     )
-    output = EstimateOutput(timestamp, smoothed,
-                            tuple(e.tag_id for e in kept), rejected_ids, trace)
+    output = EstimateOutput(timestamp, smoothed, tuple(e.tag_id for e in kept), trace)
     return output, new_state
 
 

@@ -3,15 +3,24 @@
 Everything here is deliberately written from first principles (homogeneous
 4x4 matrices, hand-rolled quartiles, grid + simplex search) rather than by
 calling the code under test, so that each check runs through two unrelated
-routes.
+routes. Two sections are different: rotation-matrix helpers (Euler angles,
+matrix-to-quaternion, rotation metrics) that only tests need, and the
+per-tag loop forms of the estimator's back-end stages, kept as the bitwise
+reference for their array forms in `taglok.pipeline`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+
+from taglok.geometry import Pose, UnitQuaternion, quat_rotation_angle, wrap_angle
+from taglok.pipeline import EQUAL_SPREAD_TOL, RotationFusion
+
+_ORTHO_TOL = 1e-6
 
 
 # --- homogeneous-matrix route for rigid transforms ---
@@ -194,3 +203,194 @@ def random_quat_cluster(rng: np.random.Generator, count: int, max_pairwise_deg: 
         ])
         out.append(q / np.linalg.norm(q))
     return np.stack(out)
+
+
+# --- rotation matrices, Euler angles and rotation metrics ---
+
+def is_rotation_matrix(matrix: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
+    """True when matrix is 3x3, orthonormal within tol, and det = +1 within tol."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (3, 3):
+        return False
+    if not np.allclose(matrix.T @ matrix, np.eye(3), atol=tol):
+        return False
+    return abs(float(np.linalg.det(matrix)) - 1.0) <= tol
+
+
+def matrix_to_quat(matrix: np.ndarray) -> UnitQuaternion:
+    """Quaternion of a rotation matrix, canonical sign.
+
+    Uses the Shepperd-style branch on the largest of trace / diagonal
+    elements, which stays well-conditioned near 180 degree rotations.
+    Raises ValueError when the input fails orthonormality by more than 1e-6.
+    """
+    R = np.asarray(matrix, dtype=float)
+    if not is_rotation_matrix(R):
+        raise ValueError("matrix is not a rotation: orthonormality/det check failed")
+
+    trace = R[0, 0] + R[1, 1] + R[2, 2]
+    if trace > max(R[0, 0], R[1, 1], R[2, 2]):
+        s = math.sqrt(trace + 1.0) * 2.0
+        q = (0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s)
+    elif R[0, 0] >= R[1, 1] and R[0, 0] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
+        q = ((R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s)
+    elif R[1, 1] >= R[2, 2]:
+        s = math.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
+        q = ((R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s)
+    else:
+        s = math.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
+        q = ((R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s)
+    return UnitQuaternion(*q).canonical()
+
+
+def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Geodesic distance on SO(3): the rotation angle of a @ b.T, in [0, pi]."""
+    rel = np.asarray(a, dtype=float) @ np.asarray(b, dtype=float).T
+    cos_term = (np.trace(rel) - 1.0) / 2.0
+    skew = 0.5 * np.array([rel[2, 1] - rel[1, 2], rel[0, 2] - rel[2, 0], rel[1, 0] - rel[0, 1]])
+    sin_term = float(np.linalg.norm(skew))
+    return math.atan2(sin_term, float(cos_term))
+
+
+def quat_l2_distance(a: UnitQuaternion, b: UnitQuaternion) -> float:
+    """Sign-invariant quaternion metric: min(|a - b|, |a + b|)."""
+    av, bv = a.as_array(), b.as_array()
+    return float(min(np.linalg.norm(av - bv), np.linalg.norm(av + bv)))
+
+
+def chordal_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius-norm distance between two rotation matrices."""
+    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+
+
+@dataclass(frozen=True)
+class EulerZYX:
+    """ZYX (yaw-pitch-roll) Euler angles, each wrapped to (-pi, pi]."""
+
+    roll: float
+    pitch: float
+    yaw: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "roll", wrap_angle(self.roll))
+        object.__setattr__(self, "pitch", wrap_angle(self.pitch))
+        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+
+
+def euler_zyx_to_matrix(e: EulerZYX) -> np.ndarray:
+    """R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    cr, sr = math.cos(e.roll), math.sin(e.roll)
+    cp, sp = math.cos(e.pitch), math.sin(e.pitch)
+    cy, sy = math.cos(e.yaw), math.sin(e.yaw)
+    return np.array(
+        [
+            [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
+            [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
+            [-sp, cp * sr, cp * cr],
+        ]
+    )
+
+
+def matrix_to_euler_zyx(matrix: np.ndarray) -> EulerZYX:
+    """Extract ZYX angles; at gimbal lock (|pitch| = pi/2) roll is set to 0."""
+    R = np.asarray(matrix, dtype=float)
+    sp = -R[2, 0]
+    sp = min(1.0, max(-1.0, float(sp)))
+    pitch = math.asin(sp)
+    if abs(math.cos(pitch)) > 1e-9:
+        roll = math.atan2(R[2, 1], R[2, 2])
+        yaw = math.atan2(R[1, 0], R[0, 0])
+    else:
+        roll = 0.0
+        yaw = math.atan2(-R[0, 1], R[1, 1])
+    return EulerZYX(roll, pitch, yaw)
+
+
+# --- per-tag loop forms of the back-end stages (bitwise reference) ---
+
+def loop_remove_outliers(estimates, gain: float = 1.5):
+    """Per-axis fences from one np.percentile call per axis, intersected."""
+    ordered = sorted(estimates, key=lambda e: e.tag_id)
+    if len(ordered) < 3:
+        return ordered, []
+    positions = np.array([e.body_pose_est.position for e in ordered])
+    keep = np.ones(len(ordered), dtype=bool)
+    for axis in range(3):
+        column = positions[:, axis]
+        if column.max() - column.min() <= EQUAL_SPREAD_TOL:
+            continue
+        q1, q3 = np.percentile(column, [25.0, 75.0])
+        spread = q3 - q1
+        lower, upper = float(q1 - gain * spread), float(q3 + gain * spread)
+        keep &= (column > lower) & (column < upper)
+    kept = [e for e, k in zip(ordered, keep) if k]
+    rejected = [e for e, k in zip(ordered, keep) if not k]
+    return kept, rejected
+
+
+def loop_reference_index(kept) -> int:
+    """Largest weight wins, ties broken by smallest tag id."""
+    return max(range(len(kept)), key=lambda i: (kept[i].weight, -kept[i].tag_id))
+
+
+def loop_sign_aligned_weighted_sum(quats, weights, ref_index: int):
+    """Flip each quaternion to the reference's hemisphere, accumulate one
+    weighted term at a time, normalize; None when the sum collapses."""
+    ref = quats[ref_index].as_array()
+    total = np.zeros(4)
+    for q, w in zip(quats, weights):
+        qv = q.as_array()
+        if ref @ qv < 0.0:
+            qv = -qv
+        total += w * qv
+    norm = np.linalg.norm(total)
+    if norm < 1e-12:
+        return None
+    return UnitQuaternion.from_array(total / norm)
+
+
+def loop_pairwise_dispersion_exceeds(quats, limit: float) -> bool:
+    """Rotation angle of every pair against the limit, one pair at a time."""
+    for i in range(len(quats)):
+        for j in range(i + 1, len(quats)):
+            if quat_rotation_angle(quats[i], quats[j]) >= limit:
+                return True
+    return False
+
+
+def loop_fuse_rotations_ql2(kept) -> RotationFusion:
+    quats = [e.body_pose_est.orientation for e in kept]
+    weights = [e.weight for e in kept]
+    mean = loop_sign_aligned_weighted_sum(quats, weights, loop_reference_index(kept))
+    warning = loop_pairwise_dispersion_exceeds(quats, math.pi / 2.0)
+    if mean is None:
+        return RotationFusion(None, dispersion_warning=warning, degenerate=True)
+    return RotationFusion(mean, dispersion_warning=warning)
+
+
+def loop_fuse_rotations_cl2(kept) -> RotationFusion:
+    accumulator = np.zeros((4, 4))
+    for e in kept:
+        q = e.body_pose_est.orientation.as_array()
+        accumulator += e.weight * np.outer(q, q)
+    eigenvalues, eigenvectors = np.linalg.eigh(accumulator)
+    if eigenvalues[-1] - eigenvalues[-2] < 1e-9:
+        return RotationFusion(None, degenerate=True)
+    return RotationFusion(UnitQuaternion.from_array(eigenvectors[:, -1]).canonical())
+
+
+def loop_fir_smooth(history, new_pose, length: int):
+    window = (list(history) + [new_pose])[-length:]
+    head = window[0]
+    if all(
+        np.array_equal(p.position, head.position) and p.orientation == head.orientation
+        for p in window[1:]
+    ):
+        return head
+    position = np.mean([p.position for p in window], axis=0)
+    quats = [p.orientation for p in window]
+    mean = loop_sign_aligned_weighted_sum(quats, [1.0] * len(quats), len(quats) - 1)
+    if mean is None:
+        mean = new_pose.orientation
+    return Pose(position, mean)

@@ -4,27 +4,29 @@ import numpy as np
 import pytest
 
 from taglok.geometry import (
-    EulerZYX,
     Pose,
     UnitQuaternion,
-    chordal_distance,
     compose,
-    euler_zyx_to_matrix,
     inverse,
-    is_rotation_matrix,
-    matrix_to_euler_zyx,
-    matrix_to_quat,
     quat_from_yaw,
-    quat_l2_distance,
     quat_multiply,
     quat_rotation_angle,
     quat_to_matrix,
-    riemannian_distance,
     rotate_vector,
     wrap_angle,
 )
 
-from oracles import pose_to_hmat
+from oracles import (
+    EulerZYX,
+    chordal_distance,
+    euler_zyx_to_matrix,
+    is_rotation_matrix,
+    matrix_to_euler_zyx,
+    matrix_to_quat,
+    pose_to_hmat,
+    quat_l2_distance,
+    riemannian_distance,
+)
 
 
 def rz(angle):

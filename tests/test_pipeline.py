@@ -12,7 +12,6 @@ from taglok.geometry import (
     quat_from_yaw,
     quat_rotation_angle,
     quat_to_matrix,
-    riemannian_distance,
 )
 from taglok.pipeline import (
     EQUAL_SPREAD_TOL,
@@ -42,6 +41,7 @@ from oracles import (
     naive_outlier_partition,
     pose_to_hmat,
     random_quat_cluster,
+    riemannian_distance,
 )
 
 
@@ -320,9 +320,10 @@ class TestFuseRotationsQl2:
         # keeps a positive dot with the reference); exercise the guard alone
         from taglok.pipeline import _sign_aligned_weighted_sum
 
-        quats = [UnitQuaternion(0.0, 1.0, 0.0, 0.0), UnitQuaternion(0.0, -1.0, 0.0, 0.0)]
-        # force "no flip" by aligning to the first while weights cancel exactly
-        assert _sign_aligned_weighted_sum(quats, [1.0, -1.0], 0) is None
+        quats = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+        # the second row is flipped onto the first, so both become (0, 1, 0, 0);
+        # opposite weights then cancel the sum exactly
+        assert _sign_aligned_weighted_sum(quats, np.array([1.0, -1.0]), 0) is None
 
     def test_weighted_mean_matches_brute_force(self):
         rng = np.random.default_rng(404)
@@ -470,7 +471,7 @@ class TestStep:
         out, state = step(detections, spread_map, PipelineConfig(ths=ThsMode.ALL))
         assert out.pose is None
         assert out.stage_trace.reason == "all-rejected"
-        assert len(out.tags_rejected) == 5
+        assert len(out.stage_trace.rejected_ids) == 5
         assert state.fir_history == ()
 
     def test_stage_by_stage_replay_oracle(self):
@@ -499,7 +500,7 @@ class TestStep:
             manual_history = (manual_history + (raw,))[-cfg.fir_length:]
 
             assert out.tags_used == tuple(e.tag_id for e in kept)
-            assert out.tags_rejected == tuple(e.tag_id for e in rejected)
+            assert out.stage_trace.rejected_ids == tuple(e.tag_id for e in rejected)
             assert np.array_equal(out.pose.position, expected.position)
             assert out.pose.orientation == expected.orientation
 
@@ -512,7 +513,7 @@ class TestStep:
                 for i in range(8)
             ]
             out, _ = step(detections, tag_map, PipelineConfig(ths=ThsMode.ALL))
-            assert not set(out.tags_used) & set(out.tags_rejected)
+            assert not set(out.tags_used) & set(out.stage_trace.rejected_ids)
 
     def test_trace_serializes(self):
         import json
