@@ -122,7 +122,7 @@ class Detection:
     apparent_side: float
 
     def __post_init__(self) -> None:
-        if self.pose_tag_in_camera.position[2] <= 0:
+        if not self.pose_tag_in_camera.position[2] > 0:  # NaN fails too
             raise ValueError("detected tag must lie in front of the camera (z > 0)")
 
 
@@ -228,16 +228,23 @@ def format_detection_line(frame: int, t: float, det: Detection) -> str:
     )
 
 
+_LINE_FLOAT_FIELDS = ("t", "px", "py", "pz", "qw", "qx", "qy", "qz", "apparent_side")
+
+
 def parse_detection_line(line: str) -> tuple[int, float, Detection]:
     tokens = line.split()
     if len(tokens) != 11:
         raise ValueError(f"expected 11 fields in detection line, got {len(tokens)}")
     frame = int(tokens[0])
-    t = float(tokens[1])
     tag_id = int(tokens[2])
-    px, py, pz = (float(v) for v in tokens[3:6])
-    qw, qx, qy, qz = (float(v) for v in tokens[6:10])
-    apparent = float(tokens[10])
+    float_tokens = [tokens[1]] + tokens[3:]
+    values = [float(v) for v in float_tokens]
+    if not all(map(math.isfinite, values)):
+        name, token = next((name, token) for name, token, value
+                           in zip(_LINE_FLOAT_FIELDS, float_tokens, values)
+                           if not math.isfinite(value))
+        raise ValueError(f"non-finite {name} {token!r}")
+    t, px, py, pz, qw, qx, qy, qz, apparent = values
     pose = Pose(np.array([px, py, pz]), UnitQuaternion(qw, qx, qy, qz))
     return frame, t, Detection(tag_id, pose, apparent)
 

@@ -43,6 +43,8 @@ class UnitQuaternion:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+        if not math.isfinite(norm):
+            raise ValueError("quaternion norm is not finite")
         if norm < _NORM_TOL:
             raise ValueError("quaternion norm too small to normalize")
         scale = 1.0 / norm if abs(norm - 1.0) > _NORM_TOL else 1.0
@@ -118,6 +120,58 @@ def rotate_vector(q: UnitQuaternion, v: np.ndarray) -> np.ndarray:
             vz + w * tz + (x * ty - y * tx),
         ]
     )
+
+
+def _normalize_rows(q: np.ndarray) -> np.ndarray:
+    """UnitQuaternion's construction applied to each (w, x, y, z) row of an
+    (n, 4) array, bit for bit: rows within half the tolerance of unit norm
+    stay as they are, any other row is rebuilt as a UnitQuaternion (which
+    raises on a zero or non-finite norm). Only the scalar route reproduces
+    its scaling: Python's float ** 2 goes through libm pow, which can differ
+    from x * x in the last bit."""
+    squares = q * q
+    norm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2] + squares[:, 3])
+    off = np.flatnonzero(~(np.abs(norm - 1.0) <= 0.5 * _NORM_TOL))
+    if len(off):
+        q = q.copy()
+        for i in off:
+            unit = UnitQuaternion(*q[i].tolist())
+            q[i] = (unit.w, unit.x, unit.y, unit.z)
+    return q
+
+
+# quat_multiply written as a * b = a_w B_0 + a_x B_1 + a_y B_2 + a_z B_3:
+# row j lists the components of b that a's component j multiplies in the
+# four output expressions, with their signs (x - y*z == x + y*(-z) exactly),
+# so summing the four terms left to right repeats quat_multiply's order
+_HAMILTON_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_HAMILTON_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                           [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def quat_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton products a * b of (n, 4) arrays (one of them may be
+    a single (4,) row), renormalized like UnitQuaternion. Each row is
+    bit-for-bit the quat_multiply of the same pair: same products, summed
+    in the same order."""
+    terms = a[..., :, None] * (b[..., _HAMILTON_INDEX] * _HAMILTON_SIGN)
+    return _normalize_rows(terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]
+                           + terms[..., 3, :])
+
+
+def _cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u x v as (y*vz - z*vy, z*vx - x*vz, x*vy - y*vx)."""
+    return u[..., _YZX] * v[..., _ZXY] - u[..., _ZXY] * v[..., _YZX]
+
+
+def rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise rotate_vector: rotate each row of v (n, 3) by the matching
+    quaternion row of q (n, 4); one of them may be a single row. Each result
+    row is bit-for-bit rotate_vector of the same pair."""
+    w, u = q[..., :1], q[..., 1:]
+    t = 2.0 * _cross_rows(u, v)
+    return v + w * t + _cross_rows(u, t)
 
 
 @dataclass(frozen=True)

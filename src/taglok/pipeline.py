@@ -13,6 +13,7 @@ stage trace.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .camsim import Detection
-from .geometry import Pose, UnitQuaternion, compose, inverse
+from .geometry import Pose, UnitQuaternion, inverse, quat_multiply_rows, rotate_rows
 from .tagmap import SizeClass, TagMap
 
 # Treat a coordinate axis whose sample spread is below this as "all equal":
@@ -84,16 +85,29 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
-class PerTagEstimate:
-    """Body pose in the world frame recovered from a single tag detection."""
+class TagEstimates:
+    """Body poses in the world frame recovered from one frame's detections,
+    one row per tag in tag-id order: ids (n,), positions (n, 3), unit
+    quaternions (n, 4) as (w, x, y, z) rows, and fusion weights (n,)."""
 
-    tag_id: int
-    body_pose_est: Pose
-    weight: float
+    ids: np.ndarray
+    positions: np.ndarray
+    quats: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "TagEstimates":
+        """The rows picked by a boolean mask, index array or slice."""
+        return TagEstimates(self.ids[rows], self.positions[rows], self.quats[rows],
+                            self.weights[rows])
+
+
+# conjugating a (w, x, y, z) row; a conjugate keeps its norm, so it needs
+# no renormalization
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+_tag_id = operator.attrgetter("tag_id")
 
 
 @dataclass(frozen=True)
@@ -169,22 +183,37 @@ def select_tags(detections: Sequence[Detection], tag_map: TagMap,
     return [d for d in ordered if sides[d.tag_id] in top_two]
 
 
-def estimate_body_pose_per_tag(detection: Detection, tag_map: TagMap,
+def estimate_body_pose_per_tag(detections: Sequence[Detection], tag_map: TagMap,
                                camera_in_body: Pose,
                                weights: WeightScheme = WeightScheme.UNIFORM
-                               ) -> PerTagEstimate | None:
-    """Recover the body pose from one detection through the frame chain
+                               ) -> TagEstimates:
+    """Recover the body pose from each detection through the frame chain
     world<-tag, tag<-camera (inverted detection), camera<-body (inverted
-    mount). Returns None when the id is not in the map."""
-    entry = tag_map.lookup(detection.tag_id)
-    if entry is None:
-        return None
-    body_in_world = compose(
-        entry.pose_in_world,
-        compose(inverse(detection.pose_tag_in_camera), inverse(camera_in_body)),
+    mount), all tags at once. Detections whose id is not in the map are
+    skipped; rows come out in tag-id order (stable for repeated ids).
+
+    Each row equals the per-tag chain
+    compose(tag, compose(inverse(detection), inverse(camera_in_body)))
+    bit for bit: the row helpers keep the scalar expression order."""
+    row_of_id, map_ids, map_positions, map_quats, map_classes = tag_map.pose_rows()
+    known = sorted((d for d in detections if d.tag_id in row_of_id), key=_tag_id)
+    rows = np.array([row_of_id[d.tag_id] for d in known], dtype=np.intp)
+    poses = [d.pose_tag_in_camera for d in known]
+    det_q = _quat_rows(p.orientation for p in poses).reshape(-1, 4)
+    tag_q = map_quats[rows]
+    mount = inverse(camera_in_body)
+
+    inv_q = det_q * _CONJUGATE  # inverse(detection)
+    inv_p = -rotate_rows(inv_q, np.array([p.position for p in poses]).reshape(-1, 3))
+    chain_p = inv_p + rotate_rows(inv_q, mount.position)  # ... composed with the mount
+    chain_q = quat_multiply_rows(inv_q, mount.orientation.as_array())
+    weight_of_class = np.array([weights.weight_for(c) for c in SizeClass])
+    return TagEstimates(
+        map_ids[rows],
+        map_positions[rows] + rotate_rows(tag_q, chain_p),
+        quat_multiply_rows(tag_q, chain_q),
+        weight_of_class[map_classes[rows]],
     )
-    return PerTagEstimate(detection.tag_id, body_in_world,
-                          weights.weight_for(entry.size_class))
 
 
 def iqr_bounds(samples: Sequence[float] | np.ndarray, gain: float = 1.5
@@ -199,36 +228,32 @@ def iqr_bounds(samples: Sequence[float] | np.ndarray, gain: float = 1.5
     return q1 - gain * spread, q3 + gain * spread
 
 
-def remove_outliers(estimates: Sequence[PerTagEstimate], gain: float = 1.5
-                    ) -> tuple[list[PerTagEstimate], list[PerTagEstimate]]:
-    """Keep estimates whose position lies strictly inside the IQR fences on
-    every axis (intersection of the per-axis id sets). With fewer than three
-    estimates the stage passes everything through; an axis with negligible
-    spread keeps all samples on that axis."""
-    ordered = sorted(estimates, key=lambda e: e.tag_id)
-    if len(ordered) < 3:
-        return ordered, []
-    positions = np.array([e.body_pose_est.position for e in ordered])
+def remove_outliers(estimates: TagEstimates, gain: float = 1.5
+                    ) -> tuple[TagEstimates, TagEstimates]:
+    """Split the estimates into (kept, rejected): kept positions lie strictly
+    inside the IQR fences on every axis (intersection of the per-axis id
+    sets). With fewer than three estimates the stage passes everything
+    through; an axis with negligible spread keeps all samples on that axis."""
+    if len(estimates) < 3:
+        return estimates, estimates.take(slice(0, 0))
+    positions = estimates.positions
     lower, upper = iqr_bounds(positions, gain)
     flat = np.ptp(positions, axis=0) <= EQUAL_SPREAD_TOL
     keep = np.all(flat | ((positions > lower) & (positions < upper)), axis=1)
-    kept = [e for e, k in zip(ordered, keep) if k]
-    rejected = [e for e, k in zip(ordered, keep) if not k]
-    return kept, rejected
+    return estimates.take(keep), estimates.take(~keep)
 
 
-def fuse_positions(kept: Sequence[PerTagEstimate]) -> np.ndarray:
+def fuse_positions(kept: TagEstimates) -> np.ndarray:
     """Weighted Euclidean mean of the kept positions."""
-    if not kept:
+    if not len(kept):
         raise ValueError("cannot fuse an empty estimate set")
-    weights = np.array([e.weight for e in kept])
-    positions = np.array([e.body_pose_est.position for e in kept])
-    return (weights[:, None] * positions).sum(axis=0) / weights.sum()
+    weights = kept.weights
+    return (weights[:, None] * kept.positions).sum(axis=0) / weights.sum()
 
 
-def _reference_index(kept: Sequence[PerTagEstimate]) -> int:
+def _reference_index(kept: TagEstimates) -> int:
     """Largest weight wins, ties broken by smallest tag id."""
-    return int(np.lexsort(([e.tag_id for e in kept], [-e.weight for e in kept]))[0])
+    return int(np.lexsort((kept.ids, -kept.weights))[0])
 
 
 def _quat_rows(quats: Iterable[UnitQuaternion]) -> np.ndarray:
@@ -249,34 +274,32 @@ def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray,
     return UnitQuaternion.from_array(total / norm)
 
 
-def fuse_rotations_ql2(kept: Sequence[PerTagEstimate]) -> RotationFusion:
+def fuse_rotations_ql2(kept: TagEstimates) -> RotationFusion:
     """Closed-form weighted quaternion L2 mean: sign-align to the largest-
     weight estimate, sum, normalize. The closed form is the global optimum
     when all pairwise rotation angles stay under pi/2; beyond that the
     result is still returned but flagged. A pair's angle is
     2*atan2(|v|, |w|) of its relative rotation with |w| = |qi . qj|, so the
     flag is |qi . qj| <= 1/sqrt(2) for some pair."""
-    if not kept:
+    if not len(kept):
         raise ValueError("cannot fuse an empty estimate set")
-    quats = _quat_rows(e.body_pose_est.orientation for e in kept)
-    weights = np.array([e.weight for e in kept])
-    mean = _sign_aligned_weighted_sum(quats, weights, _reference_index(kept))
+    quats = kept.quats
+    mean = _sign_aligned_weighted_sum(quats, kept.weights, _reference_index(kept))
     warning = bool(np.any(np.abs(quats @ quats.T) <= math.sqrt(0.5)))
     if mean is None:
         return RotationFusion(None, dispersion_warning=warning, degenerate=True)
     return RotationFusion(mean, dispersion_warning=warning)
 
 
-def fuse_rotations_cl2(kept: Sequence[PerTagEstimate]) -> RotationFusion:
+def fuse_rotations_cl2(kept: TagEstimates) -> RotationFusion:
     """Chordal L2 mean: unit eigenvector of the largest eigenvalue of
     Q = sum(w * q * q^T). Insensitive to input sign flips by construction;
     an (almost) repeated top eigenvalue marks the fusion degenerate."""
-    if not kept:
+    if not len(kept):
         raise ValueError("cannot fuse an empty estimate set")
-    quats = _quat_rows(e.body_pose_est.orientation for e in kept)
-    weights = np.array([e.weight for e in kept])
+    quats = kept.quats
     outer = quats[:, :, None] * quats[:, None, :]
-    accumulator = (weights[:, None, None] * outer).sum(axis=0)
+    accumulator = (kept.weights[:, None, None] * outer).sum(axis=0)
     eigenvalues, eigenvectors = np.linalg.eigh(accumulator)
     if eigenvalues[-1] - eigenvalues[-2] < _EIGENVALUE_GAP_TOL:
         return RotationFusion(None, degenerate=True)
@@ -324,21 +347,17 @@ def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfi
         return no_estimate("no-tags")
 
     selected = select_tags(known, tag_map, config.ths)
-    estimates = [
-        estimate_body_pose_per_tag(d, tag_map, config.camera_in_body, config.weights)
-        for d in selected
-    ]
+    selected_ids = tuple(d.tag_id for d in selected)
+    estimates = estimate_body_pose_per_tag(selected, tag_map, config.camera_in_body,
+                                           config.weights)
 
+    kept, rejected_ids, or_applied = estimates, (), False
     if config.outlier_removal:
         kept, rejected = remove_outliers(estimates, config.iqr_gain)
+        rejected_ids = tuple(rejected.ids.tolist())
         or_applied = len(estimates) >= 3
-    else:
-        kept, rejected = estimates, []
-        or_applied = False
-    rejected_ids = tuple(e.tag_id for e in rejected)
-    selected_ids = tuple(d.tag_id for d in selected)
 
-    if not kept:
+    if not len(kept):
         return no_estimate("all-rejected", rejected_ids,
                            {"selected_ids": selected_ids, "or_applied": or_applied})
 
@@ -350,7 +369,7 @@ def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfi
     quaternion = fusion.quaternion
     if quaternion is None:
         # antipodal / maximally dispersed inputs: fall back to the reference
-        quaternion = kept[_reference_index(kept)].body_pose_est.orientation
+        quaternion = UnitQuaternion.from_array(kept.quats[_reference_index(kept)])
 
     raw_pose = Pose(position, quaternion)
     smoothed = fir_smooth(state.fir_history, raw_pose, config.fir_length)
@@ -367,7 +386,7 @@ def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfi
         fusion_degenerate=fusion.degenerate,
         fir_taps=len(new_state.fir_history),
     )
-    output = EstimateOutput(timestamp, smoothed, tuple(e.tag_id for e in kept), trace)
+    output = EstimateOutput(timestamp, smoothed, tuple(kept.ids.tolist()), trace)
     return output, new_state
 
 

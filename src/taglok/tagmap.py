@@ -121,6 +121,7 @@ class TagMap:
         self.extent = (float(extent[0]), float(extent[1]))
         self._check_no_same_class_overlap()
         self._frames = None  # lazy projection cache
+        self._pose_rows = None  # lazy frame-chain cache
 
     def _check_no_same_class_overlap(self) -> None:
         by_class: dict[SizeClass, list[TagEntry]] = {}
@@ -174,6 +175,24 @@ class TagMap:
             normals = rots[:, :, 2] if entries else np.zeros((0, 3))
             self._frames = (ids, sides, centers, normals, corners)
         return self._frames
+
+    def pose_rows(self):
+        """Stacked per-tag world poses for the batched frame chain.
+
+        Returns (row_of_id, ids, positions, quats, class_indices): a dict
+        from tag id to row, and arrays (n,), (n, 3), (n, 4) of (w, x, y, z)
+        rows and (n,) with rows in id order.
+        """
+        if self._pose_rows is None:
+            entries = self.entries
+            self._pose_rows = (
+                {e.tag_id: row for row, e in enumerate(entries)},
+                np.array([e.tag_id for e in entries], dtype=np.int64),
+                np.array([e.pose_in_world.position for e in entries]).reshape(-1, 3),
+                np.array([e.pose_in_world.orientation.as_array() for e in entries]).reshape(-1, 4),
+                np.array([e.size_class.class_index for e in entries], dtype=np.intp),
+            )
+        return self._pose_rows
 
 
 def build_pattern_map(extent: tuple[float, float],
@@ -235,9 +254,12 @@ def load_map(path: str | Path) -> TagMap:
 
 def _parse_float(token: str, line_no: int, field: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise MapFormatError(f"line {line_no}: bad {field} {token!r}") from None
+        value = math.nan  # reported like a non-finite number
+    if not math.isfinite(value):
+        raise MapFormatError(f"line {line_no}: bad {field} {token!r}")
+    return value
 
 
 def parse_map(text: str) -> TagMap:
@@ -256,6 +278,8 @@ def parse_map(text: str) -> TagMap:
                 _parse_float(tokens[2], line_no, "width"),
                 _parse_float(tokens[3], line_no, "height"),
             )
+            if min(header) <= 0.0:
+                raise MapFormatError(f"line {line_no}: map extent must be positive")
             continue
         if len(tokens) != 9:
             raise MapFormatError(f"line {line_no}: expected 9 fields, got {len(tokens)}")

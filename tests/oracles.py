@@ -5,8 +5,9 @@ Everything here is deliberately written from first principles (homogeneous
 calling the code under test, so that each check runs through two unrelated
 routes. Two sections are different: rotation-matrix helpers (Euler angles,
 matrix-to-quaternion, rotation metrics) that only tests need, and the
-per-tag loop forms of the estimator's back-end stages, kept as the bitwise
-reference for their array forms in `taglok.pipeline`.
+per-tag loop forms of the estimator's stages (the object-per-tag frame chain
+and the back end), kept as the bitwise reference for their array forms in
+`taglok.pipeline`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from taglok.geometry import Pose, UnitQuaternion, quat_rotation_angle, wrap_angle
-from taglok.pipeline import EQUAL_SPREAD_TOL, RotationFusion
+from taglok.geometry import (
+    Pose,
+    UnitQuaternion,
+    compose,
+    inverse,
+    quat_rotation_angle,
+    wrap_angle,
+)
+from taglok.pipeline import EQUAL_SPREAD_TOL, RotationFusion, TagEstimates, WeightScheme
 
 _ORTHO_TOL = 1e-6
 
@@ -307,7 +315,53 @@ def matrix_to_euler_zyx(matrix: np.ndarray) -> EulerZYX:
     return EulerZYX(roll, pitch, yaw)
 
 
-# --- per-tag loop forms of the back-end stages (bitwise reference) ---
+# --- per-tag loop forms of the estimator's stages (bitwise reference) ---
+
+@dataclass(frozen=True)
+class PerTagEstimate:
+    """Body pose in the world frame recovered from a single tag detection."""
+
+    tag_id: int
+    body_pose_est: Pose
+    weight: float
+
+    def __post_init__(self) -> None:
+        if self.weight <= 0:
+            raise ValueError("weight must be positive")
+
+
+def as_bundle(estimates) -> TagEstimates:
+    """PerTagEstimates as the pipeline's array bundle, rows in tag-id order
+    (stable for repeated ids)."""
+    ordered = sorted(estimates, key=lambda e: e.tag_id)
+    return TagEstimates(
+        np.array([e.tag_id for e in ordered], dtype=np.int64),
+        np.array([e.body_pose_est.position for e in ordered]).reshape(-1, 3),
+        np.array([e.body_pose_est.orientation.as_array() for e in ordered]).reshape(-1, 4),
+        np.array([e.weight for e in ordered], dtype=float),
+    )
+
+
+def unbundle(bundle: TagEstimates) -> list:
+    """The rows of an array bundle as PerTagEstimates, in row order."""
+    return [PerTagEstimate(int(i), Pose(p, UnitQuaternion.from_array(q)), float(w))
+            for i, p, q, w in zip(bundle.ids, bundle.positions, bundle.quats, bundle.weights)]
+
+
+def loop_estimate_body_pose_per_tag(detection, tag_map, camera_in_body: Pose,
+                                    weights: WeightScheme = WeightScheme.UNIFORM):
+    """Object-per-tag frame chain world<-tag, tag<-camera, camera<-body;
+    None when the id is not in the map."""
+    entry = tag_map.lookup(detection.tag_id)
+    if entry is None:
+        return None
+    body_in_world = compose(
+        entry.pose_in_world,
+        compose(inverse(detection.pose_tag_in_camera), inverse(camera_in_body)),
+    )
+    return PerTagEstimate(detection.tag_id, body_in_world,
+                          weights.weight_for(entry.size_class))
+
 
 def loop_remove_outliers(estimates, gain: float = 1.5):
     """Per-axis fences from one np.percentile call per axis, intersected."""

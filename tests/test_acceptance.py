@@ -26,7 +26,6 @@ from taglok.harness import (
 )
 from taglok.pipeline import (
     EQUAL_SPREAD_TOL,
-    PerTagEstimate,
     PipelineConfig,
     ThsMode,
     apply_variant,
@@ -40,12 +39,15 @@ from taglok.camsim import Detection
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
 from oracles import (
+    PerTagEstimate,
+    as_bundle,
     brute_force_chordal_mean,
     brute_force_ql2_mean,
     make_search_grid,
     naive_outlier_partition,
     random_quat_cluster,
     two_pass_mean_std,
+    unbundle,
 )
 
 HOVER_XY = (1.5, 2.5)
@@ -125,7 +127,7 @@ def test_criterion_01_ql2_optimality():
             PerTagEstimate(i, Pose(np.zeros(3), UnitQuaternion.from_array(q)), w)
             for i, (q, w) in enumerate(zip(quats, weights))
         ]
-        got = fuse_rotations_ql2(estimates).quaternion.as_array()
+        got = fuse_rotations_ql2(as_bundle(estimates)).quaternion.as_array()
         cost = float(sum(
             w * min(np.linalg.norm(q - got), np.linalg.norm(q + got)) ** 2
             for q, w in zip(quats, weights)
@@ -151,7 +153,7 @@ def test_criterion_02_cl2_optimality():
             PerTagEstimate(i, Pose(np.zeros(3), UnitQuaternion.from_array(q)), w)
             for i, (q, w) in enumerate(zip(quats, weights))
         ]
-        R = quat_to_matrix(fuse_rotations_cl2(estimates).quaternion)
+        R = quat_to_matrix(fuse_rotations_cl2(as_bundle(estimates)).quaternion)
         cost = float(sum(
             w * np.linalg.norm(quat_to_matrix(UnitQuaternion.from_array(q)) - R) ** 2
             for q, w in zip(quats, weights)
@@ -180,7 +182,7 @@ def test_criterion_03_iqr_oracle_equivalence():
             PerTagEstimate(i, Pose(positions[i], UnitQuaternion.identity()), 1.0)
             for i in positions
         ]
-        kept, rejected = remove_outliers(estimates, 1.5)
+        kept, rejected = map(unbundle, remove_outliers(as_bundle(estimates), 1.5))
         oracle_kept, oracle_rejected = naive_outlier_partition(
             positions, 1.5, EQUAL_SPREAD_TOL)
         assert [e.tag_id for e in kept] == oracle_kept
@@ -235,8 +237,8 @@ def test_criterion_06_double_coverage_invariance():
                 i, Pose(np.zeros(3), quat.negate() if flip else quat), w))
         for fuse in (fuse_rotations_ql2, fuse_rotations_cl2):
             difference = np.abs(
-                quat_to_matrix(fuse(base).quaternion)
-                - quat_to_matrix(fuse(flipped).quaternion)
+                quat_to_matrix(fuse(as_bundle(base)).quaternion)
+                - quat_to_matrix(fuse(as_bundle(flipped)).quaternion)
             ).max()
             assert difference < 1e-9
     announce(6, "random sign flips leave QL2/CL2 rotation matrices unchanged "

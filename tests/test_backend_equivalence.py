@@ -2,7 +2,8 @@
 
 Every comparison is exact (`==`): stacking the inputs changes no rounding,
 so outlier partitions, rotation means, the dispersion and degeneracy flags
-and smoothed poses must match the loop oracles bit for bit.
+and smoothed poses must match the loop oracles bit for bit. The bundle's
+rows are in tag-id order, so the loop forms get the same id-ordered lists.
 """
 
 import math
@@ -11,7 +12,6 @@ import numpy as np
 
 from taglok.geometry import Pose, UnitQuaternion, quat_multiply
 from taglok.pipeline import (
-    PerTagEstimate,
     fir_smooth,
     fuse_rotations_cl2,
     fuse_rotations_ql2,
@@ -19,6 +19,8 @@ from taglok.pipeline import (
 )
 
 from oracles import (
+    PerTagEstimate,
+    as_bundle,
     loop_fir_smooth,
     loop_fuse_rotations_cl2,
     loop_fuse_rotations_ql2,
@@ -63,8 +65,9 @@ def _random_estimates(rng: np.random.Generator) -> list[PerTagEstimate]:
     else:
         weights = rng.uniform(0.1, 10.0, size=n)
     ids = rng.permutation(1000)[:n]
-    return [PerTagEstimate(int(i), Pose(p, UnitQuaternion.from_array(q)), float(w))
-            for i, p, q, w in zip(ids, positions, quats, weights)]
+    estimates = [PerTagEstimate(int(i), Pose(p, UnitQuaternion.from_array(q)), float(w))
+                 for i, p, q, w in zip(ids, positions, quats, weights)]
+    return sorted(estimates, key=lambda e: e.tag_id)
 
 
 def _ids(estimates):
@@ -75,15 +78,16 @@ def test_stages_bitwise_equal_to_loop_forms():
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         estimates = _random_estimates(rng)
+        bundle = as_bundle(estimates)
 
-        kept, rejected = remove_outliers(estimates)
+        kept, rejected = remove_outliers(bundle)
         loop_kept, loop_rejected = loop_remove_outliers(estimates)
-        assert _ids(kept) == _ids(loop_kept)
-        assert _ids(rejected) == _ids(loop_rejected)
+        assert kept.ids.tolist() == _ids(loop_kept)
+        assert rejected.ids.tolist() == _ids(loop_rejected)
 
         for fuse, loop_fuse in ((fuse_rotations_ql2, loop_fuse_rotations_ql2),
                                 (fuse_rotations_cl2, loop_fuse_rotations_cl2)):
-            got, want = fuse(estimates), loop_fuse(estimates)
+            got, want = fuse(bundle), loop_fuse(estimates)
             assert got.quaternion == want.quaternion
             assert got.dispersion_warning == want.dispersion_warning
             assert got.degenerate == want.degenerate
@@ -118,6 +122,6 @@ def test_dispersion_flag_pinned_at_quarter_turn():
             other = quat_multiply(base, turn)
             if rng.random() < 0.5:
                 other = other.negate()
-            pair = [PerTagEstimate(0, Pose(np.zeros(3), base), 1.0),
-                    PerTagEstimate(1, Pose(np.zeros(3), other), 1.0)]
+            pair = as_bundle([PerTagEstimate(0, Pose(np.zeros(3), base), 1.0),
+                              PerTagEstimate(1, Pose(np.zeros(3), other), 1.0)])
             assert fuse_rotations_ql2(pair).dispersion_warning is flagged

@@ -210,6 +210,10 @@ class TestDetectionInvariants:
         with pytest.raises(ValueError):
             Detection(0, Pose(np.array([0.0, 0.0, -1.0]), UnitQuaternion.identity()), 50.0)
 
+    def test_nan_depth_rejected(self):
+        with pytest.raises(ValueError, match="in front of the camera"):
+            Detection(0, Pose(np.array([0.0, 0.0, math.nan]), UnitQuaternion.identity()), 50.0)
+
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(position_sigma_at_ref=-0.1)
@@ -234,6 +238,15 @@ class TestStreamFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             parse_detection_line("1 2 3")
+
+    @pytest.mark.parametrize("column, name", [
+        (1, "t"), (3, "px"), (4, "py"), (5, "pz"), (7, "qx"), (10, "apparent_side")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_field_rejected(self, column, name, bad):
+        tokens = "0 0.0 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0".split()
+        tokens[column] = bad
+        with pytest.raises(ValueError, match=f"non-finite {name} '{bad}'"):
+            parse_detection_line(" ".join(tokens))
 
     def test_stream_grouped_by_frame_in_frame_order(self, tmp_path):
         pose = Pose(np.array([0.1, -0.2, 1.5]), UnitQuaternion.identity())

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ class TestExitCodes:
 
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_module_entry_point(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import taglok
+
+        env = dict(os.environ, PYTHONPATH=str(Path(taglok.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "taglok", "frobnicate"],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1
+        assert "taglok: error" in done.stderr
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "should_not_exist.csv"
@@ -323,7 +337,8 @@ class TestDumpAndReplay:
     @pytest.mark.parametrize("bad_line", [
         "0 0.0 5 1.0 2.0",
         "0 0.0 5 0.0 0.0 -1.0 1.0 0.0 0.0 0.0 50.0",
-    ], ids=["too-few-fields", "tag-behind-camera"])
+        "0 0.0 5 0.0 0.0 nan 1.0 0.0 0.0 0.0 50.0",
+    ], ids=["too-few-fields", "tag-behind-camera", "non-finite-field"])
     def test_bad_stream_line_names_file_and_line(self, tmp_path, capsys, bad_line):
         cfg_path = write_cfg(tmp_path, QUICK)
         stream = tmp_path / "stream.txt"

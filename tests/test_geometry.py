@@ -60,6 +60,16 @@ class TestUnitQuaternion:
         with pytest.raises(ValueError):
             UnitQuaternion(0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("components", [
+        (math.nan, 0.0, 0.0, 0.0),
+        (math.inf, 0.0, 0.0, 0.0),
+        (1.0, 0.0, -math.inf, 0.0),
+        (1.0, 0.0, 0.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, components):
+        with pytest.raises(ValueError, match="not finite"):
+            UnitQuaternion(*components)
+
     def test_canonical_sign(self):
         assert UnitQuaternion(-1.0, 0.0, 0.0, 0.0).canonical().w == 1.0
         q = UnitQuaternion(0.0, -1.0, 0.0, 0.0).canonical()

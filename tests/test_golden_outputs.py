@@ -1,0 +1,80 @@
+"""Golden outputs: SHA-256 of seeded CLI outputs, pinned byte for byte.
+
+A refactor or speedup of the estimator or the simulator must leave these
+files unchanged. A change that alters a seeded stream on purpose (a new
+noise stream version, say) updates the digests here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from taglok.cli import main
+
+COMPARE_INI = """
+[trajectory]
+duration = 1.0
+
+[compare]
+scenarios = hover:1.5:2.5:0.8 hover:1.5:2.5:2.0 t1
+"""
+T2_INI = "[trajectory]\nkind = t2\n"
+HOVER_INI = "[trajectory]\nz = 2.0\nduration = 5\n"
+T3_INI = "[trajectory]\nkind = t3\n"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _config(tmp_path, name, text) -> str:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_compare_csv(tmp_path, capsys):
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--config", _config(tmp_path, "c.ini", COMPARE_INI),
+                 "--out", str(out), "--seed", "5"]) == 0
+    assert _sha256(out) == "b6c8d62acdf660cb19cf68d115a20051b87c1174b3f192dbe06093106e4e1f71"
+
+
+def test_run_t2_log(tmp_path, capsys):
+    log = tmp_path / "t2.jsonl"
+    assert main(["run", "--config", _config(tmp_path, "t2.ini", T2_INI),
+                 "--seed", "3", "--log", str(log)]) == 0
+    assert _sha256(log) == "dd0592c2704c6a8694183c1b58fab942a66e4df3fef69f3ed510e68843f2b962"
+
+
+def test_run_hover_all_noor_ql2_log(tmp_path, capsys):
+    log = tmp_path / "hover.jsonl"
+    assert main(["run", "--config", _config(tmp_path, "h.ini", HOVER_INI),
+                 "--seed", "9", "--variant", "all-noor-ql2", "--log", str(log)]) == 0
+    lines = log.read_text(encoding="utf-8").splitlines()
+    assert sum('"dispersion_warning": true' in line for line in lines) == 39
+    assert len(lines) == 100
+    assert _sha256(log) == "b1379f85ba5bde737f1fbe6d57df6972215b01aa6d39ff4933d31b9ae447512e"
+
+
+@pytest.fixture(scope="module")
+def t3_stream(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("t3")
+    config = _config(folder, "t3.ini", T3_INI)
+    stream = folder / "t3.txt"
+    assert main(["dump-detections", "--config", config, "--seed", "7",
+                 "--out", str(stream)]) == 0
+    assert _sha256(stream) == "10fe98456c1cc08d3b98edf2ae7ceb4f3ad78326db22195fb2254266a1393fb2"
+    return config, stream
+
+
+@pytest.mark.parametrize("variant, digest", [
+    ("ql2", "3ae9dc905e38109b506943bbd067625b1b40fd199481b48167cf101e7aa63965"),
+    ("cl2", "42a38c7b61f86184aaff990bce84679a4a72af4ad7f0ea1a19d62938da6eb56c"),
+])
+def test_replay_t3_csv(tmp_path, capsys, t3_stream, variant, digest):
+    config, stream = t3_stream
+    out = tmp_path / f"replay-{variant}.csv"
+    assert main(["replay", "--config", config, "--detections", str(stream),
+                 "--variant", variant, "--out", str(out)]) == 0
+    assert _sha256(out) == digest

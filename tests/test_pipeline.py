@@ -15,7 +15,6 @@ from taglok.geometry import (
 )
 from taglok.pipeline import (
     EQUAL_SPREAD_TOL,
-    PerTagEstimate,
     PipelineConfig,
     RotMeanMethod,
     ThsMode,
@@ -34,6 +33,8 @@ from taglok.pipeline import (
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
 from oracles import (
+    PerTagEstimate,
+    as_bundle,
     brute_force_chordal_mean,
     brute_force_ql2_mean,
     hmat,
@@ -42,6 +43,7 @@ from oracles import (
     pose_to_hmat,
     random_quat_cluster,
     riemannian_distance,
+    unbundle,
 )
 
 
@@ -65,10 +67,10 @@ def make_estimate(tag_id: int, position, orientation=None, weight=1.0):
 
 def quats_to_estimates(quats, weights=None):
     weights = weights if weights is not None else [1.0] * len(quats)
-    return [
+    return as_bundle([
         make_estimate(i, (0.0, 0.0, 0.0), UnitQuaternion.from_array(q), w)
         for i, (q, w) in enumerate(zip(quats, weights))
-    ]
+    ])
 
 
 class TestSelectTags:
@@ -113,7 +115,7 @@ class TestEstimateBodyPose:
         entry_pose = tag_map.lookup(0).pose_in_world
         looking_down = UnitQuaternion(0.0, 1.0, 0.0, 0.0)  # half turn about x
         detection = Detection(0, Pose(np.array([0.0, 0.0, 1.0]), looking_down), 300.0)
-        est = estimate_body_pose_per_tag(detection, tag_map, Pose.identity())
+        est, = unbundle(estimate_body_pose_per_tag([detection], tag_map, Pose.identity()))
         # oracle: T_B^W = T_tag^W @ inv(T_tag^C)
         expected = pose_to_hmat(entry_pose) @ np.linalg.inv(
             pose_to_hmat(detection.pose_tag_in_camera))
@@ -126,8 +128,8 @@ class TestEstimateBodyPose:
         cam = default_camera()
         tag_map = build_pattern_map((3.0, 5.0))
         truth = Pose(np.array([1.3, 2.2, 1.1]), quat_from_yaw(0.7))
-        for detection in detect(tag_map, cam, NoiseModel.zero(), truth, 0):
-            est = estimate_body_pose_per_tag(detection, tag_map, cam.pose_in_body)
+        detections = detect(tag_map, cam, NoiseModel.zero(), truth, 0)
+        for est in unbundle(estimate_body_pose_per_tag(detections, tag_map, cam.pose_in_body)):
             assert np.linalg.norm(est.body_pose_est.position - truth.position) < 1e-9
             assert quat_rotation_angle(est.body_pose_est.orientation, truth.orientation) < 1e-9
 
@@ -136,7 +138,7 @@ class TestEstimateBodyPose:
         detection = Detection(0, Pose(np.array([0.0, 0.0, 1.0]),
                                       UnitQuaternion(0.0, 1.0, 0.0, 0.0)), 300.0)
         offset = Pose(np.array([0.1, 0.0, 0.0]), UnitQuaternion.identity())
-        with_offset = estimate_body_pose_per_tag(detection, tag_map, offset)
+        with_offset, = unbundle(estimate_body_pose_per_tag([detection], tag_map, offset))
         # oracle: full chain with the mount inserted
         expected = (
             pose_to_hmat(tag_map.lookup(0).pose_in_world)
@@ -144,7 +146,7 @@ class TestEstimateBodyPose:
             @ np.linalg.inv(pose_to_hmat(offset))
         )
         assert np.max(np.abs(pose_to_hmat(with_offset.body_pose_est) - expected)) < 1e-12
-        without = estimate_body_pose_per_tag(detection, tag_map, Pose.identity())
+        without, = unbundle(estimate_body_pose_per_tag([detection], tag_map, Pose.identity()))
         shift = with_offset.body_pose_est.position - without.body_pose_est.position
         # body-frame lever arm expressed in world through the body attitude
         R_body = quat_to_matrix(without.body_pose_est.orientation)
@@ -152,15 +154,15 @@ class TestEstimateBodyPose:
 
     def test_unknown_id_skipped(self):
         tag_map = make_map({0: SizeClass.XL})
-        assert estimate_body_pose_per_tag(make_detection(99), tag_map, Pose.identity()) is None
+        assert len(estimate_body_pose_per_tag([make_detection(99)], tag_map, Pose.identity())) == 0
 
     def test_weight_from_scheme(self):
         tag_map = make_map({0: SizeClass.L})
-        est = estimate_body_pose_per_tag(make_detection(0), tag_map, Pose.identity(),
-                                         WeightScheme.W1)
+        est, = unbundle(estimate_body_pose_per_tag([make_detection(0)], tag_map, Pose.identity(),
+                                                   WeightScheme.W1))
         assert est.weight == 16.0
-        est = estimate_body_pose_per_tag(make_detection(0), tag_map, Pose.identity(),
-                                         WeightScheme.W2)
+        est, = unbundle(estimate_body_pose_per_tag([make_detection(0)], tag_map, Pose.identity(),
+                                                   WeightScheme.W2))
         assert est.weight == 4.0
 
 
@@ -198,19 +200,19 @@ class TestRemoveOutliers:
     def test_single_axis_outlier_rejected(self):
         cluster = [make_estimate(i, (0.003 * i, 0.5, 1.0)) for i in range(4)]
         outlier = make_estimate(9, (1.0, 0.5, 1.0))
-        kept, rejected = remove_outliers(cluster + [outlier])
+        kept, rejected = map(unbundle, remove_outliers(as_bundle(cluster + [outlier])))
         assert [e.tag_id for e in rejected] == [9]
         assert [e.tag_id for e in kept] == [0, 1, 2, 3]
 
     def test_two_estimates_pass_through(self):
         pair = [make_estimate(0, (0, 0, 0)), make_estimate(1, (5, 5, 5))]
-        kept, rejected = remove_outliers(pair)
+        kept, rejected = map(unbundle, remove_outliers(as_bundle(pair)))
         assert len(kept) == 2 and rejected == []
 
     def test_outlier_on_two_axes_rejected_once(self):
         cluster = [make_estimate(i, (0.002 * i, 0.001 * i, 1.0 + 0.002 * i)) for i in range(5)]
         bad = make_estimate(7, (0.004, 2.0, 3.0))
-        kept, rejected = remove_outliers(cluster + [bad])
+        kept, rejected = map(unbundle, remove_outliers(as_bundle(cluster + [bad])))
         assert [e.tag_id for e in rejected] == [7]
         assert len(kept) + len(rejected) == 6
         # oracle agrees on the same data
@@ -220,14 +222,14 @@ class TestRemoveOutliers:
 
     def test_identical_positions_all_kept(self):
         same = [make_estimate(i, (1.0, 2.0, 3.0)) for i in range(5)]
-        kept, rejected = remove_outliers(same)
+        kept, rejected = map(unbundle, remove_outliers(as_bundle(same)))
         assert len(kept) == 5 and rejected == []
 
     def test_floating_point_jitter_kept(self):
         base = np.array([0.8, 0.8, 0.8])
         jittered = [make_estimate(i, base + rngless) for i, rngless in enumerate(
             [(0, 0, 0), (1e-16, 0, 0), (0, 1e-16, 0), (2e-16, 0, 1e-16), (0, 0, 0)])]
-        kept, rejected = remove_outliers(jittered)
+        kept, rejected = map(unbundle, remove_outliers(as_bundle(jittered)))
         assert len(kept) == 5 and rejected == []
 
     def test_zero_iqr_with_spread_rejects_everything(self):
@@ -235,7 +237,7 @@ class TestRemoveOutliers:
         # exclude every sample, the documented single-pass semantics
         estimates = [make_estimate(i, (0.0, 1.0, 1.0)) for i in range(4)]
         estimates.append(make_estimate(9, (5.0, 1.0, 1.0)))
-        kept, rejected = remove_outliers(estimates)
+        kept, rejected = map(unbundle, remove_outliers(as_bundle(estimates)))
         assert kept == [] and len(rejected) == 5
 
     def test_matches_naive_oracle_randomized(self):
@@ -249,7 +251,7 @@ class TestRemoveOutliers:
                     p[rng.integers(0, 3)] += rng.uniform(0.5, 3.0) * rng.choice([-1, 1])
                 positions[i] = p
             estimates = [make_estimate(i, positions[i]) for i in positions]
-            kept, rejected = remove_outliers(estimates, 1.5)
+            kept, rejected = map(unbundle, remove_outliers(as_bundle(estimates), 1.5))
             oracle_kept, oracle_rejected = naive_outlier_partition(positions, 1.5,
                                                                    EQUAL_SPREAD_TOL)
             assert [e.tag_id for e in kept] == oracle_kept
@@ -258,7 +260,7 @@ class TestRemoveOutliers:
     def test_partition_property(self):
         rng = np.random.default_rng(203)
         estimates = [make_estimate(i, rng.normal(size=3)) for i in range(10)]
-        kept, rejected = remove_outliers(estimates)
+        kept, rejected = map(unbundle, remove_outliers(as_bundle(estimates)))
         ids = sorted(e.tag_id for e in kept) + sorted(e.tag_id for e in rejected)
         assert sorted(ids) == list(range(10))
 
@@ -266,28 +268,28 @@ class TestRemoveOutliers:
 class TestFusePositions:
     def test_uniform_midpoint(self):
         pair = [make_estimate(0, (0, 0, 0)), make_estimate(1, (1, 0, 0))]
-        assert np.allclose(fuse_positions(pair), [0.5, 0.0, 0.0])
+        assert np.allclose(fuse_positions(as_bundle(pair)), [0.5, 0.0, 0.0])
 
     def test_w2_weighted_pair(self):
         # S tag (w = 1) at the origin, XL tag (w = 8) at x = 1
         light = make_estimate(0, (0, 0, 0), weight=WeightScheme.W2.weight_for(SizeClass.S))
         heavy = make_estimate(1, (1, 0, 0), weight=WeightScheme.W2.weight_for(SizeClass.XL))
-        assert np.allclose(fuse_positions([light, heavy]), [8.0 / 9.0, 0.0, 0.0])
+        assert np.allclose(fuse_positions(as_bundle([light, heavy])), [8.0 / 9.0, 0.0, 0.0])
 
     def test_single_estimate(self):
         only = make_estimate(3, (0.4, -0.2, 1.0))
-        assert np.array_equal(fuse_positions([only]), only.body_pose_est.position)
+        assert np.array_equal(fuse_positions(as_bundle([only])), only.body_pose_est.position)
 
     def test_uniform_equals_arithmetic_mean(self):
         rng = np.random.default_rng(301)
         estimates = [make_estimate(i, rng.normal(size=3)) for i in range(7)]
-        fused = fuse_positions(estimates)
+        fused = fuse_positions(as_bundle(estimates))
         arithmetic = np.mean([e.body_pose_est.position for e in estimates], axis=0)
         assert np.allclose(fused, arithmetic, atol=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fuse_positions([])
+            fuse_positions(as_bundle([]))
 
 
 class TestFuseRotationsQl2:
@@ -349,7 +351,7 @@ class TestFuseRotationsQl2:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fuse_rotations_ql2([])
+            fuse_rotations_ql2(as_bundle([]))
 
 
 class TestFuseRotationsCl2:
@@ -490,8 +492,8 @@ class TestStep:
             out, state = step(detections, tag_map, cfg, state, timestamp=frame / 20.0)
 
             selected = select_tags(detections, tag_map, cfg.ths)
-            estimates = [estimate_body_pose_per_tag(d, tag_map, cfg.camera_in_body,
-                                                    cfg.weights) for d in selected]
+            estimates = estimate_body_pose_per_tag(selected, tag_map, cfg.camera_in_body,
+                                                   cfg.weights)
             kept, rejected = remove_outliers(estimates, cfg.iqr_gain)
             position = fuse_positions(kept)
             quaternion = fuse_rotations_ql2(kept).quaternion
@@ -499,8 +501,8 @@ class TestStep:
             expected = fir_smooth(manual_history, raw, cfg.fir_length)
             manual_history = (manual_history + (raw,))[-cfg.fir_length:]
 
-            assert out.tags_used == tuple(e.tag_id for e in kept)
-            assert out.stage_trace.rejected_ids == tuple(e.tag_id for e in rejected)
+            assert out.tags_used == tuple(e.tag_id for e in unbundle(kept))
+            assert out.stage_trace.rejected_ids == tuple(e.tag_id for e in unbundle(rejected))
             assert np.array_equal(out.pose.position, expected.position)
             assert out.pose.orientation == expected.orientation
 
@@ -557,11 +559,12 @@ class TestPipelineInvariants:
         rng = np.random.default_rng(909)
         quats = random_quat_cluster(rng, 5, 15.0)
         weights = rng.uniform(1.0, 8.0, 5)
-        base = quats_to_estimates(quats, weights)
-        scaled = quats_to_estimates(quats, weights * 7.3)
+        base = unbundle(quats_to_estimates(quats, weights))
+        scaled = unbundle(quats_to_estimates(quats, weights * 7.3))
         for i, (b, s) in enumerate(zip(base, scaled)):
             base[i] = PerTagEstimate(b.tag_id, Pose(rng.normal(size=3), b.body_pose_est.orientation), b.weight)
             scaled[i] = PerTagEstimate(s.tag_id, base[i].body_pose_est, s.weight)
+        base, scaled = as_bundle(base), as_bundle(scaled)
         assert np.allclose(fuse_positions(base), fuse_positions(scaled), atol=1e-12)
         ql2_a = fuse_rotations_ql2(base).quaternion
         ql2_b = fuse_rotations_ql2(scaled).quaternion
@@ -586,7 +589,7 @@ class TestPipelineInvariants:
         for _ in range(50):
             quats = random_quat_cluster(rng, 5, 30.0)
             weights = rng.uniform(0.5, 8.0, 5)
-            base = quats_to_estimates(quats, weights)
+            base = unbundle(quats_to_estimates(quats, weights))
             flips = rng.random(5) < 0.5
             flipped = [
                 PerTagEstimate(e.tag_id,
@@ -597,8 +600,8 @@ class TestPipelineInvariants:
                 for e, f in zip(base, flips)
             ]
             for fuse in (fuse_rotations_ql2, fuse_rotations_cl2):
-                Ra = quat_to_matrix(fuse(base).quaternion)
-                Rb = quat_to_matrix(fuse(flipped).quaternion)
+                Ra = quat_to_matrix(fuse(as_bundle(base)).quaternion)
+                Rb = quat_to_matrix(fuse(as_bundle(flipped)).quaternion)
                 assert np.max(np.abs(Ra - Rb)) < 1e-9
 
 

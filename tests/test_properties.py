@@ -1,4 +1,5 @@
-"""Property tests of outlier removal and the rotation means (hypothesis)."""
+"""Property tests of outlier removal, the rotation means and `step`
+(hypothesis)."""
 
 import numpy as np
 import pytest
@@ -6,17 +7,22 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from taglok.geometry import Pose, UnitQuaternion, quat_to_matrix  # noqa: E402
+from taglok.camsim import Detection, down_facing_mount  # noqa: E402
+from taglok.geometry import Pose, UnitQuaternion, quat_multiply, quat_to_matrix  # noqa: E402
 from taglok.pipeline import (  # noqa: E402
     EQUAL_SPREAD_TOL,
-    PerTagEstimate,
+    PipelineConfig,
+    RotMeanMethod,
+    ThsMode,
     _reference_index,
     fuse_rotations_cl2,
     fuse_rotations_ql2,
     remove_outliers,
+    step,
 )
+from taglok.tagmap import build_pattern_map  # noqa: E402
 
-from oracles import naive_outlier_partition  # noqa: E402
+from oracles import PerTagEstimate, as_bundle, naive_outlier_partition, unbundle  # noqa: E402
 
 # small integers make ties, duplicate points and zero-spread axes common
 _small_int_points = st.lists(
@@ -35,15 +41,15 @@ _weighted_quats = st.lists(
 def test_outlier_partition_matches_naive_oracle(points, gain):
     estimates = [PerTagEstimate(i, Pose(np.array(p), UnitQuaternion.identity()), 1.0)
                  for i, p in enumerate(points)]
-    kept, rejected = remove_outliers(estimates, gain)
+    kept, rejected = map(unbundle, remove_outliers(as_bundle(estimates), gain))
     positions = {i: p for i, p in enumerate(points)}
     assert ([e.tag_id for e in kept], [e.tag_id for e in rejected]) == \
         naive_outlier_partition(positions, gain, EQUAL_SPREAD_TOL)
 
 
 def _estimates(quats, weights):
-    return [PerTagEstimate(i, Pose(np.zeros(3), q), w)
-            for i, (q, w) in enumerate(zip(quats, weights))]
+    return as_bundle([PerTagEstimate(i, Pose(np.zeros(3), q), w)
+                      for i, (q, w) in enumerate(zip(quats, weights))])
 
 
 @settings(deadline=None, max_examples=300)
@@ -69,3 +75,49 @@ def test_rotation_means_invariant_to_input_signs(entries):
     assert a.degenerate == b.degenerate
     if not a.degenerate:
         assert np.array_equal(quat_to_matrix(a.quaternion), quat_to_matrix(b.quaternion))
+
+
+# one tile: 17 tags of every size class, ids 0-16
+_ONE_TILE = build_pattern_map((0.94, 0.94))
+_HALF_TURN_ABOUT_X = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
+_position = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 5.0))
+
+
+@st.composite
+def _detection_set(draw):
+    """Detections of known and unknown ids whose attitudes repeat one base
+    quaternion, its antipode or an orthogonal one (a half turn away), or are
+    drawn freely, and whose positions often coincide."""
+    base = draw(_quat)
+    shared = draw(_position)
+    detections = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["same", "antipodal", "orthogonal", "free"]))
+        if kind == "same":
+            q = base
+        elif kind == "antipodal":
+            q = base.negate()
+        elif kind == "orthogonal":
+            q = quat_multiply(base, _HALF_TURN_ABOUT_X)
+        else:
+            q = draw(_quat)
+        position = shared if draw(st.booleans()) else draw(_position)
+        detections.append(Detection(draw(st.integers(0, 18)), Pose(np.array(position), q),
+                                    draw(st.floats(1.0, 500.0))))
+    return detections
+
+
+@settings(deadline=None, max_examples=200)
+@given(frames=st.lists(_detection_set(), min_size=1, max_size=3))
+def test_step_never_raises_or_returns_a_non_finite_pose(frames):
+    for ths in ThsMode:
+        for outlier_removal in (False, True):
+            for rot_mean in RotMeanMethod:
+                config = PipelineConfig(ths=ths, outlier_removal=outlier_removal,
+                                        rot_mean=rot_mean, camera_in_body=down_facing_mount())
+                state = None
+                for t, detections in enumerate(frames):
+                    output, state = step(detections, _ONE_TILE, config, state, float(t))
+                    if output.pose is not None:
+                        assert np.all(np.isfinite(output.pose.position))
+                        assert np.all(np.isfinite(output.pose.orientation.as_array()))

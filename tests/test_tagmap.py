@@ -240,6 +240,20 @@ class TestMapFile:
         with pytest.raises(MapFormatError, match="line 2.*9 fields"):
             parse_map("tagmap v1 2.0 2.0\n1 S 0.1 0.1\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("tagmap v1 -3 nan\n", "line 1.*height"),
+        ("tagmap v1 inf 2.0\n", "line 1.*width"),
+        ("tagmap v1 -3 2.0\n", "line 1.*extent must be positive"),
+        ("tagmap v1 2.0 0\n", "line 1.*extent must be positive"),
+        ("tagmap v1 2.0 2.0\n1 S nan 0.1 0.0 1 0 0 0\n", "line 2.*px"),
+        ("tagmap v1 2.0 2.0\n1 S 0.1 0.1 -inf 1 0 0 0\n", "line 2.*pz"),
+        ("tagmap v1 2.0 2.0\n1 S 0.1 0.1 0.0 1 nan 0 0\n", "line 2.*qx"),
+    ], ids=["nan-height", "inf-width", "negative-width", "zero-height",
+            "nan-position", "inf-position", "nan-quaternion"])
+    def test_non_finite_or_non_positive_values_name_the_line(self, text, match):
+        with pytest.raises(MapFormatError, match=match):
+            parse_map(text)
+
     def test_bad_class_label(self):
         with pytest.raises(MapFormatError, match="line 2.*class"):
             parse_map("tagmap v1 2.0 2.0\n1 Q 0.1 0.1 0.0 1 0 0 0\n")
