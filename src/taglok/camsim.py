@@ -20,14 +20,17 @@ import numpy as np
 from .geometry import (
     Pose,
     UnitQuaternion,
+    _normalize_rows,
     compose,
     inverse,
-    quat_multiply,
+    quat_multiply_rows,
     quat_to_matrix,
+    rotate_rows,
 )
 from .tagmap import TagEntry, TagMap
 
 DEFAULT_DETECT_THRESHOLD_PX = 12.0
+_Z_AXIS = np.array([0.0, 0.0, 1.0])  # rotation axis when the drawn one is ~zero
 
 
 @dataclass(frozen=True)
@@ -174,47 +177,70 @@ def visible_tags(tag_map: TagMap, cam: CameraModel,
     return [(tag_map.lookup(int(i)), float(a)) for i, a in zip(ids[ok], apparent[ok])]
 
 
-def _noise_rng(noise: NoiseModel, frame_index: int, tag_id: int) -> np.random.Generator:
-    # one independent, reproducible stream per (seed, frame, tag): adding or
-    # removing a tag never shifts any other tag's noise
-    return np.random.default_rng((noise.seed, int(frame_index), int(tag_id)))
-
-
-def _perturb(pose: Pose, apparent: float, noise: NoiseModel,
-             rng: np.random.Generator) -> Pose:
-    scale = (noise.reference_apparent_size / apparent) ** noise.size_exponent
-    sigma_p = noise.position_sigma_at_ref * scale
-    sigma_r = noise.rotation_sigma_at_ref * scale
-    if rng.random() < noise.outlier_probability:
-        sigma_p *= noise.outlier_position_scale
-        sigma_r *= noise.outlier_rotation_scale
-    delta_p = rng.standard_normal(3) * sigma_p
-    axis = rng.standard_normal(3)
-    norm = np.linalg.norm(axis)
-    axis = axis / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
-    angle = abs(float(rng.standard_normal()) * sigma_r)
-    half = 0.5 * angle
-    delta_q = UnitQuaternion(math.cos(half), *(math.sin(half) * axis))
-    return Pose(pose.position + delta_p, quat_multiply(pose.orientation, delta_q))
-
-
 def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
            body_pose_true: Pose, frame_index: int) -> list[Detection]:
     """Simulated detections for one frame, deterministic in (seed, frame, tag).
 
-    A perturbation extreme enough to push the tag behind the camera counts
-    as a failed detection and the tag is skipped for that frame.
+    Each visible tag draws from its own stream, `default_rng((seed, frame,
+    tag))`, so adding or removing a tag never shifts any other tag's noise:
+    one uniform decides whether the detection is an outlier, then seven
+    normals give the position error (3), the rotation axis (3) and the
+    rotation angle (1). The sigmas scale with (reference / apparent) **
+    size_exponent; the rotation error is right-multiplied. A perturbation
+    extreme enough to push the tag behind the camera counts as a failed
+    detection and the tag is skipped for that frame.
+
+    All tags of the frame are perturbed at once, with the rounding of the
+    per-tag form (`oracles.loop_detect` in the tests): Python's ** for the
+    scale (numpy's array power differs in the last bit), math.cos/math.sin
+    (numpy's may follow its SIMD build), and the axis norm as a row-wise dot
+    product, the BLAS route np.linalg.norm takes ((a * a).sum rounds
+    differently).
     """
+    visible = visible_tags(tag_map, cam, body_pose_true)
+    if not visible:
+        return []
     world_in_cam = inverse(compose(body_pose_true, cam.pose_in_body))
-    detections = []
-    for entry, apparent in visible_tags(tag_map, cam, body_pose_true):
-        exact = compose(world_in_cam, entry.pose_in_world)
-        rng = _noise_rng(noise, frame_index, entry.tag_id)
-        noisy = _perturb(exact, apparent, noise, rng)
-        if noisy.position[2] <= 0:
-            continue
-        detections.append(Detection(entry.tag_id, noisy, apparent))
-    return detections
+    row_of_id, _, map_positions, map_quats, _ = tag_map.pose_rows()
+    n = len(visible)
+    ids = [entry.tag_id for entry, _ in visible]
+    rows = np.array([row_of_id[i] for i in ids], dtype=np.intp)
+    cam_q = world_in_cam.orientation.as_array()
+    exact_p = world_in_cam.position + rotate_rows(cam_q, map_positions[rows])
+    exact_q = quat_multiply_rows(cam_q, map_quats[rows])
+
+    uniform = np.empty(n)
+    normals = np.empty((n, 7))
+    scale = np.empty(n)
+    ref, exponent = noise.reference_apparent_size, noise.size_exponent
+    frame = int(frame_index)
+    for k, (tag_id, (_, apparent)) in enumerate(zip(ids, visible)):
+        rng = np.random.default_rng((noise.seed, frame, tag_id))
+        uniform[k] = rng.random()
+        normals[k] = rng.standard_normal(7)
+        scale[k] = (ref / apparent) ** exponent
+
+    outlier = uniform < noise.outlier_probability
+    sigma_p = noise.position_sigma_at_ref * scale
+    sigma_r = noise.rotation_sigma_at_ref * scale
+    sigma_p = np.where(outlier, sigma_p * noise.outlier_position_scale, sigma_p)
+    sigma_r = np.where(outlier, sigma_r * noise.outlier_rotation_scale, sigma_r)
+    delta_p = normals[:, :3] * sigma_p[:, None]
+    axis = normals[:, 3:6]
+    norm = np.sqrt((axis[:, None, :] @ axis[:, :, None])[:, 0, 0])
+    usable = norm > 1e-12
+    axis = np.where(usable[:, None], axis / np.where(usable, norm, 1.0)[:, None], _Z_AXIS)
+    half = (0.5 * np.abs(normals[:, 6] * sigma_r)).tolist()
+    delta_q = np.empty((n, 4))
+    delta_q[:, 0] = [math.cos(h) for h in half]
+    delta_q[:, 1:] = np.array([math.sin(h) for h in half])[:, None] * axis
+    noisy_p = exact_p + delta_p
+    noisy_q = quat_multiply_rows(exact_q, _normalize_rows(delta_q))
+
+    in_front = ~(noisy_p[:, 2] <= 0.0)  # NaN depth reaches Detection, which rejects it
+    quats = noisy_q.tolist()
+    return [Detection(ids[k], Pose(noisy_p[k], UnitQuaternion(*quats[k])), visible[k][1])
+            for k in np.flatnonzero(in_front).tolist()]
 
 
 # --- detection-stream dump (one line per detection, for replay/debugging) ---

@@ -35,7 +35,13 @@ from .harness import (
     write_timeseries_csv,
 )
 from .pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme, apply_variant
-from .tagmap import MapFormatError, build_pattern_map, load_map, save_map
+from .tagmap import (
+    MapFormatError,
+    build_pattern_map,
+    load_map,
+    parse_finite_float,
+    save_map,
+)
 
 
 class ConfigError(ValueError):
@@ -86,47 +92,47 @@ _PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 _SCHEMA: dict[str, dict[str, _Key]] = {
     "map": {
         "file": _Key(str, ""),
-        "width": _Key(float, 3.0, *_POSITIVE),
-        "height": _Key(float, 5.0, *_POSITIVE),
+        "width": _Key(parse_finite_float, 3.0, *_POSITIVE),
+        "height": _Key(parse_finite_float, 5.0, *_POSITIVE),
     },
     "camera": {
-        "focal_px": _Key(float, 600.0, *_POSITIVE),
+        "focal_px": _Key(parse_finite_float, 600.0, *_POSITIVE),
         "image_width": _Key(int, 1280, *_POSITIVE),
         "image_height": _Key(int, 720, *_POSITIVE),
-        "frame_rate": _Key(float, 30.0, *_POSITIVE),
-        "detect_threshold_px": _Key(float, 12.0, *_POSITIVE),
-        "mount_x": _Key(float, 0.0),
-        "mount_y": _Key(float, 0.0),
-        "mount_z": _Key(float, 0.0),
+        "frame_rate": _Key(parse_finite_float, 30.0, *_POSITIVE),
+        "detect_threshold_px": _Key(parse_finite_float, 12.0, *_POSITIVE),
+        "mount_x": _Key(parse_finite_float, 0.0),
+        "mount_y": _Key(parse_finite_float, 0.0),
+        "mount_z": _Key(parse_finite_float, 0.0),
     },
     "noise": {
-        "position_sigma": _Key(float, 0.01, *_NON_NEGATIVE),
-        "rotation_sigma": _Key(float, 0.02, *_NON_NEGATIVE),
-        "reference_apparent": _Key(float, 100.0, *_POSITIVE),
-        "size_exponent": _Key(float, 1.0),
-        "outlier_probability": _Key(float, 0.05, *_PROBABILITY),
-        "outlier_position_scale": _Key(float, 12.0, *_POSITIVE),
-        "outlier_rotation_scale": _Key(float, 8.0, *_POSITIVE),
+        "position_sigma": _Key(parse_finite_float, 0.01, *_NON_NEGATIVE),
+        "rotation_sigma": _Key(parse_finite_float, 0.02, *_NON_NEGATIVE),
+        "reference_apparent": _Key(parse_finite_float, 100.0, *_POSITIVE),
+        "size_exponent": _Key(parse_finite_float, 1.0),
+        "outlier_probability": _Key(parse_finite_float, 0.05, *_PROBABILITY),
+        "outlier_position_scale": _Key(parse_finite_float, 12.0, *_POSITIVE),
+        "outlier_rotation_scale": _Key(parse_finite_float, 8.0, *_POSITIVE),
     },
     "pipeline": {
         "ths": _Key(_choice("jbt", "all", "tbs"), "tbs"),
         "outlier_removal": _Key(_parse_bool, True),
-        "iqr_gain": _Key(float, 1.5, *_POSITIVE),
+        "iqr_gain": _Key(parse_finite_float, 1.5, *_POSITIVE),
         "weights": _Key(_choice("w1", "w2", "uniform"), "w2"),
         "rot_mean": _Key(_choice("ql2", "cl2"), "ql2"),
         "fir_length": _Key(int, 5, lambda v: v >= 1, "must be at least 1"),
     },
     "trajectory": {
         "kind": _Key(_choice("hover", "t1", "t2", "t3"), "hover"),
-        "x": _Key(float, 1.5),
-        "y": _Key(float, 2.5),
-        "z": _Key(float, 0.8, *_POSITIVE),
-        "yaw": _Key(float, 0.0),
-        "duration": _Key(float, 10.0, *_POSITIVE),
+        "x": _Key(parse_finite_float, 1.5),
+        "y": _Key(parse_finite_float, 2.5),
+        "z": _Key(parse_finite_float, 0.8, *_POSITIVE),
+        "yaw": _Key(parse_finite_float, 0.0),
+        "duration": _Key(parse_finite_float, 10.0, *_POSITIVE),
         "waypoints": _Key(str, ""),
     },
     "run": {
-        "sample_rate": _Key(float, 20.0, *_POSITIVE),
+        "sample_rate": _Key(parse_finite_float, 20.0, *_POSITIVE),
         "seed": _Key(int, 0, *_NON_NEGATIVE),
     },
     "compare": {
@@ -293,9 +299,9 @@ def parse_scenario(token: str, settings: Settings) -> tuple[str, Trajectory]:
         if len(parts) not in (3, 4):
             raise ConfigError(f"scenario {token!r}: expected hover:X:Y:Z[:YAW]")
         try:
-            numbers = [float(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"scenario {token!r}: bad number") from None
+            numbers = [parse_finite_float(p) for p in parts]
+        except ValueError as exc:
+            raise ConfigError(f"scenario {token!r}: {exc}") from None
         yaw = numbers[3] if len(numbers) == 4 else 0.0
         duration = settings.get("trajectory", "duration")
         return token, hover_trajectory(numbers[:3], yaw, duration)

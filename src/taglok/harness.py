@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from .camsim import CameraModel, Frame, NoiseModel, detect
 from .geometry import Pose, quat_from_yaw, quat_rotation_angle, wrap_angle
 from .pipeline import EstimateOutput, PipelineConfig, apply_variant, step
-from .tagmap import TagMap
+from .tagmap import TagMap, parse_finite_float
 
 HOVER_ALTITUDE_PRESETS = (0.8, 1.4, 2.0)
 
@@ -159,9 +159,9 @@ def load_waypoints(path: str | Path) -> tuple[tuple[tuple[float, float, float], 
         if len(tokens) != 4:
             raise ValueError(f"{path}: line {line_no}: expected 'x y z yaw', got {len(tokens)} fields")
         try:
-            x, y, z, yaw = (float(t) for t in tokens)
-        except ValueError:
-            raise ValueError(f"{path}: line {line_no}: bad number") from None
+            x, y, z, yaw = (parse_finite_float(t) for t in tokens)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
         waypoints.append(((x, y, z), yaw))
     return tuple(waypoints)
 

@@ -168,19 +168,20 @@ def select_tags(detections: Sequence[Detection], tag_map: TagMap,
 
     JBT keeps the single detection of the largest tag (ties: smallest id),
     ALL keeps everything, TBS keeps detections belonging to the two largest
-    size classes present. Output is sorted by tag id.
+    size classes present. Output is sorted by tag id. Tags are ranked by
+    class index, which orders them as their side lengths do (each class
+    doubles the previous side).
     """
-    if not detections:
-        return []
-    sides = {d.tag_id: tag_map.lookup(d.tag_id).size_class.side_length for d in detections}
-    ordered = sorted(detections, key=lambda d: d.tag_id)
-    if mode is ThsMode.ALL:
+    ordered = sorted(detections, key=_tag_id)
+    if mode is ThsMode.ALL or not ordered:
         return ordered
+    row_of_id, _, _, _, map_classes = tag_map.pose_rows()
+    classes = map_classes[[row_of_id[d.tag_id] for d in ordered]].tolist()
     if mode is ThsMode.JBT:
-        best = max(ordered, key=lambda d: (sides[d.tag_id], -d.tag_id))
-        return [best]
-    top_two = sorted(set(sides.values()), reverse=True)[:2]
-    return [d for d in ordered if sides[d.tag_id] in top_two]
+        # the first detection of the largest class has the smallest id
+        return [ordered[classes.index(max(classes))]]
+    second = sorted(set(classes))[-2:][0]
+    return [d for d, c in zip(ordered, classes) if c >= second]
 
 
 def estimate_body_pose_per_tag(detections: Sequence[Detection], tag_map: TagMap,

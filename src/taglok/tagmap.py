@@ -252,14 +252,26 @@ def load_map(path: str | Path) -> TagMap:
     return parse_map(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_float(token: str, line_no: int, field: str) -> float:
+def parse_finite_float(token: str) -> float:
+    """A finite float from a text token; ValueError naming the token on
+    anything else (including nan and inf). The map, config, scenario and
+    waypoint readers take their numbers through it, so a non-finite value is
+    rejected where the caller can name its line, key or token instead of
+    surfacing later as a NaN result."""
     try:
         value = float(token)
     except ValueError:
         value = math.nan  # reported like a non-finite number
     if not math.isfinite(value):
-        raise MapFormatError(f"line {line_no}: bad {field} {token!r}")
+        raise ValueError(f"not a finite number: {token!r}")
     return value
+
+
+def _parse_float(token: str, line_no: int, field: str) -> float:
+    try:
+        return parse_finite_float(token)
+    except ValueError:
+        raise MapFormatError(f"line {line_no}: bad {field} {token!r}") from None
 
 
 def parse_map(text: str) -> TagMap:
@@ -286,7 +298,11 @@ def parse_map(text: str) -> TagMap:
         try:
             tag_id = int(tokens[0])
         except ValueError:
-            raise MapFormatError(f"line {line_no}: bad id {tokens[0]!r}") from None
+            tag_id = -1  # reported like a negative id
+        if tag_id < 0:
+            # ids key the simulator's noise streams, which take no negative key
+            raise MapFormatError(
+                f"line {line_no}: bad id {tokens[0]!r} (must be a non-negative integer)")
         if tag_id in seen_ids:
             raise MapFormatError(f"line {line_no}: duplicate id {tag_id}")
         seen_ids.add(tag_id)

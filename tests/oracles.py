@@ -3,11 +3,12 @@
 Everything here is deliberately written from first principles (homogeneous
 4x4 matrices, hand-rolled quartiles, grid + simplex search) rather than by
 calling the code under test, so that each check runs through two unrelated
-routes. Two sections are different: rotation-matrix helpers (Euler angles,
-matrix-to-quaternion, rotation metrics) that only tests need, and the
-per-tag loop forms of the estimator's stages (the object-per-tag frame chain
-and the back end), kept as the bitwise reference for their array forms in
-`taglok.pipeline`.
+routes. Three sections are different: rotation-matrix helpers (Euler angles,
+matrix-to-quaternion, rotation metrics) that only tests need, the per-tag
+loop forms of the estimator's stages (the object-per-tag frame chain and the
+back end), kept as the bitwise reference for their array forms in
+`taglok.pipeline`, and the per-tag loop form of the simulator's `detect`,
+the bitwise reference for its array form in `taglok.camsim`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from taglok.geometry import (
     UnitQuaternion,
     compose,
     inverse,
+    quat_multiply,
     quat_rotation_angle,
     wrap_angle,
 )
+from taglok.camsim import Detection, visible_tags
 from taglok.pipeline import EQUAL_SPREAD_TOL, RotationFusion, TagEstimates, WeightScheme
 
 _ORTHO_TOL = 1e-6
@@ -448,3 +451,44 @@ def loop_fir_smooth(history, new_pose, length: int):
     if mean is None:
         mean = new_pose.orientation
     return Pose(position, mean)
+
+
+# --- per-tag loop form of the simulator (bitwise reference) ---
+
+def _noise_rng(noise, frame_index: int, tag_id: int) -> np.random.Generator:
+    # one independent, reproducible stream per (seed, frame, tag): adding or
+    # removing a tag never shifts any other tag's noise
+    return np.random.default_rng((noise.seed, int(frame_index), int(tag_id)))
+
+
+def _perturb(pose: Pose, apparent: float, noise,
+             rng: np.random.Generator) -> Pose:
+    scale = (noise.reference_apparent_size / apparent) ** noise.size_exponent
+    sigma_p = noise.position_sigma_at_ref * scale
+    sigma_r = noise.rotation_sigma_at_ref * scale
+    if rng.random() < noise.outlier_probability:
+        sigma_p *= noise.outlier_position_scale
+        sigma_r *= noise.outlier_rotation_scale
+    delta_p = rng.standard_normal(3) * sigma_p
+    axis = rng.standard_normal(3)
+    norm = np.linalg.norm(axis)
+    axis = axis / norm if norm > 1e-12 else np.array([0.0, 0.0, 1.0])
+    angle = abs(float(rng.standard_normal()) * sigma_r)
+    half = 0.5 * angle
+    delta_q = UnitQuaternion(math.cos(half), *(math.sin(half) * axis))
+    return Pose(pose.position + delta_p, quat_multiply(pose.orientation, delta_q))
+
+
+def loop_detect(tag_map, cam, noise, body_pose_true: Pose, frame_index: int) -> list:
+    """Object-per-tag simulated detections: compose, draw and perturb one
+    visible tag at a time."""
+    world_in_cam = inverse(compose(body_pose_true, cam.pose_in_body))
+    detections = []
+    for entry, apparent in visible_tags(tag_map, cam, body_pose_true):
+        exact = compose(world_in_cam, entry.pose_in_world)
+        rng = _noise_rng(noise, frame_index, entry.tag_id)
+        noisy = _perturb(exact, apparent, noise, rng)
+        if noisy.position[2] <= 0:
+            continue
+        detections.append(Detection(entry.tag_id, noisy, apparent))
+    return detections

@@ -81,6 +81,29 @@ class TestExitCodes:
         assert code == 2
         assert "pipeline.iqr_gain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, named", [
+        ("run", "[camera]\nmount_x = inf\n", "camera.mount_x: not a finite number: 'inf'"),
+        ("run", "[trajectory]\nx = nan\n", "trajectory.x: not a finite number: 'nan'"),
+        ("run", "[trajectory]\nyaw = nan\n", "trajectory.yaw"),
+        ("run", "[noise]\nposition_sigma = inf\n", "noise.position_sigma"),
+        ("run", "[noise]\nsize_exponent = nan\n", "noise.size_exponent"),
+        ("run", "[run]\nsample_rate = inf\n", "run.sample_rate"),
+        ("run", "[trajectory]\nkind = t3\nwaypoints = {waypoints}\n",
+         "way.txt: line 3: not a finite number: 'nan'"),
+        ("compare", "[compare]\nscenarios = hover:1.5:nan:0.8\n",
+         "scenario 'hover:1.5:nan:0.8': not a finite number: 'nan'"),
+    ], ids=["mount-inf", "x-nan", "yaw-nan", "sigma-inf", "exponent-nan", "rate-inf",
+            "waypoint-nan", "scenario-nan"])
+    def test_non_finite_input_names_key_token_or_line(self, tmp_path, capsys,
+                                                      command, config, named):
+        waypoints = tmp_path / "way.txt"
+        waypoints.write_text("0.5 0.5 1 0\n1 1 1 0\n1.5 nan 1 0\n2 2 1 0\n", encoding="utf-8")
+        cfg = write_cfg(tmp_path, config.format(waypoints=waypoints))
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSettings:
     def test_empty_config_is_all_defaults_new(self, tmp_path):
