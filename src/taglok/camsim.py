@@ -26,8 +26,9 @@ from .geometry import (
     quat_multiply_rows,
     quat_to_matrix,
     rotate_rows,
+    unit_components,
 )
-from .tagmap import TagEntry, TagMap
+from .tagmap import TagMap
 
 DEFAULT_DETECT_THRESHOLD_PX = 12.0
 _Z_AXIS = np.array([0.0, 0.0, 1.0])  # rotation axis when the drawn one is ~zero
@@ -117,16 +118,27 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """One simulated observation: tag id plus its pose in the camera frame."""
+class DetectionRows:
+    """Tag detections as arrays, one row per detection: tag ids (n,) int64,
+    positions (n, 3) and unit quaternions (n, 4) as (w, x, y, z) rows of the
+    tag pose in the camera frame, and apparent side lengths (n,) [px]."""
 
-    tag_id: int
-    pose_tag_in_camera: Pose
-    apparent_side: float
+    ids: np.ndarray
+    positions: np.ndarray
+    quats: np.ndarray
+    apparent: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.pose_tag_in_camera.position[2] > 0:  # NaN fails too
+        if not (self.positions[:, 2] > 0).all():  # NaN fails too
             raise ValueError("detected tag must lie in front of the camera (z > 0)")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> "DetectionRows":
+        """The rows picked by a boolean mask, index array or slice."""
+        return DetectionRows(self.ids[rows], self.positions[rows], self.quats[rows],
+                             self.apparent[rows])
 
 
 @dataclass(frozen=True)
@@ -137,28 +149,26 @@ class Frame:
     index: int
     t: float
     truth: Pose | None
-    detections: tuple[Detection, ...]
+    detections: DetectionRows
 
 
-def visible_tags(tag_map: TagMap, cam: CameraModel,
-                 body_pose_true: Pose) -> list[tuple[TagEntry, float]]:
-    """Tags in view of the camera, with their apparent side length [px].
+def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> DetectionRows:
+    """The noise-free detections of the tags in view, in tag-id order.
 
     A tag counts as visible when its front face is toward the camera, all
     four projected corners fall inside the image, and the mean projected
-    side length reaches the detectability threshold.
+    side length reaches the detectability threshold; `apparent` holds that
+    side length [px].
     """
-    ids, _, centers, normals, corners = tag_map.world_frames()
-    if len(ids) == 0:
-        return []
+    m = tag_map.world_frames()
     cam_in_world = compose(body_pose_true, cam.pose_in_body)
     world_in_cam = inverse(cam_in_world)
     R = quat_to_matrix(world_in_cam.orientation)
     t = world_in_cam.position
 
-    front_facing = (normals * (cam_in_world.position[None, :] - centers)).sum(axis=1) > 0.0
+    front_facing = (m.normals * (cam_in_world.position[None, :] - m.positions)).sum(axis=1) > 0.0
 
-    corners_cam = corners @ R.T + t  # (n, 4, 3)
+    corners_cam = m.corners @ R.T + t  # (n, 4, 3)
     z = corners_cam[:, :, 2]
     in_front = np.all(z > 1e-9, axis=1)
 
@@ -173,12 +183,14 @@ def visible_tags(tag_map: TagMap, cam: CameraModel,
     edges = pixels - np.roll(pixels, shift=1, axis=1)
     apparent = np.linalg.norm(edges, axis=-1).mean(axis=1)
 
-    ok &= inside & (apparent >= cam.detect_threshold_px)
-    return [(tag_map.lookup(int(i)), float(a)) for i, a in zip(ids[ok], apparent[ok])]
+    rows = np.flatnonzero(ok & inside & (apparent >= cam.detect_threshold_px))
+    cam_q = world_in_cam.orientation.as_array()
+    return DetectionRows(m.ids[rows], t + rotate_rows(cam_q, m.positions[rows]),
+                         quat_multiply_rows(cam_q, m.quats[rows]), apparent[rows])
 
 
 def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
-           body_pose_true: Pose, frame_index: int) -> list[Detection]:
+           body_pose_true: Pose, frame_index: int) -> DetectionRows:
     """Simulated detections for one frame, deterministic in (seed, frame, tag).
 
     Each visible tag draws from its own stream, `default_rng((seed, frame,
@@ -197,28 +209,13 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     product, the BLAS route np.linalg.norm takes ((a * a).sum rounds
     differently).
     """
-    visible = visible_tags(tag_map, cam, body_pose_true)
-    if not visible:
-        return []
-    world_in_cam = inverse(compose(body_pose_true, cam.pose_in_body))
-    row_of_id, _, map_positions, map_quats, _ = tag_map.pose_rows()
-    n = len(visible)
-    ids = [entry.tag_id for entry, _ in visible]
-    rows = np.array([row_of_id[i] for i in ids], dtype=np.intp)
-    cam_q = world_in_cam.orientation.as_array()
-    exact_p = world_in_cam.position + rotate_rows(cam_q, map_positions[rows])
-    exact_q = quat_multiply_rows(cam_q, map_quats[rows])
-
-    uniform = np.empty(n)
-    normals = np.empty((n, 7))
-    scale = np.empty(n)
+    exact = visible_tags(tag_map, cam, body_pose_true)
+    n = len(exact)
+    rngs = [np.random.default_rng((noise.seed, int(frame_index), i)) for i in exact.ids.tolist()]
+    uniform = np.array([rng.random() for rng in rngs])  # each stream: a uniform, then normals
+    normals = np.array([rng.standard_normal(7) for rng in rngs]).reshape(n, 7)
     ref, exponent = noise.reference_apparent_size, noise.size_exponent
-    frame = int(frame_index)
-    for k, (tag_id, (_, apparent)) in enumerate(zip(ids, visible)):
-        rng = np.random.default_rng((noise.seed, frame, tag_id))
-        uniform[k] = rng.random()
-        normals[k] = rng.standard_normal(7)
-        scale[k] = (ref / apparent) ** exponent
+    scale = np.array([(ref / apparent) ** exponent for apparent in exact.apparent.tolist()])
 
     outlier = uniform < noise.outlier_probability
     sigma_p = noise.position_sigma_at_ref * scale
@@ -234,35 +231,36 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     delta_q = np.empty((n, 4))
     delta_q[:, 0] = [math.cos(h) for h in half]
     delta_q[:, 1:] = np.array([math.sin(h) for h in half])[:, None] * axis
-    noisy_p = exact_p + delta_p
-    noisy_q = quat_multiply_rows(exact_q, _normalize_rows(delta_q))
-
-    in_front = ~(noisy_p[:, 2] <= 0.0)  # NaN depth reaches Detection, which rejects it
-    quats = noisy_q.tolist()
-    return [Detection(ids[k], Pose(noisy_p[k], UnitQuaternion(*quats[k])), visible[k][1])
-            for k in np.flatnonzero(in_front).tolist()]
+    noisy_p = exact.positions + delta_p
+    noisy_q = quat_multiply_rows(exact.quats, _normalize_rows(delta_q))
+    keep = ~(noisy_p[:, 2] <= 0.0)  # a NaN depth reaches DetectionRows, which rejects it
+    return DetectionRows(exact.ids[keep], noisy_p[keep], noisy_q[keep], exact.apparent[keep])
 
 
 # --- detection-stream dump (one line per detection, for replay/debugging) ---
 
-def format_detection_line(frame: int, t: float, det: Detection) -> str:
-    p = [float(v) for v in det.pose_tag_in_camera.position]
-    q = det.pose_tag_in_camera.orientation
-    return (
-        f"{frame} {t!r} {det.tag_id} "
-        f"{p[0]!r} {p[1]!r} {p[2]!r} {q.w!r} {q.x!r} {q.y!r} {q.z!r} {det.apparent_side!r}"
-    )
+def format_detection_lines(frame: int, t: float, rows: DetectionRows) -> list[str]:
+    """One stream line per detection: frame, time, id, position, quaternion
+    and apparent side, every float written with repr so it reads back exactly."""
+    return [f"{frame} {t!r} {tag_id} {p[0]!r} {p[1]!r} {p[2]!r} "
+            f"{q[0]!r} {q[1]!r} {q[2]!r} {q[3]!r} {apparent!r}"
+            for tag_id, p, q, apparent in zip(rows.ids.tolist(), rows.positions.tolist(),
+                                              rows.quats.tolist(), rows.apparent.tolist())]
 
 
 _LINE_FLOAT_FIELDS = ("t", "px", "py", "pz", "qw", "qx", "qy", "qz", "apparent_side")
 
 
-def parse_detection_line(line: str) -> tuple[int, float, Detection]:
+def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, float]:
+    """(frame, t, tag id, (px, py, pz), (qw, qx, qy, qz), apparent side) of
+    one stream line, the quaternion renormalized as UnitQuaternion does."""
     tokens = line.split()
     if len(tokens) != 11:
         raise ValueError(f"expected 11 fields in detection line, got {len(tokens)}")
     frame = int(tokens[0])
     tag_id = int(tokens[2])
+    if not -2**63 <= tag_id < 2**63:
+        raise ValueError(f"tag id {tokens[2]!r} out of range")
     float_tokens = [tokens[1]] + tokens[3:]
     values = [float(v) for v in float_tokens]
     if not all(map(math.isfinite, values)):
@@ -271,22 +269,23 @@ def parse_detection_line(line: str) -> tuple[int, float, Detection]:
                            if not math.isfinite(value))
         raise ValueError(f"non-finite {name} {token!r}")
     t, px, py, pz, qw, qx, qy, qz, apparent = values
-    pose = Pose(np.array([px, py, pz]), UnitQuaternion(qw, qx, qy, qz))
-    return frame, t, Detection(tag_id, pose, apparent)
+    if not pz > 0:
+        raise ValueError("detected tag must lie in front of the camera (z > 0)")
+    return frame, t, tag_id, (px, py, pz), unit_components(qw, qx, qy, qz), apparent
 
 
 def read_detection_stream(path: str | Path) -> list[Frame]:
     """Frames of a dumped detection stream in frame order, without ground
     truth. A frame takes its time from its first line; errors name the file
     and line."""
-    by_index: dict[int, tuple[float, list[Detection]]] = {}
+    by_index: dict[int, tuple[float, list[tuple]]] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
-            index, t, det = parse_detection_line(line)
+            index, t, *row = parse_detection_line(line)
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from None
-        by_index.setdefault(index, (t, []))[1].append(det)
-    return [Frame(index, t, None, tuple(dets))
-            for index, (t, dets) in sorted(by_index.items())]
+        by_index.setdefault(index, (t, []))[1].append(row)
+    return [Frame(index, t, None, DetectionRows(*(np.array(column) for column in zip(*rows))))
+            for index, (t, rows) in sorted(by_index.items())]

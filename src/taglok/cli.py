@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .camsim import NoiseModel, default_camera, format_detection_line, read_detection_stream
+from .camsim import NoiseModel, default_camera, format_detection_lines, read_detection_stream
 from .harness import (
     RunConfig,
     Trajectory,
@@ -314,6 +315,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "map", None):
         cfg = replace(cfg, tag_map=load_map(args.map))
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative (got {args.seed})")
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "variant", None):
         cfg = replace(cfg, pipeline=apply_variant(cfg.pipeline, args.variant))
@@ -326,6 +329,9 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_map_build(args: argparse.Namespace) -> int:
+    for flag, value in (("--width", args.width), ("--height", args.height)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number (got {value!r})")
     tag_map = build_pattern_map((args.width, args.height))
     save_map(tag_map, args.out)
     print(f"wrote {len(tag_map)} tags to {args.out}")
@@ -371,7 +377,7 @@ def cmd_dump_detections(args: argparse.Namespace) -> int:
     lines: list[str] = []
     n_frames = 0
     for n_frames, frame in enumerate(simulate(cfg), 1):
-        lines += (format_detection_line(frame.index, frame.t, det) for det in frame.detections)
+        lines += format_detection_lines(frame.index, frame.t, frame.detections)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} detections over {n_frames} frames to {args.out}")
     return 0

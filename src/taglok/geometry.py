@@ -27,6 +27,18 @@ def wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
+def unit_components(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
+    """(w, x, y, z) as floats, rescaled to unit norm when it is off by more
+    than the tolerance; ValueError on a non-finite or near-zero norm."""
+    norm = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if not math.isfinite(norm):
+        raise ValueError("quaternion norm is not finite")
+    if norm < _NORM_TOL:
+        raise ValueError("quaternion norm too small to normalize")
+    scale = 1.0 / norm if abs(norm - 1.0) > _NORM_TOL else 1.0
+    return float(w) * scale, float(x) * scale, float(y) * scale, float(z) * scale
+
+
 @dataclass(frozen=True)
 class UnitQuaternion:
     """Unit quaternion (w, x, y, z), scalar first.
@@ -42,16 +54,8 @@ class UnitQuaternion:
     z: float
 
     def __post_init__(self) -> None:
-        norm = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if not math.isfinite(norm):
-            raise ValueError("quaternion norm is not finite")
-        if norm < _NORM_TOL:
-            raise ValueError("quaternion norm too small to normalize")
-        scale = 1.0 / norm if abs(norm - 1.0) > _NORM_TOL else 1.0
-        object.__setattr__(self, "w", float(self.w) * scale)
-        object.__setattr__(self, "x", float(self.x) * scale)
-        object.__setattr__(self, "y", float(self.y) * scale)
-        object.__setattr__(self, "z", float(self.z) * scale)
+        for name, value in zip("wxyz", unit_components(self.w, self.x, self.y, self.z)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def identity() -> "UnitQuaternion":
@@ -125,18 +129,17 @@ def rotate_vector(q: UnitQuaternion, v: np.ndarray) -> np.ndarray:
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
     """UnitQuaternion's construction applied to each (w, x, y, z) row of an
     (n, 4) array, bit for bit: rows within half the tolerance of unit norm
-    stay as they are, any other row is rebuilt as a UnitQuaternion (which
-    raises on a zero or non-finite norm). Only the scalar route reproduces
-    its scaling: Python's float ** 2 goes through libm pow, which can differ
-    from x * x in the last bit."""
+    stay as they are, any other row is rescaled by its unit_components
+    (which raise on a zero or non-finite norm). Only the scalar route
+    reproduces its scaling: Python's float ** 2 goes through libm pow, which
+    can differ from x * x in the last bit."""
     squares = q * q
     norm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2] + squares[:, 3])
     off = np.flatnonzero(~(np.abs(norm - 1.0) <= 0.5 * _NORM_TOL))
     if len(off):
         q = q.copy()
         for i in off:
-            unit = UnitQuaternion(*q[i].tolist())
-            q[i] = (unit.w, unit.x, unit.y, unit.z)
+            q[i] = unit_components(*q[i].tolist())
     return q
 
 

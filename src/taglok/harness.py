@@ -275,7 +275,7 @@ def simulate(cfg: RunConfig) -> Iterator[Frame]:
         t = k / cfg.sample_rate
         position, yaw = cfg.trajectory.sample(t)
         truth = Pose(position, quat_from_yaw(yaw))
-        yield Frame(k, t, truth, tuple(detect(cfg.tag_map, cfg.camera, noise, truth, k)))
+        yield Frame(k, t, truth, detect(cfg.tag_map, cfg.camera, noise, truth, k))
 
 
 def run(cfg: RunConfig, frames: Iterable[Frame] | None = None) -> RunResult:

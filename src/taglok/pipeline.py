@@ -13,14 +13,13 @@ stage trace.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .camsim import Detection
+from .camsim import DetectionRows
 from .geometry import Pose, UnitQuaternion, inverse, quat_multiply_rows, rotate_rows
 from .tagmap import SizeClass, TagMap
 
@@ -107,7 +106,6 @@ class TagEstimates:
 # conjugating a (w, x, y, z) row; a conjugate keeps its norm, so it needs
 # no renormalization
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
-_tag_id = operator.attrgetter("tag_id")
 
 
 @dataclass(frozen=True)
@@ -162,29 +160,29 @@ class RotationFusion:
     degenerate: bool = False
 
 
-def select_tags(detections: Sequence[Detection], tag_map: TagMap,
-                mode: ThsMode) -> list[Detection]:
+def select_tags(detections: DetectionRows, tag_map: TagMap,
+                mode: ThsMode) -> DetectionRows:
     """Hierarchical tag selection. Input ids must resolve in the map.
 
     JBT keeps the single detection of the largest tag (ties: smallest id),
     ALL keeps everything, TBS keeps detections belonging to the two largest
-    size classes present. Output is sorted by tag id. Tags are ranked by
-    class index, which orders them as their side lengths do (each class
-    doubles the previous side).
+    size classes present. Output is sorted by tag id (stable for repeated
+    ids). Tags are ranked by class index, which orders them as their side
+    lengths do (each class doubles the previous side).
     """
-    ordered = sorted(detections, key=_tag_id)
-    if mode is ThsMode.ALL or not ordered:
-        return ordered
-    row_of_id, _, _, _, map_classes = tag_map.pose_rows()
-    classes = map_classes[[row_of_id[d.tag_id] for d in ordered]].tolist()
+    order = np.argsort(detections.ids, kind="stable")
+    if mode is ThsMode.ALL or not len(order):
+        return detections.take(order)
+    m = tag_map.world_frames()
+    classes = m.classes[m.rows_of(detections.ids[order])]
     if mode is ThsMode.JBT:
         # the first detection of the largest class has the smallest id
-        return [ordered[classes.index(max(classes))]]
-    second = sorted(set(classes))[-2:][0]
-    return [d for d, c in zip(ordered, classes) if c >= second]
+        return detections.take(order[np.argmax(classes, keepdims=True)])
+    second = np.unique(classes)[-2:][0]
+    return detections.take(order[classes >= second])
 
 
-def estimate_body_pose_per_tag(detections: Sequence[Detection], tag_map: TagMap,
+def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
                                camera_in_body: Pose,
                                weights: WeightScheme = WeightScheme.UNIFORM
                                ) -> TagEstimates:
@@ -196,24 +194,24 @@ def estimate_body_pose_per_tag(detections: Sequence[Detection], tag_map: TagMap,
     Each row equals the per-tag chain
     compose(tag, compose(inverse(detection), inverse(camera_in_body)))
     bit for bit: the row helpers keep the scalar expression order."""
-    row_of_id, map_ids, map_positions, map_quats, map_classes = tag_map.pose_rows()
-    known = sorted((d for d in detections if d.tag_id in row_of_id), key=_tag_id)
-    rows = np.array([row_of_id[d.tag_id] for d in known], dtype=np.intp)
-    poses = [d.pose_tag_in_camera for d in known]
-    det_q = _quat_rows(p.orientation for p in poses).reshape(-1, 4)
-    tag_q = map_quats[rows]
+    m = tag_map.world_frames()
+    rows = m.rows_of(detections.ids)
+    picked = np.flatnonzero(rows >= 0)
+    picked = picked[np.argsort(detections.ids[picked], kind="stable")]
+    rows = rows[picked]
+    tag_q = m.quats[rows]
     mount = inverse(camera_in_body)
 
-    inv_q = det_q * _CONJUGATE  # inverse(detection)
-    inv_p = -rotate_rows(inv_q, np.array([p.position for p in poses]).reshape(-1, 3))
+    inv_q = detections.quats[picked] * _CONJUGATE  # inverse(detection)
+    inv_p = -rotate_rows(inv_q, detections.positions[picked])
     chain_p = inv_p + rotate_rows(inv_q, mount.position)  # ... composed with the mount
     chain_q = quat_multiply_rows(inv_q, mount.orientation.as_array())
     weight_of_class = np.array([weights.weight_for(c) for c in SizeClass])
     return TagEstimates(
-        map_ids[rows],
-        map_positions[rows] + rotate_rows(tag_q, chain_p),
+        m.ids[rows],
+        m.positions[rows] + rotate_rows(tag_q, chain_p),
         quat_multiply_rows(tag_q, chain_q),
-        weight_of_class[map_classes[rows]],
+        weight_of_class[m.classes[rows]],
     )
 
 
@@ -255,11 +253,6 @@ def fuse_positions(kept: TagEstimates) -> np.ndarray:
 def _reference_index(kept: TagEstimates) -> int:
     """Largest weight wins, ties broken by smallest tag id."""
     return int(np.lexsort((kept.ids, -kept.weights))[0])
-
-
-def _quat_rows(quats: Iterable[UnitQuaternion]) -> np.ndarray:
-    """Stack quaternions as the (w, x, y, z) rows of an (n, 4) array."""
-    return np.array([(q.w, q.x, q.y, q.z) for q in quats])
 
 
 def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray,
@@ -314,7 +307,7 @@ def fir_smooth(history: Sequence[Pose], new_pose: Pose, length: int) -> Pose:
     bit-exactly (a plain mean of identical doubles is not)."""
     window = (list(history) + [new_pose])[-length:]
     positions = np.array([p.position for p in window])
-    quats = _quat_rows(p.orientation for p in window)
+    quats = np.array([p.orientation.as_array() for p in window])
     if (positions == positions[0]).all() and (quats == quats[0]).all():
         return window[0]
     mean = _sign_aligned_weighted_sum(quats, np.ones(len(window)), len(window) - 1)
@@ -323,7 +316,7 @@ def fir_smooth(history: Sequence[Pose], new_pose: Pose, length: int) -> Pose:
     return Pose(positions.mean(axis=0), mean)
 
 
-def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfig,
+def step(detections: DetectionRows, tag_map: TagMap, config: PipelineConfig,
          state: PipelineState | None = None, timestamp: float = 0.0
          ) -> tuple[EstimateOutput, PipelineState]:
     """Run one frame through THS -> per-tag estimation -> OR -> MEF -> FIR.
@@ -334,8 +327,9 @@ def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfi
     """
     if state is None:
         state = PipelineState()
-    known = [d for d in detections if d.tag_id in tag_map]
-    unknown = tuple(sorted(d.tag_id for d in detections if d.tag_id not in tag_map))
+    is_known = tag_map.world_frames().rows_of(detections.ids) >= 0
+    known = detections.take(is_known)
+    unknown = tuple(sorted(detections.ids[~is_known].tolist()))
 
     def no_estimate(reason: str, rejected: tuple[int, ...] = (),
                     trace_kwargs: dict | None = None) -> tuple[EstimateOutput, PipelineState]:
@@ -344,11 +338,11 @@ def step(detections: Sequence[Detection], tag_map: TagMap, config: PipelineConfi
                            **(trace_kwargs or {}))
         return EstimateOutput(timestamp, None, (), trace), state
 
-    if not known:
+    if not len(known):
         return no_estimate("no-tags")
 
     selected = select_tags(known, tag_map, config.ths)
-    selected_ids = tuple(d.tag_id for d in selected)
+    selected_ids = tuple(selected.ids.tolist())
     estimates = estimate_body_pose_per_tag(selected, tag_map, config.camera_in_body,
                                            config.weights)
 

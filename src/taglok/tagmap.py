@@ -18,6 +18,8 @@ import numpy as np
 from .geometry import Pose, UnitQuaternion, quat_from_yaw, quat_to_matrix
 
 _BASE_SIDE = 0.0575  # class S side length [m]; each class doubles the previous
+# a tag's corners in its own plane per unit side, counterclockwise
+_UNIT_SQUARE = np.array([[-0.5, -0.5, 0.0], [0.5, -0.5, 0.0], [0.5, 0.5, 0.0], [-0.5, 0.5, 0.0]])
 
 
 class SizeClass(Enum):
@@ -109,6 +111,28 @@ class TagEntry:
     size_class: SizeClass
 
 
+@dataclass(frozen=True)
+class MapArrays:
+    """A map's tags as arrays, one row per tag in tag-id order: ids (n,)
+    int64, size-class indices (n,), positions (n, 3), unit quaternions
+    (n, 4) as (w, x, y, z) rows, face normals (n, 3) and corners (n, 4, 3),
+    counterclockwise in the tag plane."""
+
+    ids: np.ndarray
+    classes: np.ndarray
+    positions: np.ndarray
+    quats: np.ndarray
+    normals: np.ndarray
+    corners: np.ndarray
+
+    def rows_of(self, ids) -> np.ndarray:
+        """The row of each tag id, -1 for an id not in the map."""
+        rows = np.searchsorted(self.ids, ids)
+        found = rows < len(self.ids)
+        found[found] = self.ids[rows[found]] == ids[found]
+        return np.where(found, rows, -1)
+
+
 class TagMap:
     """Immutable collection of tags with unique ids over a rectangular extent."""
 
@@ -120,8 +144,7 @@ class TagMap:
             self._by_id[entry.tag_id] = entry
         self.extent = (float(extent[0]), float(extent[1]))
         self._check_no_same_class_overlap()
-        self._frames = None  # lazy projection cache
-        self._pose_rows = None  # lazy frame-chain cache
+        self._arrays: MapArrays | None = None  # lazy array view
 
     def _check_no_same_class_overlap(self) -> None:
         by_class: dict[SizeClass, list[TagEntry]] = {}
@@ -143,56 +166,27 @@ class TagMap:
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def __contains__(self, tag_id: int) -> bool:
-        return tag_id in self._by_id
-
     @property
     def entries(self) -> list[TagEntry]:
         return [self._by_id[i] for i in sorted(self._by_id)]
 
-    def lookup(self, tag_id: int) -> TagEntry | None:
-        return self._by_id.get(tag_id)
-
-    def world_frames(self):
-        """Stacked per-tag world geometry for vectorized projection.
-
-        Returns (ids, sides, centers, normals, corners) where corners has
-        shape (n, 4, 3) ordered counterclockwise in the tag plane.
-        """
-        if self._frames is None:
+    def world_frames(self) -> MapArrays:
+        """The map stacked as arrays, rows in tag-id order; built once."""
+        if self._arrays is None:
             entries = self.entries
-            ids = np.array([e.tag_id for e in entries], dtype=int)
             sides = np.array([e.size_class.side_length for e in entries])
-            centers = np.array([e.pose_in_world.position for e in entries]).reshape(-1, 3)
-            rots = np.stack([quat_to_matrix(e.pose_in_world.orientation) for e in entries]) \
-                if entries else np.zeros((0, 3, 3))
-            local = np.array(
-                [[-0.5, -0.5, 0.0], [0.5, -0.5, 0.0], [0.5, 0.5, 0.0], [-0.5, 0.5, 0.0]]
-            )
-            corners = centers[:, None, :] + np.einsum(
-                "nij,kj,n->nki", rots, local, sides
-            )
-            normals = rots[:, :, 2] if entries else np.zeros((0, 3))
-            self._frames = (ids, sides, centers, normals, corners)
-        return self._frames
-
-    def pose_rows(self):
-        """Stacked per-tag world poses for the batched frame chain.
-
-        Returns (row_of_id, ids, positions, quats, class_indices): a dict
-        from tag id to row, and arrays (n,), (n, 3), (n, 4) of (w, x, y, z)
-        rows and (n,) with rows in id order.
-        """
-        if self._pose_rows is None:
-            entries = self.entries
-            self._pose_rows = (
-                {e.tag_id: row for row, e in enumerate(entries)},
+            positions = np.array([e.pose_in_world.position for e in entries]).reshape(-1, 3)
+            rots = np.array([quat_to_matrix(e.pose_in_world.orientation)
+                             for e in entries]).reshape(-1, 3, 3)
+            self._arrays = MapArrays(
                 np.array([e.tag_id for e in entries], dtype=np.int64),
-                np.array([e.pose_in_world.position for e in entries]).reshape(-1, 3),
-                np.array([e.pose_in_world.orientation.as_array() for e in entries]).reshape(-1, 4),
                 np.array([e.size_class.class_index for e in entries], dtype=np.intp),
+                positions,
+                np.array([e.pose_in_world.orientation.as_array() for e in entries]).reshape(-1, 4),
+                rots[:, :, 2],
+                positions[:, None, :] + np.einsum("nij,kj,n->nki", rots, _UNIT_SQUARE, sides),
             )
-        return self._pose_rows
+        return self._arrays
 
 
 def build_pattern_map(extent: tuple[float, float],
@@ -249,7 +243,10 @@ def serialize_map(tag_map: TagMap) -> str:
 
 
 def load_map(path: str | Path) -> TagMap:
-    return parse_map(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_map(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise MapFormatError(f"{path}: {exc}") from None
 
 
 def parse_finite_float(token: str) -> float:

@@ -5,14 +5,16 @@ Everything here is deliberately written from first principles (homogeneous
 calling the code under test, so that each check runs through two unrelated
 routes. Three sections are different: rotation-matrix helpers (Euler angles,
 matrix-to-quaternion, rotation metrics) that only tests need, the per-tag
-loop forms of the estimator's stages (the object-per-tag frame chain and the
-back end), kept as the bitwise reference for their array forms in
-`taglok.pipeline`, and the per-tag loop form of the simulator's `detect`,
-the bitwise reference for its array form in `taglok.camsim`.
+loop forms of the estimator's stages (the object-per-tag tag selection,
+frame chain and back end), kept as the bitwise reference for their array
+forms in `taglok.pipeline`, and the object form of detections (`Detection`,
+`rows_from`) with the per-tag loop form of the simulator's `detect`, the
+bitwise reference for its array form in `taglok.camsim`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +30,8 @@ from taglok.geometry import (
     quat_rotation_angle,
     wrap_angle,
 )
-from taglok.camsim import Detection, visible_tags
-from taglok.pipeline import EQUAL_SPREAD_TOL, RotationFusion, TagEstimates, WeightScheme
+from taglok.camsim import DetectionRows, visible_tags
+from taglok.pipeline import EQUAL_SPREAD_TOL, RotationFusion, TagEstimates, ThsMode, WeightScheme
 
 _ORTHO_TOL = 1e-6
 
@@ -318,7 +320,63 @@ def matrix_to_euler_zyx(matrix: np.ndarray) -> EulerZYX:
     return EulerZYX(roll, pitch, yaw)
 
 
+# --- detections as objects, and map entries by id ---
+
+@dataclass(frozen=True)
+class Detection:
+    """One observation as an object: tag id plus its pose in the camera frame."""
+
+    tag_id: int
+    pose_tag_in_camera: Pose
+    apparent_side: float
+
+    def __post_init__(self) -> None:
+        if not self.pose_tag_in_camera.position[2] > 0:  # NaN fails too
+            raise ValueError("detected tag must lie in front of the camera (z > 0)")
+
+
+def rows_from(detections) -> DetectionRows:
+    """Detection objects as the array bundle, in list order."""
+    return DetectionRows(
+        np.array([d.tag_id for d in detections], dtype=np.int64),
+        np.array([d.pose_tag_in_camera.position for d in detections]).reshape(-1, 3),
+        np.array([d.pose_tag_in_camera.orientation.as_array() for d in detections]).reshape(-1, 4),
+        np.array([d.apparent_side for d in detections], dtype=float),
+    )
+
+
+def detections_from(rows: DetectionRows) -> list:
+    """The rows of the array bundle as Detection objects, in row order."""
+    return [Detection(i, Pose(p, UnitQuaternion(*q)), a) for i, p, q, a in
+            zip(rows.ids.tolist(), rows.positions, rows.quats.tolist(), rows.apparent.tolist())]
+
+
+@functools.lru_cache(maxsize=16)
+def _entries_by_id(tag_map) -> dict:
+    return {e.tag_id: e for e in tag_map.entries}
+
+
+def entry_of(tag_map, tag_id: int):
+    """The map entry of a tag id, None when the id is not in the map."""
+    return _entries_by_id(tag_map).get(tag_id)
+
+
 # --- per-tag loop forms of the estimator's stages (bitwise reference) ---
+
+def loop_select_tags(detections, tag_map, mode) -> list:
+    """Object-per-tag hierarchical selection over Detection objects whose
+    ids all resolve in the map: JBT keeps the first detection of the
+    largest class, TBS those of the two largest classes present, ALL
+    everything; output sorted by tag id (stable)."""
+    ordered = sorted(detections, key=lambda d: d.tag_id)
+    if mode is ThsMode.ALL or not ordered:
+        return ordered
+    classes = [entry_of(tag_map, d.tag_id).size_class.class_index for d in ordered]
+    if mode is ThsMode.JBT:
+        return [ordered[classes.index(max(classes))]]
+    second = sorted(set(classes))[-2:][0]
+    return [d for d, c in zip(ordered, classes) if c >= second]
+
 
 @dataclass(frozen=True)
 class PerTagEstimate:
@@ -355,7 +413,7 @@ def loop_estimate_body_pose_per_tag(detection, tag_map, camera_in_body: Pose,
                                     weights: WeightScheme = WeightScheme.UNIFORM):
     """Object-per-tag frame chain world<-tag, tag<-camera, camera<-body;
     None when the id is not in the map."""
-    entry = tag_map.lookup(detection.tag_id)
+    entry = entry_of(tag_map, detection.tag_id)
     if entry is None:
         return None
     body_in_world = compose(
@@ -483,8 +541,10 @@ def loop_detect(tag_map, cam, noise, body_pose_true: Pose, frame_index: int) -> 
     """Object-per-tag simulated detections: compose, draw and perturb one
     visible tag at a time."""
     world_in_cam = inverse(compose(body_pose_true, cam.pose_in_body))
+    visible = visible_tags(tag_map, cam, body_pose_true)
     detections = []
-    for entry, apparent in visible_tags(tag_map, cam, body_pose_true):
+    for tag_id, apparent in zip(visible.ids.tolist(), visible.apparent.tolist()):
+        entry = entry_of(tag_map, tag_id)
         exact = compose(world_in_cam, entry.pose_in_world)
         rng = _noise_rng(noise, frame_index, entry.tag_id)
         noisy = _perturb(exact, apparent, noise, rng)

@@ -35,10 +35,10 @@ from taglok.pipeline import (
     remove_outliers,
     select_tags,
 )
-from taglok.camsim import Detection
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
 from oracles import (
+    Detection,
     PerTagEstimate,
     as_bundle,
     brute_force_chordal_mean,
@@ -46,6 +46,7 @@ from oracles import (
     make_search_grid,
     naive_outlier_partition,
     random_quat_cluster,
+    rows_from,
     two_pass_mean_std,
     unbundle,
 )
@@ -283,13 +284,13 @@ def test_criterion_08_ths_nesting():
             for i in range(n)
         ]
         tag_map = TagMap(entries, (2.0 * n + 2.0, 2.0))
-        detections = [
+        detections = rows_from([
             Detection(i, Pose(np.array([0.0, 0.0, 1.0]), UnitQuaternion.identity()), 50.0)
             for i in range(n)
-        ]
-        jbt = {d.tag_id for d in select_tags(detections, tag_map, ThsMode.JBT)}
-        tbs = {d.tag_id for d in select_tags(detections, tag_map, ThsMode.TBS)}
-        full = {d.tag_id for d in select_tags(detections, tag_map, ThsMode.ALL)}
+        ])
+        jbt = set(select_tags(detections, tag_map, ThsMode.JBT).ids.tolist())
+        tbs = set(select_tags(detections, tag_map, ThsMode.TBS).ids.tolist())
+        full = set(select_tags(detections, tag_map, ThsMode.ALL).ids.tolist())
         assert jbt <= tbs <= full
     announce(8, "JBT subset of TBS subset of ALL on 1000 random detection sets")
 

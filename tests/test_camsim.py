@@ -5,17 +5,19 @@ import pytest
 
 from taglok.camsim import (
     CameraModel,
-    Detection,
+    DetectionRows,
     NoiseModel,
     default_camera,
     detect,
     down_facing_mount,
-    format_detection_line,
+    format_detection_lines,
     parse_detection_line,
     read_detection_stream,
     visible_tags,
 )
 from taglok.geometry import Pose, UnitQuaternion, quat_rotation_angle
+from taglok.harness import RunConfig, simulate, spline_trajectory_t3
+from taglok.pipeline import PipelineConfig
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
 from oracles import hmat, pose_to_hmat
@@ -23,6 +25,11 @@ from oracles import hmat, pose_to_hmat
 
 def body_at(x, y, z):
     return Pose(np.array([x, y, z], dtype=float), UnitQuaternion.identity())
+
+
+def one_row(tag_id=0, position=(0.0, 0.0, 1.0), quat=(1.0, 0.0, 0.0, 0.0), apparent=50.0):
+    return DetectionRows(np.array([tag_id]), np.array([position], dtype=float),
+                         np.array([quat], dtype=float), np.array([apparent]))
 
 
 def single_tag_map(size_class=SizeClass.XL, position=(0.0, 0.0, 0.0), orientation=None):
@@ -52,9 +59,8 @@ class TestVisibility:
         cam = default_camera()
         vis = visible_tags(single_tag_map(), cam, body_at(0.0, 0.0, 0.8))
         assert len(vis) == 1
-        entry, apparent = vis[0]
-        assert entry.tag_id == 0
-        assert apparent == pytest.approx(345.0, abs=1e-9)
+        assert vis.ids.tolist() == [0]
+        assert vis.apparent[0] == pytest.approx(345.0, abs=1e-9)
 
     def test_corner_outside_image_not_visible(self):
         cam = default_camera()
@@ -67,22 +73,24 @@ class TestVisibility:
     def test_below_threshold_not_visible(self):
         cam = default_camera()
         # XL from 30 m: apparent 9.2 px < 12 px
-        assert visible_tags(single_tag_map(), cam, body_at(0, 0, 30.0)) == []
+        assert len(visible_tags(single_tag_map(), cam, body_at(0, 0, 30.0))) == 0
 
     def test_whole_map_too_high_gives_empty_list(self):
         cam = default_camera()
         tag_map = build_pattern_map((3.0, 5.0))
-        assert visible_tags(tag_map, cam, body_at(1.5, 2.5, 60.0)) == []
+        empty = visible_tags(tag_map, cam, body_at(1.5, 2.5, 60.0))
+        assert len(empty) == 0
+        assert empty.positions.shape == (0, 3) and empty.quats.shape == (0, 4)
 
     def test_back_face_not_visible(self):
         cam = default_camera()
         # tag flipped to face the floor: camera sees its back
         flipped = single_tag_map(orientation=UnitQuaternion(0.0, 1.0, 0.0, 0.0))
-        assert visible_tags(flipped, cam, body_at(0, 0, 0.8)) == []
+        assert len(visible_tags(flipped, cam, body_at(0, 0, 0.8))) == 0
 
     def test_camera_behind_tag_plane_not_visible(self):
         cam = default_camera()
-        assert visible_tags(single_tag_map(), cam, body_at(0, 0, -0.8)) == []
+        assert len(visible_tags(single_tag_map(), cam, body_at(0, 0, -0.8))) == 0
 
     def test_threshold_configurable(self):
         lenient = default_camera(detect_threshold_px=5.0)
@@ -96,7 +104,7 @@ class TestDetect:
         body = body_at(0.1, -0.2, 0.9)
         dets = detect(tag_map, cam, NoiseModel.zero(), body, frame_index=3)
         assert len(dets) == 1
-        got = pose_to_hmat(dets[0].pose_tag_in_camera)
+        got = hmat(dets.positions[0], dets.quats[0])
         T_cam_world = pose_to_hmat(body) @ pose_to_hmat(cam.pose_in_body)
         expected = np.linalg.inv(T_cam_world) @ hmat((0, 0, 0), (1, 0, 0, 0))
         assert np.max(np.abs(got - expected)) < 1e-12
@@ -104,10 +112,10 @@ class TestDetect:
     def test_zero_noise_straight_down_geometry(self):
         cam = default_camera()
         dets = detect(single_tag_map(), cam, NoiseModel.zero(), body_at(0, 0, 0.8), 0)
-        pose = dets[0].pose_tag_in_camera
-        assert np.allclose(pose.position, [0.0, 0.0, 0.8], atol=1e-12)
+        assert np.allclose(dets.positions[0], [0.0, 0.0, 0.8], atol=1e-12)
         # down-facing camera sees the up-facing tag rotated half a turn about x
-        assert quat_rotation_angle(pose.orientation, UnitQuaternion(0, 1, 0, 0)) < 1e-12
+        q = UnitQuaternion.from_array(dets.quats[0])
+        assert quat_rotation_angle(q, UnitQuaternion(0, 1, 0, 0)) < 1e-12
 
     def test_determinism_byte_identical(self):
         cam = default_camera()
@@ -119,8 +127,8 @@ class TestDetect:
             lines = []
             for frame in range(40):
                 body = body_at(1.5, 2.5, 0.8 + 0.01 * frame)
-                for det in detect(tag_map, cam, noise, body, frame):
-                    lines.append(format_detection_line(frame, frame / 20.0, det))
+                lines += format_detection_lines(frame, frame / 20.0,
+                                                detect(tag_map, cam, noise, body, frame))
             streams.append("\n".join(lines))
         assert streams[0] == streams[1]
         assert len(streams[0]) > 0
@@ -134,18 +142,17 @@ class TestDetect:
         both = TagMap([a, b], (2.0, 2.0))
         only_b = TagMap([b], (2.0, 2.0))
         body = body_at(0, 0, 1.0)
-        det_both = [d for d in detect(both, cam, noise, body, 5) if d.tag_id == 1]
+        det_both = detect(both, cam, noise, body, 5)
         det_only = detect(only_b, cam, noise, body, 5)
-        assert np.array_equal(det_both[0].pose_tag_in_camera.position,
-                              det_only[0].pose_tag_in_camera.position)
+        assert np.array_equal(det_both.positions[det_both.ids == 1], det_only.positions)
 
     def test_seed_changes_stream(self):
         cam = default_camera()
         tag_map = single_tag_map()
         body = body_at(0, 0, 0.8)
-        d1 = detect(tag_map, cam, NoiseModel(0.01, 0.0, 100.0, seed=1), body, 0)[0]
-        d2 = detect(tag_map, cam, NoiseModel(0.01, 0.0, 100.0, seed=2), body, 0)[0]
-        assert not np.array_equal(d1.pose_tag_in_camera.position, d2.pose_tag_in_camera.position)
+        d1 = detect(tag_map, cam, NoiseModel(0.01, 0.0, 100.0, seed=1), body, 0).positions[0]
+        d2 = detect(tag_map, cam, NoiseModel(0.01, 0.0, 100.0, seed=2), body, 0).positions[0]
+        assert not np.array_equal(d1, d2)
 
 
 class TestNoiseStatistics:
@@ -157,11 +164,10 @@ class TestNoiseStatistics:
         cam = default_camera()
         tag_map = single_tag_map()
         body = body_at(0, 0, altitude)
-        exact = detect(tag_map, cam, NoiseModel.zero(), body, 0)[0].pose_tag_in_camera
+        exact = detect(tag_map, cam, NoiseModel.zero(), body, 0).positions[0]
         errors = np.empty((frames, 3))
         for frame in range(frames):
-            det = detect(tag_map, cam, noise, body, frame)[0]
-            errors[frame] = det.pose_tag_in_camera.position - exact.position
+            errors[frame] = detect(tag_map, cam, noise, body, frame).positions[0] - exact
         return errors
 
     def test_position_sigma_at_reference(self):
@@ -184,13 +190,12 @@ class TestNoiseStatistics:
         cam = default_camera()
         tag_map = single_tag_map()
         body = body_at(0, 0, self.REF_ALTITUDE)
-        exact = detect(tag_map, cam, NoiseModel.zero(), body, 0)[0].pose_tag_in_camera
+        exact = detect(tag_map, cam, NoiseModel.zero(), body, 0).quats[0]
+        exact = UnitQuaternion.from_array(exact)
         noise = NoiseModel(0.0, sigma, 100.0, seed=17)
         angles = [
             quat_rotation_angle(
-                detect(tag_map, cam, noise, body, k)[0].pose_tag_in_camera.orientation,
-                exact.orientation,
-            )
+                UnitQuaternion.from_array(detect(tag_map, cam, noise, body, k).quats[0]), exact)
             for k in range(10_000)
         ]
         expected = sigma * math.sqrt(2.0 / math.pi)
@@ -207,12 +212,18 @@ class TestNoiseStatistics:
 
 class TestDetectionInvariants:
     def test_tag_behind_camera_rejected(self):
-        with pytest.raises(ValueError):
-            Detection(0, Pose(np.array([0.0, 0.0, -1.0]), UnitQuaternion.identity()), 50.0)
+        for z in (-1.0, 0.0, -0.0):
+            with pytest.raises(ValueError, match="in front of the camera"):
+                one_row(position=(0.0, 0.0, z))
+        with pytest.raises(ValueError, match="in front of the camera"):  # one bad row of two
+            DetectionRows(np.array([1, 2]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+                          np.array([[1.0, 0.0, 0.0, 0.0]] * 2), np.array([50.0, 50.0]))
+        assert len(one_row()) == 1
+        assert len(one_row().take(slice(0, 0))) == 0
 
     def test_nan_depth_rejected(self):
         with pytest.raises(ValueError, match="in front of the camera"):
-            Detection(0, Pose(np.array([0.0, 0.0, math.nan]), UnitQuaternion.identity()), 50.0)
+            one_row(position=(0.0, 0.0, math.nan))
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
@@ -225,15 +236,32 @@ class TestDetectionInvariants:
 
 class TestStreamFormat:
     def test_line_round_trip_exact(self):
-        pose = Pose(np.array([0.123456789012345, -0.2, 1.5]),
-                    UnitQuaternion(0.7071067811865476, 0.0, 0.0, 0.7071067811865476))
-        det = Detection(17, pose, 86.5)
-        frame, t, back = parse_detection_line(format_detection_line(9, 0.45, det))
+        rows = one_row(17, (0.123456789012345, -0.2, 1.5),
+                       (0.7071067811865476, 0.0, 0.0, 0.7071067811865476), 86.5)
+        line, = format_detection_lines(9, 0.45, rows)
+        frame, t, tag_id, position, quat, apparent = parse_detection_line(line)
         assert frame == 9 and t == 0.45
-        assert back.tag_id == 17
-        assert np.array_equal(back.pose_tag_in_camera.position, pose.position)
-        assert back.pose_tag_in_camera.orientation == pose.orientation
-        assert back.apparent_side == det.apparent_side
+        assert tag_id == 17
+        assert position == tuple(rows.positions[0].tolist())
+        assert quat == tuple(rows.quats[0].tolist())
+        assert apparent == 86.5
+
+    def test_quaternion_renormalized_like_unit_quaternion(self):
+        for q in ((2.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5000001), (0.1, -0.3, 0.2, 0.9)):
+            line = "0 0.0 5 0.0 0.0 1.0 " + " ".join(map(repr, q)) + " 50.0"
+            unit = UnitQuaternion(*q)
+            assert parse_detection_line(line)[4] == (unit.w, unit.x, unit.y, unit.z)
+        with pytest.raises(ValueError, match="quaternion norm"):
+            parse_detection_line("0 0.0 5 0.0 0.0 1.0 0.0 0.0 0.0 0.0 50.0")
+
+    @pytest.mark.parametrize("line, match", [
+        ("0 0.0 5 0.0 0.0 -1.0 1.0 0.0 0.0 0.0 50.0", "in front of the camera"),
+        ("0 0.0 5 0.0 0.0 0.0 1.0 0.0 0.0 0.0 50.0", "in front of the camera"),
+        (f"0 0.0 {2**63} 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0", "tag id .* out of range"),
+    ], ids=["behind", "zero-depth", "id-out-of-range"])
+    def test_line_outside_the_row_form_rejected(self, line, match):
+        with pytest.raises(ValueError, match=match):
+            parse_detection_line(line)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
@@ -249,11 +277,41 @@ class TestStreamFormat:
             parse_detection_line(" ".join(tokens))
 
     def test_stream_grouped_by_frame_in_frame_order(self, tmp_path):
-        pose = Pose(np.array([0.1, -0.2, 1.5]), UnitQuaternion.identity())
-        lines = [format_detection_line(frame, t, Detection(tag, pose, 50.0))
+        lines = [format_detection_lines(frame, t, one_row(tag, (0.1, -0.2, 1.5)))[0]
                  for frame, t, tag in ((3, 0.15, 7), (1, 0.05, 2), (3, 0.15, 4))]
         path = tmp_path / "stream.txt"
         path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n", encoding="utf-8")
         frames = read_detection_stream(path)
         assert [(f.index, f.t, f.truth) for f in frames] == [(1, 0.05, None), (3, 0.15, None)]
-        assert [[d.tag_id for d in f.detections] for f in frames] == [[2], [7, 4]]
+        assert [f.detections.ids.tolist() for f in frames] == [[2], [7, 4]]
+
+    def test_stream_reads_back_simulated_rows(self, tmp_path):
+        noise = NoiseModel(0.01, 0.02, 100.0, outlier_probability=0.1,
+                           outlier_position_scale=12.0, outlier_rotation_scale=8.0)
+        cfg = RunConfig(spline_trajectory_t3(duration=2.0), build_pattern_map((3.0, 5.0)),
+                        default_camera(), noise, PipelineConfig(), 20.0, 7)
+        simulated = [f for f in simulate(cfg) if len(f.detections)]
+        # a frame with repeated ids, and one whose ids are all missing from the map
+        last = simulated[-1]
+        repeated = last.detections.take(np.array([0, 1, 0, 1]))
+        unknown = DetectionRows(np.array([9999, 123456789]), np.array([[0.0, 0.0, 1.0]] * 2),
+                                np.array([[1.0, 0.0, 0.0, 0.0]] * 2), np.array([50.0, 60.0]))
+        lines = [line for f in simulated
+                 for line in format_detection_lines(f.index, f.t, f.detections)]
+        lines += format_detection_lines(last.index + 1, 2.05, repeated)
+        lines += format_detection_lines(last.index + 2, 2.1, unknown)
+        path = tmp_path / "stream.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        frames = read_detection_stream(path)
+        expected = [(f.index, f.t, f.detections) for f in simulated]
+        expected += [(last.index + 1, 2.05, repeated), (last.index + 2, 2.1, unknown)]
+        assert len(frames) == len(expected) > 30
+        for frame, (index, t, rows) in zip(frames, expected):
+            assert (frame.index, frame.t, frame.truth) == (index, t, None)
+            got = frame.detections
+            assert got.ids.dtype == np.int64
+            assert np.array_equal(got.ids, rows.ids)
+            assert np.array_equal(got.positions, rows.positions)
+            assert np.array_equal(got.quats, rows.quats)
+            assert np.array_equal(got.apparent, rows.apparent)

@@ -231,6 +231,16 @@ class TestMapBuild:
     def test_too_small_extent_fails(self, tmp_path, capsys):
         assert main(["map-build", "--out", str(tmp_path / "x.txt"), "--width", "0.5"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_extent_names_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.txt"
+        assert main(["map-build", "--out", str(out), f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"taglok: {flag} must be a finite number (got {float(value)!r})" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_run_writes_outputs(self, tmp_path, capsys):
@@ -264,6 +274,23 @@ class TestRunCommand:
         map_path = tmp_path / "m.txt"
         save_map(build_pattern_map((3.0, 5.0)), map_path)
         assert main(["run", "--config", cfg, "--map", str(map_path)]) == 0
+
+    def test_bad_map_file_names_the_file_and_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUICK)
+        map_path = tmp_path / "m.txt"
+        map_path.write_text("tagmap v1 2.0 2.0\n-3 S 0.1 0.1 0.0 1 0 0 0\n", encoding="utf-8")
+        out = tmp_path / "ts.csv"
+        assert main(["run", "--config", cfg, "--map", str(map_path), "--out", str(out)]) == 2
+        assert f"taglok: {map_path}: line 2: bad id '-3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare", "dump-detections"])
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, QUICK)
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", cfg, "--seed", "-1", "--out", str(out)]) == 2
+        assert "taglok: --seed must be non-negative (got -1)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 COMPARE_CFG = """

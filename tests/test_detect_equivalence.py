@@ -1,8 +1,10 @@
 """The batched simulator against the object-per-tag simulator.
 
 Every comparison is exact (`==`): `detect` keeps each tag's noise stream
-and the scalar rounding of every step, so each detection must equal
-`loop_detect`'s bit for bit, and the same tags must be skipped.
+and the scalar rounding of every step, so each detection row must equal
+`loop_detect`'s detection bit for bit, and the same tags must be skipped.
+`visible_tags` is checked against an independent projection of every map
+tag through homogeneous matrices.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from taglok.geometry import Pose, quat_from_yaw
 from taglok.harness import spline_trajectory_t3, square_trajectory_t1
 from taglok.tagmap import build_pattern_map
 
-from oracles import loop_detect
+from oracles import loop_detect, pose_to_hmat, rows_from
 
 # the configuration file's default noise
 DEFAULT_NOISE = NoiseModel(position_sigma_at_ref=0.01, rotation_sigma_at_ref=0.02,
@@ -38,23 +40,53 @@ def trajectory_poses(trajectory, count=12):
     return poses
 
 
+def assert_same_rows(got, want):
+    assert got.ids.dtype == np.int64
+    assert got.positions.shape == (len(want), 3) and got.quats.shape == (len(want), 4)
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.quats, want.quats)
+    assert np.array_equal(got.apparent, want.apparent)
+
+
 def assert_same_detections(tag_map, cam, noise, poses, first_frame=0):
-    """Every frame's detections equal the loop form's; returns how many
+    """Every frame's detection rows equal the loop form's; returns how many
     detections and how many visible tags the frames had."""
     detected = visible = 0
     for frame, pose in enumerate(poses, start=first_frame):
         batched = detect(tag_map, cam, noise, pose, frame)
-        looped = loop_detect(tag_map, cam, noise, pose, frame)
-        assert [d.tag_id for d in batched] == [d.tag_id for d in looped]
-        for a, b in zip(batched, looped):
-            qa, qb = a.pose_tag_in_camera.orientation, b.pose_tag_in_camera.orientation
-            assert (qa.w, qa.x, qa.y, qa.z) == (qb.w, qb.x, qb.y, qb.z)
-            assert np.array_equal(a.pose_tag_in_camera.position, b.pose_tag_in_camera.position)
-            assert a.apparent_side == b.apparent_side
-            assert type(a.tag_id) is int and type(a.apparent_side) is float
+        assert_same_rows(batched, rows_from(loop_detect(tag_map, cam, noise, pose, frame)))
         detected += len(batched)
         visible += len(visible_tags(tag_map, cam, pose))
     return detected, visible
+
+
+def projected_visible_ids(tag_map, cam, body_pose):
+    """Ids of the tags in view, one tag at a time through 4x4 matrices: front
+    face toward the camera, all four corners in front of it and inside the
+    image, mean projected side at least the threshold."""
+    world_to_cam = np.linalg.inv(pose_to_hmat(body_pose) @ pose_to_hmat(cam.pose_in_body))
+    camera_center = np.linalg.inv(world_to_cam)[:3, 3]
+    width, height = cam.image_size
+    ids = []
+    for entry in tag_map.entries:
+        tag_to_world = pose_to_hmat(entry.pose_in_world)
+        half = 0.5 * entry.size_class.side_length
+        corners = [tag_to_world @ (x, y, 0.0, 1.0)
+                   for x, y in ((-half, -half), (half, -half), (half, half), (-half, half))]
+        if tag_to_world[:3, 2] @ (camera_center - tag_to_world[:3, 3]) <= 0.0:
+            continue
+        in_cam = [world_to_cam @ c for c in corners]
+        if any(c[2] <= 1e-9 for c in in_cam):
+            continue
+        pixels = [np.array([cam.principal[0] + cam.focal_px * c[0] / c[2],
+                            cam.principal[1] + cam.focal_px * c[1] / c[2]]) for c in in_cam]
+        if not all(0 <= u <= width and 0 <= v <= height for u, v in pixels):
+            continue
+        side = np.mean([np.linalg.norm(pixels[k] - pixels[k - 1]) for k in range(4)])
+        if side >= cam.detect_threshold_px:
+            ids.append(entry.tag_id)
+    return ids
 
 
 @pytest.mark.parametrize("z", [0.8, 1.4, 2.0])
@@ -97,7 +129,18 @@ def test_mount_offset_and_large_seed(pattern_map):
 def test_empty_view(pattern_map):
     far = [Pose(np.array([1.5, 2.5, 500.0]), quat_from_yaw(0.0))]
     assert assert_same_detections(pattern_map, default_camera(), DEFAULT_NOISE, far) == (0, 0)
-    assert detect(pattern_map, default_camera(), DEFAULT_NOISE, far[0], 0) == []
+    assert len(detect(pattern_map, default_camera(), DEFAULT_NOISE, far[0], 0)) == 0
+
+
+def test_visible_rows_are_the_tags_in_view_seen_without_noise(pattern_map):
+    cam = default_camera(mount_offset=np.array([0.05, -0.03, 0.02]))
+    poses = (hover_poses(0.8, 2) + hover_poses(1.4, 2) + hover_poses(2.0, 2)
+             + trajectory_poses(spline_trajectory_t3(), 6))
+    for k, pose in enumerate(poses):
+        visible = visible_tags(pattern_map, cam, pose)
+        assert visible.ids.tolist() == projected_visible_ids(pattern_map, cam, pose)
+        assert len(visible) == len(visible.ids) > 0
+        assert_same_rows(visible, detect(pattern_map, cam, NoiseModel.zero(), pose, k))
 
 
 def test_tags_pushed_behind_the_camera_are_skipped(pattern_map):

@@ -1,15 +1,17 @@
-"""The batched frame chain against the object-per-tag chain.
+"""The batched frame chain and tag selection against their object-per-tag
+forms.
 
 Every comparison is exact (`==`). The row helpers keep the scalar expression
 order and UnitQuaternion's conditional renormalization, so each estimate
 row must equal `loop_estimate_body_pose_per_tag` bit for bit. Quaternions
 are drawn with norms up to 1e-12 off unit, so products land on both sides
-of the renormalization threshold.
+of the renormalization threshold. `select_tags` must keep the very rows
+`loop_select_tags` keeps, in the same order.
 """
 
 import numpy as np
 
-from taglok.camsim import Detection, NoiseModel, default_camera
+from taglok.camsim import NoiseModel, default_camera
 from taglok.geometry import (
     Pose,
     UnitQuaternion,
@@ -19,10 +21,23 @@ from taglok.geometry import (
     rotate_vector,
 )
 from taglok.harness import RunConfig, hover_trajectory, simulate
-from taglok.pipeline import PipelineConfig, WeightScheme, estimate_body_pose_per_tag
+from taglok.pipeline import (
+    PipelineConfig,
+    ThsMode,
+    WeightScheme,
+    estimate_body_pose_per_tag,
+    select_tags,
+)
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
-from oracles import loop_estimate_body_pose_per_tag, random_unit_quat
+from oracles import (
+    Detection,
+    detections_from,
+    loop_estimate_body_pose_per_tag,
+    loop_select_tags,
+    random_unit_quat,
+    rows_from,
+)
 
 
 def _near_unit_quat(rng: np.random.Generator) -> UnitQuaternion:
@@ -80,7 +95,7 @@ def _random_scene(rng: np.random.Generator):
 
 
 def _assert_chain_equal(detections, tag_map, mount, weights):
-    got = estimate_body_pose_per_tag(detections, tag_map, mount, weights)
+    got = estimate_body_pose_per_tag(rows_from(detections), tag_map, mount, weights)
     ordered = sorted(detections, key=lambda d: d.tag_id)
     want = [e for e in (loop_estimate_body_pose_per_tag(d, tag_map, mount, weights)
                         for d in ordered) if e is not None]
@@ -109,17 +124,36 @@ def test_chain_bitwise_equal_on_every_frame_of_a_hover_at_two_meters():
     frames = list(simulate(cfg))
     assert len(frames) == 60 and min(len(f.detections) for f in frames) > 100
     for frame in frames:
-        _assert_chain_equal(frame.detections, cfg.tag_map, camera.pose_in_body, WeightScheme.W2)
+        _assert_chain_equal(detections_from(frame.detections), cfg.tag_map,
+                            camera.pose_in_body, WeightScheme.W2)
     # the same frames seen through an identity mount
     for frame in frames[:5]:
-        _assert_chain_equal(frame.detections, cfg.tag_map, Pose.identity(),
+        _assert_chain_equal(detections_from(frame.detections), cfg.tag_map, Pose.identity(),
                             WeightScheme.UNIFORM)
+        for mode in ThsMode:
+            _assert_selection_equal(detections_from(frame.detections), cfg.tag_map, mode)
 
 
 def test_chain_of_no_detections_is_empty():
     tag_map = build_pattern_map((1.0, 1.0))
-    empty = estimate_body_pose_per_tag([], tag_map, Pose.identity())
+    empty = estimate_body_pose_per_tag(rows_from([]), tag_map, Pose.identity())
     assert len(empty) == 0
     assert empty.positions.shape == (0, 3) and empty.quats.shape == (0, 4)
     unknown = [Detection(999, Pose(np.array([0.0, 0.0, 1.0]), UnitQuaternion.identity()), 50.0)]
-    assert len(estimate_body_pose_per_tag(unknown, tag_map, Pose.identity())) == 0
+    assert len(estimate_body_pose_per_tag(rows_from(unknown), tag_map, Pose.identity())) == 0
+
+
+def _assert_selection_equal(detections, tag_map, mode):
+    got = select_tags(rows_from(detections), tag_map, mode)
+    want = rows_from(loop_select_tags(detections, tag_map, mode))
+    for field in ("ids", "positions", "quats", "apparent"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+def test_selection_equal_to_object_form_on_random_scenes():
+    rng = np.random.default_rng(4042)
+    for _ in range(300):
+        tag_map, detections, _ = _random_scene(rng)
+        known = [d for d in detections if d.tag_id < len(tag_map)]  # input ids must resolve
+        for mode in ThsMode:
+            _assert_selection_equal(known, tag_map, mode)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from taglok.camsim import Detection, NoiseModel, default_camera, detect
+from taglok.camsim import NoiseModel, default_camera, detect
 from taglok.geometry import (
     Pose,
     UnitQuaternion,
@@ -33,6 +33,7 @@ from taglok.pipeline import (
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
 from oracles import (
+    Detection,
     PerTagEstimate,
     as_bundle,
     brute_force_chordal_mean,
@@ -40,9 +41,11 @@ from oracles import (
     hmat,
     naive_iqr_fences,
     naive_outlier_partition,
+    entry_of,
     pose_to_hmat,
     random_quat_cluster,
     riemannian_distance,
+    rows_from,
     unbundle,
 )
 
@@ -77,45 +80,47 @@ class TestSelectTags:
     def test_tbs_keeps_two_biggest_classes(self):
         tag_map = make_map({1: SizeClass.S, 2: SizeClass.M, 3: SizeClass.L})
         detections = [make_detection(i) for i in (1, 2, 3)]
-        selected = select_tags(detections, tag_map, ThsMode.TBS)
-        assert [d.tag_id for d in selected] == [2, 3]
+        selected = select_tags(rows_from(detections), tag_map, ThsMode.TBS)
+        assert selected.ids.tolist() == [2, 3]
 
     def test_tbs_single_class_keeps_all(self):
         tag_map = make_map({1: SizeClass.M, 2: SizeClass.M, 3: SizeClass.M})
         detections = [make_detection(i) for i in (3, 1, 2)]
-        selected = select_tags(detections, tag_map, ThsMode.TBS)
-        assert [d.tag_id for d in selected] == [1, 2, 3]
+        selected = select_tags(rows_from(detections), tag_map, ThsMode.TBS)
+        assert selected.ids.tolist() == [1, 2, 3]
 
     def test_jbt_takes_maximum_size(self):
         tag_map = make_map({7: SizeClass.XL, 3: SizeClass.L, 4: SizeClass.L})
         detections = [make_detection(i) for i in (3, 7, 4)]
-        selected = select_tags(detections, tag_map, ThsMode.JBT)
-        assert [d.tag_id for d in selected] == [7]
+        selected = select_tags(rows_from(detections), tag_map, ThsMode.JBT)
+        assert selected.ids.tolist() == [7]
 
     def test_jbt_tie_break_smallest_id(self):
         tag_map = make_map({3: SizeClass.L, 4: SizeClass.L})
-        selected = select_tags([make_detection(4), make_detection(3)], tag_map, ThsMode.JBT)
-        assert [d.tag_id for d in selected] == [3]
+        selected = select_tags(rows_from([make_detection(4), make_detection(3)]), tag_map,
+                               ThsMode.JBT)
+        assert selected.ids.tolist() == [3]
 
     def test_all_keeps_everything(self):
         tag_map = make_map({1: SizeClass.S, 2: SizeClass.XL})
         detections = [make_detection(2), make_detection(1)]
-        assert [d.tag_id for d in select_tags(detections, tag_map, ThsMode.ALL)] == [1, 2]
+        assert select_tags(rows_from(detections), tag_map, ThsMode.ALL).ids.tolist() == [1, 2]
 
     def test_empty_input(self):
         tag_map = make_map({1: SizeClass.S})
         for mode in ThsMode:
-            assert select_tags([], tag_map, mode) == []
+            assert len(select_tags(rows_from([]), tag_map, mode)) == 0
 
 
 class TestEstimateBodyPose:
     def test_tag_at_origin_camera_equals_body(self):
         # camera one meter above the tag, looking straight down; mount identity
         tag_map = make_map({0: SizeClass.XL})
-        entry_pose = tag_map.lookup(0).pose_in_world
+        entry_pose = entry_of(tag_map, 0).pose_in_world
         looking_down = UnitQuaternion(0.0, 1.0, 0.0, 0.0)  # half turn about x
         detection = Detection(0, Pose(np.array([0.0, 0.0, 1.0]), looking_down), 300.0)
-        est, = unbundle(estimate_body_pose_per_tag([detection], tag_map, Pose.identity()))
+        est, = unbundle(estimate_body_pose_per_tag(rows_from([detection]), tag_map,
+                                                   Pose.identity()))
         # oracle: T_B^W = T_tag^W @ inv(T_tag^C)
         expected = pose_to_hmat(entry_pose) @ np.linalg.inv(
             pose_to_hmat(detection.pose_tag_in_camera))
@@ -138,15 +143,17 @@ class TestEstimateBodyPose:
         detection = Detection(0, Pose(np.array([0.0, 0.0, 1.0]),
                                       UnitQuaternion(0.0, 1.0, 0.0, 0.0)), 300.0)
         offset = Pose(np.array([0.1, 0.0, 0.0]), UnitQuaternion.identity())
-        with_offset, = unbundle(estimate_body_pose_per_tag([detection], tag_map, offset))
+        with_offset, = unbundle(estimate_body_pose_per_tag(rows_from([detection]), tag_map,
+                                                           offset))
         # oracle: full chain with the mount inserted
         expected = (
-            pose_to_hmat(tag_map.lookup(0).pose_in_world)
+            pose_to_hmat(entry_of(tag_map, 0).pose_in_world)
             @ np.linalg.inv(pose_to_hmat(detection.pose_tag_in_camera))
             @ np.linalg.inv(pose_to_hmat(offset))
         )
         assert np.max(np.abs(pose_to_hmat(with_offset.body_pose_est) - expected)) < 1e-12
-        without, = unbundle(estimate_body_pose_per_tag([detection], tag_map, Pose.identity()))
+        without, = unbundle(estimate_body_pose_per_tag(rows_from([detection]), tag_map,
+                                                       Pose.identity()))
         shift = with_offset.body_pose_est.position - without.body_pose_est.position
         # body-frame lever arm expressed in world through the body attitude
         R_body = quat_to_matrix(without.body_pose_est.orientation)
@@ -154,15 +161,16 @@ class TestEstimateBodyPose:
 
     def test_unknown_id_skipped(self):
         tag_map = make_map({0: SizeClass.XL})
-        assert len(estimate_body_pose_per_tag([make_detection(99)], tag_map, Pose.identity())) == 0
+        unknown = rows_from([make_detection(99)])
+        assert len(estimate_body_pose_per_tag(unknown, tag_map, Pose.identity())) == 0
 
     def test_weight_from_scheme(self):
         tag_map = make_map({0: SizeClass.L})
-        est, = unbundle(estimate_body_pose_per_tag([make_detection(0)], tag_map, Pose.identity(),
-                                                   WeightScheme.W1))
+        est, = unbundle(estimate_body_pose_per_tag(rows_from([make_detection(0)]), tag_map,
+                                                   Pose.identity(), WeightScheme.W1))
         assert est.weight == 16.0
-        est, = unbundle(estimate_body_pose_per_tag([make_detection(0)], tag_map, Pose.identity(),
-                                                   WeightScheme.W2))
+        est, = unbundle(estimate_body_pose_per_tag(rows_from([make_detection(0)]), tag_map,
+                                                   Pose.identity(), WeightScheme.W2))
         assert est.weight == 4.0
 
 
@@ -441,7 +449,7 @@ class TestStep:
 
     def test_no_detections_gives_reason(self):
         tag_map = make_map({0: SizeClass.L})
-        out, state = step([], tag_map, PipelineConfig())
+        out, state = step(rows_from([]), tag_map, PipelineConfig())
         assert out.pose is None
         assert out.stage_trace.reason == "no-tags"
         assert state.fir_history == ()
@@ -449,13 +457,13 @@ class TestStep:
     def test_unknown_ids_dropped_and_counted(self):
         tag_map = make_map({0: SizeClass.L})
         detections = [make_detection(0), make_detection(99), make_detection(100)]
-        out, _ = step(detections, tag_map, PipelineConfig())
+        out, _ = step(rows_from(detections), tag_map, PipelineConfig())
         assert out.stage_trace.unknown_ids == (99, 100)
         assert out.pose is not None
 
     def test_only_unknown_ids_no_estimate(self):
         tag_map = make_map({0: SizeClass.L})
-        out, _ = step([make_detection(99)], tag_map, PipelineConfig())
+        out, _ = step(rows_from([make_detection(99)]), tag_map, PipelineConfig())
         assert out.pose is None and out.stage_trace.reason == "no-tags"
 
     def test_all_rejected_reason(self):
@@ -470,7 +478,7 @@ class TestStep:
         entries = [TagEntry(i, Pose(np.array([0.0 if i < 4 else 5.0, 2.0 * i, 0.0]),
                                     UnitQuaternion.identity()), SizeClass.L) for i in range(5)]
         spread_map = TagMap(entries, (10.0, 12.0))
-        out, state = step(detections, spread_map, PipelineConfig(ths=ThsMode.ALL))
+        out, state = step(rows_from(detections), spread_map, PipelineConfig(ths=ThsMode.ALL))
         assert out.pose is None
         assert out.stage_trace.reason == "all-rejected"
         assert len(out.stage_trace.rejected_ids) == 5
@@ -514,13 +522,13 @@ class TestStep:
                 make_detection(i, (rng.normal(scale=0.3), rng.normal(scale=0.3), 1.0))
                 for i in range(8)
             ]
-            out, _ = step(detections, tag_map, PipelineConfig(ths=ThsMode.ALL))
+            out, _ = step(rows_from(detections), tag_map, PipelineConfig(ths=ThsMode.ALL))
             assert not set(out.tags_used) & set(out.stage_trace.rejected_ids)
 
     def test_trace_serializes(self):
         import json
         tag_map = make_map({0: SizeClass.L})
-        out, _ = step([make_detection(0)], tag_map, PipelineConfig())
+        out, _ = step(rows_from([make_detection(0)]), tag_map, PipelineConfig())
         assert json.dumps(out.stage_trace.to_dict())
 
 
@@ -533,9 +541,10 @@ class TestPipelineInvariants:
             mapping = {i: classes[rng.integers(0, 4)] for i in range(n)}
             tag_map = make_map(mapping)
             detections = [make_detection(i) for i in mapping]
-            jbt = {d.tag_id for d in select_tags(detections, tag_map, ThsMode.JBT)}
-            tbs = {d.tag_id for d in select_tags(detections, tag_map, ThsMode.TBS)}
-            every = {d.tag_id for d in select_tags(detections, tag_map, ThsMode.ALL)}
+            rows = rows_from(detections)
+            jbt = set(select_tags(rows, tag_map, ThsMode.JBT).ids.tolist())
+            tbs = set(select_tags(rows, tag_map, ThsMode.TBS).ids.tolist())
+            every = set(select_tags(rows, tag_map, ThsMode.ALL).ids.tolist())
             assert jbt <= tbs <= every
 
     def test_permutation_invariance_exact(self):
@@ -546,11 +555,11 @@ class TestPipelineInvariants:
             for i in range(6)
         ]
         cfg = PipelineConfig(ths=ThsMode.ALL)
-        baseline, _ = step(detections, tag_map, cfg)
+        baseline, _ = step(rows_from(detections), tag_map, cfg)
         for _ in range(10):
             shuffled = list(detections)
             rng.shuffle(shuffled)
-            out, _ = step(shuffled, tag_map, cfg)
+            out, _ = step(rows_from(shuffled), tag_map, cfg)
             assert np.array_equal(out.pose.position, baseline.pose.position)
             assert out.pose.orientation == baseline.pose.orientation
             assert out.tags_used == baseline.tags_used

@@ -7,7 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from taglok.camsim import Detection, down_facing_mount  # noqa: E402
+from taglok.camsim import down_facing_mount  # noqa: E402
 from taglok.geometry import Pose, UnitQuaternion, quat_multiply, quat_to_matrix  # noqa: E402
 from taglok.pipeline import (  # noqa: E402
     EQUAL_SPREAD_TOL,
@@ -22,7 +22,14 @@ from taglok.pipeline import (  # noqa: E402
 )
 from taglok.tagmap import build_pattern_map  # noqa: E402
 
-from oracles import PerTagEstimate, as_bundle, naive_outlier_partition, unbundle  # noqa: E402
+from oracles import (  # noqa: E402
+    Detection,
+    PerTagEstimate,
+    as_bundle,
+    naive_outlier_partition,
+    rows_from,
+    unbundle,
+)
 
 # small integers make ties, duplicate points and zero-spread axes common
 _small_int_points = st.lists(
@@ -117,7 +124,8 @@ def test_step_never_raises_or_returns_a_non_finite_pose(frames):
                                         rot_mean=rot_mean, camera_in_body=down_facing_mount())
                 state = None
                 for t, detections in enumerate(frames):
-                    output, state = step(detections, _ONE_TILE, config, state, float(t))
+                    output, state = step(rows_from(detections), _ONE_TILE, config, state,
+                                         float(t))
                     if output.pose is not None:
                         assert np.all(np.isfinite(output.pose.position))
                         assert np.all(np.isfinite(output.pose.orientation.as_array()))

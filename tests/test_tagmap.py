@@ -136,14 +136,30 @@ class TestBuildPatternMap:
 class TestTagMap:
     def test_lookup(self):
         tag_map = build_pattern_map((3.0, 5.0))
-        entry = tag_map.lookup(0)
-        assert entry is not None and entry.tag_id == 0
-        assert tag_map.lookup(10_000) is None
+        rows = tag_map.world_frames().rows_of(np.array([0, 10_000, -1, 254, 255, 0]))
+        assert rows.tolist() == [0, -1, -1, 254, -1, 0]
+        empty = TagMap([], (1.0, 1.0)).world_frames()
+        assert empty.rows_of(np.array([0, 3])).tolist() == [-1, -1]
+        assert empty.corners.shape == (0, 4, 3) and empty.quats.shape == (0, 4)
 
     def test_every_generated_id_resolves(self):
         tag_map = build_pattern_map((3.0, 5.0))
-        for entry in tag_map.entries:
-            assert tag_map.lookup(entry.tag_id) is entry
+        m = tag_map.world_frames()
+        entries = tag_map.entries
+        rows = m.rows_of(np.array([e.tag_id for e in entries]))
+        assert rows.tolist() == list(range(len(entries)))
+        for row, entry in zip(rows, entries):
+            assert m.ids[row] == entry.tag_id
+            assert m.classes[row] == entry.size_class.class_index
+            assert np.array_equal(m.positions[row], entry.pose_in_world.position)
+            assert np.array_equal(m.quats[row], entry.pose_in_world.orientation.as_array())
+
+    def test_rows_of_sparse_ids(self):
+        entries = [TagEntry(i, Pose(np.array([2.0 * k, 0.0, 0.0]), UnitQuaternion.identity()),
+                            SizeClass.L) for k, i in enumerate((40, 3, 2**40, 17))]
+        m = TagMap(entries, (10.0, 2.0)).world_frames()
+        assert m.ids.tolist() == [3, 17, 40, 2**40]
+        assert m.rows_of(np.array([2**40, 17, 18, 3, 0, 2**41])).tolist() == [3, 1, -1, 0, -1, -1]
 
     def test_duplicate_ids_rejected(self):
         entry = TagEntry(3, Pose.identity(), SizeClass.S)
@@ -164,19 +180,20 @@ class TestTagMap:
 
     def test_world_frames_shapes(self):
         tag_map = build_pattern_map((3.0, 5.0))
-        ids, sides, centers, normals, corners = tag_map.world_frames()
+        m = tag_map.world_frames()
+        assert tag_map.world_frames() is m  # built once
         n = len(tag_map)
-        assert ids.shape == (n,) and sides.shape == (n,)
-        assert centers.shape == (n, 3) and normals.shape == (n, 3)
-        assert corners.shape == (n, 4, 3)
+        assert m.ids.shape == (n,) and m.ids.dtype == np.int64 and m.classes.shape == (n,)
+        assert m.positions.shape == (n, 3) and m.quats.shape == (n, 4)
+        assert m.normals.shape == (n, 3) and m.corners.shape == (n, 4, 3)
         # floor map: all normals point up, corners at z = 0
-        assert np.allclose(normals, [0.0, 0.0, 1.0])
-        assert np.allclose(corners[:, :, 2], 0.0)
+        assert np.allclose(m.normals, [0.0, 0.0, 1.0])
+        assert np.allclose(m.corners[:, :, 2], 0.0)
 
     def test_world_frames_corner_geometry(self):
         entry = TagEntry(7, Pose(np.array([1.0, 2.0, 0.0]), UnitQuaternion.identity()), SizeClass.XL)
         tag_map = TagMap([entry], (4.0, 4.0))
-        _, _, _, _, corners = tag_map.world_frames()
+        corners = tag_map.world_frames().corners
         half = 0.23
         expected = np.array(
             [[1 - half, 2 - half, 0], [1 + half, 2 - half, 0], [1 + half, 2 + half, 0], [1 - half, 2 + half, 0]]
@@ -209,10 +226,10 @@ class TestMapFile:
         tag_map = parse_map(text)
         assert len(tag_map) == 2
         assert tag_map.extent == (2.0, 3.0)
-        xl = tag_map.lookup(4)
+        xl, s = tag_map.entries
+        assert xl.tag_id == 4 and s.tag_id == 9
         assert xl.size_class is SizeClass.XL
         assert np.array_equal(xl.pose_in_world.position, [0.5, 0.25, 0.0])
-        s = tag_map.lookup(9)
         assert s.size_class is SizeClass.S
         assert s.pose_in_world.orientation.w == pytest.approx(math.cos(math.pi / 4))
 
