@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,14 @@ from .tagmap import TagMap
 
 DEFAULT_DETECT_THRESHOLD_PX = 12.0
 _Z_AXIS = np.array([0.0, 0.0, 1.0])  # rotation axis when the drawn one is ~zero
+
+# numpy's SeedSequence hash constants and the PCG64 LCG multiplier (as its
+# high and low 64-bit halves)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -189,6 +198,136 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
                          quat_multiply_rows(cam_q, m.quats[rows]), apparent[rows])
 
 
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence makes of a non-negative
+    int; 0 gives one word."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+@cache
+def _hash_chain(const: int, mult: int, count: int) -> np.ndarray:
+    """`count + 1` successive values of SeedSequence's running hash
+    multiplier, starting at `const`, as a read-only (count + 1, 1) uint32
+    column."""
+    chain = [const]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & _MASK32)
+    column = np.array(chain, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hash(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the rows of `words`, one multiplier step of
+    `chain` per row."""
+    mixed = (words ^ chain[:-1]) * chain[1:]
+    return mixed ^ (mixed >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _seed_pool(prefix: list[int], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool (4, n) of the entropy words `prefix + [lo, hi]`
+    per row, `hi` being zero where the row's id is a single word.
+
+    In the first four words a missing word hashes like a zero word, so a
+    zero `hi` stands in for it there; a later `hi` is mixed in only where it
+    is nonzero."""
+    words = [*prefix, lo, hi]
+    chain = _hash_chain(_INIT_A, _MULT_A, 4 * max(4, len(words)))
+    head = np.zeros((4, len(lo)), dtype=np.uint32)
+    for row, word in enumerate(words[:4]):
+        head[row] = word
+    pool = _hash(head, chain[:5])
+    c = 4
+    for src in range(4):  # every word into every other, in numpy's order
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], chain[c:c + 4]))
+        c += 3
+    for k, word in enumerate(words[4:], start=4):
+        mixed = _mix(pool, _hash(word, chain[c:c + 5]))
+        c += 4
+        pool = mixed if k < len(words) - 1 else np.where(hi != 0, mixed, pool)
+    return pool
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of each 128-bit product a * b, from 32-bit halves."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the 128-bit LCG, state * multiplier + inc, in uint64 halves."""
+    product_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return product_hi + inc_hi + (lo < inc_lo), lo
+
+
+def _seeded_states(seed: int, frame_index: int, ids: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 128-bit state and increment of `PCG64((seed, frame_index, id))`
+    per id, as uint64 halves (state high, state low, inc high, inc low).
+
+    numpy's seeding, computed for all ids at once: SeedSequence hashes the
+    uint32 words of (seed, frame, id) into a pool of four words and draws
+    four uint64 words from it, which pcg_setseq_128_srandom_r turns into an
+    odd increment and a state stepped once.
+    """
+    if seed < 0 or frame_index < 0 or (len(ids) and ids.min() < 0):
+        raise ValueError("noise stream keys (seed, frame, tag id) must be non-negative")
+    wide_ids = ids.astype(np.uint64)
+    pool = _seed_pool(_uint32_words(seed) + _uint32_words(frame_index),
+                      (wide_ids & _MASK32).astype(np.uint32), (wide_ids >> 32).astype(np.uint32))
+    words = _hash(np.concatenate([pool, pool]), _hash_chain(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = words[0::2] | (words[1::2] << 32)
+    inc_hi = (inc_hi << 1) | (inc_lo >> 63)
+    inc_lo = (inc_lo << 1) | 1
+    lo = inc_lo + seed_lo  # the state is inc after the first step from zero
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _noise_draws(seed: int, frame_index: int, ids: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each tag's first uniform (n,) and next seven normals (n, 7) from its
+    own stream `default_rng((seed, frame_index, id))`, value for value.
+
+    The uniform is one LCG step's XSL-RR output u as `random()` takes it,
+    (u >> 11) * 2**-53, for all tags at once. The normals come from numpy's
+    own sampler, one PCG64 being set to each tag's stepped state in turn.
+    """
+    hi, lo, inc_hi, inc_lo = _seeded_states(seed, frame_index, ids)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    xored, rot = hi ^ lo, hi >> 58
+    output = (xored >> rot) | (xored << ((64 - rot) & 63))
+    uniform = (output >> 11).astype(np.float64) * 2.0**-53
+
+    normals = np.empty((len(ids), 7))
+    if len(ids):
+        bit_generator = np.random.PCG64(0)
+        sampler = np.random.Generator(bit_generator)
+        state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        stream = state["state"]
+        for row, high, low, inc_high, inc_low in zip(normals, hi.tolist(), lo.tolist(),
+                                                     inc_hi.tolist(), inc_lo.tolist()):
+            stream["state"], stream["inc"] = high << 64 | low, inc_high << 64 | inc_low
+            bit_generator.state = state
+            sampler.standard_normal(out=row)
+    return uniform, normals
+
+
 def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
            body_pose_true: Pose, frame_index: int) -> DetectionRows:
     """Simulated detections for one frame, deterministic in (seed, frame, tag).
@@ -202,6 +341,11 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     extreme enough to push the tag behind the camera counts as a failed
     detection and the tag is skipped for that frame.
 
+    The streams are still `default_rng((seed, frame, tag))` value for value,
+    but their seeding (SeedSequence hashing and PCG64 set-up) and the
+    uniforms are computed for all tags at once (`_noise_draws`); the normals
+    still come from numpy's sampler, run from each tag's stream state.
+
     All tags of the frame are perturbed at once, with the rounding of the
     per-tag form (`oracles.loop_detect` in the tests): Python's ** for the
     scale (numpy's array power differs in the last bit), math.cos/math.sin
@@ -211,9 +355,7 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     """
     exact = visible_tags(tag_map, cam, body_pose_true)
     n = len(exact)
-    rngs = [np.random.default_rng((noise.seed, int(frame_index), i)) for i in exact.ids.tolist()]
-    uniform = np.array([rng.random() for rng in rngs])  # each stream: a uniform, then normals
-    normals = np.array([rng.standard_normal(7) for rng in rngs]).reshape(n, 7)
+    uniform, normals = _noise_draws(noise.seed, int(frame_index), exact.ids)
     ref, exponent = noise.reference_apparent_size, noise.size_exponent
     scale = np.array([(ref / apparent) ** exponent for apparent in exact.apparent.tolist()])
 

@@ -30,7 +30,10 @@ def wrap_angle(angle: float) -> float:
 def unit_components(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
     """(w, x, y, z) as floats, rescaled to unit norm when it is off by more
     than the tolerance; ValueError on a non-finite or near-zero norm."""
-    norm = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    try:
+        norm = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    except OverflowError:  # a float component of about 1.4e154 or more
+        norm = math.inf
     if not math.isfinite(norm):
         raise ValueError("quaternion norm is not finite")
     if norm < _NORM_TOL:

@@ -215,6 +215,17 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
     )
 
 
+def _sorted_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
+    """The q-quantile of each column of `ordered`, sorted along axis 0, as
+    np.percentile's default (linear, type 7) method gives it bit for bit:
+    numpy's interpolation switches to b - (b - a) * (1 - t) at t >= 0.5."""
+    index = (len(ordered) - 1) * q
+    below = int(index)
+    t = index - below
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def iqr_bounds(samples: Sequence[float] | np.ndarray, gain: float = 1.5
                ) -> tuple[float | np.ndarray, float | np.ndarray] | None:
     """Tukey fences (Q1 - gain*IQR, Q3 + gain*IQR) with linearly interpolated
@@ -222,9 +233,13 @@ def iqr_bounds(samples: Sequence[float] | np.ndarray, gain: float = 1.5
     column for an (n, k) array. Returns None for fewer than three samples."""
     if len(samples) < 3:
         return None
-    q1, q3 = np.percentile(np.asarray(samples, dtype=float), [25.0, 75.0], axis=0)
+    samples = np.asarray(samples, dtype=float)
+    ordered = np.sort(samples.reshape(len(samples), -1), axis=0)
+    ordered[:, np.isnan(ordered[-1])] = np.nan  # sorted last; numpy's quartiles are NaN
+    q1, q3 = _sorted_quantile(ordered, 0.25), _sorted_quantile(ordered, 0.75)
     spread = q3 - q1
-    return q1 - gain * spread, q3 + gain * spread
+    lower, upper = q1 - gain * spread, q3 + gain * spread
+    return (lower, upper) if samples.ndim > 1 else (lower[0], upper[0])
 
 
 def remove_outliers(estimates: TagEstimates, gain: float = 1.5

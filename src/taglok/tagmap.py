@@ -296,10 +296,11 @@ def parse_map(text: str) -> TagMap:
             tag_id = int(tokens[0])
         except ValueError:
             tag_id = -1  # reported like a negative id
-        if tag_id < 0:
-            # ids key the simulator's noise streams, which take no negative key
+        if not 0 <= tag_id < 2**63:
+            # ids key the simulator's noise streams, which take no negative
+            # key, and are stacked as int64
             raise MapFormatError(
-                f"line {line_no}: bad id {tokens[0]!r} (must be a non-negative integer)")
+                f"line {line_no}: bad id {tokens[0]!r} (must be an integer in [0, 2**63))")
         if tag_id in seen_ids:
             raise MapFormatError(f"line {line_no}: duplicate id {tag_id}")
         seen_ids.add(tag_id)

@@ -284,6 +284,20 @@ class TestRunCommand:
         assert f"taglok: {map_path}: line 2: bad id '-3'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tag_line, message", [
+        ("9223372036854775808 S 0.1 0.1 0.0 1 0 0 0", "bad id '9223372036854775808'"),
+        ("3 S 0.1 0.1 0.0 1e200 0 0 0", "bad quaternion (quaternion norm is not finite)"),
+    ], ids=["id-2**63", "overflowing-quaternion"])
+    def test_out_of_range_map_value_names_the_file_and_line(self, tmp_path, capsys,
+                                                            tag_line, message):
+        cfg = write_cfg(tmp_path, QUICK)
+        map_path = tmp_path / "m.txt"
+        map_path.write_text(f"tagmap v1 2.0 2.0\n{tag_line}\n", encoding="utf-8")
+        out = tmp_path / "ts.csv"
+        assert main(["run", "--config", cfg, "--map", str(map_path), "--out", str(out)]) == 2
+        assert f"taglok: {map_path}: line 2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "compare", "dump-detections"])
     def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path, QUICK)
@@ -403,6 +417,17 @@ class TestDumpAndReplay:
                      "--out", str(est)]) == 2
         err = capsys.readouterr().err
         assert f"{stream}: line 4: " in err
+        assert not est.exists()
+
+    def test_overflowing_quaternion_line_names_file_and_line(self, tmp_path, capsys):
+        # 1e200 squared overflows a float: reported as a bad line, not a traceback
+        cfg_path = write_cfg(tmp_path, QUICK)
+        stream = tmp_path / "stream.txt"
+        est = tmp_path / "est.csv"
+        stream.write_text("0 0.0 5 0.0 0.0 1.0 1e200 0.0 0.0 0.0 50.0\n", encoding="utf-8")
+        assert main(["replay", "--config", cfg_path, "--detections", str(stream),
+                     "--out", str(est)]) == 2
+        assert f"taglok: {stream}: line 1: quaternion norm is not finite" in capsys.readouterr().err
         assert not est.exists()
 
     def test_dump_deterministic(self, tmp_path):

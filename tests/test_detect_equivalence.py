@@ -3,19 +3,27 @@
 Every comparison is exact (`==`): `detect` keeps each tag's noise stream
 and the scalar rounding of every step, so each detection row must equal
 `loop_detect`'s detection bit for bit, and the same tags must be skipped.
-`visible_tags` is checked against an independent projection of every map
-tag through homogeneous matrices.
+The batched seeding of the noise streams is checked against one
+`default_rng((seed, frame, tag))` per tag, `visible_tags` against an
+independent projection of every map tag through homogeneous matrices.
 """
 
 import numpy as np
 import pytest
 
-from taglok.camsim import NoiseModel, default_camera, detect, visible_tags
+from taglok.camsim import (
+    NoiseModel,
+    _noise_draws,
+    _seeded_states,
+    default_camera,
+    detect,
+    visible_tags,
+)
 from taglok.geometry import Pose, quat_from_yaw
 from taglok.harness import spline_trajectory_t3, square_trajectory_t1
-from taglok.tagmap import build_pattern_map
+from taglok.tagmap import TagEntry, TagMap, build_pattern_map
 
-from oracles import loop_detect, pose_to_hmat, rows_from
+from oracles import _noise_rng, loop_detect, pose_to_hmat, rows_from
 
 # the configuration file's default noise
 DEFAULT_NOISE = NoiseModel(position_sigma_at_ref=0.01, rotation_sigma_at_ref=0.02,
@@ -150,3 +158,70 @@ def test_tags_pushed_behind_the_camera_are_skipped(pattern_map):
     detected, visible = assert_same_detections(pattern_map, default_camera(), noise,
                                                hover_poses(0.8))
     assert 0 < detected < visible
+
+
+# --- the batched seeding of the per-tag noise streams ---
+
+def assert_draws_match_streams(seed, frame, ids):
+    """`_seeded_states` and `_noise_draws` equal one stream per tag: its
+    PCG64 state and increment, `random()`, then `standard_normal(7)`."""
+    ids = np.array(ids, dtype=np.int64)
+    hi, lo, inc_hi, inc_lo = _seeded_states(seed, frame, ids)
+    uniform, normals = _noise_draws(seed, frame, ids)
+    assert uniform.shape == (len(ids),) and normals.shape == (len(ids), 7)
+    for k, tag_id in enumerate(ids.tolist()):
+        rng = _noise_rng(NoiseModel(seed=seed), frame, tag_id)
+        pcg = rng.bit_generator.state["state"]
+        assert (int(hi[k]) << 64 | int(lo[k]), int(inc_hi[k]) << 64 | int(inc_lo[k])) \
+            == (pcg["state"], pcg["inc"]), (seed, frame, tag_id)
+        assert uniform[k] == rng.random(), (seed, frame, tag_id)
+        assert np.array_equal(normals[k], rng.standard_normal(7)), (seed, frame, tag_id)
+
+
+# SeedSequence hashes each key as little-endian uint32 words (0 is one word),
+# so a frame's keys take 3 to 7 words; past four the pool mixes them in later
+WORD_BOUNDARY_IDS = [0, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+@pytest.mark.parametrize("frame", [0, 2**32])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64])
+def test_noise_draws_at_word_boundaries(seed, frame):
+    assert_draws_match_streams(seed, frame, WORD_BOUNDARY_IDS)
+
+
+@pytest.mark.parametrize("seed, frame", [(11, 7), (2**32 + 7, 2**31), (2**64, 2**32)])
+def test_noise_draws_mix_one_and_two_word_ids(seed, frame):
+    ids = [5, 2**40 + 3, 0, 2**32, 114, 2**62 + 2**33 + 9, 2**32 - 1, 77]
+    assert_draws_match_streams(seed, frame, ids)
+
+
+@pytest.mark.parametrize("seed, frame, tag_id", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_negative_stream_key_rejected_like_default_rng(seed, frame, tag_id):
+    with pytest.raises(ValueError):
+        np.random.default_rng((seed, frame, tag_id))
+    with pytest.raises(ValueError, match="non-negative"):
+        _noise_draws(seed, frame, np.array([3, tag_id], dtype=np.int64))
+
+
+def test_wide_map_ids(pattern_map):
+    # the same tags under ids of two uint32 words: detect still equals the
+    # per-tag streams
+    wide = TagMap([TagEntry(2**33 * (entry.tag_id + 1) + entry.tag_id, entry.pose_in_world,
+                            entry.size_class) for entry in pattern_map.entries],
+                  pattern_map.extent)
+    detected, _ = assert_same_detections(wide, default_camera(), DEFAULT_NOISE,
+                                         hover_poses(1.4, 3))
+    assert detected > 0
+
+
+def test_noise_draws_match_streams_on_random_keys():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 2**80), st.integers(0, 2**70),
+                      st.lists(st.integers(0, 2**63 - 1), max_size=6))
+    def check(seed, frame, ids):
+        assert_draws_match_streams(seed, frame, ids)
+
+    check()

@@ -65,6 +65,8 @@ class TestUnitQuaternion:
         (math.inf, 0.0, 0.0, 0.0),
         (1.0, 0.0, -math.inf, 0.0),
         (1.0, 0.0, 0.0, math.nan),
+        (1e200, 0.0, 0.0, 0.0),  # finite, but its square overflows
+        (1.0, 0.0, 0.0, -1e155),
     ])
     def test_non_finite_rejected(self, components):
         with pytest.raises(ValueError, match="not finite"):

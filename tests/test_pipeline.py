@@ -203,6 +203,51 @@ class TestIqrBounds:
             gain = float(rng.uniform(0.5, 3.0))
             assert iqr_bounds(samples, gain) == pytest.approx(naive_iqr_fences(samples, gain))
 
+    @staticmethod
+    def percentile_fences(samples, gain):
+        q1, q3 = np.percentile(samples, [25.0, 75.0], axis=0)
+        return q1 - gain * (q3 - q1), q3 + gain * (q3 - q1)
+
+    @staticmethod
+    def low_form_quantile(samples, q):
+        # a + (b - a) * t at every t: numpy switches away from it at t >= 0.5
+        ordered = np.sort(samples, axis=0)
+        index = (len(samples) - 1) * q
+        a, b = ordered[int(index)], ordered[min(int(index) + 1, len(samples) - 1)]
+        return a + (b - a) * (index - int(index))
+
+    def test_equals_percentile_bit_for_bit(self):
+        # n = 3..120 puts each quartile at every fractional index 0, .25, .5
+        # and .75; integer grids make ties
+        rng = np.random.default_rng(2027)
+        switched_form_differs = 0
+        for n in range(3, 121):
+            for ties in (False, True):
+                if ties:
+                    samples = rng.integers(-4, 5, size=(n, 3)) * 0.37
+                else:
+                    samples = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3)
+                gain = float(rng.uniform(0.5, 3.0))
+                lower, upper = iqr_bounds(samples, gain)
+                want_lower, want_upper = self.percentile_fences(samples, gain)
+                assert np.array_equal(lower, want_lower) and np.array_equal(upper, want_upper)
+                flat = iqr_bounds(samples[:, 0].tolist(), gain)
+                assert flat == (want_lower[0], want_upper[0])
+                assert all(type(fence) is np.float64 for fence in flat)
+                q1, q3 = np.percentile(samples, [25.0, 75.0], axis=0)
+                switched_form_differs += (np.any(self.low_form_quantile(samples, 0.25) != q1)
+                                          or np.any(self.low_form_quantile(samples, 0.75) != q3))
+        assert switched_form_differs > 0  # the t >= 0.5 form was needed, not just taken
+
+    def test_non_finite_columns_match_percentile(self):
+        rng = np.random.default_rng(5)
+        samples = rng.normal(size=(9, 3))
+        samples[4, 0], samples[2, 1] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            got, want = iqr_bounds(samples), self.percentile_fences(samples, 1.5)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[0][0]) and np.isfinite(got[0][2])
+
 
 class TestRemoveOutliers:
     def test_single_axis_outlier_rejected(self):

@@ -265,9 +265,13 @@ class TestMapFile:
         ("tagmap v1 2.0 2.0\n1 S nan 0.1 0.0 1 0 0 0\n", "line 2.*px"),
         ("tagmap v1 2.0 2.0\n1 S 0.1 0.1 -inf 1 0 0 0\n", "line 2.*pz"),
         ("tagmap v1 2.0 2.0\n1 S 0.1 0.1 0.0 1 nan 0 0\n", "line 2.*qx"),
+        ("tagmap v1 2.0 2.0\n3 S 0.1 0.1 0.0 1 1e200 0 0\n", "line 2.*norm is not finite"),
         ("tagmap v1 2.0 2.0\n-3 S 0.1 0.1 0.0 1 0 0 0\n", "line 2.*bad id '-3'"),
+        ("tagmap v1 2.0 2.0\n9223372036854775808 S 0.1 0.1 0.0 1 0 0 0\n",
+         "line 2.*bad id '9223372036854775808'"),
     ], ids=["nan-height", "inf-width", "negative-width", "zero-height",
-            "nan-position", "inf-position", "nan-quaternion", "negative-id"])
+            "nan-position", "inf-position", "nan-quaternion", "overflowing-quaternion",
+            "negative-id", "id-2**63"])
     def test_non_finite_or_non_positive_values_name_the_line(self, text, match):
         with pytest.raises(MapFormatError, match=match):
             parse_map(text)
