@@ -51,7 +51,6 @@ class CameraModel:
     principal: tuple[float, float]
     image_size: tuple[int, int]
     pose_in_body: Pose
-    frame_rate: float = 30.0
     detect_threshold_px: float = DEFAULT_DETECT_THRESHOLD_PX
 
     def __post_init__(self) -> None:
@@ -59,8 +58,6 @@ class CameraModel:
             raise ValueError("focal length must be positive")
         if self.image_size[0] <= 0 or self.image_size[1] <= 0:
             raise ValueError("image size must be positive")
-        if self.frame_rate <= 0:
-            raise ValueError("frame rate must be positive")
         if self.detect_threshold_px <= 0:
             raise ValueError("detectability threshold must be positive")
 
@@ -77,7 +74,6 @@ def down_facing_mount(offset: np.ndarray | None = None) -> Pose:
 
 def default_camera(focal_px: float = 600.0,
                    image_size: tuple[int, int] = (1280, 720),
-                   frame_rate: float = 30.0,
                    mount_offset: np.ndarray | None = None,
                    detect_threshold_px: float = DEFAULT_DETECT_THRESHOLD_PX) -> CameraModel:
     width, height = image_size
@@ -86,7 +82,6 @@ def default_camera(focal_px: float = 600.0,
         principal=(width / 2.0, height / 2.0),
         image_size=image_size,
         pose_in_body=down_facing_mount(mount_offset),
-        frame_rate=frame_rate,
         detect_threshold_px=detect_threshold_px,
     )
 

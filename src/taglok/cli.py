@@ -19,11 +19,19 @@ from typing import Callable
 
 import numpy as np
 
-from .camsim import NoiseModel, default_camera, format_detection_lines, read_detection_stream
+from .camsim import (
+    CameraModel,
+    NoiseModel,
+    default_camera,
+    format_detection_lines,
+    read_detection_stream,
+)
 from .harness import (
     RunConfig,
     Trajectory,
     compare_matrix,
+    format_compare_csv,
+    format_timeseries_csv,
     hover_trajectory,
     load_waypoints,
     run,
@@ -31,9 +39,7 @@ from .harness import (
     spline_trajectory_t3,
     square_trajectory_t1,
     steps_trajectory_t2,
-    write_compare_csv,
     write_frames_jsonl,
-    write_timeseries_csv,
 )
 from .pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme, apply_variant
 from .tagmap import (
@@ -100,7 +106,6 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
         "focal_px": _Key(parse_finite_float, 600.0, *_POSITIVE),
         "image_width": _Key(int, 1280, *_POSITIVE),
         "image_height": _Key(int, 720, *_POSITIVE),
-        "frame_rate": _Key(parse_finite_float, 30.0, *_POSITIVE),
         "detect_threshold_px": _Key(parse_finite_float, 12.0, *_POSITIVE),
         "mount_x": _Key(parse_finite_float, 0.0),
         "mount_y": _Key(parse_finite_float, 0.0),
@@ -151,9 +156,6 @@ class Settings:
         self.values = values
         self.provided = provided
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Settings) and self.values == other.values
-
     def get(self, section: str, key: str):
         return self.values[section][key]
 
@@ -167,7 +169,10 @@ def default_settings() -> Settings:
 
 
 def load_settings(path: str | Path) -> Settings:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # values are literal (a '%' is no interpolation) and [DEFAULT] is an
+    # ordinary, hence unknown, section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                       default_section="")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
@@ -196,26 +201,6 @@ def load_settings(path: str | Path) -> Settings:
     return settings
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return " ".join(value)
-    return str(value)
-
-
-def save_settings(settings: Settings, path: str | Path) -> None:
-    lines = []
-    for section, keys in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key} = {_format_value(settings.get(section, key))}")
-        lines.append("")
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
-
-
 # --- settings -> objects ---------------------------------------------------
 
 def _build_trajectory(settings: Settings) -> Trajectory:
@@ -242,6 +227,19 @@ def _build_tag_map(settings: Settings):
     return build_pattern_map((settings.get("map", "width"), settings.get("map", "height")))
 
 
+def _check_noise_scale(camera: CameraModel, noise: NoiseModel) -> None:
+    """The noise scale (reference / apparent) ** size_exponent must be a
+    float at every apparent size the camera reports, from the detectability
+    threshold up to the image diagonal; it is monotone in the apparent size,
+    so the two ends decide."""
+    for apparent in (camera.detect_threshold_px, math.hypot(*camera.image_size)):
+        try:
+            (noise.reference_apparent_size / apparent) ** noise.size_exponent
+        except OverflowError:
+            raise ConfigError(f"noise.size_exponent: the noise scale overflows at an apparent "
+                              f"size of {apparent:g} px (got {noise.size_exponent!r})") from None
+
+
 def build_run_config(settings: Settings) -> RunConfig:
     mount = np.array([settings.get("camera", "mount_x"),
                       settings.get("camera", "mount_y"),
@@ -250,7 +248,6 @@ def build_run_config(settings: Settings) -> RunConfig:
         focal_px=settings.get("camera", "focal_px"),
         image_size=(settings.get("camera", "image_width"),
                     settings.get("camera", "image_height")),
-        frame_rate=settings.get("camera", "frame_rate"),
         mount_offset=mount,
         detect_threshold_px=settings.get("camera", "detect_threshold_px"),
     )
@@ -262,7 +259,9 @@ def build_run_config(settings: Settings) -> RunConfig:
         outlier_probability=settings.get("noise", "outlier_probability"),
         outlier_position_scale=settings.get("noise", "outlier_position_scale"),
         outlier_rotation_scale=settings.get("noise", "outlier_rotation_scale"),
+        seed=settings.get("run", "seed"),
     )
+    _check_noise_scale(camera, noise)
     pipeline = PipelineConfig(
         ths=ThsMode(settings.get("pipeline", "ths")),
         outlier_removal=settings.get("pipeline", "outlier_removal"),
@@ -278,7 +277,6 @@ def build_run_config(settings: Settings) -> RunConfig:
         noise=noise,
         pipeline=pipeline,
         sample_rate=settings.get("run", "sample_rate"),
-        seed=settings.get("run", "seed"),
     )
 
 
@@ -317,7 +315,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative (got {args.seed})")
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, noise=replace(cfg.noise, seed=args.seed))
     if getattr(args, "variant", None):
         cfg = replace(cfg, pipeline=apply_variant(cfg.pipeline, args.variant))
     if getattr(args, "frames", None) is not None:
@@ -351,7 +349,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"  {phase}: ep {stats.ep_mnv_cm:.3f} +/- {stats.ep_std_cm:.3f} cm, "
               f"eo {stats.eo_mnv_deg:.3f} +/- {stats.eo_std_deg:.3f} deg")
     if args.out:
-        write_timeseries_csv(result.frames, args.out)
+        Path(args.out).write_text(format_timeseries_csv(result.frames), encoding="utf-8")
     if args.log:
         write_frames_jsonl(result.frames, args.log)
     return 0
@@ -366,7 +364,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                  for token in settings.get("compare", "scenarios")]
     variants = list(settings.get("compare", "variants"))
     rows = compare_matrix(cfg, variants, scenarios)
-    write_compare_csv(rows, args.out)
+    Path(args.out).write_text(format_compare_csv(rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows ({len(scenarios)} scenarios x "
           f"{max(len(variants), 1)} variants) to {args.out}")
     return 0

@@ -166,14 +166,6 @@ def load_waypoints(path: str | Path) -> tuple[tuple[tuple[float, float, float], 
     return tuple(waypoints)
 
 
-def save_waypoints(waypoints: Sequence[tuple[Sequence[float], float]],
-                   path: str | Path) -> None:
-    lines = ["# x y z yaw  (meters, radians)"]
-    for (x, y, z), yaw in waypoints:
-        lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r} {float(yaw)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DEFAULT_T3_WAYPOINTS,
                          duration: float | None = None,
                          speed: float = 0.4) -> Trajectory:
@@ -204,8 +196,8 @@ def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DE
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one experiment needs; `seed` overrides the noise seed so
-    paired-seed comparisons only vary this one knob."""
+    """Everything one experiment needs; paired-seed comparisons vary only
+    `noise.seed`."""
 
     trajectory: Trajectory
     tag_map: TagMap
@@ -213,7 +205,6 @@ class RunConfig:
     noise: NoiseModel
     pipeline: PipelineConfig
     sample_rate: float = 20.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.sample_rate <= 0:
@@ -268,14 +259,13 @@ class RunResult:
 
 def simulate(cfg: RunConfig) -> Iterator[Frame]:
     """The run's simulated frames: ground truth sampled from the trajectory
-    at the sample rate, detections drawn with the run seed."""
-    noise = replace(cfg.noise, seed=cfg.seed)
+    at the sample rate, detections drawn with the noise model's seed."""
     n_frames = max(1, int(round(cfg.trajectory.duration * cfg.sample_rate)))
     for k in range(n_frames):
         t = k / cfg.sample_rate
         position, yaw = cfg.trajectory.sample(t)
         truth = Pose(position, quat_from_yaw(yaw))
-        yield Frame(k, t, truth, detect(cfg.tag_map, cfg.camera, noise, truth, k))
+        yield Frame(k, t, truth, detect(cfg.tag_map, cfg.camera, cfg.noise, truth, k))
 
 
 def run(cfg: RunConfig, frames: Iterable[Frame] | None = None) -> RunResult:
@@ -367,10 +357,6 @@ def format_compare_csv(rows: Sequence[CompareRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_compare_csv(rows: Sequence[CompareRow], path: str | Path) -> None:
-    Path(path).write_text(format_compare_csv(rows), encoding="utf-8")
-
-
 def format_timeseries_csv(frames: Sequence[FrameRecord]) -> str:
     lines = ["t,ep_cm,eo_deg,tags_used"]
     for f in frames:
@@ -378,10 +364,6 @@ def format_timeseries_csv(frames: Sequence[FrameRecord]) -> str:
         eo = f"{f.eo_deg:.6f}" if f.eo_deg is not None else ""
         lines.append(f"{f.t:.6f},{ep},{eo},{len(f.output.tags_used)}")
     return "\n".join(lines) + "\n"
-
-
-def write_timeseries_csv(frames: Sequence[FrameRecord], path: str | Path) -> None:
-    Path(path).write_text(format_timeseries_csv(frames), encoding="utf-8")
 
 
 def frame_to_json(record: FrameRecord) -> dict:

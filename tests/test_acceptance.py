@@ -20,6 +20,7 @@ from taglok.harness import (
     RunConfig,
     hover_trajectory,
     run,
+    simulate,
     spline_trajectory_t3,
     square_trajectory_t1,
     steps_trajectory_t2,
@@ -89,14 +90,17 @@ def zero_noise_results(default_map):
         "t3": spline_trajectory_t3(),
     }
     return {
-        label: run(RunConfig(traj, default_map, cam, NoiseModel.zero(), pipe, 20.0, 0))
+        label: run(RunConfig(traj, default_map, cam, NoiseModel.zero(), pipe, 20.0))
         for label, traj in trajectories.items()
     }
 
 
 @pytest.fixture(scope="module")
 def comparison_results(default_map):
-    """Paired-seed hover runs at the three altitudes for NEW / JBT / ALL-notOR."""
+    """Paired-seed hover runs at the three altitudes for NEW / JBT / ALL-notOR.
+
+    Each (altitude, seed) is simulated once and every variant runs over
+    those frames, as compare_matrix does."""
     cam = default_camera()
     variants = {
         "new": PipelineConfig(),
@@ -109,10 +113,11 @@ def comparison_results(default_map):
         trajectory = hover_trajectory((*HOVER_XY, altitude), duration=5.0)
         for i in range(RUNS_PER_ALTITUDE):
             seed = 1000 * altitude_index + i
+            noise = replace(COMPARISON_NOISE, seed=seed)
+            cfg = RunConfig(trajectory, default_map, cam, noise, PipelineConfig(), 20.0)
+            frames = list(simulate(cfg))
             for name, pipe in variants.items():
-                cfg = RunConfig(trajectory, default_map, cam, COMPARISON_NOISE,
-                                pipe, 20.0, seed)
-                records.append((altitude, seed, name, run(cfg)))
+                records.append((altitude, seed, name, run(replace(cfg, pipeline=pipe), frames)))
     return records, time.monotonic() - started
 
 

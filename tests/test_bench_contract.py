@@ -64,7 +64,7 @@ def test_len_of_detect_and_visible_tags_counts_rows(spans):
 def test_traced_run_records_the_expected_spans(spans):
     cfg = RunConfig(hover_trajectory((1.5, 2.5, 2.0), duration=0.15),
                     build_pattern_map((3.0, 5.0)), default_camera(),
-                    NoiseModel(0.01, 0.02, 100.0), PipelineConfig(), 20.0, 1)
+                    NoiseModel(0.01, 0.02, 100.0, seed=1), PipelineConfig(), 20.0)
     tracer = spans.Tracer()
     tracer.install()
     try:

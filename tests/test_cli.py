@@ -1,20 +1,17 @@
 import json
-import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from taglok.cli import (
     ConfigError,
-    Settings,
-    build_run_config,
     default_settings,
     load_run_config,
     load_settings,
     main,
     parse_scenario,
-    save_settings,
 )
 from taglok.pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme
 from taglok.tagmap import build_pattern_map, load_map, save_map
@@ -24,6 +21,26 @@ def write_cfg(tmp_path, text="", name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _format_value(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return " ".join(value)
+    return str(value)
+
+
+def save_settings(settings, path):
+    """Write every value of `settings` as a config file load_settings reads back."""
+    lines = []
+    for section, values in settings.values.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_format_value(value)}" for key, value in values.items()]
+        lines.append("")
+    Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
 QUICK = """
@@ -87,12 +104,17 @@ class TestExitCodes:
         ("run", "[trajectory]\nyaw = nan\n", "trajectory.yaw"),
         ("run", "[noise]\nposition_sigma = inf\n", "noise.position_sigma"),
         ("run", "[noise]\nsize_exponent = nan\n", "noise.size_exponent"),
+        ("run", "[noise]\nsize_exponent = 1000\n[trajectory]\nz = 2.0\n",
+         "noise.size_exponent: the noise scale overflows at an apparent size of 12 px"),
+        ("run", "[noise]\nsize_exponent = -1000\n[trajectory]\nz = 2.0\n",
+         "noise.size_exponent: the noise scale overflows at an apparent size of 1468.6 px"),
         ("run", "[run]\nsample_rate = inf\n", "run.sample_rate"),
         ("run", "[trajectory]\nkind = t3\nwaypoints = {waypoints}\n",
          "way.txt: line 3: not a finite number: 'nan'"),
         ("compare", "[compare]\nscenarios = hover:1.5:nan:0.8\n",
          "scenario 'hover:1.5:nan:0.8': not a finite number: 'nan'"),
-    ], ids=["mount-inf", "x-nan", "yaw-nan", "sigma-inf", "exponent-nan", "rate-inf",
+    ], ids=["mount-inf", "x-nan", "yaw-nan", "sigma-inf", "exponent-nan",
+            "exponent-overflows-at-threshold", "exponent-overflows-at-diagonal", "rate-inf",
             "waypoint-nan", "scenario-nan"])
     def test_non_finite_input_names_key_token_or_line(self, tmp_path, capsys,
                                                       command, config, named):
@@ -103,6 +125,25 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_percent_in_a_value_is_literal(self, tmp_path, capsys):
+        missing = tmp_path / "a%b.txt"
+        cfg = write_cfg(tmp_path, f"[map]\nfile = {missing}\n")
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "Traceback" not in err
+
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[DEFAULT]\nseed = 3\n\n[run]\nsample_rate = 10\n")
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "unknown section [DEFAULT]" in err and "Traceback" not in err
+
+    def test_frame_rate_is_an_unknown_key(self, tmp_path, capsys):
+        # the sample rate ([run] sample_rate) is the one frame rate
+        cfg = write_cfg(tmp_path, "[camera]\nframe_rate = 60.0\n")
+        assert main(["run", "--config", cfg]) == 2
+        assert "unknown key camera.frame_rate" in capsys.readouterr().err
 
 
 class TestSettings:
@@ -116,7 +157,7 @@ class TestSettings:
         assert cfg.pipeline.fir_length == 5
         assert cfg.trajectory.label == "hover"
         assert cfg.sample_rate == 20.0
-        assert cfg.seed == 0
+        assert cfg.noise.seed == 0
         assert cfg.camera.focal_px == 600.0
         assert len(cfg.tag_map) == 255
 
@@ -157,7 +198,7 @@ scenarios = hover:1.0:1.0:0.8 t1
         saved = tmp_path / "saved.ini"
         save_settings(original, saved)
         reloaded = load_settings(saved)
-        assert reloaded == original
+        assert reloaded.values == original.values
         assert reloaded.get("pipeline", "ths") == "jbt"
         assert reloaded.get("compare", "scenarios") == ("hover:1.0:1.0:0.8", "t1")
 
@@ -168,6 +209,21 @@ scenarios = hover:1.0:1.0:0.8 t1
 fir_length = 7  # inline comment
 """))
         assert settings.get("pipeline", "fir_length") == 7
+
+    def test_run_seed_is_the_noise_seed(self, tmp_path):
+        cfg = load_run_config(write_cfg(tmp_path, "[run]\nseed = 4\n"))
+        assert cfg.noise.seed == 4
+
+    def test_largest_finite_noise_scale_is_accepted(self, tmp_path):
+        # (100 / 12) ** 300 is about 1e276, and (100 / 1468.6) ** 300 underflows to 0
+        cfg = load_run_config(write_cfg(tmp_path, "[noise]\nsize_exponent = 300\n"))
+        assert cfg.noise.size_exponent == 300.0
+
+    def test_percent_in_map_file_name(self, tmp_path):
+        map_path = tmp_path / "100%.map"
+        save_map(build_pattern_map((0.94, 0.94)), map_path)
+        cfg = load_run_config(write_cfg(tmp_path, f"[map]\nfile = {map_path}\n"))
+        assert len(cfg.tag_map) == 17
 
     def test_provided_tracking(self, tmp_path):
         settings = load_settings(write_cfg(tmp_path, "[run]\nseed = 4\n"))
@@ -181,11 +237,8 @@ fir_length = 7  # inline comment
         assert len(cfg.tag_map) == 17
 
     def test_t3_waypoint_file_setting(self, tmp_path):
-        from taglok.harness import save_waypoints
-        waypoints = (((0.0, 0.0, 1.0), 0.0), ((1.0, 0.0, 1.2), 0.1),
-                     ((2.0, 1.0, 1.4), 0.2), ((3.0, 2.0, 1.0), 0.3))
         wp_path = tmp_path / "wp.txt"
-        save_waypoints(waypoints, wp_path)
+        wp_path.write_text("0 0 1 0\n1 0 1.2 0.1\n2 1 1.4 0.2\n3 2 1 0.3\n", encoding="utf-8")
         cfg = load_run_config(write_cfg(
             tmp_path, f"[trajectory]\nkind = t3\nwaypoints = {wp_path}\n"))
         position, yaw = cfg.trajectory.sample(0.0)
@@ -298,6 +351,14 @@ class TestRunCommand:
         assert f"taglok: {map_path}: line 2: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_flag_equals_config_seed(self, tmp_path):
+        flagged, configured = tmp_path / "flag.jsonl", tmp_path / "config.jsonl"
+        cfg = write_cfg(tmp_path, QUICK)
+        assert main(["run", "--config", cfg, "--seed", "4", "--log", str(flagged)]) == 0
+        cfg = write_cfg(tmp_path, QUICK.replace("seed = 11", "seed = 4"), "seeded.ini")
+        assert main(["run", "--config", cfg, "--log", str(configured)]) == 0
+        assert flagged.read_bytes() == configured.read_bytes()
+
     @pytest.mark.parametrize("command", ["run", "compare", "dump-detections"])
     def test_negative_seed_names_the_flag(self, tmp_path, capsys, command):
         cfg = write_cfg(tmp_path, QUICK)
@@ -305,6 +366,74 @@ class TestRunCommand:
         assert main([command, "--config", cfg, "--seed", "-1", "--out", str(out)]) == 2
         assert "taglok: --seed must be non-negative (got -1)" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Every setting must reach the output: one key set off the base changes the
+# bytes of a 3-frame `run --log` of a 2.0 m hover. The base fuses every tag
+# in view without outlier removal, so the outlier noise keys show within 3
+# frames. A key may bring the settings it depends on; those go into both runs.
+LIVE_BASE = {"trajectory.z": "2.0", "trajectory.duration": "0.15",
+             "pipeline.ths": "all", "pipeline.outlier_removal": "false"}
+LIVE_VALUES = {
+    "map.width": "2.8",
+    "map.height": "3.5",
+    "camera.focal_px": "500",
+    "camera.image_width": "1000",
+    "camera.image_height": "600",
+    "camera.detect_threshold_px": "30",
+    "camera.mount_x": "0.05",
+    "camera.mount_y": "0.05",
+    "camera.mount_z": "0.05",
+    "noise.position_sigma": "0.02",
+    "noise.rotation_sigma": "0.04",
+    "noise.reference_apparent": "80",
+    "noise.size_exponent": "2.0",
+    "noise.outlier_probability": "0.5",
+    "noise.outlier_position_scale": "20",
+    "noise.outlier_rotation_scale": "2",
+    "pipeline.ths": "jbt",
+    "pipeline.outlier_removal": "true",
+    "pipeline.iqr_gain": "0.5",
+    "pipeline.weights": "w1",
+    "pipeline.rot_mean": "cl2",
+    "pipeline.fir_length": "2",
+    "trajectory.kind": "t3",
+    "trajectory.x": "1.4",
+    "trajectory.y": "2.4",
+    "trajectory.z": "1.9",
+    "trajectory.yaw": "0.3",
+    "trajectory.duration": "0.1",
+    "run.sample_rate": "25",
+    "run.seed": "1",
+}
+LIVE_DEPENDS = {"pipeline.iqr_gain": {"pipeline.outlier_removal": "true"}}
+LIVE_ARGS = {"trajectory.kind": ["--frames", "3"]}  # t3 lasts its own 30 s
+NOT_LIVE_CHECKED = ("map.file", "trajectory.waypoints")  # files; [compare] is not run
+
+
+def _run_log(directory, settings, args):
+    directory.mkdir()
+    sections = {}
+    for name, value in settings.items():
+        section, key = name.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = "".join(f"[{section}]\n" + "".join(lines) for section, lines in sections.items())
+    log = directory / "frames.jsonl"
+    assert main(["run", "--config", write_cfg(directory, text), "--log", str(log), *args]) == 0
+    return log.read_bytes()
+
+
+@pytest.mark.parametrize("name", [
+    f"{section}.{key}" for section, keys in default_settings().values.items()
+    if section != "compare" for key in keys if f"{section}.{key}" not in NOT_LIVE_CHECKED])
+def test_every_setting_changes_the_run_log(tmp_path, capsys, name):
+    if name not in LIVE_VALUES:
+        pytest.fail(f"no value to try for {name}: a new key needs one here")
+    settings = {**LIVE_BASE, **LIVE_DEPENDS.get(name, {})}
+    args = LIVE_ARGS.get(name, [])
+    base = _run_log(tmp_path / "base", settings, args)
+    changed = _run_log(tmp_path / "changed", {**settings, name: LIVE_VALUES[name]}, args)
+    assert changed != base, f"{name} = {LIVE_VALUES[name]} left the run log unchanged"
 
 
 COMPARE_CFG = """
