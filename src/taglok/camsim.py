@@ -33,6 +33,8 @@ from .tagmap import TagMap
 
 DEFAULT_DETECT_THRESHOLD_PX = 12.0
 _Z_AXIS = np.array([0.0, 0.0, 1.0])  # rotation axis when the drawn one is ~zero
+_CULL_MARGIN_PX = 1.0
+_PREVIOUS_CORNER = np.array([3, 0, 1, 2])  # corners run counterclockwise
 
 # numpy's SeedSequence hash constants and the PCG64 LCG multiplier (as its
 # high and low 64-bit halves)
@@ -170,27 +172,36 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
     R = quat_to_matrix(world_in_cam.orientation)
     t = world_in_cam.position
 
+    width, height = cam.image_size
+    # a tag whose four corners project into the image has its centre there
+    # too (the image is convex), so only tags whose centre projects within
+    # a pixel of the image can be visible; the margin covers rounding
+    centers = m.positions @ R.T + t
+    z_center = centers[:, 2]
+    z_safe = np.where(z_center > 0.0, z_center, 1.0)
+    u = cam.principal[0] + cam.focal_px * centers[:, 0] / z_safe
+    v = cam.principal[1] + cam.focal_px * centers[:, 1] / z_safe
     front_facing = (m.normals * (cam_in_world.position[None, :] - m.positions)).sum(axis=1) > 0.0
+    candidates = np.flatnonzero(front_facing & (z_center > 0.0)
+                                & (u >= -_CULL_MARGIN_PX) & (u <= width + _CULL_MARGIN_PX)
+                                & (v >= -_CULL_MARGIN_PX) & (v <= height + _CULL_MARGIN_PX))
 
-    corners_cam = m.corners @ R.T + t  # (n, 4, 3)
+    corners_cam = m.corners[candidates] @ R.T + t  # (k, 4, 3)
     z = corners_cam[:, :, 2]
     in_front = np.all(z > 1e-9, axis=1)
-
-    ok = front_facing & in_front
     z_safe = np.where(z > 1e-9, z, 1.0)
     u = cam.principal[0] + cam.focal_px * corners_cam[:, :, 0] / z_safe
     v = cam.principal[1] + cam.focal_px * corners_cam[:, :, 1] / z_safe
-    width, height = cam.image_size
     inside = np.all((u >= 0) & (u <= width) & (v >= 0) & (v <= height), axis=1)
 
-    pixels = np.stack([u, v], axis=-1)
-    edges = pixels - np.roll(pixels, shift=1, axis=1)
-    apparent = np.linalg.norm(edges, axis=-1).mean(axis=1)
+    du, dv = u - u[:, _PREVIOUS_CORNER], v - v[:, _PREVIOUS_CORNER]  # projected sides
+    apparent = np.sqrt(du * du + dv * dv).mean(axis=1)
 
-    rows = np.flatnonzero(ok & inside & (apparent >= cam.detect_threshold_px))
+    keep = in_front & inside & (apparent >= cam.detect_threshold_px)
+    rows, apparent = candidates[keep], apparent[keep]
     cam_q = world_in_cam.orientation.as_array()
     return DetectionRows(m.ids[rows], t + rotate_rows(cam_q, m.positions[rows]),
-                         quat_multiply_rows(cam_q, m.quats[rows]), apparent[rows])
+                         quat_multiply_rows(cam_q, m.quats[rows]), apparent)
 
 
 def _uint32_words(value: int) -> list[int]:

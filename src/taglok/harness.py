@@ -3,10 +3,13 @@
 Trajectories produce (position, yaw) samples; `simulate` turns them into
 frames of camera detections with exact ground truth (the motion capture
 reference role), and `run`, the one frame loop, steps the pipeline over
-frames and accumulates position errors [cm] and orientation errors [deg].
+frames and accumulates position errors [cm] and orientation errors [deg];
+it recovers the body pose of every detection of its frames in one pass of
+the frame chain (`body_poses_of`) and hands each frame's `step` its slice.
 compare_matrix simulates each scenario once and runs every method variant
-on those frames: the detection stream depends only on (seed, frame, tag),
-so every variant sees identical input.
+on those frames and that one frame chain: the detection stream depends
+only on (seed, frame, tag), and the chain only on the map and the camera
+mount, so every variant sees identical input.
 """
 
 from __future__ import annotations
@@ -20,9 +23,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .camsim import CameraModel, Frame, NoiseModel, detect
+from .camsim import CameraModel, DetectionRows, Frame, NoiseModel, detect
 from .geometry import Pose, quat_from_yaw, quat_rotation_angle, wrap_angle
-from .pipeline import EstimateOutput, PipelineConfig, apply_variant, step
+from .pipeline import (
+    EstimateOutput,
+    PipelineConfig,
+    TagEstimates,
+    apply_variant,
+    estimate_body_pose_per_tag,
+    step,
+)
 from .tagmap import TagMap, parse_finite_float
 
 HOVER_ALTITUDE_PRESETS = (0.8, 1.4, 2.0)
@@ -268,16 +278,35 @@ def simulate(cfg: RunConfig) -> Iterator[Frame]:
         yield Frame(k, t, truth, detect(cfg.tag_map, cfg.camera, cfg.noise, truth, k))
 
 
-def run(cfg: RunConfig, frames: Iterable[Frame] | None = None) -> RunResult:
+def body_poses_of(cfg: RunConfig, frames: Sequence[Frame]) -> TagEstimates:
+    """The frame chain of every detection of `frames`, one row per
+    detection in stream order, from one `estimate_body_pose_per_tag` pass;
+    it depends on the map and the camera mount only, so every pipeline
+    variant can share it."""
+    fields = ("ids", "positions", "quats", "apparent")
+    stacked = DetectionRows(*(np.concatenate([getattr(f.detections, name) for f in frames])
+                              for name in fields))
+    return estimate_body_pose_per_tag(stacked, cfg.tag_map, cfg.camera.pose_in_body)
+
+
+def run(cfg: RunConfig, frames: Iterable[Frame] | None = None, *,
+        body_poses: TagEstimates | None = None) -> RunResult:
     """Execute one experiment: run the pipeline over `frames` (by default
     `simulate(cfg)`) and accumulate Eq.-style error statistics over the
     frames that carry ground truth. Frames without an estimate are counted
-    as dropped and excluded from mnv/std."""
+    as dropped and excluded from mnv/std. `body_poses` is
+    `body_poses_of(cfg, frames)` when the caller already has it."""
+    frames = list(simulate(cfg) if frames is None else frames)
+    if body_poses is None and frames:
+        body_poses = body_poses_of(cfg, frames)
     pipe_cfg = replace(cfg.pipeline, camera_in_body=cfg.camera.pose_in_body)
     state = None
     records: list[FrameRecord] = []
-    for frame in simulate(cfg) if frames is None else frames:
-        output, state = step(frame.detections, cfg.tag_map, pipe_cfg, state, timestamp=frame.t)
+    end = 0
+    for frame in frames:
+        start, end = end, end + len(frame.detections)
+        output, state = step(frame.detections, cfg.tag_map, pipe_cfg, state, timestamp=frame.t,
+                             body_poses=body_poses.take(slice(start, end)))
         truth = frame.truth
         phase = ep_cm = eo_deg = None
         if truth is not None:
@@ -323,8 +352,9 @@ def compare_matrix(base: RunConfig, variants: Sequence[str],
 
     Variants are dash-separated token strings (e.g. 'tbs-or', 'all-noor');
     an empty list compares the base configuration alone. Scenarios default
-    to the base trajectory. Each scenario is simulated once and its frames
-    are held in memory while every variant runs over them.
+    to the base trajectory. Each scenario is simulated once, and its frames
+    and their frame chain (`body_poses_of`) are held in memory while every
+    variant runs over them.
     """
     scenario_list = list(scenarios) if scenarios else [(base.trajectory.label, base.trajectory)]
     if variants:
@@ -335,8 +365,10 @@ def compare_matrix(base: RunConfig, variants: Sequence[str],
     for scenario_name, trajectory in scenario_list:
         scenario = replace(base, trajectory=trajectory)
         frames = list(simulate(scenario))
+        body_poses = body_poses_of(scenario, frames)
         for variant_name, pipeline_cfg in variant_list:
-            stats = run(replace(scenario, pipeline=pipeline_cfg), frames).stats
+            stats = run(replace(scenario, pipeline=pipeline_cfg), frames,
+                        body_poses=body_poses).stats
             rows.append(CompareRow(scenario_name, variant_name, stats))
     return rows
 

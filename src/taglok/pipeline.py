@@ -20,7 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .camsim import DetectionRows
-from .geometry import Pose, UnitQuaternion, inverse, quat_multiply_rows, rotate_rows
+from .geometry import (
+    _NORM_TOL,
+    Pose,
+    UnitQuaternion,
+    inverse,
+    quat_multiply_rows,
+    rotate_rows,
+)
 from .tagmap import SizeClass, TagMap
 
 # Treat a coordinate axis whose sample spread is below this as "all equal":
@@ -57,6 +64,11 @@ class WeightScheme(Enum):
         return 1.0
 
 
+# each scheme's weight by size-class index, built once
+_CLASS_WEIGHTS = {scheme: np.array([scheme.weight_for(c) for c in SizeClass])
+                  for scheme in WeightScheme}
+
+
 class RotMeanMethod(Enum):
     QL2 = "ql2"
     CL2 = "cl2"
@@ -85,9 +97,9 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class TagEstimates:
-    """Body poses in the world frame recovered from one frame's detections,
-    one row per tag in tag-id order: ids (n,), positions (n, 3), unit
-    quaternions (n, 4) as (w, x, y, z) rows, and fusion weights (n,)."""
+    """Body poses in the world frame recovered from detections, one row per
+    detection: ids (n,), positions (n, 3), unit quaternions (n, 4) as
+    (w, x, y, z) rows, and fusion weights (n,)."""
 
     ids: np.ndarray
     positions: np.ndarray
@@ -103,6 +115,10 @@ class TagEstimates:
                             self.weights[rows])
 
 
+# rows per array pass of the frame chain: the (rows, 4, 4) products of
+# quat_multiply_rows over a whole replayed stream would cost megabytes
+_CHAIN_BLOCK_ROWS = 4096
+
 # conjugating a (w, x, y, z) row; a conjugate keeps its norm, so it needs
 # no renormalization
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
@@ -114,6 +130,7 @@ class StageTrace:
 
     n_detections: int = 0
     unknown_ids: tuple[int, ...] = ()
+    corrupt_ids: tuple[int, ...] = ()
     selected_ids: tuple[int, ...] = ()
     or_applied: bool = False
     rejected_ids: tuple[int, ...] = ()
@@ -124,9 +141,12 @@ class StageTrace:
     reason: str | None = None
 
     def to_dict(self) -> dict:
+        # corrupt rows are rare, so their key appears only when there are some
+        corrupt = {"corrupt_ids": list(self.corrupt_ids)} if self.corrupt_ids else {}
         return {
             "n_detections": self.n_detections,
             "unknown_ids": list(self.unknown_ids),
+            **corrupt,
             "selected_ids": list(self.selected_ids),
             "or_applied": self.or_applied,
             "rejected_ids": list(self.rejected_ids),
@@ -160,26 +180,37 @@ class RotationFusion:
     degenerate: bool = False
 
 
-def select_tags(detections: DetectionRows, tag_map: TagMap,
-                mode: ThsMode) -> DetectionRows:
-    """Hierarchical tag selection. Input ids must resolve in the map.
+def select_tags(ids: np.ndarray, classes: np.ndarray, mode: ThsMode) -> np.ndarray:
+    """Hierarchical tag selection over detections given as their tag ids
+    and the size-class indices of those tags: the indices of the kept
+    detections, in tag-id order (stable for repeated ids).
 
     JBT keeps the single detection of the largest tag (ties: smallest id),
     ALL keeps everything, TBS keeps detections belonging to the two largest
-    size classes present. Output is sorted by tag id (stable for repeated
-    ids). Tags are ranked by class index, which orders them as their side
-    lengths do (each class doubles the previous side).
+    size classes present. Tags are ranked by class index, which orders them
+    as their side lengths do (each class doubles the previous side).
     """
-    order = np.argsort(detections.ids, kind="stable")
+    order = np.argsort(ids, kind="stable")
     if mode is ThsMode.ALL or not len(order):
-        return detections.take(order)
-    m = tag_map.world_frames()
-    classes = m.classes[m.rows_of(detections.ids[order])]
+        return order
+    classes = classes[order]
     if mode is ThsMode.JBT:
         # the first detection of the largest class has the smallest id
-        return detections.take(order[np.argmax(classes, keepdims=True)])
+        return order[np.argmax(classes, keepdims=True)]
     second = np.unique(classes)[-2:][0]
-    return detections.take(order[classes >= second])
+    return order[classes >= second]
+
+
+def corrupt_rows(detections: DetectionRows) -> np.ndarray:
+    """Which detections no estimate can come from: a position that is not
+    finite, or a quaternion whose norm is not finite or too small to
+    normalize (a component NaN or infinite, a square that overflows, all
+    components about zero)."""
+    q = detections.quats
+    with np.errstate(over="ignore"):
+        norm_sq = (q * q).sum(axis=1)
+    return ~(np.isfinite(detections.positions).all(axis=1) & np.isfinite(norm_sq)
+             & (norm_sq >= _NORM_TOL * _NORM_TOL))
 
 
 def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
@@ -188,31 +219,35 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
                                ) -> TagEstimates:
     """Recover the body pose from each detection through the frame chain
     world<-tag, tag<-camera (inverted detection), camera<-body (inverted
-    mount), all tags at once. Detections whose id is not in the map are
-    skipped; rows come out in tag-id order (stable for repeated ids).
+    mount), all rows at once, whatever number of frames they come from.
 
-    Each row equals the per-tag chain
-    compose(tag, compose(inverse(detection), inverse(camera_in_body)))
-    bit for bit: the row helpers keep the scalar expression order."""
+    Row i of the result belongs to detection i. A detection whose id is not
+    in the map, or that is corrupt (`corrupt_rows`), gets a NaN row and a
+    NaN weight; no other row depends on it. Each other row equals the
+    per-tag chain compose(tag, compose(inverse(detection),
+    inverse(camera_in_body))) bit for bit: the row helpers keep the scalar
+    expression order."""
     m = tag_map.world_frames()
     rows = m.rows_of(detections.ids)
-    picked = np.flatnonzero(rows >= 0)
-    picked = picked[np.argsort(detections.ids[picked], kind="stable")]
-    rows = rows[picked]
-    tag_q = m.quats[rows]
+    usable = np.flatnonzero((rows >= 0) & ~corrupt_rows(detections))
     mount = inverse(camera_in_body)
-
-    inv_q = detections.quats[picked] * _CONJUGATE  # inverse(detection)
-    inv_p = -rotate_rows(inv_q, detections.positions[picked])
-    chain_p = inv_p + rotate_rows(inv_q, mount.position)  # ... composed with the mount
-    chain_q = quat_multiply_rows(inv_q, mount.orientation.as_array())
-    weight_of_class = np.array([weights.weight_for(c) for c in SizeClass])
-    return TagEstimates(
-        m.ids[rows],
-        m.positions[rows] + rotate_rows(tag_q, chain_p),
-        quat_multiply_rows(tag_q, chain_q),
-        weight_of_class[m.classes[rows]],
-    )
+    mount_q = mount.orientation.as_array()
+    n = len(detections)
+    estimates = TagEstimates(detections.ids, np.full((n, 3), np.nan), np.full((n, 4), np.nan),
+                             np.full(n, np.nan))
+    # a block of rows at a time, so that a long stream's temporaries stay small
+    for start in range(0, len(usable), _CHAIN_BLOCK_ROWS):
+        picked = usable[start:start + _CHAIN_BLOCK_ROWS]
+        tag = rows[picked]
+        tag_q = m.quats[tag]
+        inv_q = detections.quats[picked] * _CONJUGATE  # inverse(detection)
+        inv_p = -rotate_rows(inv_q, detections.positions[picked])
+        chain_p = inv_p + rotate_rows(inv_q, mount.position)  # ... composed with the mount
+        chain_q = quat_multiply_rows(inv_q, mount_q)
+        estimates.positions[picked] = m.positions[tag] + rotate_rows(tag_q, chain_p)
+        estimates.quats[picked] = quat_multiply_rows(tag_q, chain_q)
+    estimates.weights[usable] = _CLASS_WEIGHTS[weights][m.classes[rows[usable]]]
+    return estimates
 
 
 def _sorted_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
@@ -332,34 +367,48 @@ def fir_smooth(history: Sequence[Pose], new_pose: Pose, length: int) -> Pose:
 
 
 def step(detections: DetectionRows, tag_map: TagMap, config: PipelineConfig,
-         state: PipelineState | None = None, timestamp: float = 0.0
-         ) -> tuple[EstimateOutput, PipelineState]:
+         state: PipelineState | None = None, timestamp: float = 0.0, *,
+         body_poses: TagEstimates | None = None) -> tuple[EstimateOutput, PipelineState]:
     """Run one frame through THS -> per-tag estimation -> OR -> MEF -> FIR.
 
-    Detections with ids missing from the map are dropped up front and
-    counted in the trace. Frames yielding no usable estimate return
+    `body_poses` is this frame's slice of `estimate_body_pose_per_tag` run
+    over the detections of a whole frame stream, one row per detection;
+    without it the frame chain runs here, on the selected rows. Detections
+    with ids missing from the map, and corrupt ones (`corrupt_rows`), are
+    dropped up front and listed in the trace. Frames yielding no usable estimate return
     pose = None with a reason; the FIR history then stays untouched.
     """
     if state is None:
         state = PipelineState()
-    is_known = tag_map.world_frames().rows_of(detections.ids) >= 0
-    known = detections.take(is_known)
+    m = tag_map.world_frames()
+    rows = m.rows_of(detections.ids)
+    is_known = rows >= 0
+    corrupt = corrupt_rows(detections)
+    usable = np.flatnonzero(is_known & ~corrupt)
     unknown = tuple(sorted(detections.ids[~is_known].tolist()))
+    corrupt_ids = tuple(sorted(detections.ids[is_known & corrupt].tolist()))
 
     def no_estimate(reason: str, rejected: tuple[int, ...] = (),
                     trace_kwargs: dict | None = None) -> tuple[EstimateOutput, PipelineState]:
         trace = StageTrace(n_detections=len(detections), unknown_ids=unknown,
-                           reason=reason, rejected_ids=rejected,
+                           corrupt_ids=corrupt_ids, reason=reason, rejected_ids=rejected,
                            **(trace_kwargs or {}))
         return EstimateOutput(timestamp, None, (), trace), state
 
-    if not len(known):
+    if not len(usable):
         return no_estimate("no-tags")
 
-    selected = select_tags(known, tag_map, config.ths)
-    selected_ids = tuple(selected.ids.tolist())
-    estimates = estimate_body_pose_per_tag(selected, tag_map, config.camera_in_body,
-                                           config.weights)
+    classes = m.classes[rows[usable]]
+    picked = select_tags(detections.ids[usable], classes, config.ths)
+    selected = usable[picked]
+    if body_poses is None:
+        poses = estimate_body_pose_per_tag(detections.take(selected), tag_map,
+                                           config.camera_in_body)
+    else:
+        poses = body_poses.take(selected)
+    estimates = TagEstimates(poses.ids, poses.positions, poses.quats,
+                             _CLASS_WEIGHTS[config.weights][classes[picked]])
+    selected_ids = tuple(estimates.ids.tolist())
 
     kept, rejected_ids, or_applied = estimates, (), False
     if config.outlier_removal:
@@ -388,6 +437,7 @@ def step(detections: DetectionRows, tag_map: TagMap, config: PipelineConfig,
     trace = StageTrace(
         n_detections=len(detections),
         unknown_ids=unknown,
+        corrupt_ids=corrupt_ids,
         selected_ids=selected_ids,
         or_applied=or_applied,
         rejected_ids=rejected_ids,

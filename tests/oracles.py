@@ -8,8 +8,9 @@ matrix-to-quaternion, rotation metrics) that only tests need, the per-tag
 loop forms of the estimator's stages (the object-per-tag tag selection,
 frame chain and back end), kept as the bitwise reference for their array
 forms in `taglok.pipeline`, and the object form of detections (`Detection`,
-`rows_from`) with the per-tag loop form of the simulator's `detect`, the
-bitwise reference for its array form in `taglok.camsim`.
+`rows_from`) with the per-tag loop form of the simulator's `detect` and the
+unculled form of its `visible_tags`, the bitwise references for their
+array forms in `taglok.camsim`.
 """
 
 from __future__ import annotations
@@ -27,11 +28,21 @@ from taglok.geometry import (
     compose,
     inverse,
     quat_multiply,
+    quat_multiply_rows,
     quat_rotation_angle,
+    quat_to_matrix,
+    rotate_rows,
     wrap_angle,
 )
 from taglok.camsim import DetectionRows, visible_tags
-from taglok.pipeline import EQUAL_SPREAD_TOL, RotationFusion, TagEstimates, ThsMode, WeightScheme
+from taglok.pipeline import (
+    EQUAL_SPREAD_TOL,
+    RotationFusion,
+    TagEstimates,
+    ThsMode,
+    WeightScheme,
+    select_tags,
+)
 
 _ORTHO_TOL = 1e-6
 
@@ -378,6 +389,13 @@ def loop_select_tags(detections, tag_map, mode) -> list:
     return [d for d, c in zip(ordered, classes) if c >= second]
 
 
+def selected_rows(rows: DetectionRows, tag_map, mode) -> DetectionRows:
+    """The detection rows `select_tags` keeps, each id's size class looked
+    up in the map (every id must resolve)."""
+    m = tag_map.world_frames()
+    return rows.take(select_tags(rows.ids, m.classes[m.rows_of(rows.ids)], mode))
+
+
 @dataclass(frozen=True)
 class PerTagEstimate:
     """Body pose in the world frame recovered from a single tag detection."""
@@ -511,7 +529,36 @@ def loop_fir_smooth(history, new_pose, length: int):
     return Pose(position, mean)
 
 
-# --- per-tag loop form of the simulator (bitwise reference) ---
+# --- unculled and per-tag loop forms of the simulator (bitwise reference) ---
+
+def unculled_visible_tags(tag_map, cam, body_pose_true: Pose) -> DetectionRows:
+    """`visible_tags` without its cull by tag centre: the corners of every
+    map tag are projected and tested."""
+    m = tag_map.world_frames()
+    cam_in_world = compose(body_pose_true, cam.pose_in_body)
+    world_in_cam = inverse(cam_in_world)
+    R = quat_to_matrix(world_in_cam.orientation)
+    t = world_in_cam.position
+
+    front_facing = (m.normals * (cam_in_world.position[None, :] - m.positions)).sum(axis=1) > 0.0
+    corners_cam = m.corners @ R.T + t  # (n, 4, 3)
+    z = corners_cam[:, :, 2]
+    in_front = np.all(z > 1e-9, axis=1)
+    z_safe = np.where(z > 1e-9, z, 1.0)
+    u = cam.principal[0] + cam.focal_px * corners_cam[:, :, 0] / z_safe
+    v = cam.principal[1] + cam.focal_px * corners_cam[:, :, 1] / z_safe
+    width, height = cam.image_size
+    inside = np.all((u >= 0) & (u <= width) & (v >= 0) & (v <= height), axis=1)
+
+    pixels = np.stack([u, v], axis=-1)
+    edges = pixels - np.roll(pixels, shift=1, axis=1)
+    apparent = np.linalg.norm(edges, axis=-1).mean(axis=1)
+
+    rows = np.flatnonzero(front_facing & in_front & inside & (apparent >= cam.detect_threshold_px))
+    cam_q = world_in_cam.orientation.as_array()
+    return DetectionRows(m.ids[rows], t + rotate_rows(cam_q, m.positions[rows]),
+                         quat_multiply_rows(cam_q, m.quats[rows]), apparent[rows])
+
 
 def _noise_rng(noise, frame_index: int, tag_id: int) -> np.random.Generator:
     # one independent, reproducible stream per (seed, frame, tag): adding or

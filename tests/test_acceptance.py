@@ -34,7 +34,6 @@ from taglok.pipeline import (
     fuse_rotations_cl2,
     fuse_rotations_ql2,
     remove_outliers,
-    select_tags,
 )
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
@@ -48,6 +47,7 @@ from oracles import (
     naive_outlier_partition,
     random_quat_cluster,
     rows_from,
+    selected_rows,
     two_pass_mean_std,
     unbundle,
 )
@@ -293,9 +293,9 @@ def test_criterion_08_ths_nesting():
             Detection(i, Pose(np.array([0.0, 0.0, 1.0]), UnitQuaternion.identity()), 50.0)
             for i in range(n)
         ])
-        jbt = set(select_tags(detections, tag_map, ThsMode.JBT).ids.tolist())
-        tbs = set(select_tags(detections, tag_map, ThsMode.TBS).ids.tolist())
-        full = set(select_tags(detections, tag_map, ThsMode.ALL).ids.tolist())
+        jbt = set(selected_rows(detections, tag_map, ThsMode.JBT).ids.tolist())
+        tbs = set(selected_rows(detections, tag_map, ThsMode.TBS).ids.tolist())
+        full = set(selected_rows(detections, tag_map, ThsMode.ALL).ids.tolist())
         assert jbt <= tbs <= full
     announce(8, "JBT subset of TBS subset of ALL on 1000 random detection sets")
 

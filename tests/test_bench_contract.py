@@ -17,6 +17,7 @@ import pytest
 import taglok.cli  # noqa: F401  (the tracer wraps targets in loaded modules only)
 from taglok.camsim import NoiseModel, default_camera, detect, visible_tags
 from taglok.geometry import Pose, quat_from_yaw
+import taglok.harness as harness
 from taglok.harness import RunConfig, hover_trajectory, run
 from taglok.pipeline import PipelineConfig
 from taglok.tagmap import MapArrays, build_pattern_map
@@ -79,3 +80,54 @@ def test_traced_run_records_the_expected_spans(spans):
     assert by_name["camsim.visible_tags"] == [114, 114, 114]
     assert [info[0] for info in by_name["camsim.detect"]] == [
         f.output.stage_trace.n_detections for f in result.frames]
+
+
+def _traced(spans, call):
+    """What `call` returns, and the span names it records with their counts.
+    `call` must reach taglok through its modules' attributes, which the
+    tracer replaces."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = call()
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == [] and tracer.leftover_wrappers() == []
+    counts = {}
+    for name, *_ in tracer.spans:
+        counts[name] = counts.get(name, 0) + 1
+    return result, counts
+
+
+def test_traced_compare_records_per_frame_spans(spans):
+    # the frame chain runs once per scenario, shared by the variants; the
+    # per-frame spans must still see every frame of every variant
+    base = RunConfig(hover_trajectory((1.5, 2.5, 1.4), duration=0.2),
+                     build_pattern_map((3.0, 5.0)), default_camera(),
+                     NoiseModel(0.01, 0.02, 100.0, seed=1), PipelineConfig(), 20.0)
+    scenarios = [("h08", hover_trajectory((1.5, 2.5, 0.8), duration=0.2)),
+                 ("h20", hover_trajectory((1.5, 2.5, 2.0), duration=0.15))]
+    variants = ["jbt", "all-noor", "tbs-or-cl2"]
+    rows, counts = _traced(spans, lambda: harness.compare_matrix(base, variants, scenarios))
+    frames = sum(r.stats.frames + r.stats.dropped for r in rows)
+    assert frames == len(variants) * (4 + 3)
+    assert counts["pipeline.step"] == counts["pipeline.fuse_rotations"] == frames
+    assert counts["harness.run"] == len(rows)
+    assert counts["pipeline.frame_chain"] >= counts["harness.compare_matrix"] == 1
+
+
+def test_traced_replay_records_per_frame_spans(spans, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("[trajectory]\nkind = hover\nz = 1.4\nduration = 0.3\n\n[run]\nseed = 2\n",
+                      encoding="utf-8")
+    stream, out = tmp_path / "stream.txt", tmp_path / "replay.csv"
+    assert taglok.cli.main(["dump-detections", "--config", str(config), "--out", str(stream)]) == 0
+    argv = ["replay", "--config", str(config), "--detections", str(stream), "--out", str(out),
+            "--variant", "cl2"]
+    code, counts = _traced(spans, lambda: taglok.cli.main(argv))
+    assert code == 0
+    frames = len(out.read_text(encoding="utf-8").splitlines()) - 1
+    assert frames == 6
+    assert counts["pipeline.step"] == counts["pipeline.fuse_rotations"] == frames
+    assert counts["pipeline.frame_chain"] >= counts["cli.replay"] == 1
+    assert counts["camsim.parse_detection_line"] == len(stream.read_text().splitlines())

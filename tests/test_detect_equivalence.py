@@ -5,7 +5,8 @@ and the scalar rounding of every step, so each detection row must equal
 `loop_detect`'s detection bit for bit, and the same tags must be skipped.
 The batched seeding of the noise streams is checked against one
 `default_rng((seed, frame, tag))` per tag, `visible_tags` against an
-independent projection of every map tag through homogeneous matrices.
+independent projection of every map tag through homogeneous matrices and
+against its own form without the cull by tag centre.
 """
 
 import numpy as np
@@ -19,11 +20,18 @@ from taglok.camsim import (
     detect,
     visible_tags,
 )
-from taglok.geometry import Pose, quat_from_yaw
+from taglok.geometry import Pose, UnitQuaternion, quat_from_yaw, quat_multiply
 from taglok.harness import spline_trajectory_t3, square_trajectory_t1
 from taglok.tagmap import TagEntry, TagMap, build_pattern_map
 
-from oracles import _noise_rng, loop_detect, pose_to_hmat, rows_from
+from oracles import (
+    _noise_rng,
+    loop_detect,
+    pose_to_hmat,
+    random_unit_quat,
+    rows_from,
+    unculled_visible_tags,
+)
 
 # the configuration file's default noise
 DEFAULT_NOISE = NoiseModel(position_sigma_at_ref=0.01, rotation_sigma_at_ref=0.02,
@@ -225,3 +233,60 @@ def test_noise_draws_match_streams_on_random_keys():
         assert_draws_match_streams(seed, frame, ids)
 
     check()
+
+
+def _tilted_down(rng) -> UnitQuaternion:
+    """A body attitude within about 30 degrees of level, at any yaw."""
+    angle, heading = rng.uniform(0.0, 0.5), rng.uniform(0.0, 2.0 * np.pi)
+    tilt = UnitQuaternion(np.cos(0.5 * angle), np.sin(0.5 * angle) * np.cos(heading),
+                          np.sin(0.5 * angle) * np.sin(heading), 0.0)
+    return quat_multiply(quat_from_yaw(rng.uniform(-np.pi, np.pi)), tilt)
+
+
+CAMERAS = (default_camera(), default_camera(mount_offset=np.array([0.05, -0.03, 0.02])),
+           default_camera(focal_px=250.0, image_size=(320, 240), detect_threshold_px=3.0))
+
+
+def test_visible_tags_cull_keeps_every_visible_tag(pattern_map):
+    # any attitude puts tags behind, beside and at grazing angles to the
+    # camera; a near-level one puts many in view
+    rng = np.random.default_rng(5150)
+    for k in range(1500):
+        cam = CAMERAS[k % len(CAMERAS)]
+        position = np.array([rng.uniform(-1.0, 4.0), rng.uniform(-1.0, 6.0),
+                             rng.uniform(0.02, 4.0)])
+        attitude = UnitQuaternion(*random_unit_quat(rng)) if k % 2 else _tilted_down(rng)
+        pose = Pose(position, attitude)
+        assert_same_rows(visible_tags(pattern_map, cam, pose),
+                         unculled_visible_tags(pattern_map, cam, pose))
+
+
+def test_visible_tags_cull_on_the_image_border(pattern_map):
+    # level poses that put one corner of a tag on an image edge, and a
+    # picometre to either side of it
+    rng = np.random.default_rng(5151)
+    m = pattern_map.world_frames()
+    flips = 0
+    for k in range(400):
+        cam = CAMERAS[2 * (k % 2)]  # mount without offset: the camera sits at the body
+        (cx, cy), (width, height), f = cam.principal, cam.image_size, cam.focal_px
+        tag = int(rng.integers(len(m.ids)))
+        corners, (bx, by) = m.corners[tag], m.positions[tag][:2]
+        altitude = rng.uniform(0.3, 3.0)
+        edge = k % 4
+        if edge == 0:  # u = 0
+            bx = corners[:, 0].min() + cx * altitude / f
+        elif edge == 1:  # u = width
+            bx = corners[:, 0].max() - (width - cx) * altitude / f
+        elif edge == 2:  # v = 0 (image v runs against world y)
+            by = corners[:, 1].max() - cy * altitude / f
+        else:  # v = height
+            by = corners[:, 1].min() + (height - cy) * altitude / f
+        counts = set()
+        for nudge in (-1e-12, 0.0, 1e-12):
+            pose = Pose(np.array([bx + nudge, by + nudge, altitude]), UnitQuaternion.identity())
+            got = visible_tags(pattern_map, cam, pose)
+            assert_same_rows(got, unculled_visible_tags(pattern_map, cam, pose))
+            counts.add(len(got))
+        flips += len(counts) > 1
+    assert flips > 20  # the poses do sit on the edge: a picometre changes what is seen

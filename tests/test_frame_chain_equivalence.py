@@ -3,10 +3,11 @@ forms.
 
 Every comparison is exact (`==`). The row helpers keep the scalar expression
 order and UnitQuaternion's conditional renormalization, so each estimate
-row must equal `loop_estimate_body_pose_per_tag` bit for bit. Quaternions
-are drawn with norms up to 1e-12 off unit, so products land on both sides
-of the renormalization threshold. `select_tags` must keep the very rows
-`loop_select_tags` keeps, in the same order.
+row must equal `loop_estimate_body_pose_per_tag` of its detection bit for
+bit, and a detection whose id is not in the map must give a NaN row.
+Quaternions are drawn with norms up to 1e-12 off unit, so products land on
+both sides of the renormalization threshold. `select_tags` must keep the
+very rows `loop_select_tags` keeps, in the same order.
 """
 
 import numpy as np
@@ -26,7 +27,6 @@ from taglok.pipeline import (
     ThsMode,
     WeightScheme,
     estimate_body_pose_per_tag,
-    select_tags,
 )
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
@@ -37,6 +37,7 @@ from oracles import (
     loop_select_tags,
     random_unit_quat,
     rows_from,
+    selected_rows,
 )
 
 
@@ -96,13 +97,16 @@ def _random_scene(rng: np.random.Generator):
 
 def _assert_chain_equal(detections, tag_map, mount, weights):
     got = estimate_body_pose_per_tag(rows_from(detections), tag_map, mount, weights)
-    ordered = sorted(detections, key=lambda d: d.tag_id)
-    want = [e for e in (loop_estimate_body_pose_per_tag(d, tag_map, mount, weights)
-                        for d in ordered) if e is not None]
-    assert got.ids.tolist() == [e.tag_id for e in want]
-    assert got.weights.tolist() == [e.weight for e in want]
-    assert got.positions.shape == (len(want), 3) and got.quats.shape == (len(want), 4)
-    for row, e in enumerate(want):
+    assert got.ids.tolist() == [d.tag_id for d in detections]
+    assert got.positions.shape == (len(detections), 3)
+    assert got.quats.shape == (len(detections), 4)
+    for row, d in enumerate(detections):
+        e = loop_estimate_body_pose_per_tag(d, tag_map, mount, weights)
+        if e is None:  # an id not in the map gives a NaN row
+            assert np.isnan(got.positions[row]).all() and np.isnan(got.quats[row]).all()
+            assert np.isnan(got.weights[row])
+            continue
+        assert got.weights[row] == e.weight
         assert np.array_equal(got.positions[row], e.body_pose_est.position)
         assert tuple(got.quats[row].tolist()) == _components(e.body_pose_est.orientation)
 
@@ -140,11 +144,12 @@ def test_chain_of_no_detections_is_empty():
     assert len(empty) == 0
     assert empty.positions.shape == (0, 3) and empty.quats.shape == (0, 4)
     unknown = [Detection(999, Pose(np.array([0.0, 0.0, 1.0]), UnitQuaternion.identity()), 50.0)]
-    assert len(estimate_body_pose_per_tag(rows_from(unknown), tag_map, Pose.identity())) == 0
+    only_unknown = estimate_body_pose_per_tag(rows_from(unknown), tag_map, Pose.identity())
+    assert len(only_unknown) == 1 and np.isnan(only_unknown.positions).all()
 
 
 def _assert_selection_equal(detections, tag_map, mode):
-    got = select_tags(rows_from(detections), tag_map, mode)
+    got = selected_rows(rows_from(detections), tag_map, mode)
     want = rows_from(loop_select_tags(detections, tag_map, mode))
     for field in ("ids", "positions", "quats", "apparent"):
         assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -27,7 +27,6 @@ from taglok.pipeline import (
     fuse_rotations_ql2,
     iqr_bounds,
     remove_outliers,
-    select_tags,
     step,
 )
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
@@ -46,6 +45,7 @@ from oracles import (
     random_quat_cluster,
     riemannian_distance,
     rows_from,
+    selected_rows,
     unbundle,
 )
 
@@ -80,36 +80,36 @@ class TestSelectTags:
     def test_tbs_keeps_two_biggest_classes(self):
         tag_map = make_map({1: SizeClass.S, 2: SizeClass.M, 3: SizeClass.L})
         detections = [make_detection(i) for i in (1, 2, 3)]
-        selected = select_tags(rows_from(detections), tag_map, ThsMode.TBS)
+        selected = selected_rows(rows_from(detections), tag_map, ThsMode.TBS)
         assert selected.ids.tolist() == [2, 3]
 
     def test_tbs_single_class_keeps_all(self):
         tag_map = make_map({1: SizeClass.M, 2: SizeClass.M, 3: SizeClass.M})
         detections = [make_detection(i) for i in (3, 1, 2)]
-        selected = select_tags(rows_from(detections), tag_map, ThsMode.TBS)
+        selected = selected_rows(rows_from(detections), tag_map, ThsMode.TBS)
         assert selected.ids.tolist() == [1, 2, 3]
 
     def test_jbt_takes_maximum_size(self):
         tag_map = make_map({7: SizeClass.XL, 3: SizeClass.L, 4: SizeClass.L})
         detections = [make_detection(i) for i in (3, 7, 4)]
-        selected = select_tags(rows_from(detections), tag_map, ThsMode.JBT)
+        selected = selected_rows(rows_from(detections), tag_map, ThsMode.JBT)
         assert selected.ids.tolist() == [7]
 
     def test_jbt_tie_break_smallest_id(self):
         tag_map = make_map({3: SizeClass.L, 4: SizeClass.L})
-        selected = select_tags(rows_from([make_detection(4), make_detection(3)]), tag_map,
+        selected = selected_rows(rows_from([make_detection(4), make_detection(3)]), tag_map,
                                ThsMode.JBT)
         assert selected.ids.tolist() == [3]
 
     def test_all_keeps_everything(self):
         tag_map = make_map({1: SizeClass.S, 2: SizeClass.XL})
         detections = [make_detection(2), make_detection(1)]
-        assert select_tags(rows_from(detections), tag_map, ThsMode.ALL).ids.tolist() == [1, 2]
+        assert selected_rows(rows_from(detections), tag_map, ThsMode.ALL).ids.tolist() == [1, 2]
 
     def test_empty_input(self):
         tag_map = make_map({1: SizeClass.S})
         for mode in ThsMode:
-            assert len(select_tags(rows_from([]), tag_map, mode)) == 0
+            assert len(selected_rows(rows_from([]), tag_map, mode)) == 0
 
 
 class TestEstimateBodyPose:
@@ -160,9 +160,16 @@ class TestEstimateBodyPose:
         assert np.allclose(shift, -R_body @ [0.1, 0.0, 0.0], atol=1e-12)
 
     def test_unknown_id_skipped(self):
+        # rows stay aligned with the detections: an unknown id's row is NaN
         tag_map = make_map({0: SizeClass.XL})
-        unknown = rows_from([make_detection(99)])
-        assert len(estimate_body_pose_per_tag(unknown, tag_map, Pose.identity())) == 0
+        rows = rows_from([make_detection(99), make_detection(0)])
+        est = estimate_body_pose_per_tag(rows, tag_map, Pose.identity())
+        assert est.ids.tolist() == [99, 0]
+        assert np.isnan(est.positions[0]).all() and np.isnan(est.quats[0]).all()
+        assert np.isnan(est.weights[0])
+        alone = estimate_body_pose_per_tag(rows.take([1]), tag_map, Pose.identity())
+        assert np.array_equal(est.positions[1:], alone.positions)
+        assert np.array_equal(est.quats[1:], alone.quats)
 
     def test_weight_from_scheme(self):
         tag_map = make_map({0: SizeClass.L})
@@ -544,7 +551,7 @@ class TestStep:
             detections = detect(tag_map, cam, noise, truth, frame)
             out, state = step(detections, tag_map, cfg, state, timestamp=frame / 20.0)
 
-            selected = select_tags(detections, tag_map, cfg.ths)
+            selected = selected_rows(detections, tag_map, cfg.ths)
             estimates = estimate_body_pose_per_tag(selected, tag_map, cfg.camera_in_body,
                                                    cfg.weights)
             kept, rejected = remove_outliers(estimates, cfg.iqr_gain)
@@ -587,9 +594,9 @@ class TestPipelineInvariants:
             tag_map = make_map(mapping)
             detections = [make_detection(i) for i in mapping]
             rows = rows_from(detections)
-            jbt = set(select_tags(rows, tag_map, ThsMode.JBT).ids.tolist())
-            tbs = set(select_tags(rows, tag_map, ThsMode.TBS).ids.tolist())
-            every = set(select_tags(rows, tag_map, ThsMode.ALL).ids.tolist())
+            jbt = set(selected_rows(rows, tag_map, ThsMode.JBT).ids.tolist())
+            tbs = set(selected_rows(rows, tag_map, ThsMode.TBS).ids.tolist())
+            every = set(selected_rows(rows, tag_map, ThsMode.ALL).ids.tolist())
             assert jbt <= tbs <= every
 
     def test_permutation_invariance_exact(self):
