@@ -5,7 +5,7 @@ frames of camera detections with exact ground truth (the motion capture
 reference role), and `run`, the one frame loop, steps the pipeline over
 frames and accumulates position errors [cm] and orientation errors [deg];
 it recovers the body pose of every detection of its frames in one pass of
-the frame chain (`body_poses_of`) and hands each frame's `step` its slice.
+the frame chain (`body_poses_of`) and hands each frame's `step` its rows.
 compare_matrix simulates each scenario once and runs every method variant
 on those frames and that one frame chain: the detection stream depends
 only on (seed, frame, tag), and the chain only on the map and the camera
@@ -281,8 +281,8 @@ def simulate(cfg: RunConfig) -> Iterator[Frame]:
 def body_poses_of(cfg: RunConfig, frames: Sequence[Frame]) -> TagEstimates:
     """The frame chain of every detection of `frames`, one row per
     detection in stream order, from one `estimate_body_pose_per_tag` pass;
-    it depends on the map and the camera mount only, so every pipeline
-    variant can share it."""
+    it depends on the map and the camera mount (`pose_in_body`, the mount's
+    one home) only, so every pipeline variant can share it."""
     fields = ("ids", "positions", "quats", "apparent")
     stacked = DetectionRows(*(np.concatenate([getattr(f.detections, name) for f in frames])
                               for name in fields))
@@ -299,14 +299,13 @@ def run(cfg: RunConfig, frames: Iterable[Frame] | None = None, *,
     frames = list(simulate(cfg) if frames is None else frames)
     if body_poses is None and frames:
         body_poses = body_poses_of(cfg, frames)
-    pipe_cfg = replace(cfg.pipeline, camera_in_body=cfg.camera.pose_in_body)
     state = None
     records: list[FrameRecord] = []
     end = 0
     for frame in frames:
         start, end = end, end + len(frame.detections)
-        output, state = step(frame.detections, cfg.tag_map, pipe_cfg, state, timestamp=frame.t,
-                             body_poses=body_poses.take(slice(start, end)))
+        output, state = step(body_poses.take(slice(start, end)), cfg.tag_map, cfg.pipeline,
+                             state, timestamp=frame.t)
         truth = frame.truth
         phase = ep_cm = eo_deg = None
         if truth is not None:

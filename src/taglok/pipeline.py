@@ -4,16 +4,17 @@ Stages, in order: hierarchical tag selection (THS), per-tag body-pose
 recovery through the known frame chain, IQR-based outlier removal (OR),
 weighted multi-estimate fusion (MEF: Euclidean mean for position, quaternion
 averaging for orientation), and a FIR moving average over the last few
-estimates. Every stage is configurable through PipelineConfig; `step` wires
-them together for one frame and never raises on degenerate inputs - frames
-that cannot produce an estimate yield pose = None with a reason in the
-stage trace.
+estimates. Every stage is configurable through PipelineConfig. The frame
+chain alone decides which detections are usable; `step` wires the other
+stages together for one frame's rows of it and never raises on degenerate
+inputs - frames that cannot produce an estimate yield pose = None with a
+reason in the stage trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -86,7 +87,6 @@ class PipelineConfig:
     weights: WeightScheme = WeightScheme.W2
     rot_mean: RotMeanMethod = RotMeanMethod.QL2
     fir_length: int = 5
-    camera_in_body: Pose = field(default_factory=Pose.identity)
 
     def __post_init__(self) -> None:
         if self.iqr_gain <= 0:
@@ -202,31 +202,28 @@ def select_tags(ids: np.ndarray, classes: np.ndarray, mode: ThsMode) -> np.ndarr
 
 
 def corrupt_rows(detections: DetectionRows) -> np.ndarray:
-    """Which detections no estimate can come from: a position that is not
-    finite, or a quaternion whose norm is not finite or too small to
-    normalize (a component NaN or infinite, a square that overflows, all
-    components about zero)."""
-    q = detections.quats
+    """Which detections no estimate can come from: a position whose squared
+    norm is not finite, or a quaternion whose norm is not finite or too
+    small to normalize (a component NaN or infinite, a square that
+    overflows, all quaternion components about zero)."""
+    p, q = detections.positions, detections.quats
     with np.errstate(over="ignore"):
-        norm_sq = (q * q).sum(axis=1)
-    return ~(np.isfinite(detections.positions).all(axis=1) & np.isfinite(norm_sq)
-             & (norm_sq >= _NORM_TOL * _NORM_TOL))
+        p_sq, q_sq = (p * p).sum(axis=1), (q * q).sum(axis=1)
+    return ~(np.isfinite(p_sq) & np.isfinite(q_sq) & (q_sq >= _NORM_TOL * _NORM_TOL))
 
 
 def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
-                               camera_in_body: Pose,
-                               weights: WeightScheme = WeightScheme.UNIFORM
-                               ) -> TagEstimates:
+                               camera_in_body: Pose) -> TagEstimates:
     """Recover the body pose from each detection through the frame chain
     world<-tag, tag<-camera (inverted detection), camera<-body (inverted
     mount), all rows at once, whatever number of frames they come from.
 
     Row i of the result belongs to detection i. A detection whose id is not
-    in the map, or that is corrupt (`corrupt_rows`), gets a NaN row and a
-    NaN weight; no other row depends on it. Each other row equals the
-    per-tag chain compose(tag, compose(inverse(detection),
-    inverse(camera_in_body))) bit for bit: the row helpers keep the scalar
-    expression order."""
+    in the map, or that is corrupt (`corrupt_rows`), gets a NaN row; no
+    other row depends on it. Each other row equals the per-tag chain
+    compose(tag, compose(inverse(detection), inverse(camera_in_body))) bit
+    for bit (the row helpers keep the scalar expression order) and has
+    weight 1: fusion weights are assigned by `step`."""
     m = tag_map.world_frames()
     rows = m.rows_of(detections.ids)
     usable = np.flatnonzero((rows >= 0) & ~corrupt_rows(detections))
@@ -246,7 +243,7 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
         chain_q = quat_multiply_rows(inv_q, mount_q)
         estimates.positions[picked] = m.positions[tag] + rotate_rows(tag_q, chain_p)
         estimates.quats[picked] = quat_multiply_rows(tag_q, chain_q)
-    estimates.weights[usable] = _CLASS_WEIGHTS[weights][m.classes[rows[usable]]]
+    estimates.weights[usable] = 1.0
     return estimates
 
 
@@ -366,31 +363,33 @@ def fir_smooth(history: Sequence[Pose], new_pose: Pose, length: int) -> Pose:
     return Pose(positions.mean(axis=0), mean)
 
 
-def step(detections: DetectionRows, tag_map: TagMap, config: PipelineConfig,
-         state: PipelineState | None = None, timestamp: float = 0.0, *,
-         body_poses: TagEstimates | None = None) -> tuple[EstimateOutput, PipelineState]:
-    """Run one frame through THS -> per-tag estimation -> OR -> MEF -> FIR.
+def step(body_poses: TagEstimates, tag_map: TagMap, config: PipelineConfig,
+         state: PipelineState | None = None, timestamp: float = 0.0
+         ) -> tuple[EstimateOutput, PipelineState]:
+    """Run one frame through THS -> OR -> MEF -> FIR.
 
-    `body_poses` is this frame's slice of `estimate_body_pose_per_tag` run
-    over the detections of a whole frame stream, one row per detection;
-    without it the frame chain runs here, on the selected rows. Detections
-    with ids missing from the map, and corrupt ones (`corrupt_rows`), are
-    dropped up front and listed in the trace. Frames yielding no usable estimate return
-    pose = None with a reason; the FIR history then stays untouched.
+    `body_poses` is the frame's rows of `estimate_body_pose_per_tag`, one
+    per detection (`harness.run` computes them for a whole frame stream in
+    one pass). The chain's NaN rows are dropped up front and listed in the
+    trace: an id missing from the map under `unknown_ids`, any other NaN
+    row (a corrupt detection) under `corrupt_ids`. Frames yielding no
+    usable estimate return pose = None with a reason; the FIR history then
+    stays untouched.
     """
     if state is None:
         state = PipelineState()
     m = tag_map.world_frames()
-    rows = m.rows_of(detections.ids)
+    ids = body_poses.ids
+    rows = m.rows_of(ids)
     is_known = rows >= 0
-    corrupt = corrupt_rows(detections)
-    usable = np.flatnonzero(is_known & ~corrupt)
-    unknown = tuple(sorted(detections.ids[~is_known].tolist()))
-    corrupt_ids = tuple(sorted(detections.ids[is_known & corrupt].tolist()))
+    is_nan = np.isnan(body_poses.quats[:, 0])
+    usable = np.flatnonzero(is_known & ~is_nan)
+    unknown = tuple(sorted(ids[~is_known].tolist()))
+    corrupt_ids = tuple(sorted(ids[is_known & is_nan].tolist()))
 
     def no_estimate(reason: str, rejected: tuple[int, ...] = (),
                     trace_kwargs: dict | None = None) -> tuple[EstimateOutput, PipelineState]:
-        trace = StageTrace(n_detections=len(detections), unknown_ids=unknown,
+        trace = StageTrace(n_detections=len(body_poses), unknown_ids=unknown,
                            corrupt_ids=corrupt_ids, reason=reason, rejected_ids=rejected,
                            **(trace_kwargs or {}))
         return EstimateOutput(timestamp, None, (), trace), state
@@ -399,14 +398,10 @@ def step(detections: DetectionRows, tag_map: TagMap, config: PipelineConfig,
         return no_estimate("no-tags")
 
     classes = m.classes[rows[usable]]
-    picked = select_tags(detections.ids[usable], classes, config.ths)
+    picked = select_tags(ids[usable], classes, config.ths)
     selected = usable[picked]
-    if body_poses is None:
-        poses = estimate_body_pose_per_tag(detections.take(selected), tag_map,
-                                           config.camera_in_body)
-    else:
-        poses = body_poses.take(selected)
-    estimates = TagEstimates(poses.ids, poses.positions, poses.quats,
+    estimates = TagEstimates(ids[selected], body_poses.positions[selected],
+                             body_poses.quats[selected],
                              _CLASS_WEIGHTS[config.weights][classes[picked]])
     selected_ids = tuple(estimates.ids.tolist())
 
@@ -435,7 +430,7 @@ def step(detections: DetectionRows, tag_map: TagMap, config: PipelineConfig,
     new_state = PipelineState((state.fir_history + (raw_pose,))[-config.fir_length:])
 
     trace = StageTrace(
-        n_detections=len(detections),
+        n_detections=len(body_poses),
         unknown_ids=unknown,
         corrupt_ids=corrupt_ids,
         selected_ids=selected_ids,

@@ -10,7 +10,9 @@ frame chain and back end), kept as the bitwise reference for their array
 forms in `taglok.pipeline`, and the object form of detections (`Detection`,
 `rows_from`) with the per-tag loop form of the simulator's `detect` and the
 unculled form of its `visible_tags`, the bitwise references for their
-array forms in `taglok.camsim`.
+array forms in `taglok.camsim`. `step_detections` is no oracle: it feeds
+one frame's detections to `step` through the frame chain, as `run` does
+for a whole stream.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from taglok.pipeline import (
     TagEstimates,
     ThsMode,
     WeightScheme,
+    estimate_body_pose_per_tag,
     select_tags,
+    step,
 )
 
 _ORTHO_TOL = 1e-6
@@ -394,6 +398,14 @@ def selected_rows(rows: DetectionRows, tag_map, mode) -> DetectionRows:
     up in the map (every id must resolve)."""
     m = tag_map.world_frames()
     return rows.take(select_tags(rows.ids, m.classes[m.rows_of(rows.ids)], mode))
+
+
+def step_detections(detections: DetectionRows, tag_map, config, state=None,
+                    timestamp: float = 0.0, camera_in_body: Pose = Pose.identity()):
+    """`step` over one frame's detections: the frame chain of those rows
+    alone, through the camera mount, then the frame's step."""
+    body_poses = estimate_body_pose_per_tag(detections, tag_map, camera_in_body)
+    return step(body_poses, tag_map, config, state, timestamp)
 
 
 @dataclass(frozen=True)

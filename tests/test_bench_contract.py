@@ -85,7 +85,8 @@ def test_traced_run_records_the_expected_spans(spans):
 def _traced(spans, call):
     """What `call` returns, and the span names it records with their counts.
     `call` must reach taglok through its modules' attributes, which the
-    tracer replaces."""
+    tracer replaces. No frame chain may run inside a `step`, where its time
+    would count as the step's."""
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -94,14 +95,17 @@ def _traced(spans, call):
         tracer.uninstall()
     assert tracer.absent == [] and tracer.leftover_wrappers() == []
     counts = {}
-    for name, *_ in tracer.spans:
+    for name, _, _, parent, *_ in tracer.spans:
         counts[name] = counts.get(name, 0) + 1
+        if name == "pipeline.frame_chain":
+            while parent >= 0:
+                assert tracer.spans[parent][0] != "pipeline.step"
+                parent = tracer.spans[parent][3]
     return result, counts
 
 
 def test_traced_compare_records_per_frame_spans(spans):
-    # the frame chain runs once per scenario, shared by the variants; the
-    # per-frame spans must still see every frame of every variant
+    # the per-frame spans must see every frame of every variant
     base = RunConfig(hover_trajectory((1.5, 2.5, 1.4), duration=0.2),
                      build_pattern_map((3.0, 5.0)), default_camera(),
                      NoiseModel(0.01, 0.02, 100.0, seed=1), PipelineConfig(), 20.0)
@@ -113,7 +117,9 @@ def test_traced_compare_records_per_frame_spans(spans):
     assert frames == len(variants) * (4 + 3)
     assert counts["pipeline.step"] == counts["pipeline.fuse_rotations"] == frames
     assert counts["harness.run"] == len(rows)
-    assert counts["pipeline.frame_chain"] >= counts["harness.compare_matrix"] == 1
+    # one frame chain per scenario, shared by its variants
+    assert counts["harness.compare_matrix"] == 1
+    assert counts["pipeline.frame_chain"] == len(scenarios)
 
 
 def test_traced_replay_records_per_frame_spans(spans, tmp_path, capsys):
@@ -129,5 +135,5 @@ def test_traced_replay_records_per_frame_spans(spans, tmp_path, capsys):
     frames = len(out.read_text(encoding="utf-8").splitlines()) - 1
     assert frames == 6
     assert counts["pipeline.step"] == counts["pipeline.fuse_rotations"] == frames
-    assert counts["pipeline.frame_chain"] >= counts["cli.replay"] == 1
+    assert counts["pipeline.frame_chain"] == counts["cli.replay"] == 1
     assert counts["camsim.parse_detection_line"] == len(stream.read_text().splitlines())

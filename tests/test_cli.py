@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,17 @@ scenarios = hover:1.0:1.0:0.8 t1
 fir_length = 7  # inline comment
 """))
         assert settings.get("pipeline", "fir_length") == 7
+
+    def test_every_pipeline_field_is_set_by_its_key(self, tmp_path):
+        # one home per setting: no PipelineConfig field outside [pipeline]
+        names = [f.name for f in fields(PipelineConfig)]
+        assert sorted(names) == sorted(default_settings().values["pipeline"])
+        text = "[pipeline]\n" + "".join(f"{n} = {LIVE_VALUES['pipeline.' + n]}\n" for n in names)
+        path = write_cfg(tmp_path, text)
+        settings, pipeline = load_settings(path), load_run_config(path).pipeline
+        for name in names:
+            value = getattr(pipeline, name)
+            assert getattr(value, "value", value) == settings.get("pipeline", name)
 
     def test_run_seed_is_the_noise_seed(self, tmp_path):
         cfg = load_run_config(write_cfg(tmp_path, "[run]\nseed = 4\n"))

@@ -25,7 +25,6 @@ from taglok.harness import RunConfig, hover_trajectory, simulate
 from taglok.pipeline import (
     PipelineConfig,
     ThsMode,
-    WeightScheme,
     estimate_body_pose_per_tag,
 )
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
@@ -95,28 +94,27 @@ def _random_scene(rng: np.random.Generator):
     return tag_map, detections, mount
 
 
-def _assert_chain_equal(detections, tag_map, mount, weights):
-    got = estimate_body_pose_per_tag(rows_from(detections), tag_map, mount, weights)
+def _assert_chain_equal(detections, tag_map, mount):
+    got = estimate_body_pose_per_tag(rows_from(detections), tag_map, mount)
     assert got.ids.tolist() == [d.tag_id for d in detections]
     assert got.positions.shape == (len(detections), 3)
     assert got.quats.shape == (len(detections), 4)
     for row, d in enumerate(detections):
-        e = loop_estimate_body_pose_per_tag(d, tag_map, mount, weights)
+        e = loop_estimate_body_pose_per_tag(d, tag_map, mount)
         if e is None:  # an id not in the map gives a NaN row
             assert np.isnan(got.positions[row]).all() and np.isnan(got.quats[row]).all()
             assert np.isnan(got.weights[row])
             continue
-        assert got.weights[row] == e.weight
+        assert got.weights[row] == e.weight == 1.0  # fusion weights are step's
         assert np.array_equal(got.positions[row], e.body_pose_est.position)
         assert tuple(got.quats[row].tolist()) == _components(e.body_pose_est.orientation)
 
 
 def test_chain_bitwise_equal_on_random_scenes():
     rng = np.random.default_rng(4041)
-    schemes = list(WeightScheme)
     for _ in range(300):
         tag_map, detections, mount = _random_scene(rng)
-        _assert_chain_equal(detections, tag_map, mount, schemes[int(rng.integers(3))])
+        _assert_chain_equal(detections, tag_map, mount)
 
 
 def test_chain_bitwise_equal_on_every_frame_of_a_hover_at_two_meters():
@@ -129,11 +127,10 @@ def test_chain_bitwise_equal_on_every_frame_of_a_hover_at_two_meters():
     assert len(frames) == 60 and min(len(f.detections) for f in frames) > 100
     for frame in frames:
         _assert_chain_equal(detections_from(frame.detections), cfg.tag_map,
-                            camera.pose_in_body, WeightScheme.W2)
+                            camera.pose_in_body)
     # the same frames seen through an identity mount
     for frame in frames[:5]:
-        _assert_chain_equal(detections_from(frame.detections), cfg.tag_map, Pose.identity(),
-                            WeightScheme.UNIFORM)
+        _assert_chain_equal(detections_from(frame.detections), cfg.tag_map, Pose.identity())
         for mode in ThsMode:
             _assert_selection_equal(detections_from(frame.detections), cfg.tag_map, mode)
 

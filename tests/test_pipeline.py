@@ -27,7 +27,6 @@ from taglok.pipeline import (
     fuse_rotations_ql2,
     iqr_bounds,
     remove_outliers,
-    step,
 )
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
@@ -37,15 +36,18 @@ from oracles import (
     as_bundle,
     brute_force_chordal_mean,
     brute_force_ql2_mean,
+    detections_from,
     hmat,
     naive_iqr_fences,
     naive_outlier_partition,
     entry_of,
+    loop_estimate_body_pose_per_tag,
     pose_to_hmat,
     random_quat_cluster,
     riemannian_distance,
     rows_from,
     selected_rows,
+    step_detections,
     unbundle,
 )
 
@@ -170,15 +172,6 @@ class TestEstimateBodyPose:
         alone = estimate_body_pose_per_tag(rows.take([1]), tag_map, Pose.identity())
         assert np.array_equal(est.positions[1:], alone.positions)
         assert np.array_equal(est.quats[1:], alone.quats)
-
-    def test_weight_from_scheme(self):
-        tag_map = make_map({0: SizeClass.L})
-        est, = unbundle(estimate_body_pose_per_tag(rows_from([make_detection(0)]), tag_map,
-                                                   Pose.identity(), WeightScheme.W1))
-        assert est.weight == 16.0
-        est, = unbundle(estimate_body_pose_per_tag(rows_from([make_detection(0)]), tag_map,
-                                                   Pose.identity(), WeightScheme.W2))
-        assert est.weight == 4.0
 
 
 class TestWeightScheme:
@@ -493,15 +486,16 @@ class TestStep:
             for rot in RotMeanMethod:
                 for outlier_removal in (False, True):
                     cfg = PipelineConfig(ths=ths, outlier_removal=outlier_removal,
-                                         rot_mean=rot, camera_in_body=cam.pose_in_body)
-                    out, _ = step(detections, tag_map, cfg, timestamp=0.0)
+                                         rot_mean=rot)
+                    out, _ = step_detections(detections, tag_map, cfg,
+                                             camera_in_body=cam.pose_in_body)
                     assert out.pose is not None
                     assert np.linalg.norm(out.pose.position - truth.position) < 1e-9
                     assert quat_rotation_angle(out.pose.orientation, truth.orientation) < 1e-9
 
     def test_no_detections_gives_reason(self):
         tag_map = make_map({0: SizeClass.L})
-        out, state = step(rows_from([]), tag_map, PipelineConfig())
+        out, state = step_detections(rows_from([]), tag_map, PipelineConfig())
         assert out.pose is None
         assert out.stage_trace.reason == "no-tags"
         assert state.fir_history == ()
@@ -509,13 +503,13 @@ class TestStep:
     def test_unknown_ids_dropped_and_counted(self):
         tag_map = make_map({0: SizeClass.L})
         detections = [make_detection(0), make_detection(99), make_detection(100)]
-        out, _ = step(rows_from(detections), tag_map, PipelineConfig())
+        out, _ = step_detections(rows_from(detections), tag_map, PipelineConfig())
         assert out.stage_trace.unknown_ids == (99, 100)
         assert out.pose is not None
 
     def test_only_unknown_ids_no_estimate(self):
         tag_map = make_map({0: SizeClass.L})
-        out, _ = step(rows_from([make_detection(99)]), tag_map, PipelineConfig())
+        out, _ = step_detections(rows_from([make_detection(99)]), tag_map, PipelineConfig())
         assert out.pose is None and out.stage_trace.reason == "no-tags"
 
     def test_all_rejected_reason(self):
@@ -530,7 +524,8 @@ class TestStep:
         entries = [TagEntry(i, Pose(np.array([0.0 if i < 4 else 5.0, 2.0 * i, 0.0]),
                                     UnitQuaternion.identity()), SizeClass.L) for i in range(5)]
         spread_map = TagMap(entries, (10.0, 12.0))
-        out, state = step(rows_from(detections), spread_map, PipelineConfig(ths=ThsMode.ALL))
+        out, state = step_detections(rows_from(detections), spread_map,
+                                     PipelineConfig(ths=ThsMode.ALL))
         assert out.pose is None
         assert out.stage_trace.reason == "all-rejected"
         assert len(out.stage_trace.rejected_ids) == 5
@@ -541,30 +536,44 @@ class TestStep:
         tag_map = build_pattern_map((3.0, 5.0))
         noise = NoiseModel(0.01, 0.02, 100.0, outlier_probability=0.1,
                            outlier_position_scale=10.0, seed=77)
-        cfg = PipelineConfig(ths=ThsMode.TBS, outlier_removal=True,
-                             weights=WeightScheme.W2, rot_mean=RotMeanMethod.QL2,
-                             camera_in_body=cam.pose_in_body)
         truth = Pose(np.array([1.5, 2.5, 1.2]), quat_from_yaw(0.1))
-        state = None
-        manual_history: tuple = ()
-        for frame in range(8):
-            detections = detect(tag_map, cam, noise, truth, frame)
-            out, state = step(detections, tag_map, cfg, state, timestamp=frame / 20.0)
+        for weights in (WeightScheme.W1, WeightScheme.W2):
+            cfg = PipelineConfig(ths=ThsMode.TBS, outlier_removal=True,
+                                 weights=weights, rot_mean=RotMeanMethod.QL2)
+            state = None
+            manual_history: tuple = ()
+            for frame in range(8):
+                detections = detect(tag_map, cam, noise, truth, frame)
+                out, state = step_detections(detections, tag_map, cfg, state, frame / 20.0,
+                                             cam.pose_in_body)
 
-            selected = selected_rows(detections, tag_map, cfg.ths)
-            estimates = estimate_body_pose_per_tag(selected, tag_map, cfg.camera_in_body,
-                                                   cfg.weights)
-            kept, rejected = remove_outliers(estimates, cfg.iqr_gain)
-            position = fuse_positions(kept)
-            quaternion = fuse_rotations_ql2(kept).quaternion
-            raw = Pose(position, quaternion)
-            expected = fir_smooth(manual_history, raw, cfg.fir_length)
-            manual_history = (manual_history + (raw,))[-cfg.fir_length:]
+                # the per-tag chain with the scheme's weight of each tag's class
+                selected = detections_from(selected_rows(detections, tag_map, cfg.ths))
+                estimates = as_bundle([
+                    loop_estimate_body_pose_per_tag(d, tag_map, cam.pose_in_body, cfg.weights)
+                    for d in selected])
+                kept, rejected = remove_outliers(estimates, cfg.iqr_gain)
+                position = fuse_positions(kept)
+                quaternion = fuse_rotations_ql2(kept).quaternion
+                raw = Pose(position, quaternion)
+                expected = fir_smooth(manual_history, raw, cfg.fir_length)
+                manual_history = (manual_history + (raw,))[-cfg.fir_length:]
 
-            assert out.tags_used == tuple(e.tag_id for e in unbundle(kept))
-            assert out.stage_trace.rejected_ids == tuple(e.tag_id for e in unbundle(rejected))
-            assert np.array_equal(out.pose.position, expected.position)
-            assert out.pose.orientation == expected.orientation
+                assert out.tags_used == tuple(e.tag_id for e in unbundle(kept))
+                assert out.stage_trace.rejected_ids == tuple(e.tag_id for e in unbundle(rejected))
+                assert np.array_equal(out.pose.position, expected.position)
+                assert out.pose.orientation == expected.orientation
+
+    def test_fusion_weight_by_size_class(self):
+        # the L tag (h = 2) gives body x = 0, the S tag (h = 0) body x = 1
+        tag_map = make_map({0: SizeClass.L, 1: SizeClass.S})
+        rows = rows_from([make_detection(0), make_detection(1)])
+        for weights, large in ((WeightScheme.W1, 16.0), (WeightScheme.W2, 4.0),
+                               (WeightScheme.UNIFORM, 1.0)):
+            cfg = PipelineConfig(ths=ThsMode.ALL, outlier_removal=False, weights=weights,
+                                 fir_length=1)
+            out, _ = step_detections(rows, tag_map, cfg)
+            assert out.pose.position[0] == 1.0 / (large + 1.0)
 
     def test_tags_used_disjoint_from_rejected(self):
         rng = np.random.default_rng(606)
@@ -574,13 +583,14 @@ class TestStep:
                 make_detection(i, (rng.normal(scale=0.3), rng.normal(scale=0.3), 1.0))
                 for i in range(8)
             ]
-            out, _ = step(rows_from(detections), tag_map, PipelineConfig(ths=ThsMode.ALL))
+            out, _ = step_detections(rows_from(detections), tag_map,
+                                     PipelineConfig(ths=ThsMode.ALL))
             assert not set(out.tags_used) & set(out.stage_trace.rejected_ids)
 
     def test_trace_serializes(self):
         import json
         tag_map = make_map({0: SizeClass.L})
-        out, _ = step(rows_from([make_detection(0)]), tag_map, PipelineConfig())
+        out, _ = step_detections(rows_from([make_detection(0)]), tag_map, PipelineConfig())
         assert json.dumps(out.stage_trace.to_dict())
 
 
@@ -607,11 +617,11 @@ class TestPipelineInvariants:
             for i in range(6)
         ]
         cfg = PipelineConfig(ths=ThsMode.ALL)
-        baseline, _ = step(rows_from(detections), tag_map, cfg)
+        baseline, _ = step_detections(rows_from(detections), tag_map, cfg)
         for _ in range(10):
             shuffled = list(detections)
             rng.shuffle(shuffled)
-            out, _ = step(rows_from(shuffled), tag_map, cfg)
+            out, _ = step_detections(rows_from(shuffled), tag_map, cfg)
             assert np.array_equal(out.pose.position, baseline.pose.position)
             assert out.pose.orientation == baseline.pose.orientation
             assert out.tags_used == baseline.tags_used

@@ -18,7 +18,6 @@ from taglok.pipeline import (  # noqa: E402
     fuse_rotations_cl2,
     fuse_rotations_ql2,
     remove_outliers,
-    step,
 )
 from taglok.tagmap import build_pattern_map  # noqa: E402
 
@@ -28,6 +27,7 @@ from oracles import (  # noqa: E402
     as_bundle,
     naive_outlier_partition,
     rows_from,
+    step_detections,
     unbundle,
 )
 
@@ -121,11 +121,11 @@ def test_step_never_raises_or_returns_a_non_finite_pose(frames):
         for outlier_removal in (False, True):
             for rot_mean in RotMeanMethod:
                 config = PipelineConfig(ths=ths, outlier_removal=outlier_removal,
-                                        rot_mean=rot_mean, camera_in_body=down_facing_mount())
+                                        rot_mean=rot_mean)
                 state = None
                 for t, detections in enumerate(frames):
-                    output, state = step(rows_from(detections), _ONE_TILE, config, state,
-                                         float(t))
+                    output, state = step_detections(rows_from(detections), _ONE_TILE, config,
+                                                    state, float(t), down_facing_mount())
                     if output.pose is not None:
                         assert np.all(np.isfinite(output.pose.position))
                         assert np.all(np.isfinite(output.pose.orientation.as_array()))

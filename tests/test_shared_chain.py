@@ -1,13 +1,13 @@
 """The frame chain run once per frame stream against the chain run per frame.
 
 `run` computes the body pose of every detection of its frames in one
-`estimate_body_pose_per_tag` pass and hands each `step` its slice;
+`estimate_body_pose_per_tag` pass and hands each `step` its rows;
 `compare_matrix` shares that pass between all variants of a scenario.
-`step` called without the slice runs the same chain on its own rows. Both
-routes must give the same records, compared exactly (`==`), over frames
-with unknown, repeated and corrupt rows and over empty frames. A corrupt
-row (a non-finite component, or a quaternion too close to zero to
-normalize) may cost that row only.
+Running the chain on each frame's detections alone before its `step` must
+give the same records, compared exactly (`==`), over frames with unknown,
+repeated and corrupt rows and over empty frames. A corrupt row (a
+position whose squared norm is not finite, or a quaternion whose norm is
+not finite or too close to zero to normalize) may cost that row only.
 """
 
 import itertools
@@ -26,9 +26,10 @@ from taglok.pipeline import (
     WeightScheme,
     apply_variant,
     estimate_body_pose_per_tag,
-    step,
 )
 from taglok.tagmap import build_pattern_map
+
+from oracles import step_detections
 
 UNKNOWN_ID = 100_000
 NOISE = NoiseModel(0.01, 0.02, 100.0, outlier_probability=0.1, outlier_position_scale=10.0,
@@ -64,7 +65,8 @@ def base():
 @pytest.fixture(scope="module")
 def frames(base):
     """Simulated frames, then frames with unknown and repeated ids, an empty
-    frame, an all-unknown frame and frames with corrupt rows."""
+    frame, an all-unknown frame and frames with corrupt rows, one of them
+    also of an unknown id."""
     sim = list(simulate(base))
     d0, d1, d2 = (f.detections for f in sim[:3])
     extra = _rows([UNKNOWN_ID, UNKNOWN_ID + 1], d0.positions[:2], d0.quats[:2], d0.apparent[:2])
@@ -84,6 +86,9 @@ def frames(base):
         _spoiled(_spoiled(d0, 0, "quats", 2, -np.inf), 3, "positions", 1, np.nan),
         _spoiled(d1, 4, "quats", 0, 1e200),  # its square overflows
         _spoiled(d1, 6, "quats", None, 0.0),
+        # a row both unknown and corrupt counts as unknown only
+        _spoiled(_with(d2, ids=np.where(np.arange(len(d2)) == 1, UNKNOWN_ID + 2, d2.ids)),
+                 1, "quats", 0, np.nan),
     ]
     tail = sim[-1]
     stream = sim + [Frame(tail.index + 1 + k, tail.t + 0.05 * (k + 1), tail.truth, rows)
@@ -103,10 +108,10 @@ def _assert_same_output(got, want):
 
 
 def _frame_by_frame(cfg, frames):
-    pipeline = replace(cfg.pipeline, camera_in_body=cfg.camera.pose_in_body)
     state, outputs = None, []
     for frame in frames:
-        output, state = step(frame.detections, cfg.tag_map, pipeline, state, timestamp=frame.t)
+        output, state = step_detections(frame.detections, cfg.tag_map, cfg.pipeline, state,
+                                        frame.t, cfg.camera.pose_in_body)
         outputs.append(output)
     return outputs
 
@@ -131,6 +136,7 @@ def test_run_equals_step_frame_by_frame(base, frames, pipeline):
     assert [t.reason for t in traces].count("no-tags") == 2  # the empty and all-unknown frames
     assert sum(len(t.corrupt_ids) for t in traces) == 6
     assert any(len(t.unknown_ids) == 2 for t in traces)
+    assert [t.unknown_ids for t in traces].count((UNKNOWN_ID + 2,)) == 1
 
 
 def test_compare_matrix_rows_equal_independent_runs(base):
@@ -162,7 +168,8 @@ def test_stream_chain_rows_equal_frame_chains(base, frames):
 
 SPOILS = [("quats", 1, np.nan), ("quats", 0, np.inf), ("quats", 3, 1e200),
           ("quats", None, 0.0), ("quats", None, 1e-13), ("positions", 0, np.inf),
-          ("positions", 1, -np.inf), ("positions", 2, np.inf), ("positions", 0, np.nan)]
+          ("positions", 1, -np.inf), ("positions", 2, np.inf), ("positions", 0, np.nan),
+          ("positions", 0, 1.7e308), ("positions", 2, 1e200)]  # the last two: squares overflow
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused-row", "unselected-row"])
