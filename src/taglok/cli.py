@@ -215,9 +215,13 @@ def _build_trajectory(settings: Settings) -> Trajectory:
     if kind == "t2":
         return steps_trajectory_t2(xy=(x, y), yaw=yaw)
     waypoint_file = settings.get("trajectory", "waypoints")
-    if waypoint_file:
-        return spline_trajectory_t3(load_waypoints(waypoint_file))
-    return spline_trajectory_t3()
+    if not waypoint_file:
+        return spline_trajectory_t3()
+    waypoints = load_waypoints(waypoint_file)  # its errors name the file
+    try:
+        return spline_trajectory_t3(waypoints)
+    except ValueError as exc:
+        raise ConfigError(f"{waypoint_file}: {exc}") from None
 
 
 def _build_tag_map(settings: Settings):

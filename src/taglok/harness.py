@@ -191,8 +191,11 @@ def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DE
     unwrapped = [yaws[0]]
     for raw in yaws[1:]:
         unwrapped.append(unwrapped[-1] + wrap_angle(raw - unwrapped[-1]))
-    chord = float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
+    with np.errstate(over="ignore"):  # an infinite chord is rejected below
+        chord = float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
     total = duration if duration is not None else chord / speed
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"spline trajectory needs a positive finite duration, got {total}")
     times = np.linspace(0.0, total, len(waypoints))
     spline = CubicSpline(times, positions, axis=0, bc_type="natural")
 
@@ -304,8 +307,7 @@ def run(cfg: RunConfig, frames: Iterable[Frame] | None = None, *,
     end = 0
     for frame in frames:
         start, end = end, end + len(frame.detections)
-        output, state = step(body_poses.take(slice(start, end)), cfg.tag_map, cfg.pipeline,
-                             state, timestamp=frame.t)
+        output, state = step(body_poses.take(slice(start, end)), cfg.tag_map, cfg.pipeline, state)
         truth = frame.truth
         phase = ep_cm = eo_deg = None
         if truth is not None:

@@ -8,13 +8,13 @@ estimates. Every stage is configurable through PipelineConfig. The frame
 chain alone decides which detections are usable; `step` wires the other
 stages together for one frame's rows of it and never raises on degenerate
 inputs - frames that cannot produce an estimate yield pose = None with a
-reason in the stage trace.
+reason in the stage trace. Frame times stay in `harness.FrameRecord.t`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -25,6 +25,7 @@ from .geometry import (
     _NORM_TOL,
     Pose,
     UnitQuaternion,
+    _normalize_rows,
     inverse,
     quat_multiply_rows,
     rotate_rows,
@@ -141,26 +142,15 @@ class StageTrace:
     reason: str | None = None
 
     def to_dict(self) -> dict:
-        # corrupt rows are rare, so their key appears only when there are some
-        corrupt = {"corrupt_ids": list(self.corrupt_ids)} if self.corrupt_ids else {}
-        return {
-            "n_detections": self.n_detections,
-            "unknown_ids": list(self.unknown_ids),
-            **corrupt,
-            "selected_ids": list(self.selected_ids),
-            "or_applied": self.or_applied,
-            "rejected_ids": list(self.rejected_ids),
-            "fusion_method": self.fusion_method,
-            "dispersion_warning": self.dispersion_warning,
-            "fusion_degenerate": self.fusion_degenerate,
-            "fir_taps": self.fir_taps,
-            "reason": self.reason,
-        }
+        """The fields in declaration order, tuples as lists; corrupt rows
+        are rare, so their key appears only when there are some."""
+        items = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in items if value or name != "corrupt_ids"}
 
 
 @dataclass(frozen=True)
 class EstimateOutput:
-    timestamp: float
     pose: Pose | None
     tags_used: tuple[int, ...]
     stage_trace: StageTrace
@@ -220,7 +210,8 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
 
     Row i of the result belongs to detection i. A detection whose id is not
     in the map, or that is corrupt (`corrupt_rows`), gets a NaN row; no
-    other row depends on it. Each other row equals the per-tag chain
+    other row depends on it. Each other row, its quaternion normalized as
+    `UnitQuaternion` does (a unit row stays as is), equals the per-tag chain
     compose(tag, compose(inverse(detection), inverse(camera_in_body))) bit
     for bit (the row helpers keep the scalar expression order) and has
     weight 1: fusion weights are assigned by `step`."""
@@ -237,7 +228,7 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
         picked = usable[start:start + _CHAIN_BLOCK_ROWS]
         tag = rows[picked]
         tag_q = m.quats[tag]
-        inv_q = detections.quats[picked] * _CONJUGATE  # inverse(detection)
+        inv_q = _normalize_rows(detections.quats[picked]) * _CONJUGATE  # inverse(detection)
         inv_p = -rotate_rows(inv_q, detections.positions[picked])
         chain_p = inv_p + rotate_rows(inv_q, mount.position)  # ... composed with the mount
         chain_q = quat_multiply_rows(inv_q, mount_q)
@@ -364,8 +355,7 @@ def fir_smooth(history: Sequence[Pose], new_pose: Pose, length: int) -> Pose:
 
 
 def step(body_poses: TagEstimates, tag_map: TagMap, config: PipelineConfig,
-         state: PipelineState | None = None, timestamp: float = 0.0
-         ) -> tuple[EstimateOutput, PipelineState]:
+         state: PipelineState | None = None) -> tuple[EstimateOutput, PipelineState]:
     """Run one frame through THS -> OR -> MEF -> FIR.
 
     `body_poses` is the frame's rows of `estimate_body_pose_per_tag`, one
@@ -384,18 +374,11 @@ def step(body_poses: TagEstimates, tag_map: TagMap, config: PipelineConfig,
     is_known = rows >= 0
     is_nan = np.isnan(body_poses.quats[:, 0])
     usable = np.flatnonzero(is_known & ~is_nan)
-    unknown = tuple(sorted(ids[~is_known].tolist()))
-    corrupt_ids = tuple(sorted(ids[is_known & is_nan].tolist()))
-
-    def no_estimate(reason: str, rejected: tuple[int, ...] = (),
-                    trace_kwargs: dict | None = None) -> tuple[EstimateOutput, PipelineState]:
-        trace = StageTrace(n_detections=len(body_poses), unknown_ids=unknown,
-                           corrupt_ids=corrupt_ids, reason=reason, rejected_ids=rejected,
-                           **(trace_kwargs or {}))
-        return EstimateOutput(timestamp, None, (), trace), state
-
+    trace = StageTrace(n_detections=len(body_poses),
+                       unknown_ids=tuple(sorted(ids[~is_known].tolist())),
+                       corrupt_ids=tuple(sorted(ids[is_known & is_nan].tolist())))
     if not len(usable):
-        return no_estimate("no-tags")
+        return EstimateOutput(None, (), replace(trace, reason="no-tags")), state
 
     classes = m.classes[rows[usable]]
     picked = select_tags(ids[usable], classes, config.ths)
@@ -403,17 +386,15 @@ def step(body_poses: TagEstimates, tag_map: TagMap, config: PipelineConfig,
     estimates = TagEstimates(ids[selected], body_poses.positions[selected],
                              body_poses.quats[selected],
                              _CLASS_WEIGHTS[config.weights][classes[picked]])
-    selected_ids = tuple(estimates.ids.tolist())
-
-    kept, rejected_ids, or_applied = estimates, (), False
+    kept, rejected_ids = estimates, ()
     if config.outlier_removal:
         kept, rejected = remove_outliers(estimates, config.iqr_gain)
         rejected_ids = tuple(rejected.ids.tolist())
-        or_applied = len(estimates) >= 3
-
+    trace = replace(trace, selected_ids=tuple(estimates.ids.tolist()),
+                    or_applied=config.outlier_removal and len(estimates) >= 3,
+                    rejected_ids=rejected_ids)
     if not len(kept):
-        return no_estimate("all-rejected", rejected_ids,
-                           {"selected_ids": selected_ids, "or_applied": or_applied})
+        return EstimateOutput(None, (), replace(trace, reason="all-rejected")), state
 
     position = fuse_positions(kept)
     if config.rot_mean is RotMeanMethod.QL2:
@@ -428,21 +409,10 @@ def step(body_poses: TagEstimates, tag_map: TagMap, config: PipelineConfig,
     raw_pose = Pose(position, quaternion)
     smoothed = fir_smooth(state.fir_history, raw_pose, config.fir_length)
     new_state = PipelineState((state.fir_history + (raw_pose,))[-config.fir_length:])
-
-    trace = StageTrace(
-        n_detections=len(body_poses),
-        unknown_ids=unknown,
-        corrupt_ids=corrupt_ids,
-        selected_ids=selected_ids,
-        or_applied=or_applied,
-        rejected_ids=rejected_ids,
-        fusion_method=config.rot_mean.value,
-        dispersion_warning=fusion.dispersion_warning,
-        fusion_degenerate=fusion.degenerate,
-        fir_taps=len(new_state.fir_history),
-    )
-    output = EstimateOutput(timestamp, smoothed, tuple(kept.ids.tolist()), trace)
-    return output, new_state
+    trace = replace(trace, fusion_method=config.rot_mean.value,
+                    dispersion_warning=fusion.dispersion_warning,
+                    fusion_degenerate=fusion.degenerate, fir_taps=len(new_state.fir_history))
+    return EstimateOutput(smoothed, tuple(kept.ids.tolist()), trace), new_state
 
 
 def apply_variant(config: PipelineConfig, variant: str) -> PipelineConfig:

@@ -401,11 +401,11 @@ def selected_rows(rows: DetectionRows, tag_map, mode) -> DetectionRows:
 
 
 def step_detections(detections: DetectionRows, tag_map, config, state=None,
-                    timestamp: float = 0.0, camera_in_body: Pose = Pose.identity()):
+                    camera_in_body: Pose = Pose.identity()):
     """`step` over one frame's detections: the frame chain of those rows
     alone, through the camera mount, then the frame's step."""
     body_poses = estimate_body_pose_per_tag(detections, tag_map, camera_in_body)
-    return step(body_poses, tag_map, config, state, timestamp)
+    return step(body_poses, tag_map, config, state)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,9 @@ def test_traced_compare_records_per_frame_spans(spans):
     frames = sum(r.stats.frames + r.stats.dropped for r in rows)
     assert frames == len(variants) * (4 + 3)
     assert counts["pipeline.step"] == counts["pipeline.fuse_rotations"] == frames
+    assert counts["pipeline.select_tags"] == counts["pipeline.fuse_positions"] == frames
+    assert counts["pipeline.fir_smooth"] == frames
+    assert counts["pipeline.remove_outliers"] == 2 * (4 + 3)  # jbt and tbs-or-cl2 only
     assert counts["harness.run"] == len(rows)
     # one frame chain per scenario, shared by its variants
     assert counts["harness.compare_matrix"] == 1

@@ -127,6 +127,20 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, named", [
+        ("0 0 1 0\n1 0 1 0\n2 0 1 0\n", "spline trajectory needs at least 4 waypoints"),
+        ("1 1 1 0\n" * 4, "spline trajectory needs a positive finite duration, got 0.0"),
+        ("1e308 0 1 0\n-1e308 0 1 0\n" * 2,
+         "spline trajectory needs a positive finite duration, got inf"),
+    ], ids=["three-waypoints", "four-equal-waypoints", "chord-overflows"])
+    def test_bad_waypoint_file_names_the_file(self, tmp_path, capsys, lines, named):
+        waypoints = tmp_path / "way.txt"
+        waypoints.write_text(lines, encoding="utf-8")
+        cfg = write_cfg(tmp_path, f"[trajectory]\nkind = t3\nwaypoints = {waypoints}\n")
+        assert main(["run", "--config", cfg, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{waypoints}: {named}" in err and "Traceback" not in err
+
     def test_percent_in_a_value_is_literal(self, tmp_path, capsys):
         missing = tmp_path / "a%b.txt"
         cfg = write_cfg(tmp_path, f"[map]\nfile = {missing}\n")

@@ -544,8 +544,7 @@ class TestStep:
             manual_history: tuple = ()
             for frame in range(8):
                 detections = detect(tag_map, cam, noise, truth, frame)
-                out, state = step_detections(detections, tag_map, cfg, state, frame / 20.0,
-                                             cam.pose_in_body)
+                out, state = step_detections(detections, tag_map, cfg, state, cam.pose_in_body)
 
                 # the per-tag chain with the scheme's weight of each tag's class
                 selected = detections_from(selected_rows(detections, tag_map, cfg.ths))

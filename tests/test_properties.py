@@ -123,9 +123,9 @@ def test_step_never_raises_or_returns_a_non_finite_pose(frames):
                 config = PipelineConfig(ths=ths, outlier_removal=outlier_removal,
                                         rot_mean=rot_mean)
                 state = None
-                for t, detections in enumerate(frames):
+                for detections in frames:
                     output, state = step_detections(rows_from(detections), _ONE_TILE, config,
-                                                    state, float(t), down_facing_mount())
+                                                    state, down_facing_mount())
                     if output.pose is not None:
                         assert np.all(np.isfinite(output.pose.position))
                         assert np.all(np.isfinite(output.pose.orientation.as_array()))

@@ -97,7 +97,6 @@ def frames(base):
 
 
 def _assert_same_output(got, want):
-    assert got.timestamp == want.timestamp
     assert got.tags_used == want.tags_used
     assert got.stage_trace == want.stage_trace
     if want.pose is None:
@@ -111,7 +110,7 @@ def _frame_by_frame(cfg, frames):
     state, outputs = None, []
     for frame in frames:
         output, state = step_detections(frame.detections, cfg.tag_map, cfg.pipeline, state,
-                                        frame.t, cfg.camera.pose_in_body)
+                                        cfg.camera.pose_in_body)
         outputs.append(output)
     return outputs
 
@@ -130,6 +129,7 @@ def test_run_equals_step_frame_by_frame(base, frames, pipeline):
     result = run(cfg, frames)
     want = _frame_by_frame(cfg, frames)
     assert len(result.frames) == len(want) == len(frames)
+    assert [r.t for r in result.frames] == [f.t for f in frames]
     for record, output in zip(result.frames, want):
         _assert_same_output(record.output, output)
     traces = [r.output.stage_trace for r in result.frames]
@@ -200,6 +200,28 @@ def test_corrupt_row_costs_only_that_row(base, column, index, value, fused):
     if not fused:
         _assert_same_output(got[1].output, replace(clean[1].output, stage_trace=replace(
             trace, corrupt_ids=(bad_id,))))
+
+
+def test_off_unit_quaternion_row_is_normalized(base):
+    # all tags fused without outlier removal, so the scaled row counts
+    cfg = replace(base, trajectory=hover_trajectory((1.5, 2.5, 1.4), duration=0.15),
+                  noise=replace(NOISE, seed=3), pipeline=apply_variant(base.pipeline, "all-noor"))
+    frames = list(simulate(cfg))
+    want = run(cfg, frames).frames
+    rows = frames[1].detections
+    for scale in (3.0, 1e150, 1e-100):
+        scaled = _with(rows, quats=np.vstack([rows.quats[:1] * scale, rows.quats[1:]]))
+        got = run(cfg, [frames[0], replace(frames[1], detections=scaled), *frames[2:]]).frames
+        if scale == 1e-100:  # too small to normalize: corrupt, as before
+            assert got[1].output.stage_trace.corrupt_ids == (int(rows.ids[0]),)
+            continue
+        for record, reference in zip(got, want):
+            assert record.output.stage_trace == reference.output.stage_trace
+            assert record.output.tags_used == reference.output.tags_used
+            assert np.allclose(record.output.pose.position, reference.output.pose.position,
+                               rtol=0.0, atol=1e-12)
+            assert np.allclose(record.output.pose.orientation.as_array(),
+                               reference.output.pose.orientation.as_array(), rtol=0.0, atol=1e-12)
 
 
 def test_corrupt_ids_logged_only_when_present():
