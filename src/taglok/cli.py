@@ -325,6 +325,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "frames", None) is not None:
         if args.frames < 1:
             raise UsageError("--frames must be at least 1")
+        if args.frames > 2**53:  # beyond it a frame count has no exact float duration
+            raise UsageError("--frames must be at most 2**53")
         cfg = replace(cfg, trajectory=replace(cfg.trajectory,
                                               duration=args.frames / cfg.sample_rate))
     return cfg

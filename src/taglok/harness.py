@@ -222,6 +222,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
+        if not math.isfinite(self.trajectory.duration * self.sample_rate):
+            raise ValueError(f"run.sample_rate: {self.sample_rate!r} Hz over a "
+                             f"{self.trajectory.duration!r} s trajectory gives no finite "
+                             "frame count")
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,7 @@ def run(cfg: RunConfig, frames: Iterable[Frame] | None = None, *,
     end = 0
     for frame in frames:
         start, end = end, end + len(frame.detections)
-        output, state = step(body_poses.take(slice(start, end)), cfg.tag_map, cfg.pipeline, state)
+        output, state = step(body_poses.take(slice(start, end)), cfg.pipeline, state)
         truth = frame.truth
         phase = ep_cm = eo_deg = None
         if truth is not None:
@@ -327,16 +331,12 @@ def _stats_of(frames: Sequence[FrameRecord]) -> ErrorStats:
 
 
 def _phase_stats_of(frames: Sequence[FrameRecord]) -> dict[str, ErrorStats]:
-    order: list[str] = []
+    """Stats per phase, in the order the phases first appear."""
     grouped: dict[str, list[FrameRecord]] = {}
     for f in frames:
-        if f.phase is None:
-            continue
-        if f.phase not in grouped:
-            grouped[f.phase] = []
-            order.append(f.phase)
-        grouped[f.phase].append(f)
-    return {phase: _stats_of(grouped[phase]) for phase in order}
+        if f.phase is not None:
+            grouped.setdefault(f.phase, []).append(f)
+    return {phase: _stats_of(group) for phase, group in grouped.items()}
 
 
 @dataclass(frozen=True)

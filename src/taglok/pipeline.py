@@ -30,7 +30,7 @@ from .geometry import (
     quat_multiply_rows,
     rotate_rows,
 )
-from .tagmap import SizeClass, TagMap
+from .tagmap import TagMap
 
 # Treat a coordinate axis whose sample spread is below this as "all equal":
 # the strict IQR fences would otherwise reject every sample over floating-
@@ -51,24 +51,19 @@ class ThsMode(Enum):
 
 
 class WeightScheme(Enum):
-    """Per-tag fusion weights by size-class index h: 4**h, 2**h, or flat."""
+    """Per-tag fusion weights from the tag's relative size s = 2**h, h its
+    size-class index: s*s = 4**h, s = 2**h, or flat."""
 
     W1 = "w1"
     W2 = "w2"
     UNIFORM = "uniform"
 
-    def weight_for(self, size_class: SizeClass) -> float:
-        h = size_class.class_index
+    def weights_of(self, sizes: np.ndarray) -> np.ndarray:
         if self is WeightScheme.W1:
-            return float(4**h)
+            return sizes * sizes
         if self is WeightScheme.W2:
-            return float(2**h)
-        return 1.0
-
-
-# each scheme's weight by size-class index, built once
-_CLASS_WEIGHTS = {scheme: np.array([scheme.weight_for(c) for c in SizeClass])
-                  for scheme in WeightScheme}
+            return sizes
+        return np.ones_like(sizes)
 
 
 class RotMeanMethod(Enum):
@@ -170,25 +165,26 @@ class RotationFusion:
     degenerate: bool = False
 
 
-def select_tags(ids: np.ndarray, classes: np.ndarray, mode: ThsMode) -> np.ndarray:
+def select_tags(ids: np.ndarray, sizes: np.ndarray, mode: ThsMode) -> np.ndarray:
     """Hierarchical tag selection over detections given as their tag ids
-    and the size-class indices of those tags: the indices of the kept
+    and the relative sizes 2**h of those tags: the indices of the kept
     detections, in tag-id order (stable for repeated ids).
 
     JBT keeps the single detection of the largest tag (ties: smallest id),
     ALL keeps everything, TBS keeps detections belonging to the two largest
-    size classes present. Tags are ranked by class index, which orders them
-    as their side lengths do (each class doubles the previous side).
+    size classes present. A relative size orders tags as their side lengths
+    do (each class doubles the previous side), and powers of two compare
+    exactly.
     """
     order = np.argsort(ids, kind="stable")
     if mode is ThsMode.ALL or not len(order):
         return order
-    classes = classes[order]
+    sizes = sizes[order]
     if mode is ThsMode.JBT:
         # the first detection of the largest class has the smallest id
-        return order[np.argmax(classes, keepdims=True)]
-    second = np.unique(classes)[-2:][0]
-    return order[classes >= second]
+        return order[np.argmax(sizes, keepdims=True)]
+    second = np.unique(sizes)[-2:][0]
+    return order[sizes >= second]
 
 
 def corrupt_rows(detections: DetectionRows) -> np.ndarray:
@@ -209,15 +205,19 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
     mount), all rows at once, whatever number of frames they come from.
 
     Row i of the result belongs to detection i. A detection whose id is not
-    in the map, or that is corrupt (`corrupt_rows`), gets a NaN row; no
-    other row depends on it. Each other row, its quaternion normalized as
-    `UnitQuaternion` does (a unit row stays as is), equals the per-tag chain
+    in the map gets an all-NaN row; one that is corrupt (`corrupt_rows`)
+    gets a NaN pose; no other row depends on either. Each other row, its
+    quaternion normalized as `UnitQuaternion` does (a unit row stays as
+    is), equals the per-tag chain
     compose(tag, compose(inverse(detection), inverse(camera_in_body))) bit
-    for bit (the row helpers keep the scalar expression order) and has
-    weight 1: fusion weights are assigned by `step`."""
+    for bit (the row helpers keep the scalar expression order). Every row
+    of an id in the map, corrupt or not, has the tag's relative size 2**h
+    (h its size-class index) as its weight, the W2 fusion weight, from
+    which `step` derives every scheme's weights."""
     m = tag_map.world_frames()
     rows = m.rows_of(detections.ids)
-    usable = np.flatnonzero((rows >= 0) & ~corrupt_rows(detections))
+    known = rows >= 0
+    usable = np.flatnonzero(known & ~corrupt_rows(detections))
     mount = inverse(camera_in_body)
     mount_q = mount.orientation.as_array()
     n = len(detections)
@@ -234,7 +234,7 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
         chain_q = quat_multiply_rows(inv_q, mount_q)
         estimates.positions[picked] = m.positions[tag] + rotate_rows(tag_q, chain_p)
         estimates.quats[picked] = quat_multiply_rows(tag_q, chain_q)
-    estimates.weights[usable] = 1.0
+    estimates.weights[known] = 2.0 ** m.classes[rows[known]]
     return estimates
 
 
@@ -354,24 +354,23 @@ def fir_smooth(history: Sequence[Pose], new_pose: Pose, length: int) -> Pose:
     return Pose(positions.mean(axis=0), mean)
 
 
-def step(body_poses: TagEstimates, tag_map: TagMap, config: PipelineConfig,
+def step(body_poses: TagEstimates, config: PipelineConfig,
          state: PipelineState | None = None) -> tuple[EstimateOutput, PipelineState]:
     """Run one frame through THS -> OR -> MEF -> FIR.
 
     `body_poses` is the frame's rows of `estimate_body_pose_per_tag`, one
     per detection (`harness.run` computes them for a whole frame stream in
-    one pass). The chain's NaN rows are dropped up front and listed in the
-    trace: an id missing from the map under `unknown_ids`, any other NaN
-    row (a corrupt detection) under `corrupt_ids`. Frames yielding no
-    usable estimate return pose = None with a reason; the FIR history then
-    stays untouched.
+    one pass), with each known tag's relative size in `weights`. The
+    chain's NaN rows are dropped up front and listed in the trace: a row
+    with a NaN weight (an id missing from the map) under `unknown_ids`, a
+    row with a weight but a NaN pose (a corrupt detection) under
+    `corrupt_ids`. Frames yielding no usable estimate return pose = None
+    with a reason; the FIR history then stays untouched.
     """
     if state is None:
         state = PipelineState()
-    m = tag_map.world_frames()
-    ids = body_poses.ids
-    rows = m.rows_of(ids)
-    is_known = rows >= 0
+    ids, sizes = body_poses.ids, body_poses.weights
+    is_known = ~np.isnan(sizes)
     is_nan = np.isnan(body_poses.quats[:, 0])
     usable = np.flatnonzero(is_known & ~is_nan)
     trace = StageTrace(n_detections=len(body_poses),
@@ -380,12 +379,10 @@ def step(body_poses: TagEstimates, tag_map: TagMap, config: PipelineConfig,
     if not len(usable):
         return EstimateOutput(None, (), replace(trace, reason="no-tags")), state
 
-    classes = m.classes[rows[usable]]
-    picked = select_tags(ids[usable], classes, config.ths)
-    selected = usable[picked]
+    selected = usable[select_tags(ids[usable], sizes[usable], config.ths)]
     estimates = TagEstimates(ids[selected], body_poses.positions[selected],
                              body_poses.quats[selected],
-                             _CLASS_WEIGHTS[config.weights][classes[picked]])
+                             config.weights.weights_of(sizes[selected]))
     kept, rejected_ids = estimates, ()
     if config.outlier_removal:
         kept, rejected = remove_outliers(estimates, config.iqr_gain)

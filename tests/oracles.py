@@ -378,6 +378,16 @@ def entry_of(tag_map, tag_id: int):
 
 # --- per-tag loop forms of the estimator's stages (bitwise reference) ---
 
+def weight_for(scheme: WeightScheme, size_class) -> float:
+    """One tag's fusion weight under a scheme, by its size-class index h."""
+    h = size_class.class_index
+    if scheme is WeightScheme.W1:
+        return float(4**h)
+    if scheme is WeightScheme.W2:
+        return float(2**h)
+    return 1.0
+
+
 def loop_select_tags(detections, tag_map, mode) -> list:
     """Object-per-tag hierarchical selection over Detection objects whose
     ids all resolve in the map: JBT keeps the first detection of the
@@ -394,10 +404,10 @@ def loop_select_tags(detections, tag_map, mode) -> list:
 
 
 def selected_rows(rows: DetectionRows, tag_map, mode) -> DetectionRows:
-    """The detection rows `select_tags` keeps, each id's size class looked
-    up in the map (every id must resolve)."""
+    """The detection rows `select_tags` keeps, each id's relative size
+    2**h looked up in the map (every id must resolve)."""
     m = tag_map.world_frames()
-    return rows.take(select_tags(rows.ids, m.classes[m.rows_of(rows.ids)], mode))
+    return rows.take(select_tags(rows.ids, 2.0 ** m.classes[m.rows_of(rows.ids)], mode))
 
 
 def step_detections(detections: DetectionRows, tag_map, config, state=None,
@@ -405,7 +415,7 @@ def step_detections(detections: DetectionRows, tag_map, config, state=None,
     """`step` over one frame's detections: the frame chain of those rows
     alone, through the camera mount, then the frame's step."""
     body_poses = estimate_body_pose_per_tag(detections, tag_map, camera_in_body)
-    return step(body_poses, tag_map, config, state)
+    return step(body_poses, config, state)
 
 
 @dataclass(frozen=True)
@@ -451,7 +461,7 @@ def loop_estimate_body_pose_per_tag(detection, tag_map, camera_in_body: Pose,
         compose(inverse(detection.pose_tag_in_camera), inverse(camera_in_body)),
     )
     return PerTagEstimate(detection.tag_id, body_in_world,
-                          weights.weight_for(entry.size_class))
+                          weight_for(weights, entry.size_class))
 
 
 def loop_remove_outliers(estimates, gain: float = 1.5):

@@ -85,8 +85,9 @@ def test_traced_run_records_the_expected_spans(spans):
 def _traced(spans, call):
     """What `call` returns, and the span names it records with their counts.
     `call` must reach taglok through its modules' attributes, which the
-    tracer replaces. No frame chain may run inside a `step`, where its time
-    would count as the step's."""
+    tracer replaces. Neither a frame chain nor the map's array view may be
+    reached inside a `step`, which takes no map: their time would count as
+    the step's."""
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -97,7 +98,7 @@ def _traced(spans, call):
     counts = {}
     for name, _, _, parent, *_ in tracer.spans:
         counts[name] = counts.get(name, 0) + 1
-        if name == "pipeline.frame_chain":
+        if name in ("pipeline.frame_chain", "tagmap.world_frames"):
             while parent >= 0:
                 assert tracer.spans[parent][0] != "pipeline.step"
                 parent = tracer.spans[parent][3]

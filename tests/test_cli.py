@@ -340,6 +340,33 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out), "--frames", "7"]) == 0
         assert len(out.read_text().strip().split("\n")) == 8
 
+    @pytest.mark.parametrize("command", ["run", "dump-detections"])
+    @pytest.mark.parametrize("frames, message", [
+        ("0", "--frames must be at least 1"),
+        ("1" + "0" * 400, "--frames must be at most 2**53"),
+        (str(2**53 + 1), "--frames must be at most 2**53"),
+    ], ids=["zero", "1e400", "2**53+1"])
+    def test_out_of_range_frames_is_usage_error(self, tmp_path, capsys, command, frames,
+                                                message):
+        cfg = write_cfg(tmp_path, QUICK)
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", cfg, "--out", str(out), "--frames", frames]) == 1
+        err = capsys.readouterr().err
+        assert f"taglok: error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, args", [
+        ("[trajectory]\nduration = 1e300\n\n[run]\nsample_rate = 1e300\n", []),
+        ("[run]\nsample_rate = 1e-300\n", ["--frames", str(2**53)]),
+    ], ids=["config", "frames-flag"])
+    def test_infinite_frame_count_names_the_sample_rate(self, tmp_path, capsys, config, args):
+        cfg = write_cfg(tmp_path, config)
+        out = tmp_path / "ts.csv"
+        assert main(["run", "--config", cfg, "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert "taglok: run.sample_rate: " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_variant_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         assert main(["run", "--config", cfg, "--variant", "jbt-noor"]) == 0

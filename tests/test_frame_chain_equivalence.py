@@ -4,7 +4,8 @@ forms.
 Every comparison is exact (`==`). The row helpers keep the scalar expression
 order and UnitQuaternion's conditional renormalization, so each estimate
 row must equal `loop_estimate_body_pose_per_tag` of its detection bit for
-bit, and a detection whose id is not in the map must give a NaN row.
+bit, its weight the tag's W2 weight 2**h, and a detection whose id is not
+in the map must give a NaN row.
 Quaternions are drawn with norms up to 1e-12 off unit, so products land on
 both sides of the renormalization threshold. `select_tags` must keep the
 very rows `loop_select_tags` keeps, in the same order.
@@ -25,6 +26,7 @@ from taglok.harness import RunConfig, hover_trajectory, simulate
 from taglok.pipeline import (
     PipelineConfig,
     ThsMode,
+    WeightScheme,
     estimate_body_pose_per_tag,
 )
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
@@ -100,12 +102,12 @@ def _assert_chain_equal(detections, tag_map, mount):
     assert got.positions.shape == (len(detections), 3)
     assert got.quats.shape == (len(detections), 4)
     for row, d in enumerate(detections):
-        e = loop_estimate_body_pose_per_tag(d, tag_map, mount)
+        e = loop_estimate_body_pose_per_tag(d, tag_map, mount, WeightScheme.W2)
         if e is None:  # an id not in the map gives a NaN row
             assert np.isnan(got.positions[row]).all() and np.isnan(got.quats[row]).all()
             assert np.isnan(got.weights[row])
             continue
-        assert got.weights[row] == e.weight == 1.0  # fusion weights are step's
+        assert got.weights[row] == e.weight  # the tag's relative size 2**h
         assert np.array_equal(got.positions[row], e.body_pose_est.position)
         assert tuple(got.quats[row].tolist()) == _components(e.body_pose_est.orientation)
 

@@ -259,6 +259,7 @@ class TestRun:
         cfg = quick_config(default_map, square_trajectory_t1(speed=1.8))  # short run
         result = run(cfg)
         assert set(result.phase_stats) == {"F", "R", "B", "L"}
+        assert list(result.phase_stats) == ["F", "R", "B", "L"]  # in first-seen order
         total = sum(s.frames + s.dropped for s in result.phase_stats.values())
         assert total == len(result.frames)
 

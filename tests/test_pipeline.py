@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from taglok.camsim import NoiseModel, default_camera, detect
+from taglok.camsim import DetectionRows, NoiseModel, default_camera, detect
 from taglok.geometry import (
     Pose,
     UnitQuaternion,
@@ -49,6 +49,7 @@ from oracles import (
     selected_rows,
     step_detections,
     unbundle,
+    weight_for,
 )
 
 
@@ -173,13 +174,36 @@ class TestEstimateBodyPose:
         assert np.array_equal(est.positions[1:], alone.positions)
         assert np.array_equal(est.quats[1:], alone.quats)
 
+    def test_rows_carry_their_tags_relative_size(self):
+        # a known tag's row keeps 2**h as its weight even when its pose is
+        # NaN (corrupt); an unknown id's row is NaN throughout
+        tag_map = make_map({0: SizeClass.L, 1: SizeClass.S, 2: SizeClass.XL})
+        identity = [1.0, 0.0, 0.0, 0.0]
+        rows = DetectionRows(np.array([0, 1, 99, 2]),
+                             np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 1.0], [0.0, 0.0, 1.0],
+                                       [0.0, 0.0, 1.0]]),
+                             np.array([identity, identity, identity, [0.0, 0.0, 0.0, 0.0]]),
+                             np.full(4, 50.0))
+        est = estimate_body_pose_per_tag(rows, tag_map, Pose.identity())
+        assert est.weights[[0, 1, 3]].tolist() == [4.0, 1.0, 8.0]
+        assert not np.isnan(est.positions[0]).any() and not np.isnan(est.quats[0]).any()
+        for corrupt in (1, 3):
+            assert np.isnan(est.positions[corrupt]).all() and np.isnan(est.quats[corrupt]).all()
+        assert np.isnan(est.positions[2]).all() and np.isnan(est.quats[2]).all()
+        assert np.isnan(est.weights[2])
+
 
 class TestWeightScheme:
     def test_weights_table(self):
+        # for every class and scheme the array rule over the relative size
+        # 2**h, the per-tag rule and the table agree
         classes = [SizeClass.S, SizeClass.M, SizeClass.L, SizeClass.XL]
-        assert [WeightScheme.W1.weight_for(c) for c in classes] == [1.0, 4.0, 16.0, 64.0]
-        assert [WeightScheme.W2.weight_for(c) for c in classes] == [1.0, 2.0, 4.0, 8.0]
-        assert [WeightScheme.UNIFORM.weight_for(c) for c in classes] == [1.0, 1.0, 1.0, 1.0]
+        sizes = np.array([2.0 ** c.class_index for c in classes])
+        table = {WeightScheme.W1: [1.0, 4.0, 16.0, 64.0], WeightScheme.W2: [1.0, 2.0, 4.0, 8.0],
+                 WeightScheme.UNIFORM: [1.0, 1.0, 1.0, 1.0]}
+        for scheme, want in table.items():
+            assert scheme.weights_of(sizes).tolist() == want
+            assert [weight_for(scheme, c) for c in classes] == want
 
 
 class TestIqrBounds:
@@ -325,8 +349,8 @@ class TestFusePositions:
 
     def test_w2_weighted_pair(self):
         # S tag (w = 1) at the origin, XL tag (w = 8) at x = 1
-        light = make_estimate(0, (0, 0, 0), weight=WeightScheme.W2.weight_for(SizeClass.S))
-        heavy = make_estimate(1, (1, 0, 0), weight=WeightScheme.W2.weight_for(SizeClass.XL))
+        light = make_estimate(0, (0, 0, 0), weight=weight_for(WeightScheme.W2, SizeClass.S))
+        heavy = make_estimate(1, (1, 0, 0), weight=weight_for(WeightScheme.W2, SizeClass.XL))
         assert np.allclose(fuse_positions(as_bundle([light, heavy])), [8.0 / 9.0, 0.0, 0.0])
 
     def test_single_estimate(self):
