@@ -95,6 +95,8 @@ class _Key:
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+# beyond 2**53 a pixel count has no exact float
+_PIXELS = (lambda v: 0 < v <= 2**53, "must be positive and at most 2**53")
 
 _SCHEMA: dict[str, dict[str, _Key]] = {
     "map": {
@@ -104,8 +106,8 @@ _SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "camera": {
         "focal_px": _Key(parse_finite_float, 600.0, *_POSITIVE),
-        "image_width": _Key(int, 1280, *_POSITIVE),
-        "image_height": _Key(int, 720, *_POSITIVE),
+        "image_width": _Key(int, 1280, *_PIXELS),
+        "image_height": _Key(int, 720, *_PIXELS),
         "detect_threshold_px": _Key(parse_finite_float, 12.0, *_POSITIVE),
         "mount_x": _Key(parse_finite_float, 0.0),
         "mount_y": _Key(parse_finite_float, 0.0),

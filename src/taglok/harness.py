@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .camsim import CameraModel, DetectionRows, Frame, NoiseModel, detect
 from .geometry import Pose, quat_from_yaw, quat_rotation_angle, wrap_angle
@@ -176,10 +175,61 @@ def load_waypoints(path: str | Path) -> tuple[tuple[tuple[float, float, float], 
     return tuple(waypoints)
 
 
+def _natural_spline(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Coefficients of the natural cubic spline through `values` (one row per
+    time) at strictly increasing `times`, highest power first: c[k, i] is the
+    coefficient of (t - times[i]) ** (3 - k) on [times[i], times[i + 1]].
+
+    Each step repeats the arithmetic of `CubicSpline(times, values,
+    bc_type="natural")`, so the coefficients are the same floats: the banded
+    system it fills, its tridiagonal solve and its Hermite coefficients."""
+    dx = np.diff(times)
+    dxr = dx[:, None]
+    slope = np.diff(values, axis=0) / dxr
+    # the tridiagonal system for the slopes s at the knots, by its sub-,
+    # main and super-diagonal; the end rows set the second derivative to 0
+    dl = np.append(dx[1:], dx[-1])
+    d = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]]))
+    du = np.append(dx[0], dx[:-1])
+    s = np.empty_like(values)
+    s[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (values[1] - values[0])
+    s[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    s[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (values[-1] - values[-2])
+    # LAPACK dgtsv's elimination and back-substitution. dgtsv swaps rows i
+    # and i + 1 only where |d[i]| < |dl[i]|; the knots come from linspace, so
+    # the intervals are equal up to rounding, the system is strictly
+    # diagonally dominant and no swap ever happens. The zero that the
+    # elimination leaves in dl still multiplies s[i + 2], as in dgtsv.
+    for i in range(len(times) - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        s[i + 1] = s[i + 1] - fact * s[i]
+    s[-1] = s[-1] / d[-1]
+    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(len(times) - 3, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1] - 0.0 * s[i + 2]) / d[i]
+    # the cubic Hermite piece of each interval
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], values[:-1]))
+
+
+def _spline_at(times: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
+    """The spline of `_natural_spline` at time `t`, evaluated as `PPoly`
+    does (ascending powers); outside [times[0], times[-1]] the end pieces
+    extend."""
+    i = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+    u = t - times[i]
+    res, z = 0.0, 1.0
+    for c in coeffs[::-1, i]:
+        res = res + c * z
+        z *= u
+    return res
+
+
 def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DEFAULT_T3_WAYPOINTS,
                          duration: float | None = None,
                          speed: float = 0.4) -> Trajectory:
-    """C2 cubic spline through the waypoints with wrap-aware linear yaw.
+    """Natural cubic spline through the waypoints with wrap-aware linear yaw.
 
     Waypoints are ((x, y, z), yaw) pairs placed at uniform times; duration
     defaults to chord length / speed.
@@ -197,12 +247,18 @@ def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DE
     if not 0.0 < total < math.inf:
         raise ValueError(f"spline trajectory needs a positive finite duration, got {total}")
     times = np.linspace(0.0, total, len(waypoints))
-    spline = CubicSpline(times, positions, axis=0, bc_type="natural")
+    # a duration too short to separate the knot times, or a spline whose
+    # coefficients overflow, gives non-finite coefficients
+    with np.errstate(all="ignore"):
+        spline = _natural_spline(times, positions)
+    if not np.isfinite(spline).all():
+        raise ValueError(f"spline trajectory over {total} s through these waypoints "
+                         "is not finite")
 
     def sampler(t: float):
         tc = min(max(t, 0.0), total)
         yaw = wrap_angle(float(np.interp(tc, times, unwrapped)))
-        return np.asarray(spline(tc), dtype=float), yaw
+        return _spline_at(times, spline, tc), yaw
 
     return Trajectory("t3", total, sampler)
 

@@ -79,6 +79,25 @@ class TestExitCodes:
         assert done.returncode == 1
         assert "taglok: error" in done.stderr
 
+    def test_a_t3_run_imports_no_scipy(self, tmp_path):
+        import subprocess
+        import sys
+
+        import taglok
+
+        cfg = write_cfg(tmp_path, "[trajectory]\nkind = t3\n")
+        out = tmp_path / "out.csv"
+        script = ("import sys\n"
+                  "from taglok.cli import main\n"
+                  f"assert main(['run', '--config', {cfg!r}, '--frames', '2',"
+                  f" '--out', {str(out)!r}]) == 0\n"
+                  "assert 'scipy' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(taglok.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert done.returncode == 0, done.stderr
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3  # header, 2 frames
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "should_not_exist.csv"
         code = main(["run", "--out", str(out)])
@@ -110,12 +129,17 @@ class TestExitCodes:
         ("run", "[noise]\nsize_exponent = -1000\n[trajectory]\nz = 2.0\n",
          "noise.size_exponent: the noise scale overflows at an apparent size of 1468.6 px"),
         ("run", "[run]\nsample_rate = inf\n", "run.sample_rate"),
+        ("run", f"[camera]\nimage_width = {'9' * 400}\n",
+         "camera.image_width: must be positive and at most 2**53"),
+        ("run", f"[camera]\nimage_height = {2**53 + 1}\n",
+         "camera.image_height: must be positive and at most 2**53"),
         ("run", "[trajectory]\nkind = t3\nwaypoints = {waypoints}\n",
          "way.txt: line 3: not a finite number: 'nan'"),
         ("compare", "[compare]\nscenarios = hover:1.5:nan:0.8\n",
          "scenario 'hover:1.5:nan:0.8': not a finite number: 'nan'"),
     ], ids=["mount-inf", "x-nan", "yaw-nan", "sigma-inf", "exponent-nan",
             "exponent-overflows-at-threshold", "exponent-overflows-at-diagonal", "rate-inf",
+            "width-400-digits", "height-above-2**53",
             "waypoint-nan", "scenario-nan"])
     def test_non_finite_input_names_key_token_or_line(self, tmp_path, capsys,
                                                       command, config, named):

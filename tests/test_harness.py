@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from taglok.camsim import NoiseModel, default_camera
 from taglok.harness import (
@@ -12,6 +13,8 @@ from taglok.harness import (
     CompareRow,
     ErrorStats,
     RunConfig,
+    _natural_spline,
+    _spline_at,
     compare_matrix,
     format_compare_csv,
     format_timeseries_csv,
@@ -208,6 +211,61 @@ class TestSplineTrajectoryT3:
         from taglok.harness import load_waypoints
         with pytest.raises(ValueError, match="line 2"):
             load_waypoints(path)
+
+
+def spline_cases():
+    """(waypoints, duration) pairs: the defaults, two with a constant
+    coordinate, and 200 random sets of 4-11 waypoints, half of them at their
+    chord-length duration."""
+    rng = np.random.default_rng(2023)
+    cases = [pytest.param(DEFAULT_T3_WAYPOINTS, None, id="default"),
+             pytest.param(tuple(((k * 1.0, k * 1.0, 1.0), 0.0) for k in range(5)), None,
+                          id="diagonal"),
+             pytest.param(tuple(((0.0, (-1.0) ** k, 1.0), 0.0) for k in range(6)), 7.0,
+                          id="zigzag")]
+    for k in range(200):
+        points = rng.uniform(-4.0, 4.0, (int(rng.integers(4, 12)), 3))
+        waypoints = tuple((tuple(p), 0.0) for p in points.tolist())
+        duration = None if k % 2 else float(rng.uniform(0.5, 90.0))
+        cases.append(pytest.param(waypoints, duration, id=f"random-{k}"))
+    return cases
+
+
+def assert_same_floats(ours, reference):
+    assert ours.dtype == reference.dtype and ours.shape == reference.shape
+    assert np.array_equal(ours, reference)
+    assert ours.tobytes() == reference.tobytes()  # signed zeros too
+
+
+class TestNaturalSplineMatchesCubicSpline:
+    """The numpy natural spline of t3 gives the same floats as
+    scipy.interpolate.CubicSpline(..., bc_type="natural"), bit for bit."""
+
+    @pytest.mark.parametrize("waypoints, duration", spline_cases())
+    def test_coefficients_and_values(self, waypoints, duration):
+        traj = spline_trajectory_t3(waypoints, duration)
+        positions = np.array([w[0] for w in waypoints])
+        times = np.linspace(0.0, traj.duration, len(waypoints))
+        reference = CubicSpline(times, positions, axis=0, bc_type="natural")
+        coeffs = _natural_spline(times, positions)
+        assert_same_floats(coeffs, reference.c)
+        rng = np.random.default_rng(len(waypoints))
+        inside = [*times, 0.0, traj.duration, np.nextafter(traj.duration, 0.0),
+                  *rng.uniform(0.0, traj.duration, 40)]
+        outside = [-1e-9, -0.5 * traj.duration, np.nextafter(traj.duration, np.inf),
+                   1.5 * traj.duration]
+        for t in map(float, inside + outside):
+            assert_same_floats(_spline_at(times, coeffs, t), reference(t))
+            clipped = min(max(t, 0.0), traj.duration)
+            assert_same_floats(traj.sample(t)[0], reference(clipped))
+
+    @pytest.mark.parametrize("duration", [5e-324, 1e-300, 1e200])
+    def test_a_spline_that_is_not_finite_is_rejected(self, duration):
+        # 5e-324 s cannot separate eight knot times; over 1e-300 s the
+        # coefficients overflow; over 1e200 s the end condition's 0 * dx**2
+        # is 0 * inf, NaN, as in CubicSpline, which rejects those slopes
+        with pytest.raises(ValueError, match="is not finite"):
+            spline_trajectory_t3(duration=duration)
 
 
 class TestRun:
