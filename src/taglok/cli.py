@@ -307,6 +307,8 @@ def parse_scenario(token: str, settings: Settings) -> tuple[str, Trajectory]:
             numbers = [parse_finite_float(p) for p in parts]
         except ValueError as exc:
             raise ConfigError(f"scenario {token!r}: {exc}") from None
+        if not numbers[2] > 0:
+            raise ConfigError(f"scenario {token!r}: z must be positive")
         yaw = numbers[3] if len(numbers) == 4 else 0.0
         duration = settings.get("trajectory", "duration")
         return token, hover_trajectory(numbers[:3], yaw, duration)

@@ -10,7 +10,8 @@ frame chain and back end), kept as the bitwise reference for their array
 forms in `taglok.pipeline`, and the object form of detections (`Detection`,
 `rows_from`) with the per-tag loop form of the simulator's `detect` and the
 unculled form of its `visible_tags`, the bitwise references for their
-array forms in `taglok.camsim`. `step_detections` is no oracle: it feeds
+array forms in `taglok.camsim`, whose ziggurat tables `probe_ziggurat_tables`
+reads back from numpy's own sampler. `step_detections` is no oracle: it feeds
 one frame's detections to `step` through the frame chain, as `run` does
 for a whole stream.
 """
@@ -621,3 +622,47 @@ def loop_detect(tag_map, cam, noise, body_pose_true: Pose, frame_index: int) -> 
             continue
         detections.append(Detection(entry.tag_id, noisy, apparent))
     return detections
+
+
+# --- numpy's normal sampler, read back from numpy itself ---
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def probe_ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The tables (wi, ki) of the installed numpy's standard-normal
+    ziggurat, read back through `Generator.standard_normal`.
+
+    A PCG64 whose state one step on is (high 0, low w) outputs the word w
+    next, so any word can be fed to the sampler. The sampler returns after
+    that one word, leaving the state one step on, exactly when the word's
+    magnitude (its 52 bits above the layer and sign) is below its layer's
+    ki; a binary search per layer finds ki. A word of magnitude 1 that is
+    accepted returns wi itself. Layer 1 has ki = 0 and no such word: its wi
+    is NaN here."""
+    inverse_multiplier = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    bit_generator = np.random.PCG64(0)
+    sampler = np.random.Generator(bit_generator)
+    state = bit_generator.state
+
+    def draw(word: int) -> tuple[float, bool]:
+        """The sampler's value from `word` and whether it used that word alone."""
+        state["state"] = {"state": (word - 1) * inverse_multiplier % (1 << 128), "inc": 1}
+        bit_generator.state = state
+        value = sampler.standard_normal()
+        return value, bit_generator.state["state"]["state"] == word
+
+    wi, ki = np.full(256, np.nan), np.zeros(256, dtype=np.uint64)
+    for layer in range(256):
+        accepted_below, rejected_from = 0, 2**52  # the magnitudes bracketing ki
+        while accepted_below < rejected_from:
+            magnitude = (accepted_below + rejected_from) // 2
+            if draw(magnitude << 9 | layer)[1]:
+                accepted_below = magnitude + 1
+            else:
+                rejected_from = magnitude
+        ki[layer] = rejected_from
+        value, alone = draw(1 << 9 | layer)
+        if alone:
+            wi[layer] = value
+    return wi, ki

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from taglok.camsim import (
+    _ZIGGURAT_KI,
+    _ZIGGURAT_WI,
     CameraModel,
     DetectionRows,
     NoiseModel,
+    _noise_draws,
     default_camera,
     detect,
     down_facing_mount,
@@ -20,7 +23,7 @@ from taglok.harness import RunConfig, simulate, spline_trajectory_t3
 from taglok.pipeline import PipelineConfig
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
-from oracles import hmat, pose_to_hmat
+from oracles import hmat, pose_to_hmat, probe_ziggurat_tables
 
 
 def body_at(x, y, z):
@@ -153,6 +156,53 @@ class TestDetect:
         d1 = detect(tag_map, cam, NoiseModel(0.01, 0.0, 100.0, seed=1), body, 0).positions[0]
         d2 = detect(tag_map, cam, NoiseModel(0.01, 0.0, 100.0, seed=2), body, 0).positions[0]
         assert not np.array_equal(d1, d2)
+
+
+@pytest.fixture(scope="module")
+def probed_tables():
+    return probe_ziggurat_tables()
+
+
+class TestZigguratFastPath:
+    def test_committed_tables_are_numpys(self, probed_tables):
+        wi, ki = probed_tables
+        assert ki[1] == 0 and np.isnan(wi[1])  # layer 1 never takes the fast path
+        read = ~np.isnan(wi)
+        assert read.sum() == 255
+        assert np.array_equal(_ZIGGURAT_KI, ki)
+        assert np.array_equal(_ZIGGURAT_WI[read], wi[read])
+
+    def test_frame_mixing_slow_tags_with_fast_ones(self, probed_tables):
+        # a tag whose seven normals all take the ziggurat's fast path is drawn
+        # in arrays; one whose first failing draw is in the tail (layer 0), in
+        # layer 1 or rejected in another layer goes through numpy's sampler
+        ki = probed_tables[1].tolist()
+        seed, frame = 11, 7
+
+        def kind(tag_id):
+            words = np.random.default_rng((seed, frame, tag_id)).bit_generator.random_raw(8)
+            for word in words[1:].tolist():  # words[0] is the uniform
+                layer, magnitude = word & 0xFF, word >> 9 & (2**52 - 1)
+                if magnitude >= ki[layer]:
+                    return "tail" if layer == 0 else "layer 1" if layer == 1 else "rejected"
+            return "fast"
+
+        wanted = {"fast": 12, "tail": 2, "layer 1": 2, "rejected": 2}
+        found = {name: [] for name in wanted}
+        for tag_id in range(20_000):
+            name = kind(tag_id)
+            if len(found[name]) < wanted[name]:
+                found[name].append(tag_id)
+            if all(len(found[name]) == count for name, count in wanted.items()):
+                break
+        assert all(len(found[name]) == count for name, count in wanted.items()), found
+
+        ids = np.random.default_rng(3).permutation(sum(found.values(), []))
+        uniform, normals = _noise_draws(seed, frame, ids)
+        for k, tag_id in enumerate(ids.tolist()):
+            rng = np.random.default_rng((seed, frame, tag_id))
+            assert uniform[k] == rng.random(), tag_id
+            assert normals[k].tobytes() == rng.standard_normal(7).tobytes(), tag_id
 
 
 class TestNoiseStatistics:

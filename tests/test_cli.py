@@ -98,6 +98,28 @@ class TestExitCodes:
         assert done.returncode == 0, done.stderr
         assert len(out.read_text(encoding="utf-8").splitlines()) == 3  # header, 2 frames
 
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # the simulator loads numpy's sampler only for a draw off the
+        # ziggurat's fast path; replay never draws
+        import subprocess
+        import sys
+
+        import taglok
+
+        script = ("import sys\n"
+                  "import numpy\n"
+                  "eager = 'numpy.random' in sys.modules\n"
+                  "import taglok.cli\n"
+                  "print(eager, 'numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(taglok.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert done.returncode == 0, done.stderr
+        eager, loaded = done.stdout.split()
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert loaded == "False"
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "should_not_exist.csv"
         code = main(["run", "--out", str(out)])
@@ -137,10 +159,14 @@ class TestExitCodes:
          "way.txt: line 3: not a finite number: 'nan'"),
         ("compare", "[compare]\nscenarios = hover:1.5:nan:0.8\n",
          "scenario 'hover:1.5:nan:0.8': not a finite number: 'nan'"),
+        ("compare", "[compare]\nscenarios = hover:1.5:2.5:-1\n",
+         "scenario 'hover:1.5:2.5:-1': z must be positive"),
+        ("compare", "[compare]\nscenarios = hover:1.5:2.5:0.8 hover:1.5:2.5:0\n",
+         "scenario 'hover:1.5:2.5:0': z must be positive"),
     ], ids=["mount-inf", "x-nan", "yaw-nan", "sigma-inf", "exponent-nan",
             "exponent-overflows-at-threshold", "exponent-overflows-at-diagonal", "rate-inf",
             "width-400-digits", "height-above-2**53",
-            "waypoint-nan", "scenario-nan"])
+            "waypoint-nan", "scenario-nan", "scenario-z-negative", "scenario-z-zero"])
     def test_non_finite_input_names_key_token_or_line(self, tmp_path, capsys,
                                                       command, config, named):
         waypoints = tmp_path / "way.txt"
