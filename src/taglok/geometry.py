@@ -42,7 +42,10 @@ def unit_components(w: float, x: float, y: float, z: float) -> tuple[float, ...]
     return float(w) * scale, float(x) * scale, float(y) * scale, float(z) * scale
 
 
-@dataclass(frozen=True)
+# the constructors below set their frozen fields once each, which the
+# generated __init__ followed by a __post_init__ would do twice, at about
+# three times the cost; the value types are built in every frame
+@dataclass(frozen=True, init=False)
 class UnitQuaternion:
     """Unit quaternion (w, x, y, z), scalar first.
 
@@ -56,9 +59,13 @@ class UnitQuaternion:
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        for name, value in zip("wxyz", unit_components(self.w, self.x, self.y, self.z)):
-            object.__setattr__(self, name, value)
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        w, x, y, z = unit_components(w, x, y, z)
+        setattr_ = object.__setattr__
+        setattr_(self, "w", w)
+        setattr_(self, "x", x)
+        setattr_(self, "y", y)
+        setattr_(self, "z", z)
 
     @staticmethod
     def identity() -> "UnitQuaternion":
@@ -66,7 +73,7 @@ class UnitQuaternion:
 
     @staticmethod
     def from_array(q: np.ndarray) -> "UnitQuaternion":
-        return UnitQuaternion(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
+        return UnitQuaternion(*q.tolist()[:4])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z])
@@ -87,14 +94,18 @@ class UnitQuaternion:
         return self
 
 
+def _hamilton(aw: float, ax: float, ay: float, az: float,
+              bw: float, bx: float, by: float, bz: float) -> tuple[float, float, float, float]:
+    """The components of the Hamilton product a * b."""
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
 def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a * b (apply b first, then a)."""
-    return UnitQuaternion(
-        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-    )
+    return UnitQuaternion(*_hamilton(a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z))
 
 
 def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
@@ -180,17 +191,18 @@ def rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v + w * t + _cross_rows(u, t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose:
     """SE(3) element: position [m] plus orientation quaternion."""
 
     position: np.ndarray
     orientation: UnitQuaternion
 
-    def __post_init__(self) -> None:
-        p = np.array(self.position, dtype=float).reshape(3)
+    def __init__(self, position: np.ndarray, orientation: UnitQuaternion) -> None:
+        p = np.array(position, dtype=float).reshape(3)
         p.setflags(write=False)
         object.__setattr__(self, "position", p)
+        object.__setattr__(self, "orientation", orientation)
 
     @staticmethod
     def identity() -> "Pose":
@@ -216,9 +228,12 @@ def quat_rotation_angle(a: UnitQuaternion, b: UnitQuaternion) -> float:
     atan2 formulation: accurate to machine precision near both 0 and pi,
     unlike the arccos-of-trace form.
     """
-    rel = quat_multiply(a, b.conjugate())
-    vec_norm = math.sqrt(rel.x**2 + rel.y**2 + rel.z**2)
-    return 2.0 * math.atan2(vec_norm, abs(rel.w))
+    # quat_multiply(a, b.conjugate()) without its two objects: the conjugate
+    # holds b's components negated, and the product is kept to unit norm as
+    # a UnitQuaternion keeps it
+    w, x, y, z = unit_components(*_hamilton(a.w, a.x, a.y, a.z, b.w, -b.x, -b.y, -b.z))
+    vec_norm = math.sqrt(x**2 + y**2 + z**2)
+    return 2.0 * math.atan2(vec_norm, abs(w))
 
 
 def quat_from_yaw(yaw: float) -> UnitQuaternion:

@@ -373,7 +373,9 @@ def run(cfg: RunConfig, frames: Iterable[Frame] | None = None, *,
         if truth is not None:
             phase = cfg.trajectory.phase(frame.t)
             if output.pose is not None:
-                ep_cm = float(np.linalg.norm(output.pose.position - truth.position)) * 100.0
+                offset = output.pose.position - truth.position
+                # np.linalg.norm of a vector: the root of its dot with itself
+                ep_cm = math.sqrt(offset.dot(offset)) * 100.0
                 eo_deg = math.degrees(
                     quat_rotation_angle(output.pose.orientation, truth.orientation))
         records.append(FrameRecord(frame.index, frame.t, phase, truth, output, ep_cm, eo_deg))

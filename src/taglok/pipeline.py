@@ -13,8 +13,9 @@ reason in the stage trace. Frame times stay in `harness.FrameRecord.t`.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .geometry import (
     inverse,
     quat_multiply_rows,
     rotate_rows,
+    unit_components,
 )
 from .tagmap import TagMap
 
@@ -39,6 +41,13 @@ EQUAL_SPREAD_TOL = 1e-9
 
 _DEGENERATE_NORM = 1e-12
 _EIGENVALUE_GAP_TOL = 1e-9
+# |qi . qj| of two unit quaternions a quarter turn apart
+_QUARTER_TURN_DOT = math.sqrt(0.5)
+
+# `step` runs on a handful of rows per frame, where the fixed cost of a numpy
+# call outweighs its arithmetic. So its stages call a ufunc's own reduce
+# (np.add.reduce, not ndarray.sum), which skips a Python layer and gives the
+# same result, and ndarray.take or compress rather than fancy indexing.
 
 
 class ThsMode(Enum):
@@ -85,8 +94,10 @@ class PipelineConfig:
     fir_length: int = 5
 
     def __post_init__(self) -> None:
-        if self.iqr_gain <= 0:
-            raise ValueError("iqr_gain must be positive")
+        if not 0.0 < self.iqr_gain < math.inf:  # NaN fails too
+            raise ValueError(f"iqr_gain must be positive and finite, got {self.iqr_gain!r}")
+        if isinstance(self.fir_length, bool) or not isinstance(self.fir_length, int):
+            raise ValueError(f"fir_length must be an int, got {self.fir_length!r}")
         if self.fir_length < 1:
             raise ValueError("fir_length must be at least 1")
 
@@ -107,9 +118,20 @@ class TagEstimates:
 
     def take(self, rows) -> "TagEstimates":
         """The rows picked by a boolean mask, index array or slice."""
-        return TagEstimates(self.ids[rows], self.positions[rows], self.quats[rows],
-                            self.weights[rows])
+        if isinstance(rows, slice):
+            return TagEstimates(self.ids[rows], self.positions[rows], self.quats[rows],
+                                self.weights[rows])
+        if rows.dtype == bool:
+            rows = rows.nonzero()[0]
+        # ndarray.take copies the same rows as fancy indexing, at a fraction of its cost
+        return TagEstimates(self.ids.take(rows), self.positions.take(rows, axis=0),
+                            self.quats.take(rows, axis=0), self.weights.take(rows))
 
+
+# what `remove_outliers` rejects when it rejects nothing (arrays without
+# elements, so sharing them is safe)
+_NO_ESTIMATES = TagEstimates(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 4)),
+                             np.zeros(0))
 
 # rows per array pass of the frame chain: the (rows, 4, 4) products of
 # quat_multiply_rows over a whole replayed stream would cost megabytes
@@ -151,18 +173,33 @@ class EstimateOutput:
     stage_trace: StageTrace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineState:
-    """Carried between frames: the last few raw (pre-FIR) fused poses."""
+    """Carried between frames: the FIR window, the last few raw (pre-FIR)
+    fused poses, oldest first, as position rows (k, 3) and unit quaternion
+    rows (k, 4) in (w, x, y, z) order."""
 
-    fir_history: tuple[Pose, ...] = ()
+    fir_positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    fir_quats: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+
+    def pushed(self, position: np.ndarray, quat: np.ndarray, length: int) -> "PipelineState":
+        """The window with one more raw pose, cut to its last `length` rows."""
+        return PipelineState(np.concatenate((self.fir_positions, position[None]))[-length:],
+                             np.concatenate((self.fir_quats, quat[None]))[-length:])
 
 
 @dataclass(frozen=True)
 class RotationFusion:
-    quaternion: UnitQuaternion | None
+    """A rotation mean: `quat` is the (w, x, y, z) row of a unit quaternion
+    as `UnitQuaternion` holds it, None when the fusion is degenerate."""
+
+    quat: np.ndarray | None
     dispersion_warning: bool = False
     degenerate: bool = False
+
+    @property
+    def quaternion(self) -> UnitQuaternion | None:
+        return None if self.quat is None else UnitQuaternion.from_array(self.quat)
 
 
 def select_tags(ids: np.ndarray, sizes: np.ndarray, mode: ThsMode) -> np.ndarray:
@@ -176,15 +213,18 @@ def select_tags(ids: np.ndarray, sizes: np.ndarray, mode: ThsMode) -> np.ndarray
     do (each class doubles the previous side), and powers of two compare
     exactly.
     """
-    order = np.argsort(ids, kind="stable")
+    order = ids.argsort(kind="stable")
     if mode is ThsMode.ALL or not len(order):
         return order
-    sizes = sizes[order]
+    sizes = sizes.take(order)
     if mode is ThsMode.JBT:
         # the first detection of the largest class has the smallest id
-        return order[np.argmax(sizes, keepdims=True)]
-    second = np.unique(sizes)[-2:][0]
-    return order[sizes >= second]
+        first = sizes.argmax()
+        return order[first:first + 1]
+    top = np.maximum.reduce(sizes)
+    below = sizes.compress(sizes < top)
+    # the second largest size present, or the largest when it is the only one
+    return order.compress(sizes >= (np.maximum.reduce(below) if len(below) else top))
 
 
 def corrupt_rows(detections: DetectionRows) -> np.ndarray:
@@ -238,31 +278,44 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
     return estimates
 
 
-def _sorted_quantile(ordered: np.ndarray, q: float) -> np.ndarray:
-    """The q-quantile of each column of `ordered`, sorted along axis 0, as
-    np.percentile's default (linear, type 7) method gives it bit for bit:
-    numpy's interpolation switches to b - (b - a) * (1 - t) at t >= 0.5."""
-    index = (len(ordered) - 1) * q
-    below = int(index)
-    t = index - below
-    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
-    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+@functools.lru_cache(maxsize=256)
+def _quartile_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where Q1 and Q3 of n samples sorted along axis 0 come from, as
+    np.percentile's default (linear, type 7) method interpolates them bit
+    for bit. Around a quantile's index lie rows a and b, and the quantile is
+    a + (b - a) * t; at t >= 0.5 numpy switches to b - (b - a) * (1 - t),
+    which is b + (b - a) * (t - 1) exactly. Returns the rows (a1, a3, b1,
+    b3, base1, base3), the base being a or b, and the factors (2, 1)."""
+    picks, bases, factors = [[], []], [], []
+    for q in (0.25, 0.75):
+        index = (n - 1) * q
+        below = int(index)
+        t = index - below
+        above = min(below + 1, n - 1)
+        picks[0].append(below)
+        picks[1].append(above)
+        bases.append(above if t >= 0.5 else below)
+        factors.append([t - 1.0 if t >= 0.5 else t])
+    rows, factors = np.array(picks[0] + picks[1] + bases), np.array(factors)
+    rows.setflags(write=False)
+    factors.setflags(write=False)
+    return rows, factors
 
 
-def iqr_bounds(samples: Sequence[float] | np.ndarray, gain: float = 1.5
-               ) -> tuple[float | np.ndarray, float | np.ndarray] | None:
-    """Tukey fences (Q1 - gain*IQR, Q3 + gain*IQR) with linearly interpolated
-    quartiles, taken along axis 0: scalars for a flat sample, one fence per
-    column for an (n, k) array. Returns None for fewer than three samples."""
-    if len(samples) < 3:
-        return None
-    samples = np.asarray(samples, dtype=float)
-    ordered = np.sort(samples.reshape(len(samples), -1), axis=0)
-    ordered[:, np.isnan(ordered[-1])] = np.nan  # sorted last; numpy's quartiles are NaN
-    q1, q3 = _sorted_quantile(ordered, 0.25), _sorted_quantile(ordered, 0.75)
-    spread = q3 - q1
-    lower, upper = q1 - gain * spread, q3 + gain * spread
-    return (lower, upper) if samples.ndim > 1 else (lower[0], upper[0])
+def _sorted_fences(samples: np.ndarray, gain: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, k) samples sorted along axis 0 (a column with a NaN all
+    NaN, as numpy's quartiles of it are) and their Tukey fences per column."""
+    ordered = np.sort(samples, axis=0)
+    nan_columns = np.isnan(ordered[-1])  # NaN sorts last
+    if np.logical_or.reduce(nan_columns):
+        ordered[:, nan_columns] = np.nan
+    picks, factors = _quartile_terms(len(ordered))
+    rows = ordered.take(picks, axis=0)
+    quartiles = rows[4:] + (rows[2:4] - rows[:2]) * factors
+    q1, q3 = quartiles[0], quartiles[1]
+    margin = gain * (q3 - q1)
+    return ordered, q1 - margin, q3 + margin
 
 
 def remove_outliers(estimates: TagEstimates, gain: float = 1.5
@@ -270,14 +323,18 @@ def remove_outliers(estimates: TagEstimates, gain: float = 1.5
     """Split the estimates into (kept, rejected): kept positions lie strictly
     inside the IQR fences on every axis (intersection of the per-axis id
     sets). With fewer than three estimates the stage passes everything
-    through; an axis with negligible spread keeps all samples on that axis."""
+    through; an axis with negligible spread keeps all samples on that axis.
+    When nothing is rejected, `kept` is `estimates` itself."""
     if len(estimates) < 3:
-        return estimates, estimates.take(slice(0, 0))
+        return estimates, _NO_ESTIMATES
     positions = estimates.positions
-    lower, upper = iqr_bounds(positions, gain)
-    flat = np.ptp(positions, axis=0) <= EQUAL_SPREAD_TOL
-    keep = np.all(flat | ((positions > lower) & (positions < upper)), axis=1)
-    return estimates.take(keep), estimates.take(~keep)
+    ordered, lower, upper = _sorted_fences(positions, gain)
+    flat = ordered[-1] - ordered[0] <= EQUAL_SPREAD_TOL  # np.ptp, from the sort
+    keep = np.logical_and.reduce(flat | ((positions > lower) & (positions < upper)), axis=1)
+    kept = keep.nonzero()[0]
+    if len(kept) == len(keep):
+        return estimates, _NO_ESTIMATES
+    return estimates.take(kept), estimates.take((~keep).nonzero()[0])
 
 
 def fuse_positions(kept: TagEstimates) -> np.ndarray:
@@ -285,25 +342,35 @@ def fuse_positions(kept: TagEstimates) -> np.ndarray:
     if not len(kept):
         raise ValueError("cannot fuse an empty estimate set")
     weights = kept.weights
-    return (weights[:, None] * kept.positions).sum(axis=0) / weights.sum()
+    return np.add.reduce(weights[:, None] * kept.positions, axis=0) / np.add.reduce(weights)
 
 
 def _reference_index(kept: TagEstimates) -> int:
     """Largest weight wins, ties broken by smallest tag id."""
+    if len(kept) == 1:
+        return 0
     return int(np.lexsort((kept.ids, -kept.weights))[0])
 
 
-def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray,
-                               ref_index: int) -> UnitQuaternion | None:
+def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray | None,
+                               ref_index: int) -> np.ndarray | None:
     """Flip each (n, 4) quaternion row to the hemisphere of row ref_index,
-    then return the normalized weighted sum, or None when the sum collapses."""
-    flip = quats @ quats[ref_index] < 0.0
-    aligned = np.where(flip[:, None], -quats, quats)
-    total = (weights[:, None] * aligned).sum(axis=0)
-    norm = np.linalg.norm(total)
+    then return the normalized weighted sum (weights None: all 1), or None
+    when the sum collapses. A weight times a flipped row is the row times
+    the flipped weight, and np.linalg.norm of a vector is the square root
+    of its dot with itself; the sum divided by its norm is unit to a few
+    ulps, so `UnitQuaternion` keeps it as it is. `quats.dot` and `quats @`
+    make the same BLAS call, and the method costs half as much."""
+    flip = quats.dot(quats[ref_index]) < 0.0
+    if weights is None:
+        terms = np.where(flip[:, None], -quats, quats)
+    else:
+        terms = np.where(flip, -weights, weights)[:, None] * quats
+    total = np.add.reduce(terms, axis=0)
+    norm = math.sqrt(total.dot(total))
     if norm < _DEGENERATE_NORM:
         return None
-    return UnitQuaternion.from_array(total / norm)
+    return total / norm
 
 
 def fuse_rotations_ql2(kept: TagEstimates) -> RotationFusion:
@@ -317,16 +384,19 @@ def fuse_rotations_ql2(kept: TagEstimates) -> RotationFusion:
         raise ValueError("cannot fuse an empty estimate set")
     quats = kept.quats
     mean = _sign_aligned_weighted_sum(quats, kept.weights, _reference_index(kept))
-    warning = bool(np.any(np.abs(quats @ quats.T) <= math.sqrt(0.5)))
-    if mean is None:
-        return RotationFusion(None, dispersion_warning=warning, degenerate=True)
-    return RotationFusion(mean, dispersion_warning=warning)
+    # a lone estimate has no pair (and a unit row's dot with itself is 1);
+    # fmin skips NaN, so its least |qi . qj| is at most the bound exactly
+    # when some pair's is
+    warning = len(quats) > 1 and bool(
+        np.fmin.reduce(np.abs(quats @ quats.T), axis=None) <= _QUARTER_TURN_DOT)
+    return RotationFusion(mean, dispersion_warning=warning, degenerate=mean is None)
 
 
 def fuse_rotations_cl2(kept: TagEstimates) -> RotationFusion:
     """Chordal L2 mean: unit eigenvector of the largest eigenvalue of
-    Q = sum(w * q * q^T). Insensitive to input sign flips by construction;
-    an (almost) repeated top eigenvalue marks the fusion degenerate."""
+    Q = sum(w * q * q^T), with the sign `UnitQuaternion.canonical` gives it.
+    Insensitive to input sign flips by construction; an (almost) repeated
+    top eigenvalue marks the fusion degenerate."""
     if not len(kept):
         raise ValueError("cannot fuse an empty estimate set")
     quats = kept.quats
@@ -335,23 +405,37 @@ def fuse_rotations_cl2(kept: TagEstimates) -> RotationFusion:
     eigenvalues, eigenvectors = np.linalg.eigh(accumulator)
     if eigenvalues[-1] - eigenvalues[-2] < _EIGENVALUE_GAP_TOL:
         return RotationFusion(None, degenerate=True)
-    return RotationFusion(UnitQuaternion.from_array(eigenvectors[:, -1]).canonical())
+    mean = np.array(unit_components(*eigenvectors[:, -1].tolist()))
+    first = mean[mean != 0.0][0]  # the first nonzero component sets the sign
+    return RotationFusion(mean if first > 0.0 else -mean)
 
 
-def fir_smooth(history: Sequence[Pose], new_pose: Pose, length: int) -> Pose:
+def fir_smooth(history: Sequence[Pose] | PipelineState, new_pose: Pose | None,
+               length: int) -> Pose:
     """Moving average over the last `length` raw poses (fewer during warm-up):
     unweighted mean position, uniform quaternion L2 mean for orientation with
     the newest pose as sign reference. A constant window is reproduced
-    bit-exactly (a plain mean of identical doubles is not)."""
-    window = (list(history) + [new_pose])[-length:]
-    positions = np.array([p.position for p in window])
-    quats = np.array([p.orientation.as_array() for p in window])
-    if (positions == positions[0]).all() and (quats == quats[0]).all():
-        return window[0]
-    mean = _sign_aligned_weighted_sum(quats, np.ones(len(window)), len(window) - 1)
+    bit-exactly (a plain mean of identical doubles is not).
+
+    `history` holds the earlier raw poses, as Pose objects or as a state's
+    FIR window, and `new_pose` is the newest; it is None when `history` is a
+    state whose window already ends with it, as `step`'s new state does."""
+    if not isinstance(history, PipelineState):
+        history = PipelineState(
+            np.array([p.position for p in history]).reshape(-1, 3),
+            np.array([p.orientation.as_array() for p in history]).reshape(-1, 4))
+    window = history
+    if new_pose is not None:
+        window = history.pushed(new_pose.position, new_pose.orientation.as_array(), length)
+    positions, quats = window.fir_positions, window.fir_quats
+    if (np.logical_and.reduce(positions == positions[0], axis=None)
+            and np.logical_and.reduce(quats == quats[0], axis=None)):
+        return Pose(positions[0], UnitQuaternion.from_array(quats[0]))
+    mean = _sign_aligned_weighted_sum(quats, None, len(quats) - 1)
     if mean is None:
-        mean = new_pose.orientation
-    return Pose(positions.mean(axis=0), mean)
+        mean = quats[-1]
+    # positions.mean(axis=0) without its Python overhead: the same sum and division
+    return Pose(np.add.reduce(positions, axis=0) / len(positions), UnitQuaternion.from_array(mean))
 
 
 def step(body_poses: TagEstimates, config: PipelineConfig,
@@ -365,50 +449,56 @@ def step(body_poses: TagEstimates, config: PipelineConfig,
     with a NaN weight (an id missing from the map) under `unknown_ids`, a
     row with a weight but a NaN pose (a corrupt detection) under
     `corrupt_ids`. Frames yielding no usable estimate return pose = None
-    with a reason; the FIR history then stays untouched.
+    with a reason; the FIR window then stays untouched. The fused pose
+    stays a position row and a quaternion row, and the trace is built
+    once, at the frame's end.
     """
     if state is None:
         state = PipelineState()
-    ids, sizes = body_poses.ids, body_poses.weights
-    is_known = ~np.isnan(sizes)
-    is_nan = np.isnan(body_poses.quats[:, 0])
-    usable = np.flatnonzero(is_known & ~is_nan)
-    trace = StageTrace(n_detections=len(body_poses),
-                       unknown_ids=tuple(sorted(ids[~is_known].tolist())),
-                       corrupt_ids=tuple(sorted(ids[is_known & is_nan].tolist())))
-    if not len(usable):
-        return EstimateOutput(None, (), replace(trace, reason="no-tags")), state
+    n_detections = len(body_poses)
+    unknown_ids = corrupt_ids = ()
+    is_unknown = np.isnan(body_poses.weights)
+    unusable = is_unknown | np.isnan(body_poses.quats[:, 0])
+    if np.logical_or.reduce(unusable):
+        ids = body_poses.ids
+        unknown_ids = tuple(sorted(ids[is_unknown].tolist()))
+        corrupt_ids = tuple(sorted(ids[unusable & ~is_unknown].tolist()))
+        body_poses = body_poses.take(~unusable)
+    if not len(body_poses):
+        trace = StageTrace(n_detections, unknown_ids, corrupt_ids, reason="no-tags")
+        return EstimateOutput(None, (), trace), state
 
-    selected = usable[select_tags(ids[usable], sizes[usable], config.ths)]
-    estimates = TagEstimates(ids[selected], body_poses.positions[selected],
-                             body_poses.quats[selected],
-                             config.weights.weights_of(sizes[selected]))
+    ids, sizes = body_poses.ids, body_poses.weights
+    selected = select_tags(ids, sizes, config.ths)
+    estimates = TagEstimates(ids.take(selected), body_poses.positions.take(selected, axis=0),
+                             body_poses.quats.take(selected, axis=0),
+                             config.weights.weights_of(sizes.take(selected)))
     kept, rejected_ids = estimates, ()
     if config.outlier_removal:
         kept, rejected = remove_outliers(estimates, config.iqr_gain)
         rejected_ids = tuple(rejected.ids.tolist())
-    trace = replace(trace, selected_ids=tuple(estimates.ids.tolist()),
-                    or_applied=config.outlier_removal and len(estimates) >= 3,
-                    rejected_ids=rejected_ids)
+    selected_ids = tuple(estimates.ids.tolist())
+    or_applied = config.outlier_removal and len(estimates) >= 3
     if not len(kept):
-        return EstimateOutput(None, (), replace(trace, reason="all-rejected")), state
+        trace = StageTrace(n_detections, unknown_ids, corrupt_ids, selected_ids, or_applied,
+                           rejected_ids, reason="all-rejected")
+        return EstimateOutput(None, (), trace), state
 
     position = fuse_positions(kept)
     if config.rot_mean is RotMeanMethod.QL2:
         fusion = fuse_rotations_ql2(kept)
     else:
         fusion = fuse_rotations_cl2(kept)
-    quaternion = fusion.quaternion
-    if quaternion is None:
+    quat = fusion.quat
+    if quat is None:
         # antipodal / maximally dispersed inputs: fall back to the reference
-        quaternion = UnitQuaternion.from_array(kept.quats[_reference_index(kept)])
+        quat = kept.quats[_reference_index(kept)]
 
-    raw_pose = Pose(position, quaternion)
-    smoothed = fir_smooth(state.fir_history, raw_pose, config.fir_length)
-    new_state = PipelineState((state.fir_history + (raw_pose,))[-config.fir_length:])
-    trace = replace(trace, fusion_method=config.rot_mean.value,
-                    dispersion_warning=fusion.dispersion_warning,
-                    fusion_degenerate=fusion.degenerate, fir_taps=len(new_state.fir_history))
+    new_state = state.pushed(position, quat, config.fir_length)
+    smoothed = fir_smooth(new_state, None, config.fir_length)
+    trace = StageTrace(n_detections, unknown_ids, corrupt_ids, selected_ids, or_applied,
+                       rejected_ids, config.rot_mean.value, fusion.dispersion_warning,
+                       fusion.degenerate, len(new_state.fir_positions))
     return EstimateOutput(smoothed, tuple(kept.ids.tolist()), trace), new_state
 
 

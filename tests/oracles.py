@@ -7,13 +7,15 @@ routes. Three sections are different: rotation-matrix helpers (Euler angles,
 matrix-to-quaternion, rotation metrics) that only tests need, the per-tag
 loop forms of the estimator's stages (the object-per-tag tag selection,
 frame chain and back end), kept as the bitwise reference for their array
-forms in `taglok.pipeline`, and the object form of detections (`Detection`,
+forms in `taglok.pipeline`, with `loop_step`, a whole frame of `step`
+composed of them, and the object form of detections (`Detection`,
 `rows_from`) with the per-tag loop form of the simulator's `detect` and the
 unculled form of its `visible_tags`, the bitwise references for their
 array forms in `taglok.camsim`, whose ziggurat tables `probe_ziggurat_tables`
 reads back from numpy's own sampler. `step_detections` is no oracle: it feeds
 one frame's detections to `step` through the frame chain, as `run` does
-for a whole stream.
+for a whole stream. Neither is `iqr_bounds`: it returns the fences that
+`remove_outliers` computes, in the form the quartile tests read.
 """
 
 from __future__ import annotations
@@ -40,10 +42,14 @@ from taglok.geometry import (
 from taglok.camsim import DetectionRows, visible_tags
 from taglok.pipeline import (
     EQUAL_SPREAD_TOL,
+    EstimateOutput,
     RotationFusion,
+    RotMeanMethod,
+    StageTrace,
     TagEstimates,
     ThsMode,
     WeightScheme,
+    _sorted_fences,
     estimate_body_pose_per_tag,
     select_tags,
     step,
@@ -92,6 +98,17 @@ def naive_iqr_fences(samples, gain: float):
     q3 = naive_quantile(samples, 0.75)
     spread = q3 - q1
     return q1 - gain * spread, q3 + gain * spread
+
+
+def iqr_bounds(samples, gain: float = 1.5):
+    """`pipeline._sorted_fences` as Tukey fences (Q1 - gain*IQR, Q3 +
+    gain*IQR) along axis 0: scalars for a flat sample, one fence per column
+    for an (n, k) array, None for fewer than three samples."""
+    if len(samples) < 3:
+        return None
+    samples = np.asarray(samples, dtype=float)
+    _, lower, upper = _sorted_fences(samples.reshape(len(samples), -1), gain)
+    return (lower, upper) if samples.ndim > 1 else (lower[0], upper[0])
 
 
 def naive_outlier_partition(positions_by_id: dict, gain: float, equal_tol: float):
@@ -395,13 +412,20 @@ def loop_select_tags(detections, tag_map, mode) -> list:
     largest class, TBS those of the two largest classes present, ALL
     everything; output sorted by tag id (stable)."""
     ordered = sorted(detections, key=lambda d: d.tag_id)
+    return _loop_select(ordered, lambda d: entry_of(tag_map, d.tag_id).size_class.class_index,
+                        mode)
+
+
+def _loop_select(ordered: list, size_of, mode) -> list:
+    """The selection rule over items already in tag-id order, each item's
+    size (its class index, or the relative size 2**h) given by `size_of`."""
     if mode is ThsMode.ALL or not ordered:
         return ordered
-    classes = [entry_of(tag_map, d.tag_id).size_class.class_index for d in ordered]
+    sizes = [size_of(item) for item in ordered]
     if mode is ThsMode.JBT:
-        return [ordered[classes.index(max(classes))]]
-    second = sorted(set(classes))[-2:][0]
-    return [d for d, c in zip(ordered, classes) if c >= second]
+        return [ordered[sizes.index(max(sizes))]]
+    second = sorted(set(sizes))[-2:][0]
+    return [item for item, size in zip(ordered, sizes) if size >= second]
 
 
 def selected_rows(rows: DetectionRows, tag_map, mode) -> DetectionRows:
@@ -522,7 +546,7 @@ def loop_fuse_rotations_ql2(kept) -> RotationFusion:
     warning = loop_pairwise_dispersion_exceeds(quats, math.pi / 2.0)
     if mean is None:
         return RotationFusion(None, dispersion_warning=warning, degenerate=True)
-    return RotationFusion(mean, dispersion_warning=warning)
+    return RotationFusion(mean.as_array(), dispersion_warning=warning)
 
 
 def loop_fuse_rotations_cl2(kept) -> RotationFusion:
@@ -533,7 +557,7 @@ def loop_fuse_rotations_cl2(kept) -> RotationFusion:
     eigenvalues, eigenvectors = np.linalg.eigh(accumulator)
     if eigenvalues[-1] - eigenvalues[-2] < 1e-9:
         return RotationFusion(None, degenerate=True)
-    return RotationFusion(UnitQuaternion.from_array(eigenvectors[:, -1]).canonical())
+    return RotationFusion(UnitQuaternion.from_array(eigenvectors[:, -1]).canonical().as_array())
 
 
 def loop_fir_smooth(history, new_pose, length: int):
@@ -550,6 +574,62 @@ def loop_fir_smooth(history, new_pose, length: int):
     if mean is None:
         mean = new_pose.orientation
     return Pose(position, mean)
+
+
+def loop_step(body_poses: TagEstimates, config, history: tuple = ()):
+    """One frame of `step` from the loop forms alone, the FIR window carried
+    as a tuple of raw `Pose`s: rows dropped and listed one at a time (a NaN
+    weight is an unknown id, a weight with a NaN pose a corrupt row), the
+    selection rule per row, each row's fusion weight from its relative size,
+    `loop_remove_outliers`, a weighted mean position summed row by row, the
+    loop rotation means and `loop_fir_smooth`. Returns (EstimateOutput,
+    new history)."""
+    unknown, corrupt, usable = [], [], []
+    for tag_id, p, q, size in zip(body_poses.ids.tolist(), body_poses.positions,
+                                  body_poses.quats, body_poses.weights.tolist()):
+        if math.isnan(size):
+            unknown.append(tag_id)
+        elif math.isnan(q[0]):
+            corrupt.append(tag_id)
+        else:
+            usable.append((tag_id, p, q, size))
+    trace = {"n_detections": len(body_poses), "unknown_ids": tuple(sorted(unknown)),
+             "corrupt_ids": tuple(sorted(corrupt))}
+    if not usable:
+        return EstimateOutput(None, (), StageTrace(**trace, reason="no-tags")), history
+
+    rows = _loop_select(sorted(usable, key=lambda row: row[0]), lambda row: row[3], config.ths)
+    per_scheme = {WeightScheme.W1: lambda s: s * s, WeightScheme.W2: lambda s: s,
+                  WeightScheme.UNIFORM: lambda s: 1.0}
+    estimates = [PerTagEstimate(tag_id, Pose(p, UnitQuaternion.from_array(q)),
+                                per_scheme[config.weights](size))
+                 for tag_id, p, q, size in rows]
+    kept, rejected = estimates, []
+    if config.outlier_removal:
+        kept, rejected = loop_remove_outliers(estimates, config.iqr_gain)
+    trace.update(selected_ids=tuple(e.tag_id for e in estimates),
+                 or_applied=config.outlier_removal and len(estimates) >= 3,
+                 rejected_ids=tuple(e.tag_id for e in rejected))
+    if not kept:
+        return EstimateOutput(None, (), StageTrace(**trace, reason="all-rejected")), history
+
+    total = kept[0].weight * kept[0].body_pose_est.position
+    for e in kept[1:]:
+        total = total + e.weight * e.body_pose_est.position
+    position = total / sum(e.weight for e in kept)
+    if config.rot_mean is RotMeanMethod.QL2:
+        fusion = loop_fuse_rotations_ql2(kept)
+    else:
+        fusion = loop_fuse_rotations_cl2(kept)
+    quaternion = fusion.quaternion
+    if quaternion is None:
+        quaternion = kept[loop_reference_index(kept)].body_pose_est.orientation
+    raw = Pose(position, quaternion)
+    smoothed = loop_fir_smooth(history, raw, config.fir_length)
+    history = (history + (raw,))[-config.fir_length:]
+    trace.update(fusion_method=config.rot_mean.value, dispersion_warning=fusion.dispersion_warning,
+                 fusion_degenerate=fusion.degenerate, fir_taps=len(history))
+    return EstimateOutput(smoothed, tuple(e.tag_id for e in kept), StageTrace(**trace)), history
 
 
 # --- unculled and per-tag loop forms of the simulator (bitwise reference) ---

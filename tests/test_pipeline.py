@@ -25,7 +25,6 @@ from taglok.pipeline import (
     fuse_positions,
     fuse_rotations_cl2,
     fuse_rotations_ql2,
-    iqr_bounds,
     remove_outliers,
 )
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
@@ -38,6 +37,7 @@ from oracles import (
     brute_force_ql2_mean,
     detections_from,
     hmat,
+    iqr_bounds,
     naive_iqr_fences,
     naive_outlier_partition,
     entry_of,
@@ -522,7 +522,7 @@ class TestStep:
         out, state = step_detections(rows_from([]), tag_map, PipelineConfig())
         assert out.pose is None
         assert out.stage_trace.reason == "no-tags"
-        assert state.fir_history == ()
+        assert state.fir_positions.shape == (0, 3) and state.fir_quats.shape == (0, 4)
 
     def test_unknown_ids_dropped_and_counted(self):
         tag_map = make_map({0: SizeClass.L})
@@ -553,7 +553,7 @@ class TestStep:
         assert out.pose is None
         assert out.stage_trace.reason == "all-rejected"
         assert len(out.stage_trace.rejected_ids) == 5
-        assert state.fir_history == ()
+        assert state.fir_positions.shape == (0, 3) and state.fir_quats.shape == (0, 4)
 
     def test_stage_by_stage_replay_oracle(self):
         cam = default_camera()
@@ -721,3 +721,15 @@ class TestApplyVariant:
             PipelineConfig(iqr_gain=-1.0)
         with pytest.raises(ValueError):
             PipelineConfig(fir_length=0)
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+    def test_non_finite_iqr_gain_rejected(self, gain):
+        # a NaN gain used to pass and drop every frame as all-rejected
+        with pytest.raises(ValueError, match="iqr_gain"):
+            PipelineConfig(iqr_gain=gain)
+
+    @pytest.mark.parametrize("length", [2.5, 5.0, True, np.int64(5), "5"])
+    def test_non_int_fir_length_rejected(self, length):
+        # 2.5 used to pass and fail the first step on a slice index
+        with pytest.raises(ValueError, match="fir_length"):
+            PipelineConfig(fir_length=length)
