@@ -12,6 +12,7 @@ y down in the image. The default mount points the camera at the floor.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -553,6 +554,13 @@ def format_detection_lines(frame: int, t: float, rows: DetectionRows) -> list[st
 
 
 _LINE_FLOAT_FIELDS = ("t", "px", "py", "pz", "qw", "qx", "qy", "qz", "apparent_side")
+# a squared norm this close to 1 puts the norm well inside unit_components'
+# tolerance, where it returns the components unscaled
+_UNIT_NORM_SQ_TOL = 0.5e-12
+# one parsed stream line as read_detection_stream packs it: frame, tag id,
+# then position, quaternion and apparent side as 8 floats
+_STREAM_ROW = struct.Struct("=qq8d")
+_STREAM_ROW_DTYPE = np.dtype([("frame", np.int64), ("id", np.int64), ("floats", np.float64, 8)])
 
 
 def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, float]:
@@ -562,34 +570,54 @@ def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, floa
     if len(tokens) != 11:
         raise ValueError(f"expected 11 fields in detection line, got {len(tokens)}")
     frame = int(tokens[0])
+    if not -2**63 <= frame < 2**63:
+        raise ValueError(f"frame {tokens[0]!r} out of range")
     tag_id = int(tokens[2])
     if not -2**63 <= tag_id < 2**63:
         raise ValueError(f"tag id {tokens[2]!r} out of range")
-    float_tokens = [tokens[1]] + tokens[3:]
-    values = [float(v) for v in float_tokens]
+    float_tokens = [tokens[1], *tokens[3:]]
+    t, px, py, pz, qw, qx, qy, qz, apparent = values = tuple(map(float, float_tokens))
     if not all(map(math.isfinite, values)):
         name, token = next((name, token) for name, token, value
                            in zip(_LINE_FLOAT_FIELDS, float_tokens, values)
                            if not math.isfinite(value))
         raise ValueError(f"non-finite {name} {token!r}")
-    t, px, py, pz, qw, qx, qy, qz, apparent = values
     if not pz > 0:
         raise ValueError("detected tag must lie in front of the camera (z > 0)")
-    return frame, t, tag_id, (px, py, pz), unit_components(qw, qx, qy, qz), apparent
+    if abs(qw * qw + qx * qx + qy * qy + qz * qz - 1.0) <= _UNIT_NORM_SQ_TOL:
+        quat = (qw, qx, qy, qz)
+    else:
+        quat = unit_components(qw, qx, qy, qz)
+    return frame, t, tag_id, (px, py, pz), quat, apparent
 
 
 def read_detection_stream(path: str | Path) -> list[Frame]:
     """Frames of a dumped detection stream in frame order, without ground
-    truth. A frame takes its time from its first line; errors name the file
-    and line."""
-    by_index: dict[int, tuple[float, list[tuple]]] = {}
+    truth. A frame takes its time from its first line and keeps its lines
+    in stream order; errors name the file and line.
+
+    Each line is packed into one whole-stream buffer as it is parsed, and
+    every frame's arrays are slices of the columns read back from it, so no
+    per-line object outlives its line."""
+    packed, first_t = bytearray(), {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
-            index, t, *row = parse_detection_line(line)
+            index, t, tag_id, position, quat, apparent = parse_detection_line(line)
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from None
-        by_index.setdefault(index, (t, []))[1].append(row)
-    return [Frame(index, t, None, DetectionRows(*(np.array(column) for column in zip(*rows))))
-            for index, (t, rows) in sorted(by_index.items())]
+        packed += _STREAM_ROW.pack(index, tag_id, *position, *quat, apparent)
+        first_t.setdefault(index, t)
+    if not first_t:
+        return []
+    rows = np.frombuffer(packed, dtype=_STREAM_ROW_DTYPE)
+    order = np.argsort(rows["frame"], kind="stable")
+    floats = rows["floats"]
+    columns = (rows["id"][order], floats[:, :3][order], floats[:, 3:7][order],
+               floats[:, 7][order])
+    in_order = rows["frame"][order]
+    bounds = [0, *(np.flatnonzero(in_order[1:] != in_order[:-1]) + 1).tolist(), len(order)]
+    return [Frame(index, first_t[index], None,
+                  DetectionRows(*(column[start:end] for column in columns)))
+            for index, start, end in zip(sorted(first_t), bounds, bounds[1:])]

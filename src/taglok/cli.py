@@ -407,6 +407,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 f"{q.w:.9f},{q.x:.9f},{q.y:.9f},{q.z:.9f},{len(output.tags_used)}"
             )
     Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    if args.log:
+        write_frames_jsonl(records, args.log)
     print(f"replayed {len(records)} frames to {args.out}")
     return 0
 
@@ -458,6 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="config file path")
     p.add_argument("--detections", required=True, help="detection stream path")
     p.add_argument("--out", required=True, help="per-frame estimate CSV path")
+    p.add_argument("--log", help="per-frame JSON-lines output, as run --log writes it "
+                                 "without ground truth")
     p.add_argument("--variant", help="pipeline override tokens")
     p.add_argument("--map", help="override the map file")
     p.set_defaults(func=cmd_replay)

@@ -43,6 +43,10 @@ _DEGENERATE_NORM = 1e-12
 _EIGENVALUE_GAP_TOL = 1e-9
 # |qi . qj| of two unit quaternions a quarter turn apart
 _QUARTER_TURN_DOT = math.sqrt(0.5)
+# the 10 distinct cells (i <= j) of a symmetric 4 x 4 matrix, and the one
+# of them that fills each of its 16 cells, row by row
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)
+_MIRRORED = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 # `step` runs on a handful of rows per frame, where the fixed cost of a numpy
 # call outweighs its arithmetic. So its stages call a ufunc's own reduce
@@ -392,6 +396,15 @@ def fuse_rotations_ql2(kept: TagEstimates) -> RotationFusion:
     return RotationFusion(mean, dispersion_warning=warning, degenerate=mean is None)
 
 
+def _cl2_accumulator(quats: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum(w * q * q^T) over the rows, from the 10 distinct products: qi*qj
+    and qj*qi are the same float. `take` gives the products in C order,
+    which numpy sums along axis 0 row by row, so the sum is the whole
+    outer-product stack's bit for bit."""
+    products = quats.take(_UPPER_ROWS, axis=1) * quats.take(_UPPER_COLS, axis=1)
+    return np.add.reduce(weights[:, None] * products, axis=0).take(_MIRRORED)
+
+
 def fuse_rotations_cl2(kept: TagEstimates) -> RotationFusion:
     """Chordal L2 mean: unit eigenvector of the largest eigenvalue of
     Q = sum(w * q * q^T), with the sign `UnitQuaternion.canonical` gives it.
@@ -399,10 +412,7 @@ def fuse_rotations_cl2(kept: TagEstimates) -> RotationFusion:
     top eigenvalue marks the fusion degenerate."""
     if not len(kept):
         raise ValueError("cannot fuse an empty estimate set")
-    quats = kept.quats
-    outer = quats[:, :, None] * quats[:, None, :]
-    accumulator = (kept.weights[:, None, None] * outer).sum(axis=0)
-    eigenvalues, eigenvectors = np.linalg.eigh(accumulator)
+    eigenvalues, eigenvectors = np.linalg.eigh(_cl2_accumulator(kept.quats, kept.weights))
     if eigenvalues[-1] - eigenvalues[-2] < _EIGENVALUE_GAP_TOL:
         return RotationFusion(None, degenerate=True)
     mean = np.array(unit_components(*eigenvectors[:, -1].tolist()))

@@ -12,9 +12,10 @@ composed of them, and the object form of detections (`Detection`,
 `rows_from`) with the per-tag loop form of the simulator's `detect` and the
 unculled form of its `visible_tags`, the bitwise references for their
 array forms in `taglok.camsim`, whose ziggurat tables `probe_ziggurat_tables`
-reads back from numpy's own sampler. `step_detections` is no oracle: it feeds
-one frame's detections to `step` through the frame chain, as `run` does
-for a whole stream. Neither is `iqr_bounds`: it returns the fences that
+reads back from numpy's own sampler, and the line-by-line grouping form of
+its stream reader (`loop_read_detection_stream`). `step_detections` is no
+oracle: it feeds one frame's detections to `step` through the frame chain,
+as `run` does for a whole stream. Neither is `iqr_bounds`: it returns the fences that
 `remove_outliers` computes, in the form the quartile tests read.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
@@ -39,7 +41,7 @@ from taglok.geometry import (
     rotate_rows,
     wrap_angle,
 )
-from taglok.camsim import DetectionRows, visible_tags
+from taglok.camsim import DetectionRows, Frame, parse_detection_line, visible_tags
 from taglok.pipeline import (
     EQUAL_SPREAD_TOL,
     EstimateOutput,
@@ -702,6 +704,25 @@ def loop_detect(tag_map, cam, noise, body_pose_true: Pose, frame_index: int) -> 
             continue
         detections.append(Detection(entry.tag_id, noisy, apparent))
     return detections
+
+
+# --- the detection stream grouped line by line (bitwise reference) ---
+
+def loop_read_detection_stream(path: str | Path) -> list[Frame]:
+    """Frames of a dumped detection stream in frame order, without ground
+    truth. A frame takes its time from its first line; errors name the file
+    and line."""
+    by_index: dict[int, tuple[float, list[tuple]]] = {}
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            index, t, *row = parse_detection_line(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        by_index.setdefault(index, (t, []))[1].append(row)
+    return [Frame(index, t, None, DetectionRows(*(np.array(column) for column in zip(*rows))))
+            for index, (t, rows) in sorted(by_index.items())]
 
 
 # --- numpy's normal sampler, read back from numpy itself ---

@@ -12,6 +12,7 @@ import numpy as np
 
 from taglok.geometry import Pose, UnitQuaternion, quat_multiply
 from taglok.pipeline import (
+    _cl2_accumulator,
     fir_smooth,
     fuse_rotations_cl2,
     fuse_rotations_ql2,
@@ -91,6 +92,23 @@ def test_stages_bitwise_equal_to_loop_forms():
             assert got.quaternion == want.quaternion
             assert got.dispersion_warning == want.dispersion_warning
             assert got.degenerate == want.degenerate
+
+
+def test_cl2_accumulator_equals_outer_product_stack_sum():
+    # the (n, 4, 4) stack of weighted outer products summed along axis 0 is
+    # what cl2 fed to eigh before; its inputs here are C-ordered copies, and
+    # the accumulator gets the rows in whatever layout a caller has
+    rng = np.random.default_rng(2027)
+    for _ in range(1000):
+        n = int(rng.integers(1, 121))
+        quats = np.ascontiguousarray(_random_quats(rng, n))
+        weights = rng.choice([1.0, 2.0, 4.0, 8.0], size=n) if rng.random() < 0.5 else \
+            rng.uniform(0.1, 10.0, size=n)
+        stack = (weights[:, None, None] * (quats[:, :, None] * quats[:, None, :])).sum(axis=0)
+        assert _cl2_accumulator(quats, weights).tobytes() == stack.tobytes()
+        layouts = (np.asfortranarray(quats), np.repeat(quats, 2, axis=0)[::2])
+        for rows in layouts:
+            assert _cl2_accumulator(rows, np.repeat(weights, 2)[::2]).tobytes() == stack.tobytes()
 
 
 def test_fir_bitwise_equal_to_loop_form():

@@ -308,7 +308,12 @@ class TestStreamFormat:
         ("0 0.0 5 0.0 0.0 -1.0 1.0 0.0 0.0 0.0 50.0", "in front of the camera"),
         ("0 0.0 5 0.0 0.0 0.0 1.0 0.0 0.0 0.0 50.0", "in front of the camera"),
         (f"0 0.0 {2**63} 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0", "tag id .* out of range"),
-    ], ids=["behind", "zero-depth", "id-out-of-range"])
+        (f"{2**63} 0.0 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0", f"frame '{2**63}' out of range"),
+        (f"{-2**63 - 1} 0.0 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0",
+         f"frame '{-2**63 - 1}' out of range"),
+        (f"{10**30} 0.0 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0", f"frame '{10**30}' out of range"),
+    ], ids=["behind", "zero-depth", "id-out-of-range", "frame-above-int64", "frame-below-int64",
+            "frame-far-out-of-range"])
     def test_line_outside_the_row_form_rejected(self, line, match):
         with pytest.raises(ValueError, match=match):
             parse_detection_line(line)

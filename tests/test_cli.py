@@ -630,6 +630,23 @@ class TestDumpAndReplay:
         assert replayed.stats.dropped == len(no_estimate)
         assert frame_to_json(replayed.frames[0])["pose_true"] is None
 
+    def test_replay_log_equals_run_log_without_ground_truth(self, tmp_path):
+        cfg_path = write_cfg(tmp_path, "[trajectory]\nkind = t2\n\n[run]\nseed = 3\n")
+        stream, est = tmp_path / "stream.txt", tmp_path / "est.csv"
+        run_log, replay_log = tmp_path / "run.jsonl", tmp_path / "replay.jsonl"
+        frames = ["--frames", "60"]
+        assert main(["run", "--config", cfg_path, "--log", str(run_log), *frames]) == 0
+        assert main(["dump-detections", "--config", cfg_path, "--out", str(stream), *frames]) == 0
+        assert main(["replay", "--config", cfg_path, "--detections", str(stream),
+                     "--out", str(est), "--log", str(replay_log)]) == 0
+        expected = []
+        for line in run_log.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            record.update(pose_true=None, phase=None, ep_cm=None, eo_deg=None)
+            expected.append(json.dumps(record))
+        assert replay_log.read_text(encoding="utf-8").splitlines() == expected
+        assert len(expected) == 60
+
     @pytest.mark.parametrize("bad_line", [
         "0 0.0 5 1.0 2.0",
         "0 0.0 5 0.0 0.0 -1.0 1.0 0.0 0.0 0.0 50.0",
