@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import (
+    _NORM_TOL,
     Pose,
     UnitQuaternion,
     _normalize_rows,
@@ -180,8 +181,9 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
     centers = m.positions @ R.T + t
     z_center = centers[:, 2]
     z_safe = np.where(z_center > 0.0, z_center, 1.0)
-    u = cam.principal[0] + cam.focal_px * centers[:, 0] / z_safe
-    v = cam.principal[1] + cam.focal_px * centers[:, 1] / z_safe
+    with np.errstate(over="ignore"):  # a far tag projects to inf and is culled below
+        u = cam.principal[0] + cam.focal_px * centers[:, 0] / z_safe
+        v = cam.principal[1] + cam.focal_px * centers[:, 1] / z_safe
     front_facing = (m.normals * (cam_in_world.position[None, :] - m.positions)).sum(axis=1) > 0.0
     candidates = np.flatnonzero(front_facing & (z_center > 0.0)
                                 & (u >= -_CULL_MARGIN_PX) & (u <= width + _CULL_MARGIN_PX)
@@ -554,9 +556,6 @@ def format_detection_lines(frame: int, t: float, rows: DetectionRows) -> list[st
 
 
 _LINE_FLOAT_FIELDS = ("t", "px", "py", "pz", "qw", "qx", "qy", "qz", "apparent_side")
-# a squared norm this close to 1 puts the norm well inside unit_components'
-# tolerance, where it returns the components unscaled
-_UNIT_NORM_SQ_TOL = 0.5e-12
 # one parsed stream line as read_detection_stream packs it: frame, tag id,
 # then position, quaternion and apparent side as 8 floats
 _STREAM_ROW = struct.Struct("=qq8d")
@@ -565,7 +564,8 @@ _STREAM_ROW_DTYPE = np.dtype([("frame", np.int64), ("id", np.int64), ("floats", 
 
 def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, float]:
     """(frame, t, tag id, (px, py, pz), (qw, qx, qy, qz), apparent side) of
-    one stream line, the quaternion renormalized as UnitQuaternion does."""
+    one stream line, the quaternion as written (the frame chain normalizes
+    it) unless UnitQuaternion refuses it, which raises its error."""
     tokens = line.split()
     if len(tokens) != 11:
         raise ValueError(f"expected 11 fields in detection line, got {len(tokens)}")
@@ -584,11 +584,10 @@ def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, floa
         raise ValueError(f"non-finite {name} {token!r}")
     if not pz > 0:
         raise ValueError("detected tag must lie in front of the camera (z > 0)")
-    if abs(qw * qw + qx * qx + qy * qy + qz * qz - 1.0) <= _UNIT_NORM_SQ_TOL:
-        quat = (qw, qx, qy, qz)
-    else:
-        quat = unit_components(qw, qx, qy, qz)
-    return frame, t, tag_id, (px, py, pz), quat, apparent
+    # a squared norm this close to 1 is a norm unit_components accepts
+    if not abs(qw * qw + qx * qx + qy * qy + qz * qz - 1.0) <= 0.5 * _NORM_TOL:
+        unit_components(qw, qx, qy, qz)
+    return frame, t, tag_id, (px, py, pz), (qw, qx, qy, qz), apparent
 
 
 def read_detection_stream(path: str | Path) -> list[Frame]:

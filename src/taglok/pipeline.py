@@ -39,7 +39,6 @@ from .tagmap import TagMap
 # point jitter. Zero spread means no outliers.
 EQUAL_SPREAD_TOL = 1e-9
 
-_DEGENERATE_NORM = 1e-12
 _EIGENVALUE_GAP_TOL = 1e-9
 # |qi . qj| of two unit quaternions a quarter turn apart
 _QUARTER_TURN_DOT = math.sqrt(0.5)
@@ -231,17 +230,6 @@ def select_tags(ids: np.ndarray, sizes: np.ndarray, mode: ThsMode) -> np.ndarray
     return order.compress(sizes >= (np.maximum.reduce(below) if len(below) else top))
 
 
-def corrupt_rows(detections: DetectionRows) -> np.ndarray:
-    """Which detections no estimate can come from: a position whose squared
-    norm is not finite, or a quaternion whose norm is not finite or too
-    small to normalize (a component NaN or infinite, a square that
-    overflows, all quaternion components about zero)."""
-    p, q = detections.positions, detections.quats
-    with np.errstate(over="ignore"):
-        p_sq, q_sq = (p * p).sum(axis=1), (q * q).sum(axis=1)
-    return ~(np.isfinite(p_sq) & np.isfinite(q_sq) & (q_sq >= _NORM_TOL * _NORM_TOL))
-
-
 def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
                                camera_in_body: Pose) -> TagEstimates:
     """Recover the body pose from each detection through the frame chain
@@ -249,10 +237,10 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
     mount), all rows at once, whatever number of frames they come from.
 
     Row i of the result belongs to detection i. A detection whose id is not
-    in the map gets an all-NaN row; one that is corrupt (`corrupt_rows`)
-    gets a NaN pose; no other row depends on either. Each other row, its
-    quaternion normalized as `UnitQuaternion` does (a unit row stays as
-    is), equals the per-tag chain
+    in the map gets an all-NaN row; a corrupt one (its position's squared
+    norm not finite, or a quaternion `UnitQuaternion` refuses) a NaN pose;
+    no other row depends on either. Each other row, its quaternion
+    normalized as `UnitQuaternion` does (a unit row stays as is), equals
     compose(tag, compose(inverse(detection), inverse(camera_in_body))) bit
     for bit (the row helpers keep the scalar expression order). Every row
     of an id in the map, corrupt or not, has the tag's relative size 2**h
@@ -261,23 +249,26 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
     m = tag_map.world_frames()
     rows = m.rows_of(detections.ids)
     known = rows >= 0
-    usable = np.flatnonzero(known & ~corrupt_rows(detections))
     mount = inverse(camera_in_body)
     mount_q = mount.orientation.as_array()
     n = len(detections)
     estimates = TagEstimates(detections.ids, np.full((n, 3), np.nan), np.full((n, 4), np.nan),
                              np.full(n, np.nan))
-    # a block of rows at a time, so that a long stream's temporaries stay small
-    for start in range(0, len(usable), _CHAIN_BLOCK_ROWS):
-        picked = usable[start:start + _CHAIN_BLOCK_ROWS]
-        tag = rows[picked]
-        tag_q = m.quats[tag]
-        inv_q = _normalize_rows(detections.quats[picked]) * _CONJUGATE  # inverse(detection)
-        inv_p = -rotate_rows(inv_q, detections.positions[picked])
-        chain_p = inv_p + rotate_rows(inv_q, mount.position)  # ... composed with the mount
-        chain_q = quat_multiply_rows(inv_q, mount_q)
-        estimates.positions[picked] = m.positions[tag] + rotate_rows(tag_q, chain_p)
-        estimates.quats[picked] = quat_multiply_rows(tag_q, chain_q)
+    # a corrupt row's squares may overflow; the row then turns NaN
+    with np.errstate(over="ignore"):
+        p = detections.positions
+        usable = np.flatnonzero(known & np.isfinite((p * p).sum(axis=1)))
+        # a block of rows at a time, so that a long stream's temporaries stay small
+        for start in range(0, len(usable), _CHAIN_BLOCK_ROWS):
+            picked = usable[start:start + _CHAIN_BLOCK_ROWS]
+            tag = rows[picked]
+            tag_q = m.quats[tag]
+            inv_q = _normalize_rows(detections.quats[picked]) * _CONJUGATE  # inverse(detection)
+            inv_p = -rotate_rows(inv_q, p[picked])
+            chain_p = inv_p + rotate_rows(inv_q, mount.position)  # ... composed with the mount
+            chain_q = quat_multiply_rows(inv_q, mount_q)
+            estimates.positions[picked] = m.positions[tag] + rotate_rows(tag_q, chain_p)
+            estimates.quats[picked] = quat_multiply_rows(tag_q, chain_q)
     estimates.weights[known] = 2.0 ** m.classes[rows[known]]
     return estimates
 
@@ -372,7 +363,7 @@ def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray | None,
         terms = np.where(flip, -weights, weights)[:, None] * quats
     total = np.add.reduce(terms, axis=0)
     norm = math.sqrt(total.dot(total))
-    if norm < _DEGENERATE_NORM:
+    if norm < _NORM_TOL:  # too small to normalize, as for unit_components
         return None
     return total / norm
 

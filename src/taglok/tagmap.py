@@ -133,6 +133,14 @@ class MapArrays:
         return np.where(found, rows, -1)
 
 
+class FootprintOverlapError(ValueError):
+    """Two tags of one size class overlap; `tag_id` is the later one."""
+
+    def __init__(self, message: str, tag_id: int):
+        super().__init__(message)
+        self.tag_id = tag_id
+
+
 class TagMap:
     """Immutable collection of tags with unique ids over a rectangular extent."""
 
@@ -153,15 +161,15 @@ class TagMap:
         for cls, members in by_class.items():
             side = cls.side_length
             centers = np.array([e.pose_in_world.position[:2] for e in members])
-            for i in range(len(members)):
-                deltas = np.abs(centers[i + 1:] - centers[i])
-                clash = np.all(deltas < side - 1e-12, axis=1)
-                if np.any(clash):
-                    j = i + 1 + int(np.argmax(clash))
-                    raise ValueError(
-                        f"tags {members[i].tag_id} and {members[j].tag_id} "
-                        f"(class {cls.label}) have overlapping footprints"
-                    )
+            with np.errstate(over="ignore"):  # an infinite delta is no clash
+                for i in range(len(members)):
+                    deltas = np.abs(centers[i + 1:] - centers[i])
+                    clash = np.all(deltas < side - 1e-12, axis=1)
+                    if np.any(clash):
+                        j = i + 1 + int(np.argmax(clash))
+                        raise FootprintOverlapError(
+                            f"tags {members[i].tag_id} and {members[j].tag_id} (class "
+                            f"{cls.label}) have overlapping footprints", members[j].tag_id)
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -274,7 +282,7 @@ def _parse_float(token: str, line_no: int, field: str) -> float:
 def parse_map(text: str) -> TagMap:
     header = None
     entries = []
-    seen_ids = set()
+    line_of = {}  # tag id -> its line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -301,9 +309,9 @@ def parse_map(text: str) -> TagMap:
             # key, and are stacked as int64
             raise MapFormatError(
                 f"line {line_no}: bad id {tokens[0]!r} (must be an integer in [0, 2**63))")
-        if tag_id in seen_ids:
+        if tag_id in line_of:
             raise MapFormatError(f"line {line_no}: duplicate id {tag_id}")
-        seen_ids.add(tag_id)
+        line_of[tag_id] = line_no
         try:
             size_class = SizeClass.from_label(tokens[1])
         except ValueError:
@@ -317,4 +325,7 @@ def parse_map(text: str) -> TagMap:
         entries.append(TagEntry(tag_id, Pose(np.array([px, py, pz]), orientation), size_class))
     if header is None:
         raise MapFormatError("line 1: missing header 'tagmap v1 <width> <height>'")
-    return TagMap(entries, header)
+    try:
+        return TagMap(entries, header)
+    except FootprintOverlapError as exc:
+        raise MapFormatError(f"line {line_of[exc.tag_id]}: {exc}") from None

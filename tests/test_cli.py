@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,8 +16,9 @@ from taglok.cli import (
     main,
     parse_scenario,
 )
+from taglok.geometry import UnitQuaternion
 from taglok.pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme
-from taglok.tagmap import build_pattern_map, load_map, save_map
+from taglok.tagmap import build_pattern_map, load_map, save_map, serialize_map
 
 
 def write_cfg(tmp_path, text="", name="cfg.ini"):
@@ -431,6 +434,24 @@ class TestRunCommand:
         save_map(build_pattern_map((3.0, 5.0)), map_path)
         assert main(["run", "--config", cfg, "--map", str(map_path)]) == 0
 
+    def test_far_map_tag_runs_like_the_map_without_it(self, tmp_path):
+        # the tag projects to an infinite image coordinate and is culled, silently;
+        # noise streams are keyed per tag, so dropping it shifts no other tag's draws
+        cfg = write_cfg(tmp_path, QUICK)
+        header, first, *rest = serialize_map(build_pattern_map((3.0, 5.0))).splitlines()
+        far = first.split()
+        far[2] = "1e308"
+        outputs = []
+        for name, lines in (("far", [header, " ".join(far), *rest]), ("without", [header, *rest])):
+            map_path, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            map_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", "--config", cfg, "--map", str(map_path),
+                             "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_bad_map_file_names_the_file_and_line(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         map_path = tmp_path / "m.txt"
@@ -646,6 +667,32 @@ class TestDumpAndReplay:
             expected.append(json.dumps(record))
         assert replay_log.read_text(encoding="utf-8").splitlines() == expected
         assert len(expected) == 60
+
+    def test_off_unit_stream_replays_like_its_normalized_twin(self, tmp_path):
+        # the twin holds each line's quaternion as UnitQuaternion normalizes it; every
+        # row is fused, and --log writes the fused poses in full precision
+        cfg_path = write_cfg(tmp_path, "[trajectory]\nkind = t2\n\n[run]\nseed = 5\n")
+        stream = tmp_path / "stream.txt"
+        assert main(["dump-detections", "--config", cfg_path, "--out", str(stream),
+                     "--frames", "40"]) == 0
+        scales = itertools.cycle([3.0, 0.5, 1.0 + 3e-13, 1.0 - 7e-13, 1.0 + 5e-12, 1e-6, 1e100,
+                                  1.0])
+        streams = {"off": [], "twin": []}
+        for line, scale in zip(stream.read_text(encoding="utf-8").splitlines(), scales):
+            tokens = line.split()
+            q = [float(token) * scale for token in tokens[6:10]]
+            unit = UnitQuaternion(*q)
+            for name, quat in (("off", q), ("twin", (unit.w, unit.x, unit.y, unit.z))):
+                streams[name].append(" ".join([*tokens[:6], *map(repr, quat), tokens[10]]))
+        assert len(streams["off"]) > 500
+        outputs = []
+        for name, lines in streams.items():
+            path, est, log = (tmp_path / f"{name}{suffix}" for suffix in (".txt", ".csv", ".jsonl"))
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert main(["replay", "--config", cfg_path, "--detections", str(path), "--out",
+                         str(est), "--log", str(log), "--variant", "all-noor"]) == 0
+            outputs.append((est.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("bad_line", [
         "0 0.0 5 1.0 2.0",

