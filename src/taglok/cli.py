@@ -230,20 +230,31 @@ def _build_tag_map(settings: Settings):
     map_file = settings.get("map", "file")
     if map_file:
         return load_map(map_file)
-    return build_pattern_map((settings.get("map", "width"), settings.get("map", "height")))
+    return build_pattern_map((settings.get("map", "width"), settings.get("map", "height")),
+                             ("map.width", "map.height"))
 
 
 def _check_noise_scale(camera: CameraModel, noise: NoiseModel) -> None:
     """The noise scale (reference / apparent) ** size_exponent must be a
     float at every apparent size the camera reports, from the detectability
-    threshold up to the image diagonal; it is monotone in the apparent size,
-    so the two ends decide."""
+    threshold up to the image diagonal, and so must 16 times the largest
+    sigma `detect` draws with there: numpy's standard normals stay below 13.8
+    in magnitude (the ziggurat's tail bound r + 53 ln 2 / r). Both are
+    monotone in the apparent size, so the two ends decide."""
+    outliers = noise.outlier_probability > 0
+    sigmas = (("position_sigma", noise.position_sigma_at_ref, noise.outlier_position_scale),
+              ("rotation_sigma", noise.rotation_sigma_at_ref, noise.outlier_rotation_scale))
     for apparent in (camera.detect_threshold_px, math.hypot(*camera.image_size)):
         try:
-            (noise.reference_apparent_size / apparent) ** noise.size_exponent
+            scale = (noise.reference_apparent_size / apparent) ** noise.size_exponent
         except OverflowError:
             raise ConfigError(f"noise.size_exponent: the noise scale overflows at an apparent "
                               f"size of {apparent:g} px (got {noise.size_exponent!r})") from None
+        for key, sigma, outlier_scale in sigmas:
+            largest = sigma * scale * (max(outlier_scale, 1.0) if outliers else 1.0)
+            if not math.isfinite(16 * largest):
+                raise ConfigError(f"noise.{key}: the noise sigma overflows at an apparent "
+                                  f"size of {apparent:g} px (got {sigma!r})")
 
 
 def build_run_config(settings: Settings) -> RunConfig:
@@ -340,7 +351,7 @@ def cmd_map_build(args: argparse.Namespace) -> int:
     for flag, value in (("--width", args.width), ("--height", args.height)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be a finite number (got {value!r})")
-    tag_map = build_pattern_map((args.width, args.height))
+    tag_map = build_pattern_map((args.width, args.height), ("--width", "--height"))
     save_map(tag_map, args.out)
     print(f"wrote {len(tag_map)} tags to {args.out}")
     return 0

@@ -280,8 +280,8 @@ class RunConfig:
             raise ValueError("sample rate must be positive")
         if not math.isfinite(self.trajectory.duration * self.sample_rate):
             raise ValueError(f"run.sample_rate: {self.sample_rate!r} Hz over a "
-                             f"{self.trajectory.duration!r} s trajectory gives no finite "
-                             "frame count")
+                             f"trajectory.duration of {self.trajectory.duration!r} s gives "
+                             "no finite frame count")
 
 
 @dataclass(frozen=True)

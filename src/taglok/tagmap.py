@@ -1,8 +1,9 @@
 """Size-heterogeneous fiducial-marker map: per-tag world pose, size and class.
 
 The map lies on the floor (all tags at z = 0, z-axis pointing up) and is
-generated by tiling a base pattern over a rectangular extent, mirroring the
-pattern on odd columns. Tag ids are abstract integers.
+generated by tiling one built-in tile over a rectangular extent, mirroring it
+on odd columns; another layout comes from a map file. Tag ids are abstract
+integers.
 """
 
 from __future__ import annotations
@@ -29,16 +30,8 @@ class SizeClass(Enum):
     XL = 3
 
     @property
-    def class_index(self) -> int:
-        return self.value
-
-    @property
     def side_length(self) -> float:
         return _BASE_SIDE * (2 ** self.value)
-
-    @property
-    def label(self) -> str:
-        return self.name
 
     @classmethod
     def from_label(cls, label: str) -> "SizeClass":
@@ -48,60 +41,30 @@ class SizeClass(Enum):
             raise ValueError(f"unknown size class {label!r}") from None
 
 
-@dataclass(frozen=True)
-class PatternTag:
-    """One tag of the base tile, center in tile-local coordinates."""
-
-    size_class: SizeClass
-    x: float
-    y: float
-    yaw: float = 0.0
-
-
-@dataclass(frozen=True)
-class PatternSpec:
-    """Base tile replicated over the map extent."""
-
-    tile_width: float
-    tile_height: float
-    tags: tuple[PatternTag, ...]
-
-    def __post_init__(self) -> None:
-        if self.tile_width <= 0 or self.tile_height <= 0:
-            raise ValueError("tile dimensions must be positive")
-        present = {t.size_class for t in self.tags}
-        if present != set(SizeClass):
-            missing = sorted(c.label for c in set(SizeClass) - present)
-            raise ValueError(f"pattern tile must contain every size class, missing {missing}")
-
-
-def default_pattern() -> PatternSpec:
-    """0.94 m square tile: XL centered, L at the corners, M at the edge
-    midpoints, S filling the gaps along each edge. Margins >= 1 cm."""
-    s = SizeClass.S.side_length
-    near = s  # center inset of the edge-hugging S and M tags
-    gap_lo = 0.32125  # midpoint between an L corner and the M edge tag
-    gap_hi = 0.61875
-    tags = [
-        PatternTag(SizeClass.XL, 0.47, 0.47),
-        PatternTag(SizeClass.L, 0.115, 0.115),
-        PatternTag(SizeClass.L, 0.825, 0.115),
-        PatternTag(SizeClass.L, 0.115, 0.825),
-        PatternTag(SizeClass.L, 0.825, 0.825),
-        PatternTag(SizeClass.M, 0.47, near),
-        PatternTag(SizeClass.M, 0.47, 0.94 - near),
-        PatternTag(SizeClass.M, near, 0.47),
-        PatternTag(SizeClass.M, 0.94 - near, 0.47),
-        PatternTag(SizeClass.S, gap_lo, near),
-        PatternTag(SizeClass.S, gap_hi, near),
-        PatternTag(SizeClass.S, gap_lo, 0.94 - near),
-        PatternTag(SizeClass.S, gap_hi, 0.94 - near),
-        PatternTag(SizeClass.S, near, gap_lo),
-        PatternTag(SizeClass.S, near, gap_hi),
-        PatternTag(SizeClass.S, 0.94 - near, gap_lo),
-        PatternTag(SizeClass.S, 0.94 - near, gap_hi),
-    ]
-    return PatternSpec(0.94, 0.94, tuple(tags))
+TILE_SIDE = 0.94  # the built-in tile is a square [m]
+_NEAR = SizeClass.S.side_length  # center inset of the edge-hugging S and M tags
+_GAP_LO, _GAP_HI = 0.32125, 0.61875  # midway between an L corner and the M edge tag
+# The built-in tile as (size class, x, y) rows in tile coordinates: XL centered,
+# L at the corners, M at the edge midpoints, S filling the gaps along each edge.
+TILE = (
+    (SizeClass.XL, 0.47, 0.47),
+    (SizeClass.L, 0.115, 0.115),
+    (SizeClass.L, 0.825, 0.115),
+    (SizeClass.L, 0.115, 0.825),
+    (SizeClass.L, 0.825, 0.825),
+    (SizeClass.M, 0.47, _NEAR),
+    (SizeClass.M, 0.47, TILE_SIDE - _NEAR),
+    (SizeClass.M, _NEAR, 0.47),
+    (SizeClass.M, TILE_SIDE - _NEAR, 0.47),
+    (SizeClass.S, _GAP_LO, _NEAR),
+    (SizeClass.S, _GAP_HI, _NEAR),
+    (SizeClass.S, _GAP_LO, TILE_SIDE - _NEAR),
+    (SizeClass.S, _GAP_HI, TILE_SIDE - _NEAR),
+    (SizeClass.S, _NEAR, _GAP_LO),
+    (SizeClass.S, _NEAR, _GAP_HI),
+    (SizeClass.S, TILE_SIDE - _NEAR, _GAP_LO),
+    (SizeClass.S, TILE_SIDE - _NEAR, _GAP_HI),
+)
 
 
 @dataclass(frozen=True)
@@ -142,91 +105,77 @@ class FootprintOverlapError(ValueError):
 
 
 class TagMap:
-    """Immutable collection of tags with unique ids over a rectangular extent."""
+    """Immutable tag table over a rectangular extent: `entries` by id, and their arrays."""
 
     def __init__(self, entries: Iterable[TagEntry], extent: tuple[float, float]):
-        self._by_id: dict[int, TagEntry] = {}
-        for entry in entries:
-            if entry.tag_id in self._by_id:
-                raise ValueError(f"duplicate tag id {entry.tag_id}")
-            self._by_id[entry.tag_id] = entry
+        listed = list(entries)
+        self.entries = table = tuple(sorted(listed, key=lambda e: e.tag_id))
+        ids = np.array([e.tag_id for e in table], dtype=np.int64)
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if len(repeated):
+            raise ValueError(f"duplicate tag id {repeated[0]}")
         self.extent = (float(extent[0]), float(extent[1]))
-        self._check_no_same_class_overlap()
-        self._arrays: MapArrays | None = None  # lazy array view
-
-    def _check_no_same_class_overlap(self) -> None:
-        by_class: dict[SizeClass, list[TagEntry]] = {}
-        for entry in self._by_id.values():
-            by_class.setdefault(entry.size_class, []).append(entry)
-        for cls, members in by_class.items():
-            side = cls.side_length
-            centers = np.array([e.pose_in_world.position[:2] for e in members])
-            with np.errstate(over="ignore"):  # an infinite delta is no clash
-                for i in range(len(members)):
-                    deltas = np.abs(centers[i + 1:] - centers[i])
-                    clash = np.all(deltas < side - 1e-12, axis=1)
-                    if np.any(clash):
-                        j = i + 1 + int(np.argmax(clash))
-                        raise FootprintOverlapError(
-                            f"tags {members[i].tag_id} and {members[j].tag_id} (class "
-                            f"{cls.label}) have overlapping footprints", members[j].tag_id)
+        _check_no_same_class_overlap(listed)
+        sides = np.array([e.size_class.side_length for e in table])
+        positions = np.array([e.pose_in_world.position for e in table]).reshape(-1, 3)
+        rots = np.array([quat_to_matrix(e.pose_in_world.orientation) for e in table]).reshape(-1, 3, 3)
+        self._arrays = MapArrays(
+            ids,
+            np.array([e.size_class.value for e in table], dtype=np.intp),
+            positions,
+            np.array([e.pose_in_world.orientation.as_array() for e in table]).reshape(-1, 4),
+            rots[:, :, 2],
+            positions[:, None, :] + np.einsum("nij,kj,n->nki", rots, _UNIT_SQUARE, sides),
+        )
 
     def __len__(self) -> int:
-        return len(self._by_id)
-
-    @property
-    def entries(self) -> list[TagEntry]:
-        return [self._by_id[i] for i in sorted(self._by_id)]
+        return len(self.entries)
 
     def world_frames(self) -> MapArrays:
-        """The map stacked as arrays, rows in tag-id order; built once."""
-        if self._arrays is None:
-            entries = self.entries
-            sides = np.array([e.size_class.side_length for e in entries])
-            positions = np.array([e.pose_in_world.position for e in entries]).reshape(-1, 3)
-            rots = np.array([quat_to_matrix(e.pose_in_world.orientation)
-                             for e in entries]).reshape(-1, 3, 3)
-            self._arrays = MapArrays(
-                np.array([e.tag_id for e in entries], dtype=np.int64),
-                np.array([e.size_class.class_index for e in entries], dtype=np.intp),
-                positions,
-                np.array([e.pose_in_world.orientation.as_array() for e in entries]).reshape(-1, 4),
-                rots[:, :, 2],
-                positions[:, None, :] + np.einsum("nij,kj,n->nki", rots, _UNIT_SQUARE, sides),
-            )
+        """The map stacked as arrays, rows in tag-id order."""
         return self._arrays
 
 
+def _check_no_same_class_overlap(entries: list[TagEntry]) -> None:
+    # tags in input order, so the error names the later of the first clashing pair
+    for cls in dict.fromkeys(e.size_class for e in entries):
+        members = [e for e in entries if e.size_class is cls]
+        side = cls.side_length
+        centers = np.array([e.pose_in_world.position[:2] for e in members])
+        with np.errstate(over="ignore"):  # an infinite delta is no clash
+            for i in range(len(members)):
+                deltas = np.abs(centers[i + 1:] - centers[i])
+                clash = np.all(deltas < side - 1e-12, axis=1)
+                if np.any(clash):
+                    j = i + 1 + int(np.argmax(clash))
+                    raise FootprintOverlapError(
+                        f"tags {members[i].tag_id} and {members[j].tag_id} (class "
+                        f"{cls.name}) have overlapping footprints", members[j].tag_id)
+
+
 def build_pattern_map(extent: tuple[float, float],
-                      pattern: PatternSpec | None = None) -> TagMap:
-    """Tile the extent with the pattern, mirroring odd columns about the tile
-    x-axis (mirrored tags flip yaw sign). Tag ids run sequentially in
-    row-major tile order, pattern order within a tile."""
-    if pattern is None:
-        pattern = default_pattern()
+                      names: tuple[str, str] = ("width", "height")) -> TagMap:
+    """Tile the extent with the built-in tile, mirroring odd columns about the
+    tile's y-axis (mirrored tags get the yaw -0.0). Tag ids run in row-major
+    tile order, table order within a tile; errors call the extent `names`."""
     width, height = float(extent[0]), float(extent[1])
-    if width <= 0 or height <= 0:
-        raise ValueError("extent must be positive")
-    cols = int(math.floor(width / pattern.tile_width + 1e-9))
-    rows = int(math.floor(height / pattern.tile_height + 1e-9))
-    if cols < 1 or rows < 1:
-        raise ValueError(
-            f"extent {width} x {height} m does not fit one "
-            f"{pattern.tile_width} x {pattern.tile_height} m tile"
-        )
+    for name, side in zip(names, (width, height)):
+        if not side / TILE_SIDE + 1e-9 >= 1:
+            raise ValueError(f"{name}: {side!r} m does not fit one {TILE_SIDE} m tile")
+    cols, rows = (math.floor(side / TILE_SIDE + 1e-9) for side in (width, height))
+    if cols * rows * len(TILE) > 2**63:  # ids are stacked as int64
+        raise ValueError(f"{names[0]} x {names[1]}: {width!r} x {height!r} m holds so many "
+                         "tiles that tag ids would reach 2**63")
     entries = []
-    next_id = 0
     for row in range(rows):
         for col in range(cols):
             mirrored = col % 2 == 1
-            ox = col * pattern.tile_width
-            oy = row * pattern.tile_height
-            for tag in pattern.tags:
-                x = pattern.tile_width - tag.x if mirrored else tag.x
-                yaw = -tag.yaw if mirrored else tag.yaw
-                pose = Pose(np.array([ox + x, oy + tag.y, 0.0]), quat_from_yaw(yaw))
-                entries.append(TagEntry(next_id, pose, tag.size_class))
-                next_id += 1
+            ox, oy = col * TILE_SIDE, row * TILE_SIDE
+            orientation = quat_from_yaw(-0.0 if mirrored else 0.0)
+            for size_class, x, y in TILE:
+                x = TILE_SIDE - x if mirrored else x
+                pose = Pose(np.array([ox + x, oy + y, 0.0]), orientation)
+                entries.append(TagEntry(len(entries), pose, size_class))
     return TagMap(entries, (width, height))
 
 
@@ -244,7 +193,7 @@ def serialize_map(tag_map: TagMap) -> str:
         p = [float(v) for v in entry.pose_in_world.position]
         q = entry.pose_in_world.orientation.canonical()
         lines.append(
-            f"{entry.tag_id} {entry.size_class.label} "
+            f"{entry.tag_id} {entry.size_class.name} "
             f"{p[0]!r} {p[1]!r} {p[2]!r} {q.w!r} {q.x!r} {q.y!r} {q.z!r}"
         )
     return "\n".join(lines) + "\n"

@@ -400,7 +400,7 @@ def entry_of(tag_map, tag_id: int):
 
 def weight_for(scheme: WeightScheme, size_class) -> float:
     """One tag's fusion weight under a scheme, by its size-class index h."""
-    h = size_class.class_index
+    h = size_class.value
     if scheme is WeightScheme.W1:
         return float(4**h)
     if scheme is WeightScheme.W2:
@@ -414,7 +414,7 @@ def loop_select_tags(detections, tag_map, mode) -> list:
     largest class, TBS those of the two largest classes present, ALL
     everything; output sorted by tag id (stable)."""
     ordered = sorted(detections, key=lambda d: d.tag_id)
-    return _loop_select(ordered, lambda d: entry_of(tag_map, d.tag_id).size_class.class_index,
+    return _loop_select(ordered, lambda d: entry_of(tag_map, d.tag_id).size_class.value,
                         mode)
 
 

@@ -153,7 +153,19 @@ class TestExitCodes:
          "noise.size_exponent: the noise scale overflows at an apparent size of 12 px"),
         ("run", "[noise]\nsize_exponent = -1000\n[trajectory]\nz = 2.0\n",
          "noise.size_exponent: the noise scale overflows at an apparent size of 1468.6 px"),
+        ("run", "[noise]\nrotation_sigma = 1e307\nsize_exponent = 2\n"
+                "[trajectory]\nz = 2.0\nduration = 0.5\n",
+         "noise.rotation_sigma: the noise sigma overflows at an apparent size of 12 px"),
+        ("run", "[noise]\nposition_sigma = 1e307\nsize_exponent = 2\n"
+                "[trajectory]\nz = 2.0\nduration = 0.5\n",
+         "noise.position_sigma: the noise sigma overflows at an apparent size of 12 px"),
         ("run", "[run]\nsample_rate = inf\n", "run.sample_rate"),
+        ("run", "[trajectory]\nduration = 1e308\n",
+         "run.sample_rate: 20.0 Hz over a trajectory.duration of 1e+308 s"),
+        ("run", "[map]\nwidth = 1e300\n", "map.width x map.height: 1e+300 x 5.0 m holds so many "
+                                           "tiles that tag ids would reach 2**63"),
+        ("run", "[map]\nwidth = 1e-300\n", "map.width: 1e-300 m does not fit one 0.94 m tile"),
+        ("run", "[map]\nheight = 0.9\n", "map.height: 0.9 m does not fit one 0.94 m tile"),
         ("run", f"[camera]\nimage_width = {'9' * 400}\n",
          "camera.image_width: must be positive and at most 2**53"),
         ("run", f"[camera]\nimage_height = {2**53 + 1}\n",
@@ -167,7 +179,9 @@ class TestExitCodes:
         ("compare", "[compare]\nscenarios = hover:1.5:2.5:0.8 hover:1.5:2.5:0\n",
          "scenario 'hover:1.5:2.5:0': z must be positive"),
     ], ids=["mount-inf", "x-nan", "yaw-nan", "sigma-inf", "exponent-nan",
-            "exponent-overflows-at-threshold", "exponent-overflows-at-diagonal", "rate-inf",
+            "exponent-overflows-at-threshold", "exponent-overflows-at-diagonal",
+            "rotation-sigma-overflows", "position-sigma-overflows", "rate-inf",
+            "duration-overflows", "map-width-1e300", "map-width-1e-300", "map-height-0.9",
             "width-400-digits", "height-above-2**53",
             "waypoint-nan", "scenario-nan", "scenario-z-negative", "scenario-z-zero"])
     def test_non_finite_input_names_key_token_or_line(self, tmp_path, capsys,
@@ -177,7 +191,8 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, config.format(waypoints=waypoints))
         out = tmp_path / "out.csv"
         assert main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("lines, named", [
@@ -298,6 +313,15 @@ fir_length = 7  # inline comment
         cfg = load_run_config(write_cfg(tmp_path, "[noise]\nsize_exponent = 300\n"))
         assert cfg.noise.size_exponent == 300.0
 
+    @pytest.mark.parametrize("key", ["position_sigma", "rotation_sigma"])
+    def test_largest_finite_noise_sigma_runs(self, tmp_path, capsys, key):
+        # 1.3e304 * (100 / 12) ** 2 * 12 (outlier scale) * 16 is about 1.7e308;
+        # pytest.ini turns any RuntimeWarning into an error
+        cfg = write_cfg(tmp_path, f"[noise]\n{key} = 1.3e304\nsize_exponent = 2\n"
+                                  "[trajectory]\nz = 2.0\nduration = 0.5\n")
+        assert main(["run", "--config", cfg]) == 0
+        assert "hover: ep" in capsys.readouterr().out
+
     def test_percent_in_map_file_name(self, tmp_path):
         map_path = tmp_path / "100%.map"
         save_map(build_pattern_map((0.94, 0.94)), map_path)
@@ -362,6 +386,19 @@ class TestMapBuild:
 
     def test_too_small_extent_fails(self, tmp_path, capsys):
         assert main(["map-build", "--out", str(tmp_path / "x.txt"), "--width", "0.5"]) == 2
+        assert "taglok: --width: 0.5 m does not fit one 0.94 m tile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, named", [
+        (["--height", "1e-300"], "--height: 1e-300 m does not fit one 0.94 m tile"),
+        (["--width", "1e300"],
+         "--width x --height: 1e+300 x 5.0 m holds so many tiles that tag ids would reach 2**63"),
+    ], ids=["height-1e-300", "width-1e300"])
+    def test_out_of_range_extent_names_the_flag(self, tmp_path, capsys, args, named):
+        out = tmp_path / "x.txt"
+        assert main(["map-build", "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert f"taglok: {named}" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--width", "--height"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

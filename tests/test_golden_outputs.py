@@ -40,6 +40,13 @@ def test_compare_csv(tmp_path, capsys):
     assert _sha256(out) == "b6c8d62acdf660cb19cf68d115a20051b87c1174b3f192dbe06093106e4e1f71"
 
 
+def test_map_build_default(tmp_path, capsys):
+    # 85 of its lines end in -0.0: a mirrored column's tags get the yaw -0.0
+    out = tmp_path / "m.txt"
+    assert main(["map-build", "--out", str(out)]) == 0
+    assert _sha256(out) == "2bd1b6278c24522339f0ece9db4617e2161e14457620e8333c4e69f9017fc87a"
+
+
 def test_run_t2_log(tmp_path, capsys):
     log = tmp_path / "t2.jsonl"
     assert main(["run", "--config", _config(tmp_path, "t2.ini", T2_INI),

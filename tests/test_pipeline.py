@@ -198,7 +198,7 @@ class TestWeightScheme:
         # for every class and scheme the array rule over the relative size
         # 2**h, the per-tag rule and the table agree
         classes = [SizeClass.S, SizeClass.M, SizeClass.L, SizeClass.XL]
-        sizes = np.array([2.0 ** c.class_index for c in classes])
+        sizes = np.array([2.0 ** c.value for c in classes])
         table = {WeightScheme.W1: [1.0, 4.0, 16.0, 64.0], WeightScheme.W2: [1.0, 2.0, 4.0, 8.0],
                  WeightScheme.UNIFORM: [1.0, 1.0, 1.0, 1.0]}
         for scheme, want in table.items():

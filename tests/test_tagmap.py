@@ -4,16 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from taglok.geometry import Pose, UnitQuaternion, quat_from_yaw
+from taglok.geometry import Pose, UnitQuaternion
 from taglok.tagmap import (
+    TILE,
+    TILE_SIDE,
     MapFormatError,
-    PatternSpec,
-    PatternTag,
     SizeClass,
     TagEntry,
     TagMap,
     build_pattern_map,
-    default_pattern,
     load_map,
     parse_map,
     save_map,
@@ -34,30 +33,25 @@ class TestSizeClass:
             assert bigger.side_length / smaller.side_length == 2.0
 
     def test_class_indices(self):
-        assert [c.class_index for c in SizeClass] == [0, 1, 2, 3]
+        assert [c.value for c in SizeClass] == [0, 1, 2, 3]
 
     def test_labels_round_trip(self):
         for c in SizeClass:
-            assert SizeClass.from_label(c.label) is c
+            assert SizeClass.from_label(c.name) is c
         with pytest.raises(ValueError):
             SizeClass.from_label("XXL")
 
 
 class TestDefaultPattern:
     def test_contains_every_class(self):
-        histogram = Counter(t.size_class for t in default_pattern().tags)
+        histogram = Counter(size_class for size_class, _, _ in TILE)
         assert histogram == {SizeClass.S: 8, SizeClass.M: 4, SizeClass.L: 4, SizeClass.XL: 1}
 
     def test_footprints_inside_tile_with_margin(self):
-        pattern = default_pattern()
-        for tag in pattern.tags:
-            half = tag.size_class.side_length / 2
-            assert tag.x - half >= -1e-12 and tag.x + half <= pattern.tile_width + 1e-12
-            assert tag.y - half >= -1e-12 and tag.y + half <= pattern.tile_height + 1e-12
-
-    def test_pattern_requires_all_classes(self):
-        with pytest.raises(ValueError):
-            PatternSpec(1.0, 1.0, (PatternTag(SizeClass.S, 0.5, 0.5),))
+        for size_class, x, y in TILE:
+            half = size_class.side_length / 2
+            assert x - half >= -1e-12 and x + half <= TILE_SIDE + 1e-12
+            assert y - half >= -1e-12 and y + half <= TILE_SIDE + 1e-12
 
 
 class TestBuildPatternMap:
@@ -74,44 +68,24 @@ class TestBuildPatternMap:
         assert len(tag_map) == 255
 
     def test_single_tile_is_untransformed_base_pattern(self):
-        pattern = default_pattern()
-        tag_map = build_pattern_map((pattern.tile_width, pattern.tile_height), pattern)
-        assert len(tag_map) == len(pattern.tags)
-        for entry, tag in zip(tag_map.entries, pattern.tags):
-            assert entry.pose_in_world.position[0] == pytest.approx(tag.x, abs=1e-12)
-            assert entry.pose_in_world.position[1] == pytest.approx(tag.y, abs=1e-12)
+        tag_map = build_pattern_map((TILE_SIDE, TILE_SIDE))
+        assert len(tag_map) == len(TILE)
+        for entry, (size_class, x, y) in zip(tag_map.entries, TILE):
+            assert entry.pose_in_world.position[0] == pytest.approx(x, abs=1e-12)
+            assert entry.pose_in_world.position[1] == pytest.approx(y, abs=1e-12)
             assert entry.pose_in_world.position[2] == 0.0
-            assert entry.size_class is tag.size_class
+            assert entry.size_class is size_class
 
     def test_odd_column_mirrors_x_about_tile_axis(self):
-        pattern = default_pattern()
-        tag_map = build_pattern_map((2 * pattern.tile_width, pattern.tile_height), pattern)
-        n = len(pattern.tags)
+        tag_map = build_pattern_map((2 * TILE_SIDE, TILE_SIDE))
+        n = len(TILE)
         base = tag_map.entries[:n]
         mirrored = tag_map.entries[n:]
-        for b, m, tag in zip(base, mirrored, pattern.tags):
+        for b, m, (_, x, _) in zip(base, mirrored, TILE):
             # oracle: reflect the base tile, then translate by one tile width
-            expected_x = (pattern.tile_width - tag.x) + pattern.tile_width
+            expected_x = (TILE_SIDE - x) + TILE_SIDE
             assert m.pose_in_world.position[0] == pytest.approx(expected_x, abs=1e-12)
             assert m.pose_in_world.position[1] == pytest.approx(b.pose_in_world.position[1], abs=1e-12)
-
-    def test_mirrored_yaw_flips_sign(self):
-        pattern = PatternSpec(
-            1.0,
-            1.0,
-            (
-                PatternTag(SizeClass.S, 0.2, 0.2, yaw=0.3),
-                PatternTag(SizeClass.M, 0.5, 0.5),
-                PatternTag(SizeClass.L, 0.3, 0.8),
-                PatternTag(SizeClass.XL, 0.7, 0.3),
-            ),
-        )
-        tag_map = build_pattern_map((2.0, 1.0), pattern)
-        base_s = tag_map.entries[0]
-        mirrored_s = tag_map.entries[4]
-        expected = quat_from_yaw(-0.3)
-        assert base_s.pose_in_world.orientation.z == pytest.approx(math.sin(0.15))
-        assert mirrored_s.pose_in_world.orientation.z == pytest.approx(expected.z)
 
     def test_all_footprints_inside_extent(self):
         tag_map = build_pattern_map((3.0, 5.0))
@@ -150,7 +124,7 @@ class TestTagMap:
         assert rows.tolist() == list(range(len(entries)))
         for row, entry in zip(rows, entries):
             assert m.ids[row] == entry.tag_id
-            assert m.classes[row] == entry.size_class.class_index
+            assert m.classes[row] == entry.size_class.value
             assert np.array_equal(m.positions[row], entry.pose_in_world.position)
             assert np.array_equal(m.quats[row], entry.pose_in_world.orientation.as_array())
 
