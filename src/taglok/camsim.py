@@ -23,7 +23,6 @@ from .geometry import (
     _NORM_TOL,
     Pose,
     UnitQuaternion,
-    _normalize_rows,
     compose,
     inverse,
     quat_multiply_rows,
@@ -535,11 +534,12 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     usable = norm > 1e-12
     axis = np.where(usable[:, None], axis / np.where(usable, norm, 1.0)[:, None], _Z_AXIS)
     half = (0.5 * np.abs(normals[:, 6] * sigma_r)).tolist()
+    # (cos h, sin h * unit axis) is unit to a few ulps, a row UnitQuaternion keeps as it is
     delta_q = np.empty((n, 4))
     delta_q[:, 0] = [math.cos(h) for h in half]
     delta_q[:, 1:] = np.array([math.sin(h) for h in half])[:, None] * axis
     noisy_p = exact.positions + delta_p
-    noisy_q = quat_multiply_rows(exact.quats, _normalize_rows(delta_q))
+    noisy_q = quat_multiply_rows(exact.quats, delta_q)
     keep = ~(noisy_p[:, 2] <= 0.0)  # a NaN depth reaches DetectionRows, which rejects it
     return DetectionRows(exact.ids[keep], noisy_p[keep], noisy_q[keep], exact.apparent[keep])
 

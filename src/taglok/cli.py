@@ -13,6 +13,7 @@ import argparse
 import configparser
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -27,6 +28,8 @@ from .camsim import (
     read_detection_stream,
 )
 from .harness import (
+    ErrorStats,
+    FrameRecord,
     RunConfig,
     Trajectory,
     compare_matrix,
@@ -244,12 +247,18 @@ def _check_noise_scale(camera: CameraModel, noise: NoiseModel) -> None:
     outliers = noise.outlier_probability > 0
     sigmas = (("position_sigma", noise.position_sigma_at_ref, noise.outlier_position_scale),
               ("rotation_sigma", noise.rotation_sigma_at_ref, noise.outlier_rotation_scale))
-    for apparent in (camera.detect_threshold_px, math.hypot(*camera.image_size)):
+    ref, exponent = noise.reference_apparent_size, noise.size_exponent
+    ends = ((camera.detect_threshold_px, "camera.detect_threshold_px"),
+            (math.hypot(*camera.image_size), "camera.image_width, camera.image_height"))
+    for apparent, apparent_keys in ends:
         try:
-            scale = (noise.reference_apparent_size / apparent) ** noise.size_exponent
-        except OverflowError:
-            raise ConfigError(f"noise.size_exponent: the noise scale overflows at an apparent "
-                              f"size of {apparent:g} px (got {noise.size_exponent!r})") from None
+            scale = (ref / apparent) ** exponent
+        except (OverflowError, ZeroDivisionError):  # 0.0 ** -1 is a ZeroDivisionError
+            scale = math.inf
+        if not math.isfinite(scale):  # ref / apparent itself may overflow
+            raise ConfigError(f"{apparent_keys}, noise.reference_apparent, noise.size_exponent: "
+                              f"the noise scale overflows at an apparent size of {apparent:g} px "
+                              f"(got reference_apparent {ref!r}, size_exponent {exponent!r})")
         for key, sigma, outlier_scale in sigmas:
             largest = sigma * scale * (max(outlier_scale, 1.0) if outliers else 1.0)
             if not math.isfinite(16 * largest):
@@ -304,12 +313,9 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def parse_scenario(token: str, settings: Settings) -> tuple[str, Trajectory]:
-    if token == "t1":
-        return token, square_trajectory_t1()
-    if token == "t2":
-        return token, steps_trajectory_t2()
-    if token == "t3":
-        return token, spline_trajectory_t3()
+    named = {"t1": square_trajectory_t1, "t2": steps_trajectory_t2, "t3": spline_trajectory_t3}
+    if token in named:
+        return token, named[token]()
     if token.startswith("hover:"):
         parts = token.split(":")[1:]
         if len(parts) not in (3, 4):
@@ -328,23 +334,44 @@ def parse_scenario(token: str, settings: Settings) -> tuple[str, Trajectory]:
 
 # --- commands ---------------------------------------------------------------
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+def _configure(settings: Settings, args: argparse.Namespace) -> RunConfig:
+    """The run config of `settings` under the command line: --map and --seed
+    replace [map] file and [run] seed before anything is built, --variant
+    and --frames then adjust the built config."""
     if getattr(args, "map", None):
-        cfg = replace(cfg, tag_map=load_map(args.map))
+        settings.values["map"]["file"] = args.map
     if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative (got {args.seed})")
-        cfg = replace(cfg, noise=replace(cfg.noise, seed=args.seed))
+        settings.values["run"]["seed"] = args.seed
+    cfg = build_run_config(settings)
     if getattr(args, "variant", None):
-        cfg = replace(cfg, pipeline=apply_variant(cfg.pipeline, args.variant))
+        try:
+            cfg = replace(cfg, pipeline=apply_variant(cfg.pipeline, args.variant))
+        except ValueError as exc:
+            raise ValueError(f"--variant: {exc}") from None
     if getattr(args, "frames", None) is not None:
         if args.frames < 1:
             raise UsageError("--frames must be at least 1")
         if args.frames > 2**53:  # beyond it a frame count has no exact float duration
             raise UsageError("--frames must be at most 2**53")
-        cfg = replace(cfg, trajectory=replace(cfg.trajectory,
-                                              duration=args.frames / cfg.sample_rate))
+        duration = args.frames / cfg.sample_rate
+        if not math.isfinite(duration):
+            raise ValueError(f"run.sample_rate: {cfg.sample_rate!r} Hz over --frames "
+                             f"{args.frames} gives no finite trajectory duration")
+        cfg = replace(cfg, trajectory=replace(cfg.trajectory, duration=duration))
     return cfg
+
+
+def _error_text(stats: ErrorStats, records: list[FrameRecord]) -> str:
+    """The error statistics of `records`, or, when none of them produced an
+    estimate, that and their dropped count per reason."""
+    if stats.frames:
+        return (f"ep {stats.ep_mnv_cm:.3f} +/- {stats.ep_std_cm:.3f} cm, "
+                f"eo {stats.eo_mnv_deg:.3f} +/- {stats.eo_std_deg:.3f} deg")
+    reasons = Counter(r.output.stage_trace.reason for r in records if r.output.pose is None)
+    return (f"no frame produced an estimate ({stats.dropped} dropped: "
+            + ", ".join(f"{reason} {n}" for reason, n in reasons.items()) + ")")
 
 
 def cmd_map_build(args: argparse.Namespace) -> int:
@@ -358,17 +385,14 @@ def cmd_map_build(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = _configure(load_settings(args.config), args)
     result = run(cfg)
     s = result.stats
-    print(
-        f"{cfg.trajectory.label}: ep {s.ep_mnv_cm:.3f} +/- {s.ep_std_cm:.3f} cm, "
-        f"eo {s.eo_mnv_deg:.3f} +/- {s.eo_std_deg:.3f} deg "
-        f"({s.frames} frames, {s.dropped} dropped)"
-    )
+    counts = f" ({s.frames} frames, {s.dropped} dropped)" if s.frames else ""
+    print(f"{cfg.trajectory.label}: {_error_text(s, result.frames)}{counts}")
     for phase, stats in result.phase_stats.items():
-        print(f"  {phase}: ep {stats.ep_mnv_cm:.3f} +/- {stats.ep_std_cm:.3f} cm, "
-              f"eo {stats.eo_mnv_deg:.3f} +/- {stats.eo_std_deg:.3f} deg")
+        in_phase = [r for r in result.frames if r.phase == phase]
+        print(f"  {phase}: {_error_text(stats, in_phase)}")
     if args.out:
         Path(args.out).write_text(format_timeseries_csv(result.frames), encoding="utf-8")
     if args.log:
@@ -380,7 +404,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     settings = load_settings(args.config)
     if args.seed is None and not settings.was_provided("run", "seed"):
         raise UsageError("compare requires an explicit seed (--seed or [run] seed)")
-    cfg = _apply_overrides(build_run_config(settings), args)
+    cfg = _configure(settings, args)
     scenarios = [parse_scenario(token, settings)
                  for token in settings.get("compare", "scenarios")]
     variants = list(settings.get("compare", "variants"))
@@ -392,7 +416,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_detections(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = _configure(load_settings(args.config), args)
     lines: list[str] = []
     n_frames = 0
     for n_frames, frame in enumerate(simulate(cfg), 1):
@@ -403,7 +427,7 @@ def cmd_dump_detections(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = _configure(load_settings(args.config), args)
     records = run(cfg, read_detection_stream(args.detections)).frames
     out_lines = ["frame,t,px,py,pz,qw,qx,qy,qz,tags_used"]
     for record in records:

@@ -1,15 +1,16 @@
 """Experiment harness: ground-truth trajectories, run executor, statistics.
 
-Trajectories produce (position, yaw) samples; `simulate` turns them into
-frames of camera detections with exact ground truth (the motion capture
-reference role), and `run`, the one frame loop, steps the pipeline over
-frames and accumulates position errors [cm] and orientation errors [deg];
-it recovers the body pose of every detection of its frames in one pass of
-the frame chain (`body_poses_of`) and hands each frame's `step` its rows.
-compare_matrix simulates each scenario once and runs every method variant
-on those frames and that one frame chain: the detection stream depends
-only on (seed, frame, tag), and the chain only on the map and the camera
-mount, so every variant sees identical input.
+A trajectory is one function `at(t)` -> (position, yaw, phase label);
+`simulate` turns its samples into frames of camera detections with exact
+ground truth (the motion capture reference role), and `run`, the one frame
+loop, steps the pipeline over frames and accumulates position errors [cm]
+and orientation errors [deg]; it recovers the body pose of every detection
+of its frames in one pass of the frame chain (`body_poses_of`) and hands
+each frame's `step` its rows. compare_matrix simulates each scenario once
+and runs every method variant on those frames and that one frame chain:
+the detection stream depends only on (seed, frame, tag), and the chain
+only on the map and the camera mount, so every variant sees identical
+input.
 """
 
 from __future__ import annotations
@@ -50,35 +51,36 @@ DEFAULT_T3_WAYPOINTS = (
     ((1.5, 1.0, 0.6), math.radians(360.0)),
 )
 
+# t1's side [m] and speed [m/s]; t2's base altitude and step [m], steps each
+# way, hold and transit [s]; t3's speed along its waypoints' chord [m/s]
+T1_SIDE, T1_SPEED = 1.8, 0.25
+T2_BASE_ALTITUDE, T2_AMPLITUDE, T2_STEPS, T2_HOLD, T2_TRANSIT = 0.7, 0.3, 3, 4.0, 0.6
+T3_SPEED = 0.4
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ground-truth motion: t -> (position [m], yaw [rad]), optional phase labels."""
+    """Ground-truth motion: `at(t)` gives (position [m], yaw [rad], phase
+    label), the label None for shapes without phases."""
 
     label: str
     duration: float
-    sampler: Callable[[float], tuple[np.ndarray, float]]
-    phase_of: Callable[[float], str] | None = None
+    at: Callable[[float], tuple[np.ndarray, float, str | None]]
 
     def sample(self, t: float) -> tuple[np.ndarray, float]:
-        return self.sampler(t)
+        return self.at(t)[:2]
 
     def phase(self, t: float) -> str | None:
-        return self.phase_of(t) if self.phase_of is not None else None
+        return self.at(t)[2]
 
 
 def hover_trajectory(position: Sequence[float], yaw: float = 0.0,
                      duration: float = 10.0) -> Trajectory:
     fixed = np.array(position, dtype=float)
-
-    def sampler(t: float):
-        return fixed, yaw
-
-    return Trajectory("hover", duration, sampler)
+    return Trajectory("hover", duration, lambda t: (fixed, yaw, None))
 
 
-def square_trajectory_t1(center: Sequence[float] = (1.5, 2.5), side: float = 1.8,
-                         altitude: float = 0.8, speed: float = 0.25,
+def square_trajectory_t1(center: Sequence[float] = (1.5, 2.5), altitude: float = 0.8,
                          yaw: float = 0.0) -> Trajectory:
     """Closed square at constant altitude, constant speed, phases F/R/B/L.
 
@@ -86,74 +88,47 @@ def square_trajectory_t1(center: Sequence[float] = (1.5, 2.5), side: float = 1.8
     (+x, +y) corner so the loop closes where it began.
     """
     cx, cy = float(center[0]), float(center[1])
-    half = side / 2.0
-    perimeter = 4.0 * side
-    duration = perimeter / speed
-    phases = ("F", "R", "B", "L")
+    half = T1_SIDE / 2.0
+    duration = 4.0 * T1_SIDE / T1_SPEED
 
-    def leg_and_offset(t: float) -> tuple[int, float]:
-        s = min(max(t, 0.0), duration) * speed
-        leg = min(int(s / side), 3)
-        return leg, s - leg * side
+    def at(t: float):
+        s = min(max(t, 0.0), duration) * T1_SPEED
+        leg = min(int(s / T1_SIDE), 3)
+        u = s - leg * T1_SIDE
+        x, y = ((cx + half, cy + half - u), (cx + half - u, cy - half),
+                (cx - half, cy - half + u), (cx - half + u, cy + half))[leg]
+        return np.array([x, y, altitude]), yaw, "FRBL"[leg]
 
-    def sampler(t: float):
-        leg, u = leg_and_offset(t)
-        if leg == 0:
-            pos = (cx + half, cy + half - u)
-        elif leg == 1:
-            pos = (cx + half - u, cy - half)
-        elif leg == 2:
-            pos = (cx - half, cy - half + u)
-        else:
-            pos = (cx - half + u, cy + half)
-        return np.array([pos[0], pos[1], altitude]), yaw
-
-    def phase_of(t: float) -> str:
-        return phases[leg_and_offset(t)[0]]
-
-    return Trajectory("t1", duration, sampler, phase_of)
+    return Trajectory("t1", duration, at)
 
 
-def steps_trajectory_t2(xy: Sequence[float] = DEFAULT_T2_XY,
-                        base_altitude: float = 0.7, amplitude: float = 0.3,
-                        n_steps: int = 3, hold: float = 4.0, transit: float = 0.6,
-                        yaw: float = 0.0) -> Trajectory:
+def steps_trajectory_t2(xy: Sequence[float] = DEFAULT_T2_XY, yaw: float = 0.0) -> Trajectory:
     """Vertical staircase over a fixed ground position: hold at the base
-    (S0), climb n steps (A1..An), descend them again (D1..Dn). Altitude is
+    (S0), climb T2_STEPS steps (A1..A3), descend them again (D1..D3). Altitude is
     piecewise constant with finite-rate linear transitions."""
     x, y = float(xy[0]), float(xy[1])
-    segment = transit + hold
-    duration = hold + 2 * n_steps * segment
+    segment = T2_TRANSIT + T2_HOLD
+    duration = T2_HOLD + 2 * T2_STEPS * segment
 
-    def altitude_and_phase(t: float) -> tuple[float, str]:
+    def at(t: float):
         t = min(max(t, 0.0), duration)
-        if t < hold:
-            return base_altitude, "S0"
-        u = t - hold
-        index = min(int(u / segment), 2 * n_steps - 1)
+        if t < T2_HOLD:
+            return np.array([x, y, T2_BASE_ALTITUDE]), yaw, "S0"
+        u = t - T2_HOLD
+        index = min(int(u / segment), 2 * T2_STEPS - 1)
         within = u - index * segment
-        if index < n_steps:
-            start = base_altitude + index * amplitude
-            target = start + amplitude
+        if index < T2_STEPS:
+            start = T2_BASE_ALTITUDE + index * T2_AMPLITUDE
+            target = start + T2_AMPLITUDE
             phase = f"A{index + 1}"
         else:
-            start = base_altitude + (2 * n_steps - index) * amplitude
-            target = start - amplitude
-            phase = f"D{index - n_steps + 1}"
-        if within < transit:
-            z = start + (target - start) * (within / transit)
-        else:
-            z = target
-        return z, phase
+            start = T2_BASE_ALTITUDE + (2 * T2_STEPS - index) * T2_AMPLITUDE
+            target = start - T2_AMPLITUDE
+            phase = f"D{index - T2_STEPS + 1}"
+        z = start + (target - start) * (within / T2_TRANSIT) if within < T2_TRANSIT else target
+        return np.array([x, y, z]), yaw, phase
 
-    def sampler(t: float):
-        z, _ = altitude_and_phase(t)
-        return np.array([x, y, z]), yaw
-
-    def phase_of(t: float) -> str:
-        return altitude_and_phase(t)[1]
-
-    return Trajectory("t2", duration, sampler, phase_of)
+    return Trajectory("t2", duration, at)
 
 
 def load_waypoints(path: str | Path) -> tuple[tuple[tuple[float, float, float], float], ...]:
@@ -226,13 +201,12 @@ def _spline_at(times: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
     return res
 
 
-def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DEFAULT_T3_WAYPOINTS,
-                         duration: float | None = None,
-                         speed: float = 0.4) -> Trajectory:
+def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DEFAULT_T3_WAYPOINTS
+                         ) -> Trajectory:
     """Natural cubic spline through the waypoints with wrap-aware linear yaw.
 
-    Waypoints are ((x, y, z), yaw) pairs placed at uniform times; duration
-    defaults to chord length / speed.
+    Waypoints are ((x, y, z), yaw) pairs placed at uniform times over
+    chord length / T3_SPEED.
     """
     if len(waypoints) < 4:
         raise ValueError("spline trajectory needs at least 4 waypoints")
@@ -243,7 +217,7 @@ def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DE
         unwrapped.append(unwrapped[-1] + wrap_angle(raw - unwrapped[-1]))
     with np.errstate(over="ignore"):  # an infinite chord is rejected below
         chord = float(np.linalg.norm(np.diff(positions, axis=0), axis=1).sum())
-    total = duration if duration is not None else chord / speed
+    total = chord / T3_SPEED
     if not 0.0 < total < math.inf:
         raise ValueError(f"spline trajectory needs a positive finite duration, got {total}")
     times = np.linspace(0.0, total, len(waypoints))
@@ -255,12 +229,12 @@ def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DE
         raise ValueError(f"spline trajectory over {total} s through these waypoints "
                          "is not finite")
 
-    def sampler(t: float):
+    def at(t: float):
         tc = min(max(t, 0.0), total)
         yaw = wrap_angle(float(np.interp(tc, times, unwrapped)))
-        return _spline_at(times, spline, tc), yaw
+        return _spline_at(times, spline, tc), yaw, None
 
-    return Trajectory("t3", total, sampler)
+    return Trajectory("t3", total, at)
 
 
 @dataclass(frozen=True)

@@ -347,20 +347,18 @@ def _reference_index(kept: TagEstimates) -> int:
     return int(np.lexsort((kept.ids, -kept.weights))[0])
 
 
-def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray | None,
+def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray,
                                ref_index: int) -> np.ndarray | None:
     """Flip each (n, 4) quaternion row to the hemisphere of row ref_index,
-    then return the normalized weighted sum (weights None: all 1), or None
-    when the sum collapses. A weight times a flipped row is the row times
-    the flipped weight, and np.linalg.norm of a vector is the square root
-    of its dot with itself; the sum divided by its norm is unit to a few
-    ulps, so `UnitQuaternion` keeps it as it is. `quats.dot` and `quats @`
-    make the same BLAS call, and the method costs half as much."""
+    then return the normalized weighted sum, or None when the sum collapses.
+    A weight times a flipped row is the row times the flipped weight (with
+    weights of 1, exactly the flipped row), and np.linalg.norm of a vector
+    is the square root of its dot with itself; the sum divided by its norm
+    is unit to a few ulps, so `UnitQuaternion` keeps it as it is.
+    `quats.dot` and `quats @` make the same BLAS call, and the method costs
+    half as much."""
     flip = quats.dot(quats[ref_index]) < 0.0
-    if weights is None:
-        terms = np.where(flip[:, None], -quats, quats)
-    else:
-        terms = np.where(flip, -weights, weights)[:, None] * quats
+    terms = np.where(flip, -weights, weights)[:, None] * quats
     total = np.add.reduce(terms, axis=0)
     norm = math.sqrt(total.dot(total))
     if norm < _NORM_TOL:  # too small to normalize, as for unit_components
@@ -432,7 +430,7 @@ def fir_smooth(history: Sequence[Pose] | PipelineState, new_pose: Pose | None,
     if (np.logical_and.reduce(positions == positions[0], axis=None)
             and np.logical_and.reduce(quats == quats[0], axis=None)):
         return Pose(positions[0], UnitQuaternion.from_array(quats[0]))
-    mean = _sign_aligned_weighted_sum(quats, None, len(quats) - 1)
+    mean = _sign_aligned_weighted_sum(quats, np.ones(len(quats)), len(quats) - 1)
     if mean is None:
         mean = quats[-1]
     # positions.mean(axis=0) without its Python overhead: the same sum and division

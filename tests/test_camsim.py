@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -343,8 +344,9 @@ class TestStreamFormat:
     def test_stream_reads_back_simulated_rows(self, tmp_path):
         noise = NoiseModel(0.01, 0.02, 100.0, outlier_probability=0.1,
                            outlier_position_scale=12.0, outlier_rotation_scale=8.0, seed=7)
-        cfg = RunConfig(spline_trajectory_t3(duration=2.0), build_pattern_map((3.0, 5.0)),
-                        default_camera(), noise, PipelineConfig(), 20.0)
+        cfg = RunConfig(replace(spline_trajectory_t3(), duration=2.0),
+                        build_pattern_map((3.0, 5.0)), default_camera(), noise,
+                        PipelineConfig(), 20.0)
         simulated = [f for f in simulate(cfg) if len(f.detections)]
         # a frame with repeated ids, and one whose ids are all missing from the map
         last = simulated[-1]

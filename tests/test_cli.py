@@ -313,14 +313,18 @@ fir_length = 7  # inline comment
         cfg = load_run_config(write_cfg(tmp_path, "[noise]\nsize_exponent = 300\n"))
         assert cfg.noise.size_exponent == 300.0
 
-    @pytest.mark.parametrize("key", ["position_sigma", "rotation_sigma"])
-    def test_largest_finite_noise_sigma_runs(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key, printed", [
+        # every position is a corrupt row, so no frame has an estimate
+        ("position_sigma", "hover: no frame produced an estimate (10 dropped: no-tags 10)\n"),
+        ("rotation_sigma", "hover: ep "),
+    ], ids=["position_sigma", "rotation_sigma"])
+    def test_largest_finite_noise_sigma_runs(self, tmp_path, capsys, key, printed):
         # 1.3e304 * (100 / 12) ** 2 * 12 (outlier scale) * 16 is about 1.7e308;
         # pytest.ini turns any RuntimeWarning into an error
         cfg = write_cfg(tmp_path, f"[noise]\n{key} = 1.3e304\nsize_exponent = 2\n"
                                   "[trajectory]\nz = 2.0\nduration = 0.5\n")
         assert main(["run", "--config", cfg]) == 0
-        assert "hover: ep" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith(printed)
 
     def test_percent_in_map_file_name(self, tmp_path):
         map_path = tmp_path / "100%.map"
@@ -445,17 +449,34 @@ class TestRunCommand:
         assert f"taglok: error: {message}" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("config, args", [
-        ("[trajectory]\nduration = 1e300\n\n[run]\nsample_rate = 1e300\n", []),
-        ("[run]\nsample_rate = 1e-300\n", ["--frames", str(2**53)]),
+    @pytest.mark.parametrize("config, args, named", [
+        ("[trajectory]\nduration = 1e300\n\n[run]\nsample_rate = 1e300\n", [],
+         "trajectory.duration"),
+        ("[run]\nsample_rate = 1e-300\n", ["--frames", str(2**53)], "--frames"),
     ], ids=["config", "frames-flag"])
-    def test_infinite_frame_count_names_the_sample_rate(self, tmp_path, capsys, config, args):
+    def test_infinite_frame_count_names_the_sample_rate(self, tmp_path, capsys, config, args,
+                                                        named):
         cfg = write_cfg(tmp_path, config)
         out = tmp_path / "ts.csv"
         assert main(["run", "--config", cfg, "--out", str(out), *args]) == 2
         err = capsys.readouterr().err
         assert "taglok: run.sample_rate: " in err and "Traceback" not in err
+        assert named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, args, printed", [
+        ("[trajectory]\nx = 50\ny = 50\nduration = 0.5\n", [],
+         "hover: no frame produced an estimate (10 dropped: no-tags 10)\n"),
+        ("[trajectory]\nkind = t1\nx = 50\ny = 50\n", ["--frames", "3"],
+         "t1: no frame produced an estimate (3 dropped: no-tags 3)\n"
+         "  F: no frame produced an estimate (3 dropped: no-tags 3)\n"),
+    ], ids=["hover", "t1-phase"])
+    def test_a_run_without_estimates_says_so(self, tmp_path, capsys, config, args, printed):
+        out, log = tmp_path / "ts.csv", tmp_path / "frames.jsonl"
+        assert main(["run", "--config", write_cfg(tmp_path, config), "--out", str(out),
+                     "--log", str(log), *args]) == 0
+        assert capsys.readouterr().out == printed
+        assert out.exists() and log.exists()
 
     def test_variant_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
@@ -470,6 +491,20 @@ class TestRunCommand:
         map_path = tmp_path / "m.txt"
         save_map(build_pattern_map((3.0, 5.0)), map_path)
         assert main(["run", "--config", cfg, "--map", str(map_path)]) == 0
+
+    def test_map_flag_replaces_the_config_map_before_it_is_read(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        map_path = tmp_path / "m.txt"
+        save_map(build_pattern_map((3.0, 5.0)), map_path)
+        missing = tmp_path / "missing.txt"
+        cfg = write_cfg(tmp_path, QUICK + f"\n[map]\nfile = {missing}\n")
+        assert main(["run", "--config", cfg, "--map", str(map_path)]) == 0
+
+        def unwanted(*args):
+            raise AssertionError("built the default map although --map replaces it")
+
+        monkeypatch.setattr("taglok.cli.build_pattern_map", unwanted)
+        assert main(["run", "--config", write_cfg(tmp_path, QUICK), "--map", str(map_path)]) == 0
 
     def test_far_map_tag_runs_like_the_map_without_it(self, tmp_path):
         # the tag projects to an infinite image coordinate and is culled, silently;

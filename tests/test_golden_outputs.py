@@ -18,6 +18,7 @@ duration = 1.0
 [compare]
 scenarios = hover:1.5:2.5:0.8 hover:1.5:2.5:2.0 t1
 """
+T1_INI = "[trajectory]\nkind = t1\n"
 T2_INI = "[trajectory]\nkind = t2\n"
 HOVER_INI = "[trajectory]\nz = 2.0\nduration = 5\n"
 T3_INI = "[trajectory]\nkind = t3\n"
@@ -52,6 +53,21 @@ def test_run_t2_log(tmp_path, capsys):
     assert main(["run", "--config", _config(tmp_path, "t2.ini", T2_INI),
                  "--seed", "3", "--log", str(log)]) == 0
     assert _sha256(log) == "dd0592c2704c6a8694183c1b58fab942a66e4df3fef69f3ed510e68843f2b962"
+
+
+@pytest.mark.parametrize("text, lines, digest", [
+    pytest.param(T1_INI, 576, "e715bae1f7b3300e343e99ed6be19659b7b677274136601ff587b0f0da731d14",
+                 id="t1"),
+    pytest.param(T3_INI, 442, "af952c41fd82e84c1f7012e52800351ca0d19a8059632b62d178ce9272c9cd5b",
+                 id="t3"),
+])
+def test_run_log(tmp_path, capsys, text, lines, digest):
+    # the phase labels and true poses of every frame pin the trajectory
+    log = tmp_path / "run.jsonl"
+    assert main(["run", "--config", _config(tmp_path, "run.ini", text),
+                 "--seed", "4", "--log", str(log)]) == 0
+    assert len(log.read_text(encoding="utf-8").splitlines()) == lines
+    assert _sha256(log) == digest
 
 
 def test_run_hover_all_noor_ql2_log(tmp_path, capsys):

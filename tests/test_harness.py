@@ -36,14 +36,14 @@ def default_map():
     return build_pattern_map((3.0, 5.0))
 
 
-def quick_config(default_map, trajectory, noise=None, seed=0, pipeline=None):
+def quick_config(default_map, trajectory, noise=None, seed=0, pipeline=None, sample_rate=20.0):
     return RunConfig(
         trajectory=trajectory,
         tag_map=default_map,
         camera=default_camera(),
         noise=replace(noise or NoiseModel.zero(), seed=seed),
         pipeline=pipeline or PipelineConfig(),
-        sample_rate=20.0,
+        sample_rate=sample_rate,
     )
 
 
@@ -243,29 +243,39 @@ class TestNaturalSplineMatchesCubicSpline:
 
     @pytest.mark.parametrize("waypoints, duration", spline_cases())
     def test_coefficients_and_values(self, waypoints, duration):
-        traj = spline_trajectory_t3(waypoints, duration)
+        # at the chord-length duration the trajectory itself is checked too
+        traj = spline_trajectory_t3(waypoints) if duration is None else None
+        duration = traj.duration if traj is not None else duration
         positions = np.array([w[0] for w in waypoints])
-        times = np.linspace(0.0, traj.duration, len(waypoints))
+        times = np.linspace(0.0, duration, len(waypoints))
         reference = CubicSpline(times, positions, axis=0, bc_type="natural")
         coeffs = _natural_spline(times, positions)
         assert_same_floats(coeffs, reference.c)
         rng = np.random.default_rng(len(waypoints))
-        inside = [*times, 0.0, traj.duration, np.nextafter(traj.duration, 0.0),
-                  *rng.uniform(0.0, traj.duration, 40)]
-        outside = [-1e-9, -0.5 * traj.duration, np.nextafter(traj.duration, np.inf),
-                   1.5 * traj.duration]
+        inside = [*times, 0.0, duration, np.nextafter(duration, 0.0),
+                  *rng.uniform(0.0, duration, 40)]
+        outside = [-1e-9, -0.5 * duration, np.nextafter(duration, np.inf), 1.5 * duration]
         for t in map(float, inside + outside):
             assert_same_floats(_spline_at(times, coeffs, t), reference(t))
-            clipped = min(max(t, 0.0), traj.duration)
-            assert_same_floats(traj.sample(t)[0], reference(clipped))
+            if traj is not None:
+                clipped = min(max(t, 0.0), duration)
+                assert_same_floats(traj.sample(t)[0], reference(clipped))
 
-    @pytest.mark.parametrize("duration", [5e-324, 1e-300, 1e200])
-    def test_a_spline_that_is_not_finite_is_rejected(self, duration):
-        # 5e-324 s cannot separate eight knot times; over 1e-300 s the
-        # coefficients overflow; over 1e200 s the end condition's 0 * dx**2
-        # is 0 * inf, NaN, as in CubicSpline, which rejects those slopes
-        with pytest.raises(ValueError, match="is not finite"):
-            spline_trajectory_t3(duration=duration)
+    @pytest.mark.parametrize("waypoints, message", [
+        # the coefficients overflow
+        pytest.param(tuple((tuple(1e-160 * v for v in p), yaw) for p, yaw in DEFAULT_T3_WAYPOINTS),
+                     "is not finite", id="scaled-1e-160"),
+        # the end condition's 0 * dx**2 is 0 * inf, NaN, as in CubicSpline,
+        # which rejects those slopes
+        pytest.param(tuple(((k * 1.2e154, 0.0, 1.0), 0.0) for k in range(8)),
+                     "is not finite", id="collinear-1.2e154"),
+        # the squares of subnormal steps underflow: a chord, and a duration, of 0
+        pytest.param(tuple(((k * 5e-324, 0.0, 1.0), 0.0) for k in range(8)),
+                     "positive finite duration", id="subnormal-apart"),
+    ])
+    def test_a_spline_that_is_not_finite_is_rejected(self, waypoints, message):
+        with pytest.raises(ValueError, match=message):
+            spline_trajectory_t3(waypoints)
 
 
 class TestRun:
@@ -314,7 +324,8 @@ class TestRun:
         assert math.isnan(result.stats.ep_mnv_cm)
 
     def test_phase_stats_partition_samples(self, default_map):
-        cfg = quick_config(default_map, square_trajectory_t1(speed=1.8))  # short run
+        # 72 frames at 2.5 Hz, 18 a leg
+        cfg = quick_config(default_map, square_trajectory_t1(), sample_rate=2.5)
         result = run(cfg)
         assert set(result.phase_stats) == {"F", "R", "B", "L"}
         assert list(result.phase_stats) == ["F", "R", "B", "L"]  # in first-seen order
@@ -322,8 +333,7 @@ class TestRun:
         assert total == len(result.frames)
 
     def test_t2_phase_stats_present(self, default_map):
-        traj = steps_trajectory_t2(hold=0.5, transit=0.2)
-        result = run(quick_config(default_map, traj))
+        result = run(quick_config(default_map, steps_trajectory_t2(), sample_rate=2.5))
         assert set(result.phase_stats) == {"S0", "A1", "A2", "A3", "D1", "D2", "D3"}
 
 
