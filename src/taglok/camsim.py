@@ -142,21 +142,19 @@ class DetectionRows:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def take(self, rows) -> "DetectionRows":
-        """The rows picked by a boolean mask, index array or slice."""
-        return DetectionRows(self.ids[rows], self.positions[rows], self.quats[rows],
-                             self.apparent[rows])
-
 
 @dataclass(frozen=True)
 class Frame:
-    """One frame of input to the estimator: its detections, plus the true
-    body pose when the frame was simulated (None when read from a stream)."""
+    """One frame of input to the estimator: its detections, plus, when the
+    frame was simulated, the true body pose and the trajectory's phase label
+    at its time (None for a shape without phases). A frame read from a
+    stream has neither."""
 
     index: int
     t: float
     truth: Pose | None
     detections: DetectionRows
+    phase: str | None = None
 
 
 def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> DetectionRows:

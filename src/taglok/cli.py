@@ -222,17 +222,23 @@ def _build_trajectory(settings: Settings) -> Trajectory:
     waypoint_file = settings.get("trajectory", "waypoints")
     if not waypoint_file:
         return spline_trajectory_t3()
-    waypoints = load_waypoints(waypoint_file)  # its errors name the file
+    try:  # an error inside the file names the file and its line
+        waypoints = load_waypoints(waypoint_file)
+    except OSError as exc:
+        raise ConfigError(f"trajectory.waypoints: {exc}") from None
     try:
         return spline_trajectory_t3(waypoints)
     except ValueError as exc:
         raise ConfigError(f"{waypoint_file}: {exc}") from None
 
 
-def _build_tag_map(settings: Settings):
+def _build_tag_map(settings: Settings, file_name: str):
     map_file = settings.get("map", "file")
     if map_file:
-        return load_map(map_file)
+        try:  # an error inside the file names the file and its line
+            return load_map(map_file)
+        except OSError as exc:
+            raise ConfigError(f"{file_name}: {exc}") from None
     return build_pattern_map((settings.get("map", "width"), settings.get("map", "height")),
                              ("map.width", "map.height"))
 
@@ -266,7 +272,8 @@ def _check_noise_scale(camera: CameraModel, noise: NoiseModel) -> None:
                                   f"size of {apparent:g} px (got {sigma!r})")
 
 
-def build_run_config(settings: Settings) -> RunConfig:
+def build_run_config(settings: Settings, map_file_name: str = "map.file") -> RunConfig:
+    """The run config of `settings`; errors name [map] file `map_file_name`."""
     mount = np.array([settings.get("camera", "mount_x"),
                       settings.get("camera", "mount_y"),
                       settings.get("camera", "mount_z")])
@@ -298,7 +305,7 @@ def build_run_config(settings: Settings) -> RunConfig:
     )
     return RunConfig(
         trajectory=_build_trajectory(settings),
-        tag_map=_build_tag_map(settings),
+        tag_map=_build_tag_map(settings, map_file_name),
         camera=camera,
         noise=noise,
         pipeline=pipeline,
@@ -344,7 +351,7 @@ def _configure(settings: Settings, args: argparse.Namespace) -> RunConfig:
         if args.seed < 0:
             raise ValueError(f"--seed must be non-negative (got {args.seed})")
         settings.values["run"]["seed"] = args.seed
-    cfg = build_run_config(settings)
+    cfg = build_run_config(settings, "--map" if getattr(args, "map", None) else "map.file")
     if getattr(args, "variant", None):
         try:
             cfg = replace(cfg, pipeline=apply_variant(cfg.pipeline, args.variant))
@@ -405,9 +412,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.seed is None and not settings.was_provided("run", "seed"):
         raise UsageError("compare requires an explicit seed (--seed or [run] seed)")
     cfg = _configure(settings, args)
-    scenarios = [parse_scenario(token, settings)
-                 for token in settings.get("compare", "scenarios")]
+    try:
+        scenarios = [parse_scenario(token, settings)
+                     for token in settings.get("compare", "scenarios")]
+    except ValueError as exc:
+        raise ConfigError(f"compare.scenarios: {exc}") from None
     variants = list(settings.get("compare", "variants"))
+    try:  # compare_matrix applies them too; checked here to name the key
+        for variant in variants:
+            apply_variant(cfg.pipeline, variant)
+    except ValueError as exc:
+        raise ConfigError(f"compare.variants: {exc}") from None
     rows = compare_matrix(cfg, variants, scenarios)
     Path(args.out).write_text(format_compare_csv(rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows ({len(scenarios)} scenarios x "
@@ -428,7 +443,11 @@ def cmd_dump_detections(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = _configure(load_settings(args.config), args)
-    records = run(cfg, read_detection_stream(args.detections)).frames
+    try:  # an error inside the stream names the file and its line
+        frames = read_detection_stream(args.detections)
+    except OSError as exc:
+        raise ValueError(f"--detections: {exc}") from None
+    records = run(cfg, frames).frames
     out_lines = ["frame,t,px,py,pz,qw,qx,qy,qz,tags_used"]
     for record in records:
         output = record.output

@@ -70,9 +70,6 @@ class Trajectory:
     def sample(self, t: float) -> tuple[np.ndarray, float]:
         return self.at(t)[:2]
 
-    def phase(self, t: float) -> str | None:
-        return self.at(t)[2]
-
 
 def hover_trajectory(position: Sequence[float], yaw: float = 0.0,
                      duration: float = 10.0) -> Trajectory:
@@ -269,22 +266,6 @@ class ErrorStats:
     frames: int
     dropped: int
 
-    @staticmethod
-    def from_samples(ep_cm: Sequence[float], eo_deg: Sequence[float],
-                     dropped: int) -> "ErrorStats":
-        if len(ep_cm) != len(eo_deg):
-            raise ValueError("error sample lists must have equal length")
-        if not ep_cm:
-            nan = float("nan")
-            return ErrorStats(nan, nan, nan, nan, 0, dropped)
-        ep = np.asarray(ep_cm, dtype=float)
-        eo = np.asarray(eo_deg, dtype=float)
-        return ErrorStats(
-            float(ep.mean()), float(ep.std()),
-            float(eo.mean()), float(eo.std()),
-            len(ep_cm), dropped,
-        )
-
 
 @dataclass(frozen=True)
 class FrameRecord:
@@ -305,14 +286,15 @@ class RunResult:
 
 
 def simulate(cfg: RunConfig) -> Iterator[Frame]:
-    """The run's simulated frames: ground truth sampled from the trajectory
-    at the sample rate, detections drawn with the noise model's seed."""
+    """The run's simulated frames: ground truth (pose and phase) from one
+    sample of the trajectory per frame at the sample rate, detections drawn
+    with the noise model's seed."""
     n_frames = max(1, int(round(cfg.trajectory.duration * cfg.sample_rate)))
     for k in range(n_frames):
         t = k / cfg.sample_rate
-        position, yaw = cfg.trajectory.sample(t)
+        position, yaw, phase = cfg.trajectory.at(t)
         truth = Pose(position, quat_from_yaw(yaw))
-        yield Frame(k, t, truth, detect(cfg.tag_map, cfg.camera, cfg.noise, truth, k))
+        yield Frame(k, t, truth, detect(cfg.tag_map, cfg.camera, cfg.noise, truth, k), phase)
 
 
 def body_poses_of(cfg: RunConfig, frames: Sequence[Frame]) -> TagEstimates:
@@ -343,23 +325,27 @@ def run(cfg: RunConfig, frames: Iterable[Frame] | None = None, *,
         start, end = end, end + len(frame.detections)
         output, state = step(body_poses.take(slice(start, end)), cfg.pipeline, state)
         truth = frame.truth
-        phase = ep_cm = eo_deg = None
-        if truth is not None:
-            phase = cfg.trajectory.phase(frame.t)
-            if output.pose is not None:
-                offset = output.pose.position - truth.position
-                # np.linalg.norm of a vector: the root of its dot with itself
-                ep_cm = math.sqrt(offset.dot(offset)) * 100.0
-                eo_deg = math.degrees(
-                    quat_rotation_angle(output.pose.orientation, truth.orientation))
-        records.append(FrameRecord(frame.index, frame.t, phase, truth, output, ep_cm, eo_deg))
+        ep_cm = eo_deg = None
+        if truth is not None and output.pose is not None:
+            offset = output.pose.position - truth.position
+            # np.linalg.norm of a vector: the root of its dot with itself
+            ep_cm = math.sqrt(offset.dot(offset)) * 100.0
+            eo_deg = math.degrees(quat_rotation_angle(output.pose.orientation, truth.orientation))
+        records.append(FrameRecord(frame.index, frame.t, frame.phase, truth, output, ep_cm, eo_deg))
     return RunResult(_stats_of(records), records, _phase_stats_of(records))
 
 
 def _stats_of(frames: Sequence[FrameRecord]) -> ErrorStats:
+    """mnv/std over the frames scored against ground truth; NaN when none was."""
     used = [f for f in frames if f.ep_cm is not None]
     dropped = sum(1 for f in frames if f.output.pose is None)
-    return ErrorStats.from_samples([f.ep_cm for f in used], [f.eo_deg for f in used], dropped)
+    if not used:
+        nan = float("nan")
+        return ErrorStats(nan, nan, nan, nan, 0, dropped)
+    ep = np.array([f.ep_cm for f in used])
+    eo = np.array([f.eo_deg for f in used])
+    return ErrorStats(float(ep.mean()), float(ep.std()), float(eo.mean()), float(eo.std()),
+                      len(used), dropped)
 
 
 def _phase_stats_of(frames: Sequence[FrameRecord]) -> dict[str, ErrorStats]:
@@ -412,13 +398,14 @@ COMPARE_CSV_HEADER = "scenario,variant,ep_mnv_cm,ep_std_cm,eo_mnv_deg,eo_std_deg
 
 
 def format_compare_csv(rows: Sequence[CompareRow]) -> str:
+    """One line per cell; a cell in which no frame produced an estimate has
+    empty error fields, as the time series has for such a frame."""
     lines = [COMPARE_CSV_HEADER]
     for row in rows:
         s = row.stats
-        lines.append(
-            f"{row.scenario},{row.variant},{s.ep_mnv_cm:.6f},{s.ep_std_cm:.6f},"
-            f"{s.eo_mnv_deg:.6f},{s.eo_std_deg:.6f},{s.frames},{s.dropped}"
-        )
+        errors = (f"{s.ep_mnv_cm:.6f},{s.ep_std_cm:.6f},{s.eo_mnv_deg:.6f},{s.eo_std_deg:.6f}"
+                  if s.frames else ",,,")
+        lines.append(f"{row.scenario},{row.variant},{errors},{s.frames},{s.dropped}")
     return "\n".join(lines) + "\n"
 
 

@@ -198,7 +198,10 @@ class RotationFusion:
 
     quat: np.ndarray | None
     dispersion_warning: bool = False
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.quat is None
 
     @property
     def quaternion(self) -> UnitQuaternion | None:
@@ -382,7 +385,7 @@ def fuse_rotations_ql2(kept: TagEstimates) -> RotationFusion:
     # when some pair's is
     warning = len(quats) > 1 and bool(
         np.fmin.reduce(np.abs(quats @ quats.T), axis=None) <= _QUARTER_TURN_DOT)
-    return RotationFusion(mean, dispersion_warning=warning, degenerate=mean is None)
+    return RotationFusion(mean, dispersion_warning=warning)
 
 
 def _cl2_accumulator(quats: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -403,7 +406,7 @@ def fuse_rotations_cl2(kept: TagEstimates) -> RotationFusion:
         raise ValueError("cannot fuse an empty estimate set")
     eigenvalues, eigenvectors = np.linalg.eigh(_cl2_accumulator(kept.quats, kept.weights))
     if eigenvalues[-1] - eigenvalues[-2] < _EIGENVALUE_GAP_TOL:
-        return RotationFusion(None, degenerate=True)
+        return RotationFusion(None)
     mean = np.array(unit_components(*eigenvectors[:, -1].tolist()))
     first = mean[mean != 0.0][0]  # the first nonzero component sets the sign
     return RotationFusion(mean if first > 0.0 else -mean)

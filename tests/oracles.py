@@ -430,11 +430,17 @@ def _loop_select(ordered: list, size_of, mode) -> list:
     return [item for item, size in zip(ordered, sizes) if size >= second]
 
 
+def take(rows: DetectionRows, picks) -> DetectionRows:
+    """The detection rows picked by a boolean mask, index array or slice."""
+    return DetectionRows(rows.ids[picks], rows.positions[picks], rows.quats[picks],
+                         rows.apparent[picks])
+
+
 def selected_rows(rows: DetectionRows, tag_map, mode) -> DetectionRows:
     """The detection rows `select_tags` keeps, each id's relative size
     2**h looked up in the map (every id must resolve)."""
     m = tag_map.world_frames()
-    return rows.take(select_tags(rows.ids, 2.0 ** m.classes[m.rows_of(rows.ids)], mode))
+    return take(rows, select_tags(rows.ids, 2.0 ** m.classes[m.rows_of(rows.ids)], mode))
 
 
 def step_detections(detections: DetectionRows, tag_map, config, state=None,
@@ -547,7 +553,7 @@ def loop_fuse_rotations_ql2(kept) -> RotationFusion:
     mean = loop_sign_aligned_weighted_sum(quats, weights, loop_reference_index(kept))
     warning = loop_pairwise_dispersion_exceeds(quats, math.pi / 2.0)
     if mean is None:
-        return RotationFusion(None, dispersion_warning=warning, degenerate=True)
+        return RotationFusion(None, dispersion_warning=warning)
     return RotationFusion(mean.as_array(), dispersion_warning=warning)
 
 
@@ -558,7 +564,7 @@ def loop_fuse_rotations_cl2(kept) -> RotationFusion:
         accumulator += e.weight * np.outer(q, q)
     eigenvalues, eigenvectors = np.linalg.eigh(accumulator)
     if eigenvalues[-1] - eigenvalues[-2] < 1e-9:
-        return RotationFusion(None, degenerate=True)
+        return RotationFusion(None)
     return RotationFusion(UnitQuaternion.from_array(eigenvectors[:, -1]).canonical().as_array())
 
 

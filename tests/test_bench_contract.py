@@ -1,14 +1,18 @@
 """What the benchmark needs from the program.
 
 perfbench (read here, never changed) wraps taglok functions by module and
-attribute name and reads `len()` of some results. A refactor that renames a
-traced function, or changes what `len()` counts, would blind the benchmark
-without failing it (a missing target is only reported absent, and a count
-of the wrong thing is just a number); these tests fail instead.
+attribute name and reads `len()` of some results, and its workloads call
+taglok through the entry calls in `perfbench/worker.py`. A refactor that
+renames a traced function, changes what `len()` counts, or removes a name
+an entry call uses, would blind the benchmark without failing it (a missing
+target is only reported absent, a count of the wrong thing is just a
+number, and a raising entry call is counted as a failed call); these tests
+fail instead.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,3 +145,40 @@ def test_traced_replay_records_per_frame_spans(spans, tmp_path, capsys):
     assert counts["pipeline.step"] == counts["pipeline.fuse_rotations"] == frames
     assert counts["pipeline.frame_chain"] == counts["cli.replay"] == 1
     assert counts["camsim.parse_detection_line"] == len(stream.read_text().splitlines())
+
+
+@pytest.fixture(scope="module")
+def worker():
+    """perfbench/worker.py, loaded unchanged: its `probe` and `spans`
+    imports resolve in perfbench/ while it loads, as in its own process."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
+
+
+# each workload's config (perfbench/workloads.json) on a small input
+SMALL_WORKLOADS = {
+    "hover_dense": "[trajectory]\nkind = hover\nx = 1.5\ny = 2.5\nz = 2.0\nduration = 0.2\n\n"
+                   "[run]\nseed = 1\n",
+    "compare_table": "[trajectory]\nduration = 0.1\n\n[run]\nseed = 1\n",
+    "replay_t3": "[trajectory]\nkind = t3\n\n[run]\nseed = 1\n",
+}
+
+
+@pytest.mark.parametrize("workload", list(SMALL_WORKLOADS))
+def test_every_workload_entry_call_runs(worker, tmp_path, workload):
+    config = tmp_path / "run.cfg"
+    config.write_text(SMALL_WORKLOADS[workload], encoding="utf-8")
+    opts = {"--config": str(config), "--stream": str(tmp_path / "stream.txt"),
+            "--scratch": str(tmp_path)}
+    cfg = taglok.cli.load_run_config(config)
+    call, expected = worker.WORKLOADS[workload](taglok.cli, cfg, opts)
+    first, second = call(), call()
+    for c in (first, second):
+        assert c.problems == [] and c.attempted == expected and c.produced > 0
+    assert first.text == second.text

@@ -24,7 +24,7 @@ from taglok.harness import RunConfig, simulate, spline_trajectory_t3
 from taglok.pipeline import PipelineConfig
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 
-from oracles import hmat, pose_to_hmat, probe_ziggurat_tables
+from oracles import hmat, pose_to_hmat, probe_ziggurat_tables, take
 
 
 def body_at(x, y, z):
@@ -270,7 +270,8 @@ class TestDetectionInvariants:
             DetectionRows(np.array([1, 2]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
                           np.array([[1.0, 0.0, 0.0, 0.0]] * 2), np.array([50.0, 50.0]))
         assert len(one_row()) == 1
-        assert len(one_row().take(slice(0, 0))) == 0
+        assert len(DetectionRows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 4)),
+                                 np.zeros(0))) == 0
 
     def test_nan_depth_rejected(self):
         with pytest.raises(ValueError, match="in front of the camera"):
@@ -350,7 +351,7 @@ class TestStreamFormat:
         simulated = [f for f in simulate(cfg) if len(f.detections)]
         # a frame with repeated ids, and one whose ids are all missing from the map
         last = simulated[-1]
-        repeated = last.detections.take(np.array([0, 1, 0, 1]))
+        repeated = take(last.detections, np.array([0, 1, 0, 1]))
         unknown = DetectionRows(np.array([9999, 123456789]), np.array([[0.0, 0.0, 1.0]] * 2),
                                 np.array([[1.0, 0.0, 0.0, 0.0]] * 2), np.array([50.0, 60.0]))
         lines = [line for f in simulated

@@ -216,6 +216,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(missing) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, config, args, named", [
+        ("run", "[trajectory]\nkind = t3\nwaypoints = {missing}\n", [], "trajectory.waypoints"),
+        ("run", "[map]\nfile = {missing}\n", [], "map.file"),
+        ("run", "", ["--map", "{missing}"], "--map"),
+        ("replay", "", ["--detections", "{missing}", "--out", "{out}"], "--detections"),
+    ], ids=["waypoints", "map-file", "map-flag", "detections-flag"])
+    def test_a_file_that_cannot_be_opened_is_named_by_its_key_or_flag(self, tmp_path, capsys,
+                                                                      command, config, args,
+                                                                      named):
+        paths = {"missing": tmp_path / "missing.txt", "out": tmp_path / "out.csv"}
+        cfg = write_cfg(tmp_path, config.format(**paths))
+        assert main([command, "--config", cfg, *(a.format(**paths) for a in args)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"taglok: {named}: [Errno 2] No such file or directory: "
+                       f"'{paths['missing']}'\n")
+        assert not paths["out"].exists()
+
     def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[DEFAULT]\nseed = 3\n\n[run]\nsample_rate = 10\n")
         assert main(["run", "--config", cfg]) == 2
@@ -680,6 +697,24 @@ class TestCompareCommand:
     def test_bad_scenario_is_runtime_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[compare]\nscenarios = wiggle\n[run]\nseed = 1\n")
         assert main(["compare", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize("line, named", [
+        ("variants = jbt nan", "compare.variants: unknown variant token 'nan' in 'nan'"),
+        ("scenarios = hover:1:2:1 nan", "compare.scenarios: unknown scenario 'nan' "),
+        ("scenarios = hover:1:2", "compare.scenarios: scenario 'hover:1:2': expected "),
+    ], ids=["variant", "scenario", "hover-fields"])
+    def test_a_bad_token_names_its_key(self, tmp_path, capsys, line, named):
+        cfg = write_cfg(tmp_path, f"[compare]\n{line}\n")
+        out = tmp_path / "r.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"taglok: {named}")
+        assert not out.exists()
+
+    def test_a_cell_without_estimates_has_empty_error_fields(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[compare]\nvariants = jbt\nscenarios = hover:50:50:1\n")
+        out = tmp_path / "r.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "hover:50:50:1,jbt,,,,,0,200"
 
 
 class TestDumpAndReplay:

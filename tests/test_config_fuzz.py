@@ -4,13 +4,16 @@ A valid config holding every key of every section, and a valid waypoint
 file, are mutated as `test_map_fuzz.py` mutates a map: a token is swapped
 for one of its hostile tokens, or a line is deleted, duplicated or
 truncated. The flags `--seed`, `--frames` and `--variant` of `run`, and
-`--width` / `--height` of `map-build`, take every hostile token too.
-Whatever the input, `run` and `dump-detections` (bounded by `--frames 3`)
-and `map-build` must exit 0, 1 or 2 without a traceback; exit 2 must name
-the key, the flag, or the file and its line; on exit 0 every number on
-stdout and in `--out` must be finite. No hostile token is a map extent that
-is valid but enormous: such an extent is still built (1e9 m is about 1e11
-tags), like a long `--frames` run.
+`--width` / `--height` of `map-build`, take every hostile token too, and so
+do `compare`'s `[compare] variants` and `scenarios` lines and each field of
+a `hover:X:Y:Z:YAW` scenario. Whatever the input, `run` and
+`dump-detections` (bounded by `--frames 3`), `compare` (bounded by a
+duration of 3 frames) and `map-build` must exit 0, 1 or 2 without a
+traceback; exit 2 must name the key, the flag, or the file and its line; on
+exit 0 every number on stdout and in `--out` must be finite (a compare cell
+without estimates leaves its error fields empty). No hostile token is a map
+extent that is valid but enormous: such an extent is still built (1e9 m is
+about 1e11 tags), like a long `--frames` run.
 """
 
 import contextlib
@@ -46,6 +49,12 @@ CONFIG_LINES = [line for section, values in SETTINGS.items()
                 for line in (f"[{section}]",
                              *(f"{key} = {_format_value(value)}" for key, value in values.items()))]
 WAYPOINT_LINES = [f"{x!r} {y!r} {z!r} {yaw!r}" for (x, y, z), yaw in DEFAULT_T3_WAYPOINTS]
+# the same config for `compare`: two variants, two hover scenarios over the
+# small map, 3 frames each; the [compare] section's two lines come last
+HOVER = ["hover", "0.75", "1.0", "0.8", "0.5"]
+COMPARE_LINES = [*("duration = 0.15" if line.startswith("duration =") else line
+                   for line in CONFIG_LINES[:-2]),
+                 "variants = jbt tbs-or", f"scenarios = hover:0.75:1.0:1.4 {':'.join(HOVER)}"]
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +108,13 @@ def _run_config(files, lines, command="run", args=()):
                                  *args], NAMES_KEY, NAMES_FLAG, in_file)
 
 
+def _compare_config(files, lines):
+    _write(files["config"], lines)
+    in_file = rf"taglok: {re.escape(str(files['config']))}: .*\bline\b"
+    return _assert_clean(files, ["compare", "--config", str(files["config"]), "--seed", "1"],
+                         NAMES_KEY, in_file)
+
+
 def _run_waypoints(files, lines):
     # the file and its line, or the file and the spline its waypoints make
     _write(files["waypoints"], lines)
@@ -116,6 +132,13 @@ def test_valid_config_runs(files, command):
     assert _run_config(files, CONFIG_LINES, command)[0] == 0
 
 
+def test_valid_compare_config_runs(files):
+    code, _, _ = _compare_config(files, COMPARE_LINES)
+    assert code == 0
+    rows = files["out"].read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[6:] for row in rows] == [["3", "0"]] * 4
+
+
 def test_valid_waypoint_file_runs(files):
     _run_waypoints(files, WAYPOINT_LINES)
 
@@ -125,6 +148,12 @@ def test_valid_waypoint_file_runs(files):
                   st.lists(MUTATION, min_size=1, max_size=4))
 def test_mutated_config_exits_cleanly(files, command, mutations):
     _run_config(files, _mutated(CONFIG_LINES, mutations), command)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_compare_lines_exit_cleanly(files, mutations):
+    _compare_config(files, COMPARE_LINES[:-2] + _mutated(COMPARE_LINES[-2:], mutations))
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
@@ -142,6 +171,19 @@ VALUE_LINES = [i for i, line in enumerate(CONFIG_LINES[:CONFIG_LINES.index("[com
 def test_every_config_value_takes_every_hostile_token(files, line):
     for value in HOSTILE:
         _run_config(files, _mutated(CONFIG_LINES, [("swap", line, 2, value)]))
+
+
+@pytest.mark.parametrize("line", [-2, -1], ids=["variants", "scenarios"])
+def test_every_compare_token_takes_every_hostile_token(files, line):
+    for value in HOSTILE:  # in place of the second variant or scenario
+        _compare_config(files, _mutated(COMPARE_LINES, [("swap", line, 3, value)]))
+
+
+@pytest.mark.parametrize("field", range(len(HOVER)), ids=["kind", "x", "y", "z", "yaw"])
+def test_every_hover_field_takes_every_hostile_token(files, field):
+    for value in HOSTILE:
+        token = ":".join(value if k == field else part for k, part in enumerate(HOVER))
+        _compare_config(files, [*COMPARE_LINES[:-1], f"scenarios = {token}"])
 
 
 @pytest.mark.parametrize("field", range(4))

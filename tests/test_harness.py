@@ -91,14 +91,14 @@ class TestSquareTrajectoryT1:
         leg_duration = traj.duration / 4.0
         ts = np.linspace(0.0, leg_duration * 0.999, 50)
         ys = [traj.sample(t)[0][1] for t in ts]
-        assert all(traj.phase(t) == "F" for t in ts)
+        assert all(traj.at(t)[2] == "F" for t in ts)
         assert all(a > b for a, b in zip(ys, ys[1:]))
 
     def test_phase_sequence_and_axes(self):
         traj = square_trajectory_t1()
         leg = traj.duration / 4.0
         mid = leg / 2.0
-        assert [traj.phase(mid + k * leg) for k in range(4)] == ["F", "R", "B", "L"]
+        assert [traj.at(mid + k * leg)[2] for k in range(4)] == ["F", "R", "B", "L"]
         # R moves along -x, B along +y, L along +x
         for k, axis, sign in ((1, 0, -1.0), (2, 1, 1.0), (3, 0, 1.0)):
             before = traj.sample(k * leg + 0.2)[0][axis]
@@ -118,7 +118,7 @@ class TestStepsTrajectoryT2:
         hold, transit = 4.0, 0.6
         end_a3 = hold + 3 * (transit + hold) - 1e-6
         assert traj.sample(end_a3)[0][2] == pytest.approx(1.6)
-        assert traj.phase(end_a3) == "A3"
+        assert traj.at(end_a3)[2] == "A3"
 
     def test_hold_altitude_sequence(self):
         traj = steps_trajectory_t2()
@@ -134,9 +134,9 @@ class TestStepsTrajectoryT2:
         traj = steps_trajectory_t2()
         hold, transit = 4.0, 0.6
         segment = hold + transit
-        labels = [traj.phase(hold + k * segment + 0.1) for k in range(6)]
+        labels = [traj.at(hold + k * segment + 0.1)[2] for k in range(6)]
         assert labels == ["A1", "A2", "A3", "D1", "D2", "D3"]
-        assert traj.phase(0.5) == "S0"
+        assert traj.at(0.5)[2] == "S0"
 
     def test_xy_constant(self):
         traj = steps_trajectory_t2(xy=(1.2, 3.4))
@@ -336,6 +336,22 @@ class TestRun:
         result = run(quick_config(default_map, steps_trajectory_t2(), sample_rate=2.5))
         assert set(result.phase_stats) == {"S0", "A1", "A2", "A3", "D1", "D2", "D3"}
 
+    def test_each_simulated_frame_samples_its_trajectory_once(self, default_map):
+        calls = []
+        t1 = square_trajectory_t1()
+
+        def counted(t):
+            calls.append(t)
+            return t1.at(t)
+
+        cfg = quick_config(default_map, replace(t1, at=counted), sample_rate=2.5)
+        result = run(cfg)
+        assert len(calls) == len(result.frames) == 72
+        assert [r.phase for r in result.frames] == [t1.at(r.t)[2] for r in result.frames]
+        calls.clear()
+        rows = compare_matrix(cfg, ["jbt", "tbs-or"], [("t1", cfg.trajectory)])
+        assert len(calls) == 72 and [r.stats.frames + r.stats.dropped for r in rows] == [72, 72]
+
 
 class TestCompareMatrix:
     def test_row_and_column_counts(self, default_map):
@@ -406,8 +422,7 @@ class TestEmission:
         assert payload["pose_est"] is not None
         assert len(payload["pose_est"]["q"]) == 4
 
-    def test_nan_stats_serialize(self):
-        stats = ErrorStats.from_samples([], [], 5)
-        row = CompareRow("empty", "base", stats)
-        text = format_compare_csv([row])
-        assert "nan" in text and ",5" in text
+    def test_a_cell_without_estimates_has_empty_error_fields(self):
+        nan = float("nan")
+        row = CompareRow("empty", "base", ErrorStats(nan, nan, nan, nan, 0, 5))
+        assert format_compare_csv([row]).splitlines()[1] == "empty,base,,,,,0,5"

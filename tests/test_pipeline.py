@@ -48,6 +48,7 @@ from oracles import (
     rows_from,
     selected_rows,
     step_detections,
+    take,
     unbundle,
     weight_for,
 )
@@ -170,7 +171,7 @@ class TestEstimateBodyPose:
         assert est.ids.tolist() == [99, 0]
         assert np.isnan(est.positions[0]).all() and np.isnan(est.quats[0]).all()
         assert np.isnan(est.weights[0])
-        alone = estimate_body_pose_per_tag(rows.take([1]), tag_map, Pose.identity())
+        alone = estimate_body_pose_per_tag(take(rows, [1]), tag_map, Pose.identity())
         assert np.array_equal(est.positions[1:], alone.positions)
         assert np.array_equal(est.quats[1:], alone.quats)
 

@@ -30,7 +30,7 @@ from taglok.pipeline import (
 )
 from taglok.tagmap import build_pattern_map
 
-from oracles import step_detections
+from oracles import step_detections, take
 
 UNKNOWN_ID = 100_000
 NOISE = NoiseModel(0.01, 0.02, 100.0, outlier_probability=0.1, outlier_position_scale=10.0,
@@ -195,7 +195,7 @@ def test_corrupt_row_costs_only_that_row(base, column, index, value, fused):
     else:  # a tag of a class TBS passes over
         row = int(np.flatnonzero(~np.isin(rows.ids, trace.selected_ids))[0])
     spoiled = replace(bad_frame, detections=_spoiled(rows, row, column, index, value))
-    without = replace(bad_frame, detections=rows.take(np.arange(len(rows)) != row))
+    without = replace(bad_frame, detections=take(rows, np.arange(len(rows)) != row))
     got = run(base, [frames[0], spoiled, *frames[2:]]).frames
     want = run(base, [frames[0], without, *frames[2:]]).frames
     bad_id = int(rows.ids[row])

@@ -88,7 +88,7 @@ def assert_same_frames(got, want):
     for g, w in zip(got, want):
         assert type(g.index) is type(w.index) is int and g.index == w.index
         assert bits([g.t]) == bits([w.t])
-        assert g.truth is w.truth is None
+        assert g.truth is w.truth is None and g.phase is w.phase is None
         for name in ("ids", "positions", "quats", "apparent"):
             a, b = getattr(g.detections, name), getattr(w.detections, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
