@@ -23,10 +23,10 @@ from .geometry import (
     _NORM_TOL,
     Pose,
     UnitQuaternion,
-    compose,
-    inverse,
+    _hamilton,
+    _matrix,
+    _rotated,
     quat_multiply_rows,
-    quat_to_matrix,
     rotate_rows,
     unit_components,
 )
@@ -157,6 +157,18 @@ class Frame:
     phase: str | None = None
 
 
+def _world_in_camera(body: Pose, mount: Pose) -> tuple[list[float], list[float], list[float]]:
+    """The camera's position in the world, then the orientation (w, x, y, z)
+    and position of the world in the camera: inverse(compose(body, mount))
+    as floats, by the expressions of compose, inverse and UnitQuaternion."""
+    b, m = body.orientation, mount.orientation
+    offset = _rotated(b.w, b.x, b.y, b.z, *mount.position.tolist())
+    cam_p = [p + d for p, d in zip(body.position.tolist(), offset)]
+    w, x, y, z = unit_components(*_hamilton(b.w, b.x, b.y, b.z, m.w, m.x, m.y, m.z))
+    q = unit_components(w, -x, -y, -z)  # the conjugate
+    return cam_p, list(q), [-d for d in _rotated(*q, *cam_p)]
+
+
 def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> DetectionRows:
     """The noise-free detections of the tags in view, in tag-id order.
 
@@ -166,40 +178,44 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
     side length [px].
     """
     m = tag_map.world_frames()
-    cam_in_world = compose(body_pose_true, cam.pose_in_body)
-    world_in_cam = inverse(cam_in_world)
-    R = quat_to_matrix(world_in_cam.orientation)
-    t = world_in_cam.position
+    cam_p, cam_q, t = _world_in_camera(body_pose_true, cam.pose_in_body)
+    R, t = np.array(_matrix(*cam_q)), np.array(t)
 
     width, height = cam.image_size
     # a tag whose four corners project into the image has its centre there
     # too (the image is convex), so only tags whose centre projects within
     # a pixel of the image can be visible; the margin covers rounding
     centers = m.positions @ R.T + t
-    z_center = centers[:, 2]
-    z_safe = np.where(z_center > 0.0, z_center, 1.0)
-    with np.errstate(over="ignore"):  # a far tag projects to inf and is culled below
+    ahead = centers[:, 2] > 0.0
+    z_safe = np.where(ahead, centers[:, 2], 1.0)
+    # a far tag, or any tag at a depth of a few subnormals (a hover at
+    # z = 5e-324), projects to inf and is culled below
+    with np.errstate(over="ignore"):
         u = cam.principal[0] + cam.focal_px * centers[:, 0] / z_safe
         v = cam.principal[1] + cam.focal_px * centers[:, 1] / z_safe
-    front_facing = (m.normals * (cam_in_world.position[None, :] - m.positions)).sum(axis=1) > 0.0
-    candidates = np.flatnonzero(front_facing & (z_center > 0.0)
+    # normal . (camera - centre), summed left to right as .sum(axis=1) sums
+    facing = m.normals * (np.array(cam_p) - m.positions)
+    candidates = np.flatnonzero((facing[:, 0] + facing[:, 1] + facing[:, 2] > 0.0) & ahead
                                 & (u >= -_CULL_MARGIN_PX) & (u <= width + _CULL_MARGIN_PX)
                                 & (v >= -_CULL_MARGIN_PX) & (v <= height + _CULL_MARGIN_PX))
 
-    corners_cam = m.corners[candidates] @ R.T + t  # (k, 4, 3)
+    # one 2-D product projects every corner: (k, 4, 3)
+    corners_cam = (m.corners[candidates].reshape(-1, 3) @ R.T).reshape(-1, 4, 3) + t
     z = corners_cam[:, :, 2]
-    in_front = np.all(z > 1e-9, axis=1)
-    z_safe = np.where(z > 1e-9, z, 1.0)
+    ahead = z > 1e-9
+    z_safe = np.where(ahead, z, 1.0)
     u = cam.principal[0] + cam.focal_px * corners_cam[:, :, 0] / z_safe
     v = cam.principal[1] + cam.focal_px * corners_cam[:, :, 1] / z_safe
-    inside = np.all((u >= 0) & (u <= width) & (v >= 0) & (v <= height), axis=1)
+    seen = np.logical_and.reduce(ahead & (u >= 0) & (u <= width) & (v >= 0) & (v <= height),
+                                 axis=1)  # every corner in front and inside the image
 
     du, dv = u - u[:, _PREVIOUS_CORNER], v - v[:, _PREVIOUS_CORNER]  # projected sides
-    apparent = np.sqrt(du * du + dv * dv).mean(axis=1)
+    sides = np.sqrt(du * du + dv * dv)
+    apparent = (sides[:, 0] + sides[:, 1] + sides[:, 2] + sides[:, 3]) / 4.0  # their mean
 
-    keep = in_front & inside & (apparent >= cam.detect_threshold_px)
+    keep = seen & (apparent >= cam.detect_threshold_px)
     rows, apparent = candidates[keep], apparent[keep]
-    cam_q = world_in_cam.orientation.as_array()
+    cam_q = np.array(cam_q)
     return DetectionRows(m.ids[rows], t + rotate_rows(cam_q, m.positions[rows]),
                          quat_multiply_rows(cam_q, m.quats[rows]), apparent)
 
@@ -215,16 +231,16 @@ def _uint32_words(value: int) -> list[int]:
 
 
 @cache
-def _hash_chain(const: int, mult: int, count: int) -> np.ndarray:
+def _hash_chain(const: int, mult: int, count: int) -> tuple[tuple[int, ...], np.ndarray]:
     """`count + 1` successive values of SeedSequence's running hash
-    multiplier, starting at `const`, as a read-only (count + 1, 1) uint32
-    column."""
+    multiplier, starting at `const`, as ints and as a read-only
+    (count + 1, 1) uint32 column."""
     chain = [const]
     for _ in range(count):
         chain.append(chain[-1] * mult & _MASK32)
     column = np.array(chain, dtype=np.uint32)[:, None]
     column.flags.writeable = False
-    return column
+    return tuple(chain), column
 
 
 def _hash(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -239,29 +255,56 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed ^ (mixed >> 16)
 
 
-def _seed_pool(prefix: list[int], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool (4, n) of the entropy words `prefix + [lo, hi]`
-    per row, `hi` being zero where the row's id is a single word.
+def _hash_int(word: int, chain: tuple[int, ...], k: int) -> int:
+    """`_hash` of one word at step k of `chain`, on ints mod 2**32."""
+    mixed = (word ^ chain[k]) * chain[k + 1] & _MASK32
+    return mixed ^ (mixed >> 16)
 
-    In the first four words a missing word hashes like a zero word, so a
-    zero `hi` stands in for it there; a later `hi` is mixed in only where it
-    is nonzero."""
+
+def _mix_int(x: int, y: int) -> int:
+    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return mixed ^ (mixed >> 16)
+
+
+def _seed_pool(prefix: list[int], id_words: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool (4, n) of the entropy words `prefix + [lo, hi]`
+    per column of `id_words` (2, n), its rows being the ids' low and high
+    words; `prefix` has two words or more.
+
+    In the first four words a zero `hi` hashes as a missing word would; a
+    later `hi` is mixed in only where it is nonzero. A pool word that holds
+    prefix words only is the same for every id, so it stays an int until an
+    id word enters it."""
+    lo, hi = id_words
     words = [*prefix, lo, hi]
-    chain = _hash_chain(_INIT_A, _MULT_A, 4 * max(4, len(words)))
-    head = np.zeros((4, len(lo)), dtype=np.uint32)
-    for row, word in enumerate(words[:4]):
-        head[row] = word
-    pool = _hash(head, chain[:5])
+    ints, chain = _hash_chain(_INIT_A, _MULT_A, 4 * len(words))
+    held = min(len(prefix), 4)  # pool words 0 ... held - 1 start from prefix words
+    pool = [_hash_int(word, ints, k) for k, word in enumerate(prefix[:held])]
+    rows = _hash(id_words[:4 - held], chain[held:5])  # the others start from id words
     c = 4
     for src in range(4):  # every word into every other, in numpy's order
         dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hash(pool[src], chain[c:c + 4]))
+        if src < held:  # an int word: its hashes are ints too
+            hashed = [_hash_int(pool[src], ints, c + j) for j in range(3)]
+            pool = [x if d == src else _mix_int(x, hashed[d - (d > src)])
+                    for d, x in enumerate(pool)]
+            rows = _mix(rows, np.array(hashed[held - 1:], dtype=np.uint32)[:, None])
+        else:
+            if src == held:  # id words enter the int words from here on
+                held_rows = np.array(pool, dtype=np.uint32)[:, None].repeat(len(lo), axis=1)
+                rows = np.concatenate([held_rows, rows])
+            rows[dst] = _mix(rows[dst], _hash(rows[src], chain[c:c + 4]))
         c += 3
     for k, word in enumerate(words[4:], start=4):
-        mixed = _mix(pool, _hash(word, chain[c:c + 5]))
+        if k < len(prefix):  # every pool word is still an int
+            pool = [_mix_int(x, _hash_int(word, ints, c + j)) for j, x in enumerate(pool)]
+        else:
+            if k == len(prefix):  # the first id word enters the int words
+                rows = np.array(pool, dtype=np.uint32)[:, None]
+            mixed = _mix(rows, _hash(word, chain[c:c + 5]))
+            rows = mixed if k < len(words) - 1 else np.where(hi != 0, mixed, rows)
         c += 4
-        pool = mixed if k < len(words) - 1 else np.where(hi != 0, mixed, pool)
-    return pool
+    return rows
 
 
 def _mulhi64(a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
@@ -302,8 +345,9 @@ def _jump_constants(steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # each tag's first draws: one uniform and seven normals, each one raw word
-# when the normals take the ziggurat's fast path
-_JUMP_HI, _JUMP_LO = _jump_constants(8)
+# when the normals take the ziggurat's fast path; they come from the states
+# 2 ... 9 steps past `_stream_seeds`' state, which seeding steps once
+_JUMP_HI, _JUMP_LO = (halves[1:] for halves in _jump_constants(9))
 
 # numpy's 256-layer ziggurat for standard normals (random_standard_normal):
 # a raw word r is layer r & 0xff, sign bit 8 and magnitude rabs = the 52 bits
@@ -422,28 +466,44 @@ _ZIGGURAT_KI = np.frombuffer(bytes.fromhex("""
 """), dtype=">u8").astype(np.uint64)
 
 
-def _seeded_states(seed: int, frame_index: int, ids: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 128-bit state and increment of `PCG64((seed, frame_index, id))`
-    per id, as uint64 halves (state high, state low, inc high, inc low).
+def _stream_seeds(seed: int, frame_index: int, ids: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 128-bit state of `PCG64((seed, frame_index, id))` per id one LCG
+    step before seeding ends, and its increment, as uint64 halves (state
+    high, state low, inc high, inc low).
 
     numpy's seeding, computed for all ids at once: SeedSequence hashes the
     uint32 words of (seed, frame, id) into a pool of four words and draws
     four uint64 words from it, which pcg_setseq_128_srandom_r turns into an
-    odd increment and a state stepped once.
+    odd increment and the state inc + initstate, then steps once.
     """
     if seed < 0 or frame_index < 0 or (len(ids) and ids.min() < 0):
         raise ValueError("noise stream keys (seed, frame, tag id) must be non-negative")
-    wide_ids = ids.astype(np.uint64)
-    pool = _seed_pool(_uint32_words(seed) + _uint32_words(frame_index),
-                      (wide_ids & _MASK32).astype(np.uint32), (wide_ids >> 32).astype(np.uint32))
-    words = _hash(np.concatenate([pool, pool]), _hash_chain(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    id_words = ids.astype("<u8").view("<u4").reshape(-1, 2).T  # (low, high) words
+    pool = _seed_pool(_uint32_words(seed) + _uint32_words(frame_index), id_words)
+    chain = _hash_chain(_INIT_B, _MULT_B, 8)[1]
+    words = _hash(np.concatenate([pool, pool]), chain).astype(np.uint64)
     seed_hi, seed_lo, inc_hi, inc_lo = words[0::2] | (words[1::2] << 32)
     inc_hi = (inc_hi << 1) | (inc_lo >> 63)
     inc_lo = (inc_lo << 1) | 1
-    hi, lo = _add128(inc_hi, inc_lo, seed_hi, seed_lo)  # inc is the first step from zero
+    return *_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo  # inc is the first step
+
+
+def _seeded_states(seed: int, frame_index: int, ids: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 128-bit state and increment of `PCG64((seed, frame_index, id))`
+    per id, as uint64 halves (state high, state low, inc high, inc low)."""
+    hi, lo, inc_hi, inc_lo = _stream_seeds(seed, frame_index, ids)
     hi, lo = _add128(*_mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
     return hi, lo, inc_hi, inc_lo
+
+
+@cache
+def _stream_sampler() -> tuple[np.random.PCG64, np.random.Generator]:
+    """One PCG64 and its Generator, built on first use. It holds no draws:
+    `_noise_draws` sets its whole state from a tag's stream before each use."""
+    bit_generator = np.random.PCG64(0)
+    return bit_generator, np.random.Generator(bit_generator)
 
 
 def _noise_draws(seed: int, frame_index: int, ids: np.ndarray
@@ -452,14 +512,15 @@ def _noise_draws(seed: int, frame_index: int, ids: np.ndarray
     own stream `default_rng((seed, frame_index, id))`, value for value.
 
     All tags' first eight raw outputs come at once, as the XSL-RR outputs of
-    their states 1 ... 8 LCG steps past the seeded one. The uniform is output
-    1 as `random()` takes it, (u >> 11) * 2**-53. Outputs 2 ... 8 give the
-    seven normals by the fast path of numpy's ziggurat, which about nine tags
-    in ten take for all seven. A tag with a draw that fails it (one in layer
-    1, or rejected by its layer's limit) gets its normals from numpy's own
-    sampler instead, a PCG64 being set to its state after the uniform.
+    their states 1 ... 8 LCG steps past the seeded one (`_seeded_states`).
+    The uniform is output 1 as `random()` takes it, (u >> 11) * 2**-53.
+    Outputs 2 ... 8 give the seven normals by the fast path of numpy's
+    ziggurat, which about nine tags in ten take for all seven. A tag with a
+    draw that fails it (one in layer 1, or rejected by its layer's limit)
+    gets its normals from numpy's own sampler instead, a PCG64 being set to
+    its state after the uniform.
     """
-    hi, lo, inc_hi, inc_lo = _seeded_states(seed, frame_index, ids)
+    hi, lo, inc_hi, inc_lo = _stream_seeds(seed, frame_index, ids)
     terms_hi, terms_lo = _mul128(np.stack([hi, inc_hi]), np.stack([lo, inc_lo]),
                                  _JUMP_HI, _JUMP_LO)  # (8, 2, n): A^k * s and C_k * inc
     hi, lo = _add128(terms_hi[:, 0], terms_lo[:, 0], terms_hi[:, 1], terms_lo[:, 1])
@@ -471,12 +532,10 @@ def _noise_draws(seed: int, frame_index: int, ids: np.ndarray
     layer = (words & 0xFF).astype(np.intp)
     magnitude = (words >> 9) & _MASK52
     drawn = magnitude.astype(np.float64) * _ZIGGURAT_WI[layer]
-    np.negative(drawn, out=drawn, where=(words & 0x100) != 0)
-    normals = np.ascontiguousarray(drawn.T)
+    normals = np.ascontiguousarray(np.where((words & 0x100) != 0, -drawn, drawn).T)
     slow = np.flatnonzero(~(magnitude < _ZIGGURAT_KI[layer]).all(axis=0))
     if len(slow):
-        bit_generator = np.random.PCG64(0)
-        sampler = np.random.Generator(bit_generator)
+        bit_generator, sampler = _stream_sampler()
         state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
         stream = state["state"]
         for row, high, low, inc_high, inc_low in zip(
@@ -519,7 +578,7 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     n = len(exact)
     uniform, normals = _noise_draws(noise.seed, int(frame_index), exact.ids)
     ref, exponent = noise.reference_apparent_size, noise.size_exponent
-    scale = np.array([(ref / apparent) ** exponent for apparent in exact.apparent.tolist()])
+    scale = np.array([ratio ** exponent for ratio in (ref / exact.apparent).tolist()])
 
     outlier = uniform < noise.outlier_probability
     sigma_p = noise.position_sigma_at_ref * scale
@@ -534,8 +593,8 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     half = (0.5 * np.abs(normals[:, 6] * sigma_r)).tolist()
     # (cos h, sin h * unit axis) is unit to a few ulps, a row UnitQuaternion keeps as it is
     delta_q = np.empty((n, 4))
-    delta_q[:, 0] = [math.cos(h) for h in half]
-    delta_q[:, 1:] = np.array([math.sin(h) for h in half])[:, None] * axis
+    delta_q[:, 0] = np.fromiter(map(math.cos, half), float, n)
+    delta_q[:, 1:] = np.fromiter(map(math.sin, half), float, n)[:, None] * axis
     noisy_p = exact.positions + delta_p
     noisy_q = quat_multiply_rows(exact.quats, delta_q)
     keep = ~(noisy_p[:, 2] <= 0.0)  # a NaN depth reaches DetectionRows, which rejects it

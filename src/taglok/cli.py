@@ -319,6 +319,15 @@ def load_run_config(path: str | Path) -> RunConfig:
     return build_run_config(load_settings(path))
 
 
+def _load_config(args: argparse.Namespace) -> Settings:
+    """load_settings of the --config file; one that cannot be opened is
+    named by its flag."""
+    try:
+        return load_settings(args.config)
+    except OSError as exc:
+        raise ConfigError(f"--config: {exc}") from None
+
+
 def parse_scenario(token: str, settings: Settings) -> tuple[str, Trajectory]:
     named = {"t1": square_trajectory_t1, "t2": steps_trajectory_t2, "t3": spline_trajectory_t3}
     if token in named:
@@ -392,7 +401,7 @@ def cmd_map_build(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _configure(load_settings(args.config), args)
+    cfg = _configure(_load_config(args), args)
     result = run(cfg)
     s = result.stats
     counts = f" ({s.frames} frames, {s.dropped} dropped)" if s.frames else ""
@@ -408,7 +417,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    settings = load_settings(args.config)
+    settings = _load_config(args)
     if args.seed is None and not settings.was_provided("run", "seed"):
         raise UsageError("compare requires an explicit seed (--seed or [run] seed)")
     cfg = _configure(settings, args)
@@ -431,7 +440,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_detections(args: argparse.Namespace) -> int:
-    cfg = _configure(load_settings(args.config), args)
+    cfg = _configure(_load_config(args), args)
     lines: list[str] = []
     n_frames = 0
     for n_frames, frame in enumerate(simulate(cfg), 1):
@@ -442,7 +451,7 @@ def cmd_dump_detections(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    cfg = _configure(load_settings(args.config), args)
+    cfg = _configure(_load_config(args), args)
     try:  # an error inside the stream names the file and its line
         frames = read_detection_stream(args.detections)
     except OSError as exc:

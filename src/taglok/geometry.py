@@ -108,36 +108,38 @@ def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     return UnitQuaternion(*_hamilton(a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z))
 
 
-def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
-    """Rotation matrix of q; identical for q and -q."""
-    w, x, y, z = q.w, q.x, q.y, q.z
+def _matrix(w: float, x: float, y: float, z: float) -> list[list[float]]:
+    """The rows of the rotation matrix of the unit quaternion (w, x, y, z)."""
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.array(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-        ]
-    )
+    return [
+        [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
+        [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
+        [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
+    ]
+
+
+def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
+    """Rotation matrix of q; identical for q and -q."""
+    return np.array(_matrix(q.w, q.x, q.y, q.z))
+
+
+def _rotated(w, x, y, z, vx, vy, vz) -> tuple:
+    """The components of (vx, vy, vz) rotated by the unit quaternion
+    (w, x, y, z), as v + w * (2 u x v) + u x (2 u x v), expanded to avoid
+    np.cross overhead. Floats and arrays alike: the row helpers pass columns."""
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return (vx + w * tx + (y * tz - z * ty),
+            vy + w * ty + (z * tx - x * tz),
+            vz + w * tz + (x * ty - y * tx))
 
 
 def rotate_vector(q: UnitQuaternion, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector by q (equivalent to quat_to_matrix(q) @ v)."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    # v + w * (2 u x v) + u x (2 u x v), expanded to avoid np.cross overhead
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return np.array(
-        [
-            vx + w * tx + (y * tz - z * ty),
-            vy + w * ty + (z * tx - x * tz),
-            vz + w * tz + (x * ty - y * tx),
-        ]
-    )
+    return np.array(_rotated(q.w, q.x, q.y, q.z, float(v[0]), float(v[1]), float(v[2])))
 
 
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
@@ -160,38 +162,35 @@ def _normalize_rows(q: np.ndarray) -> np.ndarray:
     return q
 
 
-# quat_multiply written as a * b = a_w B_0 + a_x B_1 + a_y B_2 + a_z B_3:
-# row j lists the components of b that a's component j multiplies in the
-# four output expressions, with their signs (x - y*z == x + y*(-z) exactly),
-# so summing the four terms left to right repeats quat_multiply's order
-_HAMILTON_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_HAMILTON_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
-                           [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
-_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+def _columns(rows: np.ndarray):
+    """The columns of an (n, k) array as (n,) views, or the entries of a
+    single (k,) row as 0-d views, which numpy combines with an array in
+    less time than floats."""
+    return rows.T if rows.ndim == 2 else [rows[k, ...] for k in range(len(rows))]
+
+
+def _side_by_side(columns: tuple) -> np.ndarray:
+    """The (n,) columns as the columns of one (n, k) array."""
+    out = np.empty((len(columns[0]), len(columns)))
+    for k, column in enumerate(columns):
+        out[:, k] = column
+    return out
 
 
 def quat_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Hamilton products a * b of (n, 4) arrays (one of them may be
     a single (4,) row), renormalized like UnitQuaternion. Each row is
-    bit-for-bit the quat_multiply of the same pair: same products, summed
-    in the same order."""
-    terms = a[..., :, None] * (b[..., _HAMILTON_INDEX] * _HAMILTON_SIGN)
-    return _normalize_rows(terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]
-                           + terms[..., 3, :])
-
-
-def _cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise u x v as (y*vz - z*vy, z*vx - x*vz, x*vy - y*vx)."""
-    return u[..., _YZX] * v[..., _ZXY] - u[..., _ZXY] * v[..., _YZX]
+    bit-for-bit the quat_multiply of the same pair: quat_multiply's
+    expressions, evaluated on columns."""
+    return _normalize_rows(_side_by_side(_hamilton(*_columns(a), *_columns(b))))
 
 
 def rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise rotate_vector: rotate each row of v (n, 3) by the matching
     quaternion row of q (n, 4); one of them may be a single row. Each result
-    row is bit-for-bit rotate_vector of the same pair."""
-    w, u = q[..., :1], q[..., 1:]
-    t = 2.0 * _cross_rows(u, v)
-    return v + w * t + _cross_rows(u, t)
+    row is bit-for-bit rotate_vector of the same pair: its expressions,
+    evaluated on columns."""
+    return _side_by_side(_rotated(*_columns(q), *_columns(v)))
 
 
 @dataclass(frozen=True, init=False)

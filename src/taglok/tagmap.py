@@ -142,7 +142,10 @@ def _check_no_same_class_overlap(entries: list[TagEntry]) -> None:
         members = [e for e in entries if e.size_class is cls]
         side = cls.side_length
         centers = np.array([e.pose_in_world.position[:2] for e in members])
-        with np.errstate(over="ignore"):  # an infinite delta is no clash
+        # an infinite delta is no clash; parse_map's bound on a tag's distance
+        # from the extent does not rule one out (an extent near the float
+        # limit), nor does a TagMap built directly
+        with np.errstate(over="ignore"):
             for i in range(len(members)):
                 deltas = np.abs(centers[i + 1:] - centers[i])
                 clash = np.all(deltas < side - 1e-12, axis=1)
@@ -266,6 +269,14 @@ def parse_map(text: str) -> TagMap:
         except ValueError:
             raise MapFormatError(f"line {line_no}: bad class {tokens[1]!r}") from None
         px, py, pz = (_parse_float(tokens[2 + k], line_no, f"p{'xyz'[k]}") for k in range(3))
+        margin = max(header)
+        if not (-margin <= px <= header[0] + margin and -margin <= py <= header[1] + margin
+                and abs(pz) <= margin):
+            # a map's tags lie on or near its extent: a centre this far off
+            # is taken for a corrupt value
+            raise MapFormatError(
+                f"line {line_no}: tag at ({px!r}, {py!r}, {pz!r}) lies more than {margin!r} m "
+                f"outside the {header[0]!r} x {header[1]!r} m extent")
         qw, qx, qy, qz = (_parse_float(tokens[5 + k], line_no, f"q{'wxyz'[k]}") for k in range(4))
         try:
             orientation = UnitQuaternion(qw, qx, qy, qz)

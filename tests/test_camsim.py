@@ -206,6 +206,33 @@ class TestZigguratFastPath:
             assert normals[k].tobytes() == rng.standard_normal(7).tobytes(), tag_id
 
 
+def _first_slow_tag(seed, frame):
+    """The first tag id whose stream (seed, frame, id) draws a normal off the
+    ziggurat's fast path, so `_noise_draws` serves it with numpy's sampler."""
+    ki = _ZIGGURAT_KI.tolist()
+    for tag_id in range(10_000):
+        words = np.random.default_rng((seed, frame, tag_id)).bit_generator.random_raw(8)
+        if any(word >> 9 & (2**52 - 1) >= ki[word & 0xFF] for word in words[1:].tolist()):
+            return tag_id
+    raise AssertionError("no slow tag in the first 10000 ids")
+
+
+def test_noise_draws_carry_nothing_from_one_call_to_the_next():
+    # the sampler of the slow tags is built once and then reused: its state
+    # is set from each slow tag's stream before use, so the draws of a key
+    # do not depend on which key came before it
+    keys = [(11, 7), (2**32 + 5, 40)]
+    ids = {key: np.array([3, _first_slow_tag(*key), 17]) for key in keys}
+    in_order = [_noise_draws(*key, ids[key]) for key in keys]
+    reversed_order = [_noise_draws(*key, ids[key]) for key in reversed(keys)][::-1]
+    for key, (uniform, normals), (again_uniform, again_normals) in zip(keys, in_order,
+                                                                     reversed_order):
+        assert uniform.tobytes() == again_uniform.tobytes(), key
+        assert normals.tobytes() == again_normals.tobytes(), key
+        rng = np.random.default_rng((*key, int(ids[key][1])))
+        assert uniform[1] == rng.random() and np.array_equal(normals[1], rng.standard_normal(7))
+
+
 class TestNoiseStatistics:
     # single XL tag seen from 2.76 m: apparent = 600 * 0.46 / 2.76 = 100 px,
     # exactly the reference size, so sigmas apply unscaled

@@ -233,6 +233,21 @@ class TestExitCodes:
                        f"'{paths['missing']}'\n")
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("command, args", [
+        ("run", []),
+        ("compare", ["--out", "{out}"]),
+        ("dump-detections", ["--out", "{out}"]),
+        ("replay", ["--detections", "{out}", "--out", "{out}"]),
+    ], ids=["run", "compare", "dump-detections", "replay"])
+    def test_a_config_file_that_cannot_be_opened_is_named_by_its_flag(self, tmp_path, capsys,
+                                                                     command, args):
+        missing, out = tmp_path / "nope.ini", tmp_path / "out.csv"
+        assert main([command, "--config", str(missing),
+                     *(a.format(out=out) for a in args)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"taglok: --config: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not out.exists()
+
     def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[DEFAULT]\nseed = 3\n\n[run]\nsample_rate = 10\n")
         assert main(["run", "--config", cfg]) == 2
@@ -523,23 +538,20 @@ class TestRunCommand:
         monkeypatch.setattr("taglok.cli.build_pattern_map", unwanted)
         assert main(["run", "--config", write_cfg(tmp_path, QUICK), "--map", str(map_path)]) == 0
 
-    def test_far_map_tag_runs_like_the_map_without_it(self, tmp_path):
-        # the tag projects to an infinite image coordinate and is culled, silently;
-        # noise streams are keyed per tag, so dropping it shifts no other tag's draws
+    def test_far_map_tag_runs_like_the_map_without_it(self, tmp_path, capsys):
+        # a tag far outside the map's extent could never be seen, so the map
+        # reader rejects it and names its line instead of running without it
         cfg = write_cfg(tmp_path, QUICK)
         header, first, *rest = serialize_map(build_pattern_map((3.0, 5.0))).splitlines()
         far = first.split()
         far[2] = "1e308"
-        outputs = []
-        for name, lines in (("far", [header, " ".join(far), *rest]), ("without", [header, *rest])):
-            map_path, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
-            map_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert main(["run", "--config", cfg, "--map", str(map_path),
-                             "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        map_path, out = tmp_path / "far.txt", tmp_path / "far.csv"
+        map_path.write_text("\n".join([header, " ".join(far), *rest]) + "\n", encoding="utf-8")
+        assert main(["run", "--config", cfg, "--map", str(map_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"taglok: {map_path}: line 2: tag at (1e+308, ")
+        assert "lies more than 5.0 m outside the 3.0 x 5.0 m extent" in err
+        assert not out.exists()
 
     def test_bad_map_file_names_the_file_and_line(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)

@@ -25,6 +25,7 @@ from taglok.camsim import DetectionRows, NoiseModel, default_camera
 from taglok.geometry import (
     Pose,
     UnitQuaternion,
+    _hamilton,
     quat_multiply,
     quat_multiply_rows,
     rotate_rows,
@@ -82,6 +83,46 @@ def test_row_helpers_bitwise_equal_to_scalar_forms():
     single = quat_multiply_rows(_rows(a), _rows(b[:1])[0])
     for i in range(5000):
         assert tuple(single[i].tolist()) == _components(quat_multiply(a[i], b[0]))
+    # the other broadcast forms the callers use: a single a with (n, 4) b
+    # and a single q with (n, 3) vectors (visible_tags), (n, 4) quaternions
+    # with a single vector (the frame chain's mount)
+    single_a = quat_multiply_rows(_rows(a[:1])[0], _rows(b))
+    single_q = rotate_rows(_rows(a[:1])[0], v)
+    single_v = rotate_rows(_rows(a), v[0])
+    for i in range(5000):
+        assert tuple(single_a[i].tolist()) == _components(quat_multiply(a[0], b[i]))
+        assert np.array_equal(single_q[i], rotate_vector(a[0], v[i]))
+        assert np.array_equal(single_v[i], rotate_vector(a[i], v[0]))
+    # no rows and one row, in every form
+    for n in (0, 1):
+        qa, qb, vn = _rows(a[:n]).reshape(n, 4), _rows(b[:n]).reshape(n, 4), v[:n]
+        for got, want in ((quat_multiply_rows(qa, qb), [_components(quat_multiply(x, y))
+                                                        for x, y in zip(a[:n], b[:n])]),
+                          (quat_multiply_rows(qa, _rows(b[:1])[0]),
+                           [_components(quat_multiply(x, b[0])) for x in a[:n]]),
+                          (quat_multiply_rows(_rows(a[:1])[0], qb),
+                           [_components(quat_multiply(a[0], y)) for y in b[:n]])):
+            assert got.shape == (n, 4) and got.tolist() == [list(w) for w in want]
+        for got, want in ((rotate_rows(qa, vn), [rotate_vector(x, y) for x, y in zip(a, vn)]),
+                          (rotate_rows(qa, v[0]), [rotate_vector(x, v[0]) for x in a[:n]]),
+                          (rotate_rows(_rows(a[:1])[0], vn), [rotate_vector(a[0], y) for y in vn])):
+            assert got.shape == (n, 3) and np.array_equal(got, np.array(want).reshape(n, 3))
+    # products UnitQuaternion rescales (norms off one) or refuses (a zero, a
+    # tiny or a NaN norm) come out rescaled like it, or as NaN rows
+    raw_a = np.array([[2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, 0.0, 0.0],
+                      [1.0, 1e-6, 0.0, 0.0], [3.0, -4.0, 1.0, 0.5], [np.nan, 1.0, 0.0, 0.0]])
+    raw_b = np.array([[0.6, 0.8, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, 0.5], [1.0, 0.0, 0.0, 0.0]])
+    for got, pairs in ((quat_multiply_rows(raw_a, raw_b), zip(raw_a, raw_b)),
+                       (quat_multiply_rows(raw_a, raw_b[0]), ((x, raw_b[0]) for x in raw_a)),
+                       (quat_multiply_rows(raw_b[0], raw_a), ((raw_b[0], y) for y in raw_a))):
+        for row, (x, y) in zip(got, pairs):
+            try:
+                want = _components(UnitQuaternion(*_hamilton(*x.tolist(), *y.tolist())))
+            except ValueError:
+                assert np.isnan(row).all()
+            else:
+                assert tuple(row.tolist()) == want
 
 
 def _random_scene(rng: np.random.Generator):

@@ -3,8 +3,10 @@
 A valid map written by `serialize_map` is mutated as `test_stream_fuzz.py`
 mutates a detection stream: a token is swapped for a hostile one (NaN,
 infinities, -1, values that overflow a float or its square, a far but
-finite coordinate, ids at and above the int64 range, the smallest
-subnormal, garbage), or a line is deleted, duplicated or truncated. Whatever the mutations, `run` must exit 0, 1 or 2 without a
+finite coordinate, coordinates one ulp beyond the reader's bound on a
+tag's distance from the map's extent, ids at and above the int64 range, the
+smallest subnormal, garbage), or a line is deleted, duplicated or
+truncated. Whatever the mutations, `run` must exit 0, 1 or 2 without a
 traceback; exit 2 must name the map file and the line; on exit 0 every
 number it writes must be finite. A tag that parses reaches the simulator's
 projection and the frame chain, so hostile values that pass the reader are
@@ -29,7 +31,9 @@ st = hypothesis.strategies
 CONFIG = "[trajectory]\nkind = hover\nz = 1.4\nduration = 0.2\n\n[run]\nseed = 2\n"
 HOSTILE = ["nan", "-nan", "inf", "-inf", "-1", "0", "1e400", "-1e400", "1e308", "-1e308",
            "1e200", "-1e200", "5e-324", str(2**63), str(2**64), str(-2**63 - 1), "9" * 5000,
-           "x", "S", "XL", "0x1p3", "1.5.2", "--1", "+", "_1", "#"]
+           "x", "S", "XL", "0x1p3", "1.5.2", "--1", "+", "_1", "#",
+           # one ulp beyond the bound on a tag's distance from the map's extent
+           "-2.0000000000000004", "2.0000000000000004", "4.000000000000001"]
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +110,26 @@ def test_map_id_at_2_to_the_63_names_the_line(files):
 
 @pytest.mark.parametrize("field", [2, 3])
 def test_two_tags_of_a_class_at_opposite_float_limits_run_cleanly(files, field):
-    # lines 3 and 4 hold tags of one class; their centres end up an infinite distance apart
+    # lines 3 and 4 hold tags of one class at opposite float limits, far
+    # outside the map's extent: the reader rejects the first, naming its line
     assert [line.split()[1] for line in files["lines"][2:4]] == ["L", "L"]
     mutations = [("swap", 2, field, "1.7e308"), ("swap", 3, field, "-1.7e308")]
-    assert _run(files, _mutated(files["lines"], mutations))[0] == 0
+    code, message = _run(files, _mutated(files["lines"], mutations))
+    assert code == 2
+    assert message.startswith(f"taglok: {files['map']}: line 3: tag at ("), message
+    assert "outside the 1.5 x 2.0 m extent" in message
+
+
+# the fuzz map is 1.5 x 2.0 m, so a tag centre may lie up to 2.0 m outside it:
+# x in [-2.0, 3.5], y in [-2.0, 4.0], z in [-2.0, 2.0]
+@pytest.mark.parametrize("field, inside, outside", [
+    (2, "-2.0", "-2.0000000000000004"), (2, "3.5", "3.5000000000000004"),
+    (3, "-2.0", "-2.0000000000000004"), (3, "4.0", "4.000000000000001"),
+    (4, "-2.0", "-2.0000000000000004"), (4, "2.0", "2.0000000000000004"),
+], ids=["x-low", "x-high", "y-low", "y-high", "z-low", "z-high"])
+def test_tag_at_the_extent_bound_runs_and_one_ulp_beyond_names_the_line(files, field, inside,
+                                                                      outside):
+    assert _run(files, _mutated(files["lines"], [("swap", 3, field, inside)]))[0] == 0
+    code, message = _run(files, _mutated(files["lines"], [("swap", 3, field, outside)]))
+    assert code == 2
+    assert message.startswith(f"taglok: {files['map']}: line 4: tag at ("), message

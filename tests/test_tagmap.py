@@ -250,6 +250,20 @@ class TestMapFile:
         with pytest.raises(MapFormatError, match=match):
             parse_map(text)
 
+    def test_tag_far_outside_the_extent_names_the_line(self):
+        # a centre may lie up to the extent's larger side outside it, on every axis
+        text = ("tagmap v1 2.0 1.0\n1 S -2.0 3.0 2.0 1 0 0 0\n"
+                "2 S 4.0000000000000009 0.1 0.0 1 0 0 0\n")
+        with pytest.raises(MapFormatError, match=r"line 3: tag at \(4\.000000000000001, 0\.1, "
+                                                 r"0\.0\) lies more than 2\.0 m outside the "
+                                                 r"2\.0 x 1\.0 m extent"):
+            parse_map(text)
+
+    @pytest.mark.parametrize("extent", [(0.94, 0.94), (1.5, 2.0), (3.0, 5.0), (9.5, 0.94)])
+    def test_every_pattern_map_reads_back(self, extent):
+        tag_map = build_pattern_map(extent)
+        assert len(parse_map(serialize_map(tag_map))) == len(tag_map)
+
     def test_bad_class_label(self):
         with pytest.raises(MapFormatError, match="line 2.*class"):
             parse_map("tagmap v1 2.0 2.0\n1 Q 0.1 0.1 0.0 1 0 0 0\n")
