@@ -14,6 +14,7 @@ import configparser
 import math
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -45,13 +46,7 @@ from .harness import (
     write_frames_jsonl,
 )
 from .pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme, apply_variant
-from .tagmap import (
-    MapFormatError,
-    build_pattern_map,
-    load_map,
-    parse_finite_float,
-    save_map,
-)
+from .tagmap import build_pattern_map, load_map, parse_finite_float, save_map
 
 
 class ConfigError(ValueError):
@@ -60,6 +55,16 @@ class ConfigError(ValueError):
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1 with nothing written."""
+
+
+@contextmanager
+def _named(name: str, *errors: type[Exception]):
+    """Re-raise any of `errors` as a ConfigError that names the key, flag,
+    token or file `name` of the input it came from (exit 2)."""
+    try:
+        yield
+    except errors as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 # --- settings schema -------------------------------------------------------
@@ -178,11 +183,8 @@ def load_settings(path: str | Path) -> Settings:
     # ordinary, hence unknown, section
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
                                        default_section="")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    with open(path, encoding="utf-8") as handle, _named(str(path), configparser.Error):
+        parser.read_file(handle, source=str(path))
     settings = default_settings()
     provided = set()
     for section in parser.sections():
@@ -194,10 +196,8 @@ def load_settings(path: str | Path) -> Settings:
             if spec is None:
                 known = ", ".join(_SCHEMA[section])
                 raise ConfigError(f"unknown key {section}.{key} (known: {known})")
-            try:
+            with _named(f"{section}.{key}", ValueError):
                 value = spec.parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key}: {exc}") from None
             if spec.check is not None and not spec.check(value):
                 raise ConfigError(f"{section}.{key}: {spec.why} (got {raw})")
             settings.values[section][key] = value
@@ -222,23 +222,17 @@ def _build_trajectory(settings: Settings) -> Trajectory:
     waypoint_file = settings.get("trajectory", "waypoints")
     if not waypoint_file:
         return spline_trajectory_t3()
-    try:  # an error inside the file names the file and its line
+    with _named("trajectory.waypoints", OSError):  # an error inside the file names its line
         waypoints = load_waypoints(waypoint_file)
-    except OSError as exc:
-        raise ConfigError(f"trajectory.waypoints: {exc}") from None
-    try:
+    with _named(waypoint_file, ValueError):
         return spline_trajectory_t3(waypoints)
-    except ValueError as exc:
-        raise ConfigError(f"{waypoint_file}: {exc}") from None
 
 
 def _build_tag_map(settings: Settings, file_name: str):
     map_file = settings.get("map", "file")
     if map_file:
-        try:  # an error inside the file names the file and its line
+        with _named(file_name, OSError):  # an error inside the file names its line
             return load_map(map_file)
-        except OSError as exc:
-            raise ConfigError(f"{file_name}: {exc}") from None
     return build_pattern_map((settings.get("map", "width"), settings.get("map", "height")),
                              ("map.width", "map.height"))
 
@@ -322,10 +316,8 @@ def load_run_config(path: str | Path) -> RunConfig:
 def _load_config(args: argparse.Namespace) -> Settings:
     """load_settings of the --config file; one that cannot be opened is
     named by its flag."""
-    try:
+    with _named("--config", OSError):
         return load_settings(args.config)
-    except OSError as exc:
-        raise ConfigError(f"--config: {exc}") from None
 
 
 def parse_scenario(token: str, settings: Settings) -> tuple[str, Trajectory]:
@@ -336,10 +328,8 @@ def parse_scenario(token: str, settings: Settings) -> tuple[str, Trajectory]:
         parts = token.split(":")[1:]
         if len(parts) not in (3, 4):
             raise ConfigError(f"scenario {token!r}: expected hover:X:Y:Z[:YAW]")
-        try:
+        with _named(f"scenario {token!r}", ValueError):
             numbers = [parse_finite_float(p) for p in parts]
-        except ValueError as exc:
-            raise ConfigError(f"scenario {token!r}: {exc}") from None
         if not numbers[2] > 0:
             raise ConfigError(f"scenario {token!r}: z must be positive")
         yaw = numbers[3] if len(numbers) == 4 else 0.0
@@ -362,10 +352,8 @@ def _configure(settings: Settings, args: argparse.Namespace) -> RunConfig:
         settings.values["run"]["seed"] = args.seed
     cfg = build_run_config(settings, "--map" if getattr(args, "map", None) else "map.file")
     if getattr(args, "variant", None):
-        try:
+        with _named("--variant", ValueError):
             cfg = replace(cfg, pipeline=apply_variant(cfg.pipeline, args.variant))
-        except ValueError as exc:
-            raise ValueError(f"--variant: {exc}") from None
     if getattr(args, "frames", None) is not None:
         if args.frames < 1:
             raise UsageError("--frames must be at least 1")
@@ -395,7 +383,8 @@ def cmd_map_build(args: argparse.Namespace) -> int:
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be a finite number (got {value!r})")
     tag_map = build_pattern_map((args.width, args.height), ("--width", "--height"))
-    save_map(tag_map, args.out)
+    with _named("--out", OSError):
+        save_map(tag_map, args.out)
     print(f"wrote {len(tag_map)} tags to {args.out}")
     return 0
 
@@ -410,9 +399,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         in_phase = [r for r in result.frames if r.phase == phase]
         print(f"  {phase}: {_error_text(stats, in_phase)}")
     if args.out:
-        Path(args.out).write_text(format_timeseries_csv(result.frames), encoding="utf-8")
+        with _named("--out", OSError):
+            Path(args.out).write_text(format_timeseries_csv(result.frames), encoding="utf-8")
     if args.log:
-        write_frames_jsonl(result.frames, args.log)
+        with _named("--log", OSError):
+            write_frames_jsonl(result.frames, args.log)
     return 0
 
 
@@ -421,21 +412,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.seed is None and not settings.was_provided("run", "seed"):
         raise UsageError("compare requires an explicit seed (--seed or [run] seed)")
     cfg = _configure(settings, args)
-    try:
+    with _named("compare.scenarios", ValueError):
         scenarios = [parse_scenario(token, settings)
                      for token in settings.get("compare", "scenarios")]
-    except ValueError as exc:
-        raise ConfigError(f"compare.scenarios: {exc}") from None
     variants = list(settings.get("compare", "variants"))
-    try:  # compare_matrix applies them too; checked here to name the key
+    with _named("compare.variants", ValueError):  # compare_matrix applies them too
         for variant in variants:
             apply_variant(cfg.pipeline, variant)
-    except ValueError as exc:
-        raise ConfigError(f"compare.variants: {exc}") from None
     rows = compare_matrix(cfg, variants, scenarios)
-    Path(args.out).write_text(format_compare_csv(rows), encoding="utf-8")
+    with _named("--out", OSError):
+        Path(args.out).write_text(format_compare_csv(rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows ({len(scenarios)} scenarios x "
           f"{max(len(variants), 1)} variants) to {args.out}")
+    for row in rows:
+        if not row.stats.frames:
+            print(f"{row.scenario} {row.variant}: no frame produced an estimate "
+                  f"({row.stats.dropped} dropped)")
     return 0
 
 
@@ -445,17 +437,16 @@ def cmd_dump_detections(args: argparse.Namespace) -> int:
     n_frames = 0
     for n_frames, frame in enumerate(simulate(cfg), 1):
         lines += format_detection_lines(frame.index, frame.t, frame.detections)
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _named("--out", OSError):
+        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} detections over {n_frames} frames to {args.out}")
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = _configure(_load_config(args), args)
-    try:  # an error inside the stream names the file and its line
+    with _named("--detections", OSError):  # an error inside the stream names its line
         frames = read_detection_stream(args.detections)
-    except OSError as exc:
-        raise ValueError(f"--detections: {exc}") from None
     records = run(cfg, frames).frames
     out_lines = ["frame,t,px,py,pz,qw,qx,qy,qz,tags_used"]
     for record in records:
@@ -469,9 +460,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 f"{record.frame},{record.t:.6f},{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
                 f"{q.w:.9f},{q.x:.9f},{q.y:.9f},{q.z:.9f},{len(output.tags_used)}"
             )
-    Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    with _named("--out", OSError):
+        Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
     if args.log:
-        write_frames_jsonl(records, args.log)
+        with _named("--log", OSError):
+            write_frames_jsonl(records, args.log)
     print(f"replayed {len(records)} frames to {args.out}")
     return 0
 
@@ -533,20 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"taglok: error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return 0 if not exc.code else int(exc.code)
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"taglok: error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, MapFormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and MapFormatError among them
         print(f"taglok: {exc}", file=sys.stderr)
         return 2
 

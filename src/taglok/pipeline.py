@@ -136,8 +136,10 @@ class TagEstimates:
 _NO_ESTIMATES = TagEstimates(np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 4)),
                              np.zeros(0))
 
-# rows per array pass of the frame chain: the (rows, 4, 4) products of
-# quat_multiply_rows over a whole replayed stream would cost megabytes
+# rows per array pass of the frame chain: the row helpers' column
+# temporaries grow with the pass, so blocks bound them (a t3 stream's 26k
+# rows peak at 3.0 MiB under tracemalloc in blocks, 8.2 MiB in one pass);
+# a row's bits do not depend on its block
 _CHAIN_BLOCK_ROWS = 4096
 
 # conjugating a (w, x, y, z) row; a conjugate keeps its norm, so it needs

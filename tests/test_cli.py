@@ -62,9 +62,12 @@ seed = 11
 
 
 class TestExitCodes:
-    def test_run_help_exits_zero(self, capsys):
-        assert main(["run", "--help"]) == 0
-        assert "usage" in capsys.readouterr().out.lower()
+    @pytest.mark.parametrize("command", ["map-build", "run", "compare", "dump-detections",
+                                         "replay"])
+    def test_help_exits_zero(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: taglok {command} ") and err == ""
 
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0
@@ -141,43 +144,52 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "[pipeline]\niqr_gain = -1\n")
         code = main(["run", "--config", cfg])
         assert code == 2
-        assert "pipeline.iqr_gain" in capsys.readouterr().err
+        assert capsys.readouterr().err == "taglok: pipeline.iqr_gain: must be positive (got -1)\n"
 
     @pytest.mark.parametrize("command, config, named", [
         ("run", "[camera]\nmount_x = inf\n", "camera.mount_x: not a finite number: 'inf'"),
         ("run", "[trajectory]\nx = nan\n", "trajectory.x: not a finite number: 'nan'"),
-        ("run", "[trajectory]\nyaw = nan\n", "trajectory.yaw"),
-        ("run", "[noise]\nposition_sigma = inf\n", "noise.position_sigma"),
-        ("run", "[noise]\nsize_exponent = nan\n", "noise.size_exponent"),
+        ("run", "[trajectory]\nyaw = nan\n", "trajectory.yaw: not a finite number: 'nan'"),
+        ("run", "[noise]\nposition_sigma = inf\n",
+         "noise.position_sigma: not a finite number: 'inf'"),
+        ("run", "[noise]\nsize_exponent = nan\n",
+         "noise.size_exponent: not a finite number: 'nan'"),
         ("run", "[noise]\nsize_exponent = 1000\n[trajectory]\nz = 2.0\n",
-         "noise.size_exponent: the noise scale overflows at an apparent size of 12 px"),
+         "camera.detect_threshold_px, noise.reference_apparent, noise.size_exponent: the noise "
+         "scale overflows at an apparent size of 12 px (got reference_apparent 100.0, "
+         "size_exponent 1000.0)"),
         ("run", "[noise]\nsize_exponent = -1000\n[trajectory]\nz = 2.0\n",
-         "noise.size_exponent: the noise scale overflows at an apparent size of 1468.6 px"),
+         "camera.image_width, camera.image_height, noise.reference_apparent, "
+         "noise.size_exponent: the noise scale overflows at an apparent size of 1468.6 px "
+         "(got reference_apparent 100.0, size_exponent -1000.0)"),
         ("run", "[noise]\nrotation_sigma = 1e307\nsize_exponent = 2\n"
                 "[trajectory]\nz = 2.0\nduration = 0.5\n",
-         "noise.rotation_sigma: the noise sigma overflows at an apparent size of 12 px"),
+         "noise.rotation_sigma: the noise sigma overflows at an apparent size of 12 px "
+         "(got 1e+307)"),
         ("run", "[noise]\nposition_sigma = 1e307\nsize_exponent = 2\n"
                 "[trajectory]\nz = 2.0\nduration = 0.5\n",
-         "noise.position_sigma: the noise sigma overflows at an apparent size of 12 px"),
-        ("run", "[run]\nsample_rate = inf\n", "run.sample_rate"),
+         "noise.position_sigma: the noise sigma overflows at an apparent size of 12 px "
+         "(got 1e+307)"),
+        ("run", "[run]\nsample_rate = inf\n", "run.sample_rate: not a finite number: 'inf'"),
         ("run", "[trajectory]\nduration = 1e308\n",
-         "run.sample_rate: 20.0 Hz over a trajectory.duration of 1e+308 s"),
+         "run.sample_rate: 20.0 Hz over a trajectory.duration of 1e+308 s gives no finite "
+         "frame count"),
         ("run", "[map]\nwidth = 1e300\n", "map.width x map.height: 1e+300 x 5.0 m holds so many "
                                            "tiles that tag ids would reach 2**63"),
         ("run", "[map]\nwidth = 1e-300\n", "map.width: 1e-300 m does not fit one 0.94 m tile"),
         ("run", "[map]\nheight = 0.9\n", "map.height: 0.9 m does not fit one 0.94 m tile"),
         ("run", f"[camera]\nimage_width = {'9' * 400}\n",
-         "camera.image_width: must be positive and at most 2**53"),
+         f"camera.image_width: must be positive and at most 2**53 (got {'9' * 400})"),
         ("run", f"[camera]\nimage_height = {2**53 + 1}\n",
-         "camera.image_height: must be positive and at most 2**53"),
+         f"camera.image_height: must be positive and at most 2**53 (got {2**53 + 1})"),
         ("run", "[trajectory]\nkind = t3\nwaypoints = {waypoints}\n",
-         "way.txt: line 3: not a finite number: 'nan'"),
+         "{waypoints}: line 3: not a finite number: 'nan'"),
         ("compare", "[compare]\nscenarios = hover:1.5:nan:0.8\n",
-         "scenario 'hover:1.5:nan:0.8': not a finite number: 'nan'"),
+         "compare.scenarios: scenario 'hover:1.5:nan:0.8': not a finite number: 'nan'"),
         ("compare", "[compare]\nscenarios = hover:1.5:2.5:-1\n",
-         "scenario 'hover:1.5:2.5:-1': z must be positive"),
+         "compare.scenarios: scenario 'hover:1.5:2.5:-1': z must be positive"),
         ("compare", "[compare]\nscenarios = hover:1.5:2.5:0.8 hover:1.5:2.5:0\n",
-         "scenario 'hover:1.5:2.5:0': z must be positive"),
+         "compare.scenarios: scenario 'hover:1.5:2.5:0': z must be positive"),
     ], ids=["mount-inf", "x-nan", "yaw-nan", "sigma-inf", "exponent-nan",
             "exponent-overflows-at-threshold", "exponent-overflows-at-diagonal",
             "rotation-sigma-overflows", "position-sigma-overflows", "rate-inf",
@@ -191,8 +203,7 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, config.format(waypoints=waypoints))
         out = tmp_path / "out.csv"
         assert main([command, "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert named in err and "Traceback" not in err
+        assert capsys.readouterr().err == f"taglok: {named.format(waypoints=waypoints)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("lines, named", [
@@ -206,8 +217,7 @@ class TestExitCodes:
         waypoints.write_text(lines, encoding="utf-8")
         cfg = write_cfg(tmp_path, f"[trajectory]\nkind = t3\nwaypoints = {waypoints}\n")
         assert main(["run", "--config", cfg, "--seed", "1"]) == 2
-        err = capsys.readouterr().err
-        assert f"{waypoints}: {named}" in err and "Traceback" not in err
+        assert capsys.readouterr().err == f"taglok: {waypoints}: {named}\n"
 
     def test_percent_in_a_value_is_literal(self, tmp_path, capsys):
         missing = tmp_path / "a%b.txt"
@@ -247,6 +257,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"taglok: --config: [Errno 2] No such file or directory: '{missing}'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, flag", [
+        ("map-build", [], "--out"),
+        ("run", ["--config", "{cfg}", "--frames", "1"], "--out"),
+        ("run", ["--config", "{cfg}", "--frames", "1"], "--log"),
+        ("compare", ["--config", "{cfg}", "--seed", "1"], "--out"),
+        ("dump-detections", ["--config", "{cfg}", "--frames", "1"], "--out"),
+        ("replay", ["--config", "{cfg}", "--detections", "{stream}"], "--out"),
+        ("replay", ["--config", "{cfg}", "--detections", "{stream}", "--out", "{out}"],
+         "--log"),
+    ], ids=["map-build", "run-out", "run-log", "compare", "dump-detections", "replay-out",
+            "replay-log"])
+    def test_an_output_file_that_cannot_be_written_is_named_by_its_flag(self, tmp_path, capsys,
+                                                                        command, args, flag):
+        stream = tmp_path / "stream.txt"
+        stream.write_text("0 0.0 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0\n", encoding="utf-8")
+        paths = {"cfg": write_cfg(tmp_path, "[trajectory]\nduration = 0.05\n"),
+                 "stream": stream, "out": tmp_path / "out.csv"}
+        directory = tmp_path / "adir"
+        directory.mkdir()
+        assert main([command, *(a.format(**paths) for a in args), flag, str(directory)]) == 2
+        assert capsys.readouterr().err == (f"taglok: {flag}: [Errno 21] Is a directory: "
+                                           f"'{directory}'\n")
+
+    @pytest.mark.parametrize("config, message", [
+        ("iqr_gain = 1\n",
+         "File contains no section headers.\nfile: '{cfg}', line: 1\n'iqr_gain = 1\\n'"),
+        ("[run]\nseed = 1\nseed = 2\n",
+         "While reading from '{cfg}' [line  3]: option 'seed' in section 'run' already exists"),
+    ], ids=["no-section", "duplicate-key"])
+    def test_a_config_syntax_error_names_the_file(self, tmp_path, capsys, config, message):
+        cfg = write_cfg(tmp_path, config)
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"taglok: {cfg}: {message.format(cfg=cfg)}\n"
 
     def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[DEFAULT]\nseed = 3\n\n[run]\nsample_rate = 10\n")
@@ -517,6 +561,8 @@ class TestRunCommand:
     def test_bad_variant_is_runtime_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, QUICK)
         assert main(["run", "--config", cfg, "--variant", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err == "taglok: --variant: unknown variant token 'nope' in 'nope'\n"
 
     def test_map_override(self, tmp_path):
         cfg = write_cfg(tmp_path, QUICK)
@@ -712,15 +758,28 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("line, named", [
         ("variants = jbt nan", "compare.variants: unknown variant token 'nan' in 'nan'"),
-        ("scenarios = hover:1:2:1 nan", "compare.scenarios: unknown scenario 'nan' "),
-        ("scenarios = hover:1:2", "compare.scenarios: scenario 'hover:1:2': expected "),
+        ("scenarios = hover:1:2:1 nan",
+         "compare.scenarios: unknown scenario 'nan' (use hover:X:Y:Z, t1, t2 or t3)"),
+        ("scenarios = hover:1:2",
+         "compare.scenarios: scenario 'hover:1:2': expected hover:X:Y:Z[:YAW]"),
     ], ids=["variant", "scenario", "hover-fields"])
     def test_a_bad_token_names_its_key(self, tmp_path, capsys, line, named):
         cfg = write_cfg(tmp_path, f"[compare]\n{line}\n")
         out = tmp_path / "r.csv"
         assert main(["compare", "--config", cfg, "--out", str(out), "--seed", "1"]) == 2
-        assert capsys.readouterr().err.startswith(f"taglok: {named}")
+        assert capsys.readouterr().err == f"taglok: {named}\n"
         assert not out.exists()
+
+    def test_cells_without_estimates_are_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "[trajectory]\nduration = 0.15\n"
+                                  "[compare]\nscenarios = hover:1e308:2:1\n")
+        out = tmp_path / "g.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        variants = ("jbt", "all-noor", "all-or", "tbs-noor", "tbs-or")
+        assert capsys.readouterr().out == "".join(
+            [f"wrote 5 rows (1 scenarios x 5 variants) to {out}\n"]
+            + [f"hover:1e308:2:1 {v}: no frame produced an estimate (3 dropped)\n"
+               for v in variants])
 
     def test_a_cell_without_estimates_has_empty_error_fields(self, tmp_path):
         cfg = write_cfg(tmp_path, "[compare]\nvariants = jbt\nscenarios = hover:50:50:1\n")

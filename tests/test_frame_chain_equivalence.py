@@ -189,6 +189,27 @@ def test_chain_bitwise_equal_on_every_frame_of_a_hover_at_two_meters():
             _assert_selection_equal(detections_from(frame.detections), cfg.tag_map, mode)
 
 
+def test_chain_blocks_leave_every_row_bit_identical(monkeypatch):
+    # a multi-frame stack, one unknown id and one corrupt row among its rows,
+    # in blocks of 7 rows against the default single pass
+    camera = default_camera(mount_offset=np.array([0.05, -0.02, 0.03]))
+    cfg = RunConfig(hover_trajectory((1.5, 2.5, 0.8), duration=0.25), build_pattern_map((3.0, 5.0)),
+                    camera, NoiseModel(0.01, 0.02, 100.0, seed=5), PipelineConfig(), 20.0)
+    frames = [f.detections for f in simulate(cfg)]
+    ids, positions, quats, apparent = (np.concatenate([getattr(d, name) for d in frames])
+                                       for name in ("ids", "positions", "quats", "apparent"))
+    ids[3] = 10**9
+    quats[11] = 0.0
+    stack = DetectionRows(ids, positions, quats, apparent)
+    assert len(stack) > 7 * 10
+    default = estimate_body_pose_per_tag(stack, cfg.tag_map, camera.pose_in_body)
+    monkeypatch.setattr("taglok.pipeline._CHAIN_BLOCK_ROWS", 7)
+    blocked = estimate_body_pose_per_tag(stack, cfg.tag_map, camera.pose_in_body)
+    assert np.isnan(default.positions[[3, 11]]).all() and np.isnan(default.weights[3])
+    for name in ("ids", "positions", "quats", "weights"):
+        assert getattr(blocked, name).tobytes() == getattr(default, name).tobytes()
+
+
 def test_chain_of_no_detections_is_empty():
     tag_map = build_pattern_map((1.0, 1.0))
     empty = estimate_body_pose_per_tag(rows_from([]), tag_map, Pose.identity())
