@@ -15,7 +15,6 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
@@ -613,7 +612,7 @@ def format_detection_lines(frame: int, t: float, rows: DetectionRows) -> list[st
 
 
 _LINE_FLOAT_FIELDS = ("t", "px", "py", "pz", "qw", "qx", "qy", "qz", "apparent_side")
-# one parsed stream line as read_detection_stream packs it: frame, tag id,
+# one parsed stream line as parse_detection_stream packs it: frame, tag id,
 # then position, quaternion and apparent side as 8 floats
 _STREAM_ROW = struct.Struct("=qq8d")
 _STREAM_ROW_DTYPE = np.dtype([("frame", np.int64), ("id", np.int64), ("floats", np.float64, 8)])
@@ -647,22 +646,22 @@ def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, floa
     return frame, t, tag_id, (px, py, pz), (qw, qx, qy, qz), apparent
 
 
-def read_detection_stream(path: str | Path) -> list[Frame]:
-    """Frames of a dumped detection stream in frame order, without ground
-    truth. A frame takes its time from its first line and keeps its lines
-    in stream order; errors name the file and line.
+def parse_detection_stream(text: str) -> list[Frame]:
+    """Frames of a dumped detection stream's text in frame order, without
+    ground truth. A frame takes its time from its first line and keeps its
+    lines in stream order; errors name the line.
 
     Each line is packed into one whole-stream buffer as it is parsed, and
     every frame's arrays are slices of the columns read back from it, so no
     per-line object outlives its line."""
     packed, first_t = bytearray(), {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             index, t, tag_id, position, quat, apparent = parse_detection_line(line)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            raise ValueError(f"line {line_no}: {exc}") from None
         packed += _STREAM_ROW.pack(index, tag_id, *position, *quat, apparent)
         first_t.setdefault(index, t)
     if not first_t:

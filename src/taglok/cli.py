@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import json
 import math
+import os
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .camsim import (
     NoiseModel,
     default_camera,
     format_detection_lines,
-    read_detection_stream,
+    parse_detection_stream,
 )
 from .harness import (
     ErrorStats,
@@ -36,17 +38,17 @@ from .harness import (
     compare_matrix,
     format_compare_csv,
     format_timeseries_csv,
+    frame_to_json,
     hover_trajectory,
-    load_waypoints,
+    parse_waypoints,
     run,
     simulate,
     spline_trajectory_t3,
     square_trajectory_t1,
     steps_trajectory_t2,
-    write_frames_jsonl,
 )
 from .pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme, apply_variant
-from .tagmap import build_pattern_map, load_map, parse_finite_float, save_map
+from .tagmap import build_pattern_map, parse_finite_float, parse_map, serialize_map
 
 
 class ConfigError(ValueError):
@@ -65,6 +67,37 @@ def _named(name: str, *errors: type[Exception]):
         yield
     except errors as exc:
         raise ConfigError(f"{name}: {exc}") from None
+
+
+def _read(name: str, path: str, parse: Callable[[str], object]):
+    """parse(text) of the UTF-8 file `path`: a file that cannot be opened or is
+    not UTF-8 is named by the key or flag `name`, an error in its text by `path`."""
+    with _named(name, OSError, UnicodeDecodeError):
+        text = Path(path).read_text(encoding="utf-8")
+    with _named(path, ValueError):
+        return parse(text)
+
+
+@contextmanager
+def _outputs(args: argparse.Namespace, *flags: str):
+    """Open the files of the output `flags` the command line gives, after
+    the inputs and before the work, and yield `write(flag, texts)`; an
+    OSError names its flag. A file two flags name takes the later's texts."""
+    with ExitStack() as stack:
+        opened: dict[str, TextIO] = {}
+        for flag in flags:
+            if (path := getattr(args, flag[2:])) is not None:
+                with _named(flag, OSError):
+                    opened[flag] = stack.enter_context(Path(path).open("w", encoding="utf-8"))
+        writers = {os.fstat(h.fileno())[1:3]: f for f, h in opened.items()}  # file id: last flag
+
+        def write(flag: str, texts: Iterable[str]) -> None:
+            if flag in writers.values():
+                with _named(flag, OSError):
+                    opened[flag].writelines(texts)
+                    opened[flag].flush()
+
+        yield write
 
 
 # --- settings schema -------------------------------------------------------
@@ -183,8 +216,8 @@ def load_settings(path: str | Path) -> Settings:
     # ordinary, hence unknown, section
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
                                        default_section="")
-    with open(path, encoding="utf-8") as handle, _named(str(path), configparser.Error):
-        parser.read_file(handle, source=str(path))
+    with _named(str(path), configparser.Error):
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
     settings = default_settings()
     provided = set()
     for section in parser.sections():
@@ -222,19 +255,8 @@ def _build_trajectory(settings: Settings) -> Trajectory:
     waypoint_file = settings.get("trajectory", "waypoints")
     if not waypoint_file:
         return spline_trajectory_t3()
-    with _named("trajectory.waypoints", OSError):  # an error inside the file names its line
-        waypoints = load_waypoints(waypoint_file)
-    with _named(waypoint_file, ValueError):
-        return spline_trajectory_t3(waypoints)
-
-
-def _build_tag_map(settings: Settings, file_name: str):
-    map_file = settings.get("map", "file")
-    if map_file:
-        with _named(file_name, OSError):  # an error inside the file names its line
-            return load_map(map_file)
-    return build_pattern_map((settings.get("map", "width"), settings.get("map", "height")),
-                             ("map.width", "map.height"))
+    return _read("trajectory.waypoints", waypoint_file,
+                 lambda text: spline_trajectory_t3(parse_waypoints(text)))
 
 
 def _check_noise_scale(camera: CameraModel, noise: NoiseModel) -> None:
@@ -297,9 +319,12 @@ def build_run_config(settings: Settings, map_file_name: str = "map.file") -> Run
         rot_mean=RotMeanMethod(settings.get("pipeline", "rot_mean")),
         fir_length=settings.get("pipeline", "fir_length"),
     )
+    map_file = settings.get("map", "file")
     return RunConfig(
         trajectory=_build_trajectory(settings),
-        tag_map=_build_tag_map(settings, map_file_name),
+        tag_map=(_read(map_file_name, map_file, parse_map) if map_file else
+                 build_pattern_map((settings.get("map", "width"), settings.get("map", "height")),
+                                   ("map.width", "map.height"))),
         camera=camera,
         noise=noise,
         pipeline=pipeline,
@@ -314,9 +339,8 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def _load_config(args: argparse.Namespace) -> Settings:
-    """load_settings of the --config file; one that cannot be opened is
-    named by its flag."""
-    with _named("--config", OSError):
+    """load_settings of --config, which names a file that cannot be opened or is not UTF-8."""
+    with _named("--config", OSError, UnicodeDecodeError):
         return load_settings(args.config)
 
 
@@ -383,27 +407,24 @@ def cmd_map_build(args: argparse.Namespace) -> int:
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be a finite number (got {value!r})")
     tag_map = build_pattern_map((args.width, args.height), ("--width", "--height"))
-    with _named("--out", OSError):
-        save_map(tag_map, args.out)
+    with _outputs(args, "--out") as write:
+        write("--out", [serialize_map(tag_map)])
     print(f"wrote {len(tag_map)} tags to {args.out}")
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _configure(_load_config(args), args)
-    result = run(cfg)
-    s = result.stats
-    counts = f" ({s.frames} frames, {s.dropped} dropped)" if s.frames else ""
-    print(f"{cfg.trajectory.label}: {_error_text(s, result.frames)}{counts}")
-    for phase, stats in result.phase_stats.items():
-        in_phase = [r for r in result.frames if r.phase == phase]
-        print(f"  {phase}: {_error_text(stats, in_phase)}")
-    if args.out:
-        with _named("--out", OSError):
-            Path(args.out).write_text(format_timeseries_csv(result.frames), encoding="utf-8")
-    if args.log:
-        with _named("--log", OSError):
-            write_frames_jsonl(result.frames, args.log)
+    with _outputs(args, "--out", "--log") as write:
+        result = run(cfg)
+        s = result.stats
+        counts = f" ({s.frames} frames, {s.dropped} dropped)" if s.frames else ""
+        print(f"{cfg.trajectory.label}: {_error_text(s, result.frames)}{counts}")
+        for phase, stats in result.phase_stats.items():
+            in_phase = [r for r in result.frames if r.phase == phase]
+            print(f"  {phase}: {_error_text(stats, in_phase)}")
+        write("--out", [format_timeseries_csv(result.frames)])
+        write("--log", (json.dumps(frame_to_json(r)) + "\n" for r in result.frames))
     return 0
 
 
@@ -419,11 +440,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with _named("compare.variants", ValueError):  # compare_matrix applies them too
         for variant in variants:
             apply_variant(cfg.pipeline, variant)
-    rows = compare_matrix(cfg, variants, scenarios)
-    with _named("--out", OSError):
-        Path(args.out).write_text(format_compare_csv(rows), encoding="utf-8")
-    print(f"wrote {len(rows)} rows ({len(scenarios)} scenarios x "
-          f"{max(len(variants), 1)} variants) to {args.out}")
+    for _, trajectory in scenarios:  # each scenario's frame count must be finite
+        replace(cfg, trajectory=trajectory)
+    with _outputs(args, "--out") as write:
+        rows = compare_matrix(cfg, variants, scenarios)
+        write("--out", [format_compare_csv(rows)])
+    # compare_matrix runs the base scenario or variant for an empty list
+    print(f"wrote {len(rows)} rows ({len(scenarios) or 1} scenarios x "
+          f"{len(variants) or 1} variants) to {args.out}")
     for row in rows:
         if not row.stats.frames:
             print(f"{row.scenario} {row.variant}: no frame produced an estimate "
@@ -435,36 +459,30 @@ def cmd_dump_detections(args: argparse.Namespace) -> int:
     cfg = _configure(_load_config(args), args)
     lines: list[str] = []
     n_frames = 0
-    for n_frames, frame in enumerate(simulate(cfg), 1):
-        lines += format_detection_lines(frame.index, frame.t, frame.detections)
-    with _named("--out", OSError):
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _outputs(args, "--out") as write:
+        for n_frames, frame in enumerate(simulate(cfg), 1):
+            lines += format_detection_lines(frame.index, frame.t, frame.detections)
+        write("--out", ["\n".join(lines) + "\n"])
     print(f"wrote {len(lines)} detections over {n_frames} frames to {args.out}")
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = _configure(_load_config(args), args)
-    with _named("--detections", OSError):  # an error inside the stream names its line
-        frames = read_detection_stream(args.detections)
-    records = run(cfg, frames).frames
-    out_lines = ["frame,t,px,py,pz,qw,qx,qy,qz,tags_used"]
-    for record in records:
-        output = record.output
-        if output.pose is None:
-            out_lines.append(f"{record.frame},{record.t:.6f},,,,,,,,0")
-        else:
-            p = output.pose.position
-            q = output.pose.orientation
-            out_lines.append(
-                f"{record.frame},{record.t:.6f},{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
-                f"{q.w:.9f},{q.x:.9f},{q.y:.9f},{q.z:.9f},{len(output.tags_used)}"
-            )
-    with _named("--out", OSError):
-        Path(args.out).write_text("\n".join(out_lines) + "\n", encoding="utf-8")
-    if args.log:
-        with _named("--log", OSError):
-            write_frames_jsonl(records, args.log)
+    frames = _read("--detections", args.detections, parse_detection_stream)
+    with _outputs(args, "--out", "--log") as write:
+        records = run(cfg, frames).frames
+        out_lines = ["frame,t,px,py,pz,qw,qx,qy,qz,tags_used"]
+        for record in records:
+            output = record.output
+            if output.pose is None:
+                out_lines.append(f"{record.frame},{record.t:.6f},,,,,,,,0")
+            else:
+                p, q = output.pose.position, output.pose.orientation
+                out_lines.append(f"{record.frame},{record.t:.6f},{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
+                                 f"{q.w:.9f},{q.x:.9f},{q.y:.9f},{q.z:.9f},{len(output.tags_used)}")
+        write("--out", ["\n".join(out_lines) + "\n"])
+        write("--log", (json.dumps(frame_to_json(r)) + "\n" for r in records))
     print(f"replayed {len(records)} frames to {args.out}")
     return 0
 

@@ -15,10 +15,8 @@ input.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -128,21 +126,21 @@ def steps_trajectory_t2(xy: Sequence[float] = DEFAULT_T2_XY, yaw: float = 0.0) -
     return Trajectory("t2", duration, at)
 
 
-def load_waypoints(path: str | Path) -> tuple[tuple[tuple[float, float, float], float], ...]:
-    """Waypoint file: one `x y z yaw` line per waypoint (SI units, radians),
+def parse_waypoints(text: str) -> tuple[tuple[tuple[float, float, float], float], ...]:
+    """Waypoint text: one `x y z yaw` line per waypoint (SI units, radians),
     '#' comments. Returns ((x, y, z), yaw) tuples for spline_trajectory_t3."""
     waypoints = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         if len(tokens) != 4:
-            raise ValueError(f"{path}: line {line_no}: expected 'x y z yaw', got {len(tokens)} fields")
+            raise ValueError(f"line {line_no}: expected 'x y z yaw', got {len(tokens)} fields")
         try:
             x, y, z, yaw = (parse_finite_float(t) for t in tokens)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            raise ValueError(f"line {line_no}: {exc}") from None
         waypoints.append(((x, y, z), yaw))
     return tuple(waypoints)
 
@@ -439,8 +437,3 @@ def frame_to_json(record: FrameRecord) -> dict:
         "trace": record.output.stage_trace.to_dict(),
     }
 
-
-def write_frames_jsonl(frames: Sequence[FrameRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in frames:
-            handle.write(json.dumps(frame_to_json(record)) + "\n")

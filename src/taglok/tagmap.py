@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -183,11 +182,7 @@ def build_pattern_map(extent: tuple[float, float],
 
 
 class MapFormatError(ValueError):
-    """Raised on malformed map files; message names the offending line."""
-
-
-def save_map(tag_map: TagMap, path: str | Path) -> None:
-    Path(path).write_text(serialize_map(tag_map), encoding="utf-8")
+    """Raised on malformed map text; message names the offending line."""
 
 
 def serialize_map(tag_map: TagMap) -> str:
@@ -200,13 +195,6 @@ def serialize_map(tag_map: TagMap) -> str:
             f"{p[0]!r} {p[1]!r} {p[2]!r} {q.w!r} {q.x!r} {q.y!r} {q.z!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def load_map(path: str | Path) -> TagMap:
-    try:
-        return parse_map(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise MapFormatError(f"{path}: {exc}") from None
 
 
 def parse_finite_float(token: str) -> float:

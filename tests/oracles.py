@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
@@ -714,18 +713,18 @@ def loop_detect(tag_map, cam, noise, body_pose_true: Pose, frame_index: int) -> 
 
 # --- the detection stream grouped line by line (bitwise reference) ---
 
-def loop_read_detection_stream(path: str | Path) -> list[Frame]:
-    """Frames of a dumped detection stream in frame order, without ground
-    truth. A frame takes its time from its first line; errors name the file
-    and line."""
+def loop_read_detection_stream(text: str) -> list[Frame]:
+    """Frames of a dumped detection stream's text in frame order, without
+    ground truth. A frame takes its time from its first line; errors name
+    the line."""
     by_index: dict[int, tuple[float, list[tuple]]] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             index, t, *row = parse_detection_line(line)
         except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+            raise ValueError(f"line {line_no}: {exc}") from None
         by_index.setdefault(index, (t, []))[1].append(row)
     return [Frame(index, t, None, DetectionRows(*(np.array(column) for column in zip(*rows))))
             for index, (t, rows) in sorted(by_index.items())]

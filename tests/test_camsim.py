@@ -16,7 +16,7 @@ from taglok.camsim import (
     down_facing_mount,
     format_detection_lines,
     parse_detection_line,
-    read_detection_stream,
+    parse_detection_stream,
     visible_tags,
 )
 from taglok.geometry import Pose, UnitQuaternion, quat_rotation_angle
@@ -360,16 +360,14 @@ class TestStreamFormat:
         with pytest.raises(ValueError, match=f"non-finite {name} '{bad}'"):
             parse_detection_line(" ".join(tokens))
 
-    def test_stream_grouped_by_frame_in_frame_order(self, tmp_path):
+    def test_stream_grouped_by_frame_in_frame_order(self):
         lines = [format_detection_lines(frame, t, one_row(tag, (0.1, -0.2, 1.5)))[0]
                  for frame, t, tag in ((3, 0.15, 7), (1, 0.05, 2), (3, 0.15, 4))]
-        path = tmp_path / "stream.txt"
-        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n", encoding="utf-8")
-        frames = read_detection_stream(path)
+        frames = parse_detection_stream("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
         assert [(f.index, f.t, f.truth) for f in frames] == [(1, 0.05, None), (3, 0.15, None)]
         assert [f.detections.ids.tolist() for f in frames] == [[2], [7, 4]]
 
-    def test_stream_reads_back_simulated_rows(self, tmp_path):
+    def test_stream_reads_back_simulated_rows(self):
         noise = NoiseModel(0.01, 0.02, 100.0, outlier_probability=0.1,
                            outlier_position_scale=12.0, outlier_rotation_scale=8.0, seed=7)
         cfg = RunConfig(replace(spline_trajectory_t3(), duration=2.0),
@@ -385,10 +383,8 @@ class TestStreamFormat:
                  for line in format_detection_lines(f.index, f.t, f.detections)]
         lines += format_detection_lines(last.index + 1, 2.05, repeated)
         lines += format_detection_lines(last.index + 2, 2.1, unknown)
-        path = tmp_path / "stream.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-        frames = read_detection_stream(path)
+        frames = parse_detection_stream("\n".join(lines) + "\n")
         expected = [(f.index, f.t, f.detections) for f in simulated]
         expected += [(last.index + 1, 2.05, repeated), (last.index + 2, 2.1, unknown)]
         assert len(frames) == len(expected) > 30

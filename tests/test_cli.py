@@ -18,7 +18,15 @@ from taglok.cli import (
 )
 from taglok.geometry import UnitQuaternion
 from taglok.pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme
-from taglok.tagmap import build_pattern_map, load_map, save_map, serialize_map
+from taglok.tagmap import build_pattern_map, parse_map, serialize_map
+
+
+def save_map(tag_map, path):
+    Path(path).write_text(serialize_map(tag_map), encoding="utf-8")
+
+
+def load_map(path):
+    return parse_map(Path(path).read_text(encoding="utf-8"))
 
 
 def write_cfg(tmp_path, text="", name="cfg.ini"):
@@ -278,8 +286,58 @@ class TestExitCodes:
         directory = tmp_path / "adir"
         directory.mkdir()
         assert main([command, *(a.format(**paths) for a in args), flag, str(directory)]) == 2
-        assert capsys.readouterr().err == (f"taglok: {flag}: [Errno 21] Is a directory: "
+        # outputs are opened before the work: nothing is printed or written
+        assert capsys.readouterr() == ("", f"taglok: {flag}: [Errno 21] Is a directory: "
                                            f"'{directory}'\n")
+        assert not paths["out"].exists() or paths["out"].read_bytes() == b""
+
+    @pytest.mark.parametrize("command, args", [
+        ("run", ["--frames", "3"]),
+        ("replay", ["--detections", "{stream}"]),
+        ("replay", ["--detections", "{empty}"]),  # no record: an empty log, a CSV header
+    ], ids=["run", "replay", "replay-empty-stream"])
+    def test_out_and_log_naming_one_file_leave_the_log(self, tmp_path, command, args):
+        stream, empty = tmp_path / "stream.txt", tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        cfg = write_cfg(tmp_path, QUICK)
+        assert main(["dump-detections", "--config", cfg, "--out", str(stream)]) == 0
+        argv = [command, "--config", cfg, *(a.format(stream=stream, empty=empty) for a in args)]
+        both, log = tmp_path / "both.txt", tmp_path / "frames.jsonl"
+        assert main([*argv, "--out", str(both), "--log", str(both)]) == 0
+        assert main([*argv, "--out", str(tmp_path / "out.csv"), "--log", str(log)]) == 0
+        assert both.read_bytes() == log.read_bytes()
+
+    BAD_UTF8 = {"leading-ff-fe": lambda text: b"\xff\xfe" + text,
+                "lone-80-mid-line": lambda text: text[:5] + b"\x80" + text[5:],
+                "truncated-e2-82-at-end": lambda text: text + b"\xe2\x82"}
+
+    @pytest.mark.parametrize("case", BAD_UTF8)
+    @pytest.mark.parametrize("command, config, args, named", [
+        ("run", "", [], "--config"),
+        ("run", "[trajectory]\nkind = t3\nwaypoints = {file}\n", [], "trajectory.waypoints"),
+        ("run", "[map]\nfile = {file}\n", [], "map.file"),
+        ("run", "", ["--map", "{file}"], "--map"),
+        ("replay", "", ["--detections", "{file}", "--out", "{out}"], "--detections"),
+    ], ids=["config", "waypoints", "map-file", "map-flag", "detections"])
+    def test_a_file_that_is_not_utf8_is_named_by_its_key_or_flag(self, tmp_path, capsys, case,
+                                                                 command, config, args, named):
+        valid = {"--config": "[trajectory]\nduration = 0.05\n",
+                 "trajectory.waypoints": "0 0 1 0\n1 0 1.2 0.1\n2 1 1.4 0.2\n",
+                 "map.file": serialize_map(build_pattern_map((0.94, 0.94))),
+                 "--map": serialize_map(build_pattern_map((0.94, 0.94))),
+                 "--detections": "0 0.0 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0\n"}[named]
+        paths = {"file": tmp_path / "input.txt", "out": tmp_path / "out.csv"}
+        data = self.BAD_UTF8[case](valid.encode("utf-8"))
+        paths["file"].write_bytes(data)
+        cfg = write_cfg(tmp_path, config.format(**paths))
+        if named == "--config":
+            Path(cfg).write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            data.decode("utf-8")
+        assert main([command, "--config", cfg, *(a.format(**paths) for a in args)]) == 2
+        assert capsys.readouterr() == ("", f"taglok: {named}: {decoding.value}\n")
+        assert str(decoding.value).startswith("'utf-8' codec can't decode ")
+        assert not paths["out"].exists()
 
     @pytest.mark.parametrize("config, message", [
         ("iqr_gain = 1\n",
@@ -781,6 +839,32 @@ class TestCompareCommand:
             + [f"hover:1e308:2:1 {v}: no frame produced an estimate (3 dropped)\n"
                for v in variants])
 
+    @pytest.mark.parametrize("line, printed, cells", [
+        ("scenarios =", "5 rows (1 scenarios x 5 variants)",
+         [["hover", v] for v in ("jbt", "all-noor", "all-or", "tbs-noor", "tbs-or")]),
+        ("variants =", "3 rows (3 scenarios x 1 variants)",
+         [[f"hover:1.5:2.5:{z}", "base"] for z in ("0.8", "1.4", "2.0")]),
+    ], ids=["no-scenarios", "no-variants"])
+    def test_an_empty_list_is_counted_as_the_base_it_runs(self, tmp_path, capsys, line, printed,
+                                                         cells):
+        cfg = write_cfg(tmp_path, f"[trajectory]\nduration = 0.15\n[compare]\n{line}\n")
+        out = tmp_path / "r.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+        assert capsys.readouterr().out == f"wrote {printed} to {out}\n"
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == cells
+
+    def test_a_scenario_without_a_finite_frame_count_fails_before_the_work(self, tmp_path,
+                                                                           capsys):
+        cfg = write_cfg(tmp_path, "[trajectory]\nkind = t1\nduration = 1e308\n"
+                                  "[compare]\nvariants = jbt\nscenarios = hover:1:2:1\n")
+        out = tmp_path / "r.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out), "--seed", "1"]) == 2
+        assert capsys.readouterr() == ("", "taglok: run.sample_rate: 20.0 Hz over a "
+                                           "trajectory.duration of 1e+308 s gives no finite "
+                                           "frame count\n")
+        assert not out.exists()
+
     def test_a_cell_without_estimates_has_empty_error_fields(self, tmp_path):
         cfg = write_cfg(tmp_path, "[compare]\nvariants = jbt\nscenarios = hover:50:50:1\n")
         out = tmp_path / "r.csv"
@@ -790,7 +874,7 @@ class TestCompareCommand:
 
 class TestDumpAndReplay:
     def test_round_trip_matches_direct_run(self, tmp_path):
-        from taglok.camsim import read_detection_stream
+        from taglok.camsim import parse_detection_stream
         from taglok.harness import frame_to_json
         from taglok.harness import run as run_experiment
 
@@ -822,7 +906,7 @@ class TestDumpAndReplay:
             rows[int(frame)] = rest
         assert rows == expected
 
-        replayed = run_experiment(cfg, read_detection_stream(stream))
+        replayed = run_experiment(cfg, parse_detection_stream(stream.read_text(encoding="utf-8")))
         no_estimate = [r.frame for r in replayed.frames if r.output.pose is None]
         assert no_estimate == [10]
         assert replayed.stats.frames == 0

@@ -48,7 +48,7 @@ def quick_config(default_map, trajectory, noise=None, seed=0, pipeline=None, sam
 
 
 def save_waypoints(waypoints, path):
-    """Write waypoints in the format load_waypoints reads, floats by repr."""
+    """Write waypoints in the format parse_waypoints reads, floats by repr."""
     lines = ["# x y z yaw  (meters, radians)"]
     for (x, y, z), yaw in waypoints:
         lines.append(f"{float(x)!r} {float(y)!r} {float(z)!r} {float(yaw)!r}")
@@ -195,22 +195,20 @@ class TestSplineTrajectoryT3:
         assert total_sweep == pytest.approx(2.0 * math.pi)
 
     def test_waypoint_fixture_file_matches_default(self):
-        from taglok.harness import load_waypoints
+        from taglok.harness import parse_waypoints
         fixture = Path(__file__).parent / "data" / "t3_default_waypoints.txt"
-        assert load_waypoints(fixture) == DEFAULT_T3_WAYPOINTS
+        assert parse_waypoints(fixture.read_text(encoding="utf-8")) == DEFAULT_T3_WAYPOINTS
 
     def test_waypoint_file_round_trip(self, tmp_path):
-        from taglok.harness import load_waypoints
+        from taglok.harness import parse_waypoints
         path = tmp_path / "wp.txt"
         save_waypoints(DEFAULT_T3_WAYPOINTS, path)
-        assert load_waypoints(path) == DEFAULT_T3_WAYPOINTS
+        assert parse_waypoints(path.read_text(encoding="utf-8")) == DEFAULT_T3_WAYPOINTS
 
-    def test_waypoint_file_errors_name_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 0 1 0\n1 1\n", encoding="utf-8")
-        from taglok.harness import load_waypoints
+    def test_waypoint_file_errors_name_line(self):
+        from taglok.harness import parse_waypoints
         with pytest.raises(ValueError, match="line 2"):
-            load_waypoints(path)
+            parse_waypoints("0 0 1 0\n1 1\n")
 
 
 def spline_cases():

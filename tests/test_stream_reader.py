@@ -1,6 +1,6 @@
 """The column-buffer stream reader against the line-by-line grouping reader.
 
-`read_detection_stream` packs the lines of a stream into one whole-stream
+`parse_detection_stream` packs the lines of a stream into one whole-stream
 buffer and gives every frame slices of its columns; `loop_read_detection_stream`
 keeps one tuple per line, groups them by frame in a dict and stacks each
 frame's rows. Both must give the same frames bit for bit: the same frame
@@ -18,7 +18,7 @@ import struct
 import numpy as np
 import pytest
 
-from taglok.camsim import parse_detection_line, read_detection_stream
+from taglok.camsim import parse_detection_line, parse_detection_stream
 from taglok.geometry import UnitQuaternion
 
 from oracles import loop_read_detection_stream
@@ -77,10 +77,8 @@ def stream_lines(draw) -> list[str]:
     return lines
 
 
-def write(tmp_path_factory, lines: list[str]):
-    path = tmp_path_factory.mktemp("stream") / "stream.txt"
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    return path
+def stream_text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def assert_same_frames(got, want):
@@ -97,9 +95,9 @@ def assert_same_frames(got, want):
 
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(lines=stream_lines())
-def test_reader_equals_grouping_reader(tmp_path_factory, lines):
-    path = write(tmp_path_factory, lines)
-    assert_same_frames(read_detection_stream(path), loop_read_detection_stream(path))
+def test_reader_equals_grouping_reader(lines):
+    text = stream_text(lines)
+    assert_same_frames(parse_detection_stream(text), loop_read_detection_stream(text))
 
 
 @pytest.mark.parametrize("lines", [
@@ -111,10 +109,10 @@ def test_reader_equals_grouping_reader(tmp_path_factory, lines):
      "3 0.2 7 0.1 -0.2 1.5 1.0 0.0 0.0 0.0 62.0",
      "+1 0.1 7 0.1 -0.2 1.5 0.0 0.0 0.0 1.0 63.0"],
 ], ids=["empty", "blank-only", "one-line", "interleaved-repeated"])
-def test_reader_equals_grouping_reader_on_edge_streams(tmp_path_factory, lines):
-    path = write(tmp_path_factory, lines)
-    frames = read_detection_stream(path)
-    assert_same_frames(frames, loop_read_detection_stream(path))
+def test_reader_equals_grouping_reader_on_edge_streams(lines):
+    text = stream_text(lines)
+    frames = parse_detection_stream(text)
+    assert_same_frames(frames, loop_read_detection_stream(text))
     assert len(frames) == len({line.split()[0].lstrip("+") for line in lines if line.strip()})
 
 
@@ -122,18 +120,18 @@ def test_reader_equals_grouping_reader_on_edge_streams(tmp_path_factory, lines):
 @hypothesis.given(lines=stream_lines(), bad=st.lists(st.sampled_from(BAD_LINES), min_size=2,
                                                     max_size=2),
                   where=st.lists(st.integers(0, 20), min_size=2, max_size=2))
-def test_first_bad_line_wins_in_both_readers(tmp_path_factory, lines, bad, where):
+def test_first_bad_line_wins_in_both_readers(lines, bad, where):
     lines = list(lines)
     for line, at in zip(bad, sorted(where)):
         lines.insert(min(at, len(lines)), line)
-    path = write(tmp_path_factory, lines)
+    text = stream_text(lines)
     with pytest.raises(ValueError) as got:
-        read_detection_stream(path)
+        parse_detection_stream(text)
     with pytest.raises(ValueError) as want:
-        loop_read_detection_stream(path)
+        loop_read_detection_stream(text)
     assert str(got.value) == str(want.value)
     first = next(n for n, line in enumerate(lines, 1) if line in BAD_LINES)
-    assert str(got.value).startswith(f"{path}: line {first}: ")
+    assert str(got.value).startswith(f"line {first}: ")
 
 
 def outcome(make):

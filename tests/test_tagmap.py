@@ -13,9 +13,7 @@ from taglok.tagmap import (
     TagEntry,
     TagMap,
     build_pattern_map,
-    load_map,
     parse_map,
-    save_map,
     serialize_map,
 )
 
@@ -176,11 +174,9 @@ class TestTagMap:
 
 
 class TestMapFile:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         tag_map = build_pattern_map((3.0, 5.0))
-        path = tmp_path / "map.txt"
-        save_map(tag_map, path)
-        loaded = load_map(path)
+        loaded = parse_map(serialize_map(tag_map))
         assert loaded.extent == tag_map.extent
         assert len(loaded) == len(tag_map)
         for a, b in zip(tag_map.entries, loaded.entries):
