@@ -15,6 +15,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -36,13 +37,21 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])  # rotation axis when the drawn one is ~zero
 _CULL_MARGIN_PX = 1.0
 _PREVIOUS_CORNER = np.array([3, 0, 1, 2])  # corners run counterclockwise
 
-# numpy's SeedSequence hash constants and the PCG64 LCG multiplier (as its
-# high and low 64-bit halves)
+# numpy's SeedSequence hash constants and the PCG64 LCG multiplier
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# The stream arithmetic's operands are 0-d arrays of the dtype they meet: a
+# Python int operand is converted anew on every call, which costs numpy 2
+# about as much again as the operation itself on a frame's rows.
+_U32_16, _U32_MIX_L, _U32_MIX_R = (np.array(value, dtype=np.uint32)
+                                   for value in (16, _MIX_MULT_L, _MIX_MULT_R))
+(_U64_1, _U64_8, _U64_9, _U64_11, _U64_32, _U64_58, _U64_63, _U64_64, _U64_BYTE,
+ _U64_LOW32, _U64_LOW52) = (np.array(value, dtype=np.uint64) for value in (
+     1, 8, 9, 11, 32, 58, 63, 64, 0xFF, _MASK32, 2**52 - 1))
 
 
 @dataclass(frozen=True)
@@ -199,24 +208,26 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
                                 & (v >= -_CULL_MARGIN_PX) & (v <= height + _CULL_MARGIN_PX))
 
     # one 2-D product projects every corner: (k, 4, 3)
-    corners_cam = (m.corners[candidates].reshape(-1, 3) @ R.T).reshape(-1, 4, 3) + t
+    corners_cam = (m.corners.take(candidates, axis=0).reshape(-1, 3) @ R.T).reshape(-1, 4, 3) + t
+    # a corner not in front of the camera projects to NaN, which no bound takes
     z = corners_cam[:, :, 2]
-    ahead = z > 1e-9
-    z_safe = np.where(ahead, z, 1.0)
+    z_safe = np.where(z > 1e-9, z, np.nan)
     u = cam.principal[0] + cam.focal_px * corners_cam[:, :, 0] / z_safe
     v = cam.principal[1] + cam.focal_px * corners_cam[:, :, 1] / z_safe
-    seen = np.logical_and.reduce(ahead & (u >= 0) & (u <= width) & (v >= 0) & (v <= height),
+    seen = np.logical_and.reduce((u >= 0) & (u <= width) & (v >= 0) & (v <= height),
                                  axis=1)  # every corner in front and inside the image
 
-    du, dv = u - u[:, _PREVIOUS_CORNER], v - v[:, _PREVIOUS_CORNER]  # projected sides
+    # projected sides, NaN for a tag with a corner behind
+    du = u - u.take(_PREVIOUS_CORNER, axis=1)
+    dv = v - v.take(_PREVIOUS_CORNER, axis=1)
     sides = np.sqrt(du * du + dv * dv)
     apparent = (sides[:, 0] + sides[:, 1] + sides[:, 2] + sides[:, 3]) / 4.0  # their mean
 
-    keep = seen & (apparent >= cam.detect_threshold_px)
-    rows, apparent = candidates[keep], apparent[keep]
+    keep = np.flatnonzero(seen & (apparent >= cam.detect_threshold_px))
+    rows, apparent = candidates.take(keep), apparent.take(keep)
     cam_q = np.array(cam_q)
-    return DetectionRows(m.ids[rows], t + rotate_rows(cam_q, m.positions[rows]),
-                         quat_multiply_rows(cam_q, m.quats[rows]), apparent)
+    return DetectionRows(m.ids.take(rows), t + rotate_rows(cam_q, m.positions.take(rows, axis=0)),
+                         quat_multiply_rows(cam_q, m.quats.take(rows, axis=0)), apparent)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -246,12 +257,14 @@ def _hash(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """SeedSequence's hashmix of the rows of `words`, one multiplier step of
     `chain` per row."""
     mixed = (words ^ chain[:-1]) * chain[1:]
-    return mixed ^ (mixed >> 16)
+    mixed ^= mixed >> _U32_16
+    return mixed
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return mixed ^ (mixed >> 16)
+    mixed = _U32_MIX_L * x - _U32_MIX_R * y
+    mixed ^= mixed >> _U32_16
+    return mixed
 
 
 def _hash_int(word: int, chain: tuple[int, ...], k: int) -> int:
@@ -263,6 +276,18 @@ def _hash_int(word: int, chain: tuple[int, ...], k: int) -> int:
 def _mix_int(x: int, y: int) -> int:
     mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return mixed ^ (mixed >> 16)
+
+
+def _mixing_chain(src: int) -> np.ndarray:
+    """For source word `src` of SeedSequence's all-into-all mixing, a (5, 1)
+    chain that `_hash` turns into one hash per pool word: the source's three
+    steps in turn for the other words, and for its own row a repeat, whose
+    result is dropped."""
+    own = _hash_chain(_INIT_A, _MULT_A, 16)[0][4 + 3 * src:8 + 3 * src]
+    return np.array([*own[:src + 1], *own[src:]], dtype=np.uint32)[:, None]
+
+
+_MIXING_CHAINS = [_mixing_chain(src) for src in range(4)]
 
 
 def _seed_pool(prefix: list[int], id_words: np.ndarray) -> np.ndarray:
@@ -280,20 +305,20 @@ def _seed_pool(prefix: list[int], id_words: np.ndarray) -> np.ndarray:
     held = min(len(prefix), 4)  # pool words 0 ... held - 1 start from prefix words
     pool = [_hash_int(word, ints, k) for k, word in enumerate(prefix[:held])]
     rows = _hash(id_words[:4 - held], chain[held:5])  # the others start from id words
-    c = 4
-    for src in range(4):  # every word into every other, in numpy's order
-        dst = [d for d in range(4) if d != src]
-        if src < held:  # an int word: its hashes are ints too
-            hashed = [_hash_int(pool[src], ints, c + j) for j in range(3)]
-            pool = [x if d == src else _mix_int(x, hashed[d - (d > src)])
-                    for d, x in enumerate(pool)]
-            rows = _mix(rows, np.array(hashed[held - 1:], dtype=np.uint32)[:, None])
-        else:
-            if src == held:  # id words enter the int words from here on
-                held_rows = np.array(pool, dtype=np.uint32)[:, None].repeat(len(lo), axis=1)
-                rows = np.concatenate([held_rows, rows])
-            rows[dst] = _mix(rows[dst], _hash(rows[src], chain[c:c + 4]))
-        c += 3
+    # every word into every other, in numpy's order; an int word's hashes are ints too
+    for src in range(held):
+        hashed = [_hash_int(pool[src], ints, 4 + 3 * src + j) for j in range(3)]
+        pool = [x if d == src else _mix_int(x, hashed[d - (d > src)])
+                for d, x in enumerate(pool)]
+        rows = _mix(rows, np.array(hashed[held - 1:], dtype=np.uint32)[:, None])
+    if held < 4:  # id words enter the int words from here on
+        rows = np.concatenate([np.array(pool, dtype=np.uint32)[:, None].repeat(len(lo), axis=1),
+                               rows])
+    for src in range(held, 4):  # into all four rows at once; the source's own keeps its value
+        mixed = _mix(rows, _hash(rows[src], _MIXING_CHAINS[src]))
+        mixed[src] = rows[src]
+        rows = mixed
+    c = 16
     for k, word in enumerate(words[4:], start=4):
         if k < len(prefix):  # every pool word is still an int
             pool = [_mix_int(x, _hash_int(word, ints, c + j)) for j, x in enumerate(pool)]
@@ -306,47 +331,52 @@ def _seed_pool(prefix: list[int], id_words: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _mulhi64(a: np.ndarray, b: int | np.ndarray) -> np.ndarray:
-    """The high 64 bits of each 128-bit product a * b, from 32-bit halves."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    cross0, cross1 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
-    return a1 * b1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+def _jump_constants(steps: int) -> tuple[np.ndarray, ...]:
+    """The factors (A^k, A^k + C_k) for k = 1 ... steps as (steps, 2, 1)
+    uint64 arrays: their high halves, their low halves, and the low and
+    high 32 bits of those.
 
-
-def _mul128(hi: np.ndarray, lo: np.ndarray, factor_hi: int | np.ndarray,
-            factor_lo: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The products (hi, lo) * factor mod 2**128 in uint64 halves; the
-    factor's halves are ints or uint64 arrays that broadcast against the rows."""
-    return _mulhi64(lo, factor_lo) + hi * factor_lo + lo * factor_hi, lo * factor_lo
-
-
-def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray, b_lo: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """The sums a + b mod 2**128 in uint64 halves."""
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo), lo
-
-
-def _jump_constants(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The factors (A^k, C_k) for k = 1 ... steps, as (steps, 2, 1) uint64
-    high and low halves: k steps of the LCG take a state s with increment
-    inc to A^k * s + C_k * inc mod 2**128, where C_1 = 1 and
-    C_{k+1} = A * C_k + 1."""
-    multiplier, modulus = _PCG_MULT_HI << 64 | _PCG_MULT_LO, 1 << 128
-    factors = [(multiplier, 1)]
-    for _ in range(steps - 1):
-        power, total = factors[-1]
-        factors.append((power * multiplier % modulus, (total * multiplier + 1) % modulus))
+    k steps of the LCG take a state s with increment inc to
+    A^k * s + C_k * inc mod 2**128, where C_1 = 1 and C_{k+1} = A * C_k + 1.
+    Seeding ends with one step from the state inc + seed, so the state k
+    steps past that one is A^k * seed + (A^k + C_k) * inc: these factors
+    take the seed and the increment as `_stream_seeds` gives them, and fold
+    seeding's last add into the jump."""
+    modulus, power, total, factors = 1 << 128, 1, 0, []
+    for _ in range(steps):
+        power, total = power * _PCG_MULT % modulus, (total * _PCG_MULT + 1) % modulus
+        factors.append((power, (power + total) % modulus))
     wide = np.array(factors, dtype=object)[:, :, None]
-    return (wide >> 64).astype(np.uint64), (wide & (2**64 - 1)).astype(np.uint64)
+    low = wide & (2**64 - 1)
+    return tuple(part.astype(np.uint64) for part in (wide >> 64, low, low & _MASK32, low >> 32))
 
 
-# each tag's first draws: one uniform and seven normals, each one raw word
-# when the normals take the ziggurat's fast path; they come from the states
-# 2 ... 9 steps past `_stream_seeds`' state, which seeding steps once
-_JUMP_HI, _JUMP_LO = (halves[1:] for halves in _jump_constants(9))
+# the seeded state is one step past inc + seed; each tag's first draws (one
+# uniform and seven normals, each one raw word when the normals take the
+# ziggurat's fast path) come from the states 2 ... 9 steps past it
+_JUMP_FACTORS = _jump_constants(9)
+_SEEDED = tuple(part[:1] for part in _JUMP_FACTORS)
+_DRAWS = tuple(part[1:] for part in _JUMP_FACTORS)
+
+
+def _jump(words: np.ndarray, factors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The states A^k * seed + (A^k + C_k) * inc mod 2**128 for the k of
+    `factors` (`_jump_constants` rows), as (k, n) uint64 high and low halves;
+    `words` is `_stream_seeds`' (4, n) array, whose rows 0 and 2 are the
+    high halves of (seed, inc) and rows 1 and 3 their low halves."""
+    hi, lo = words[0::2], words[1::2]
+    factor_hi, factor_lo, b0, b1 = factors
+    a0, a1 = lo & _U64_LOW32, lo >> _U64_32
+    # the high 64 bits of lo * factor_lo from 32-bit halves; no sum overflows
+    low = a0 * b0
+    mid = a1 * b0 + (low >> _U64_32)
+    cross = a0 * b1 + (mid & _U64_LOW32)
+    terms_hi = (a1 * b1 + (mid >> _U64_32) + (cross >> _U64_32)
+                + hi * factor_lo + lo * factor_hi)  # (k, 2, n)
+    terms_lo = lo * factor_lo
+    state_lo = np.add.reduce(terms_lo, axis=1)
+    return np.add.reduce(terms_hi, axis=1) + (state_lo < terms_lo[:, 1]), state_lo
+
 
 # numpy's 256-layer ziggurat for standard normals (random_standard_normal):
 # a raw word r is layer r & 0xff, sign bit 8 and magnitude rabs = the 52 bits
@@ -354,7 +384,6 @@ _JUMP_HI, _JUMP_LO = (halves[1:] for halves in _jump_constants(9))
 # tables are numpy's own (ziggurat_constants.h) as big-endian 64-bit words,
 # wi as float64 bit patterns; ki[1] is 0, so wi[1] never gives a draw here.
 # test_camsim re-derives both from the installed numpy.
-_MASK52 = 2**52 - 1
 _ZIGGURAT_WI = np.frombuffer(bytes.fromhex("""
     3ccf493b7815d979 3c8b8d0be3fdf6c6 3c9250af3c2c5bb4 3c957cb938443b61 3c9801fce82fa70c
     3c9a230c2e4cd0bc 3c9c004d2f3861f7 3c9dac2f5a747274 3c9f32482d4cd5c3 3ca04d32278ebbad
@@ -465,36 +494,49 @@ _ZIGGURAT_KI = np.frombuffer(bytes.fromhex("""
 """), dtype=">u8").astype(np.uint64)
 
 
-def _stream_seeds(seed: int, frame_index: int, ids: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 128-bit state of `PCG64((seed, frame_index, id))` per id one LCG
-    step before seeding ends, and its increment, as uint64 halves (state
-    high, state low, inc high, inc low).
+# SeedSequence's generate_state: eight hash steps over the pool's four words
+# twice, as (2, 4, 1) xor and multiplier constants against a (4, n) pool
+_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)[1]
+_STATE_XOR, _STATE_MULT = _STATE_CHAIN[:-1].reshape(2, 4, 1), _STATE_CHAIN[1:].reshape(2, 4, 1)
+
+
+def _stream_seeds(seed: int, frame_index: int, ids: np.ndarray) -> np.ndarray:
+    """The seed and increment `PCG64((seed, frame_index, id))` is seeded
+    with, per id, as a (4, n) array of uint64 halves: seed high, seed low,
+    inc high, inc low, inc being already the odd 2 * word + 1.
 
     numpy's seeding, computed for all ids at once: SeedSequence hashes the
     uint32 words of (seed, frame, id) into a pool of four words and draws
-    four uint64 words from it, which pcg_setseq_128_srandom_r turns into an
-    odd increment and the state inc + initstate, then steps once.
+    four uint64 words from it; pcg_setseq_128_srandom_r makes the last two
+    the increment, sets the state to inc + seed and steps once. That add
+    and step are left to `_jump`, whose factors fold them in.
     """
     if seed < 0 or frame_index < 0 or (len(ids) and ids.min() < 0):
         raise ValueError("noise stream keys (seed, frame, tag id) must be non-negative")
     id_words = ids.astype("<u8").view("<u4").reshape(-1, 2).T  # (low, high) words
     pool = _seed_pool(_uint32_words(seed) + _uint32_words(frame_index), id_words)
-    chain = _hash_chain(_INIT_B, _MULT_B, 8)[1]
-    words = _hash(np.concatenate([pool, pool]), chain).astype(np.uint64)
-    seed_hi, seed_lo, inc_hi, inc_lo = words[0::2] | (words[1::2] << 32)
-    inc_hi = (inc_hi << 1) | (inc_lo >> 63)
-    inc_lo = (inc_lo << 1) | 1
-    return *_add128(inc_hi, inc_lo, seed_hi, seed_lo), inc_hi, inc_lo  # inc is the first step
+    mixed = (pool ^ _STATE_XOR) * _STATE_MULT
+    mixed ^= mixed >> _U32_16
+    drawn = mixed.reshape(8, -1)
+    # each id's eight uint32 words, side by side, pair up little-endian into
+    # four uint64 words; `_jump` broadcasts their rows at half the cost when
+    # each row is contiguous
+    words = np.ascontiguousarray(np.ascontiguousarray(drawn.T, dtype="<u4").view("<u8").T)
+    inc_hi, inc_lo = words[2:]
+    inc_hi <<= _U64_1
+    inc_hi |= inc_lo >> _U64_63
+    inc_lo <<= _U64_1
+    inc_lo |= _U64_1
+    return words
 
 
 def _seeded_states(seed: int, frame_index: int, ids: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The 128-bit state and increment of `PCG64((seed, frame_index, id))`
     per id, as uint64 halves (state high, state low, inc high, inc low)."""
-    hi, lo, inc_hi, inc_lo = _stream_seeds(seed, frame_index, ids)
-    hi, lo = _add128(*_mul128(hi, lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
+    words = _stream_seeds(seed, frame_index, ids)
+    hi, lo = _jump(words, _SEEDED)
+    return hi[0], lo[0], words[2], words[3]
 
 
 @cache
@@ -511,7 +553,9 @@ def _noise_draws(seed: int, frame_index: int, ids: np.ndarray
     own stream `default_rng((seed, frame_index, id))`, value for value.
 
     All tags' first eight raw outputs come at once, as the XSL-RR outputs of
-    their states 1 ... 8 LCG steps past the seeded one (`_seeded_states`).
+    the states 2 ... 9 LCG steps past inc + seed, which `_jump` reaches from
+    `_stream_seeds`' seed and increment in one product each: seeding's last
+    add and step are folded into its factors.
     The uniform is output 1 as `random()` takes it, (u >> 11) * 2**-53.
     Outputs 2 ... 8 give the seven normals by the fast path of numpy's
     ziggurat, which about nine tags in ten take for all seven. A tag with a
@@ -519,27 +563,27 @@ def _noise_draws(seed: int, frame_index: int, ids: np.ndarray
     gets its normals from numpy's own sampler instead, a PCG64 being set to
     its state after the uniform.
     """
-    hi, lo, inc_hi, inc_lo = _stream_seeds(seed, frame_index, ids)
-    terms_hi, terms_lo = _mul128(np.stack([hi, inc_hi]), np.stack([lo, inc_lo]),
-                                 _JUMP_HI, _JUMP_LO)  # (8, 2, n): A^k * s and C_k * inc
-    hi, lo = _add128(terms_hi[:, 0], terms_lo[:, 0], terms_hi[:, 1], terms_lo[:, 1])
-    xored, rot = hi ^ lo, hi >> 58
-    output = (xored >> rot) | (xored << ((64 - rot) & 63))  # (8, n)
-    uniform = (output[0] >> 11).astype(np.float64) * 2.0**-53
+    words = _stream_seeds(seed, frame_index, ids)
+    hi, lo = _jump(words, _DRAWS)  # (8, n)
+    xored, rot = hi ^ lo, hi >> _U64_58
+    # rotated right by rot; numpy shifts a word by 64 to 0, which rot = 0 needs
+    output = (xored >> rot) | (xored << (_U64_64 - rot))
+    uniform = (output[0] >> _U64_11).astype(np.float64) * 2.0**-53
 
-    words = output[1:]
-    layer = (words & 0xFF).astype(np.intp)
-    magnitude = (words >> 9) & _MASK52
-    drawn = magnitude.astype(np.float64) * _ZIGGURAT_WI[layer]
-    normals = np.ascontiguousarray(np.where((words & 0x100) != 0, -drawn, drawn).T)
-    slow = np.flatnonzero(~(magnitude < _ZIGGURAT_KI[layer]).all(axis=0))
+    draws = output[1:]
+    layer = (draws & _U64_BYTE).view(np.int64)
+    magnitude = (draws >> _U64_9) & _U64_LOW52
+    drawn = magnitude.astype(np.float64) * _ZIGGURAT_WI.take(layer)  # >= 0
+    # bit 8 of the raw word is the sign: it becomes the float's sign bit
+    signed = (drawn.view(np.uint64) | (draws >> _U64_8 << _U64_63)).view(np.float64)
+    normals = np.ascontiguousarray(signed.T)
+    slow = np.flatnonzero((magnitude >= _ZIGGURAT_KI.take(layer)).any(axis=0))
     if len(slow):
         bit_generator, sampler = _stream_sampler()
         state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
         stream = state["state"]
-        for row, high, low, inc_high, inc_low in zip(
-                slow.tolist(), hi[0, slow].tolist(), lo[0, slow].tolist(),
-                inc_hi[slow].tolist(), inc_lo[slow].tolist()):
+        keys = np.array([hi[0], lo[0], words[2], words[3]]).take(slow, axis=1).T.tolist()
+        for row, (high, low, inc_high, inc_low) in zip(slow.tolist(), keys):
             stream["state"], stream["inc"] = high << 64 | low, inc_high << 64 | inc_low
             bit_generator.state = state
             sampler.standard_normal(out=normals[row])
@@ -567,8 +611,9 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     from the tag's stream state.
 
     All tags of the frame are perturbed at once, with the rounding of the
-    per-tag form (`oracles.loop_detect` in the tests): Python's ** for the
-    scale (numpy's array power differs in the last bit), math.cos/math.sin
+    per-tag form (`oracles.loop_detect` in the tests): Python's pow, the
+    one ** calls, for the scale (numpy's array power differs in the last
+    bit), math.cos/math.sin
     (numpy's may follow its SIMD build), and the axis norm as a row-wise dot
     product, the BLAS route np.linalg.norm takes ((a * a).sum rounds
     differently).
@@ -577,7 +622,7 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     n = len(exact)
     uniform, normals = _noise_draws(noise.seed, int(frame_index), exact.ids)
     ref, exponent = noise.reference_apparent_size, noise.size_exponent
-    scale = np.array([ratio ** exponent for ratio in (ref / exact.apparent).tolist()])
+    scale = np.fromiter(map(pow, (ref / exact.apparent).tolist(), repeat(exponent, n)), float, n)
 
     outlier = uniform < noise.outlier_probability
     sigma_p = noise.position_sigma_at_ref * scale
@@ -587,8 +632,9 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     delta_p = normals[:, :3] * sigma_p[:, None]
     axis = normals[:, 3:6]
     norm = np.sqrt((axis[:, None, :] @ axis[:, :, None])[:, 0, 0])
-    usable = norm > 1e-12
-    axis = np.where(usable[:, None], axis / np.where(usable, norm, 1.0)[:, None], _Z_AXIS)
+    unusable = ~(norm > 1e-12)
+    axis = axis / np.where(unusable, 1.0, norm)[:, None]
+    axis[unusable] = _Z_AXIS
     half = (0.5 * np.abs(normals[:, 6] * sigma_r)).tolist()
     # (cos h, sin h * unit axis) is unit to a few ulps, a row UnitQuaternion keeps as it is
     delta_q = np.empty((n, 4))
@@ -596,8 +642,10 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     delta_q[:, 1:] = np.fromiter(map(math.sin, half), float, n)[:, None] * axis
     noisy_p = exact.positions + delta_p
     noisy_q = quat_multiply_rows(exact.quats, delta_q)
-    keep = ~(noisy_p[:, 2] <= 0.0)  # a NaN depth reaches DetectionRows, which rejects it
-    return DetectionRows(exact.ids[keep], noisy_p[keep], noisy_q[keep], exact.apparent[keep])
+    # a NaN depth reaches DetectionRows, which rejects it
+    keep = np.flatnonzero(~(noisy_p[:, 2] <= 0.0))
+    return DetectionRows(exact.ids.take(keep), noisy_p.take(keep, axis=0),
+                         noisy_q.take(keep, axis=0), exact.apparent.take(keep))
 
 
 # --- detection-stream dump (one line per detection, for replay/debugging) ---

@@ -144,21 +144,23 @@ def rotate_vector(q: UnitQuaternion, v: np.ndarray) -> np.ndarray:
 
 def _normalize_rows(q: np.ndarray) -> np.ndarray:
     """UnitQuaternion's construction applied to each (w, x, y, z) row of an
-    (n, 4) array, bit for bit: rows within half the tolerance of unit norm
-    stay as they are, any other row is rescaled by its unit_components, and
-    a row it refuses (a zero or non-finite norm) comes back all NaN. Only
-    the scalar route reproduces its scaling: Python's float ** 2 goes
-    through libm pow, which can differ from x * x in the last bit."""
-    squares = q * q
-    norm = np.sqrt(squares[:, 0] + squares[:, 1] + squares[:, 2] + squares[:, 3])
-    off = np.flatnonzero(~(np.abs(norm - 1.0) <= 0.5 * _NORM_TOL))
-    if len(off):
-        q = q.copy()
-        for i in off:
-            try:
-                q[i] = unit_components(*q[i].tolist())
-            except ValueError:
-                q[i] = np.nan
+    (n, 4) array, bit for bit: rows whose squared norm is within the
+    tolerance of 1 stay as they are, any other row is rescaled by its
+    unit_components, and a row it refuses (a zero or non-finite norm) comes
+    back all NaN. Only the scalar route reproduces its scaling: Python's
+    float ** 2 goes through libm pow, which can differ from x * x in the
+    last bit. A row that stays has a norm within about half the tolerance
+    of 1, which unit_components would return unchanged, so how the squared
+    norm is rounded decides nothing."""
+    near = np.abs(np.einsum("ij,ij->i", q, q) - 1.0) <= _NORM_TOL
+    if near.all():
+        return q
+    q = q.copy()
+    for i in np.flatnonzero(~near).tolist():
+        try:
+            q[i] = unit_components(*q[i].tolist())
+        except ValueError:
+            q[i] = np.nan
     return q
 
 

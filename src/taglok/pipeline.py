@@ -42,6 +42,8 @@ EQUAL_SPREAD_TOL = 1e-9
 _EIGENVALUE_GAP_TOL = 1e-9
 # |qi . qj| of two unit quaternions a quarter turn apart
 _QUARTER_TURN_DOT = math.sqrt(0.5)
+# the 4-D angle arccos|qi . qj| of that pair, less a margin for rounding
+_QUARTER_TURN_ANGLE = math.pi / 4.0 - 1e-6
 # the 10 distinct cells (i <= j) of a symmetric 4 x 4 matrix, and the one
 # of them that fills each of its 16 cells, row by row
 _UPPER_ROWS, _UPPER_COLS = np.triu_indices(4)
@@ -382,12 +384,25 @@ def fuse_rotations_ql2(kept: TagEstimates) -> RotationFusion:
         raise ValueError("cannot fuse an empty estimate set")
     quats = kept.quats
     mean = _sign_aligned_weighted_sum(quats, kept.weights, _reference_index(kept))
-    # a lone estimate has no pair (and a unit row's dot with itself is 1);
-    # fmin skips NaN, so its least |qi . qj| is at most the bound exactly
-    # when some pair's is
-    warning = len(quats) > 1 and bool(
+    return RotationFusion(mean, dispersion_warning=_quarter_turn_apart(quats, mean))
+
+
+def _quarter_turn_apart(quats: np.ndarray, mean: np.ndarray | None) -> bool:
+    """Whether some pair of the unit rows has |qi . qj| <= 1/sqrt(2).
+
+    The 4-D angle arccos|q . p| between unit quaternions is a metric, so no
+    pair is a quarter turn apart when the two rows farthest from the fused
+    mean lie less than pi/4 from it together; most frames are settled so,
+    from one (n, 4) . (4,) product. Any other set is decided by the n x n
+    Gram: a lone row has no pair (and a unit row's dot with itself is 1),
+    and fmin skips NaN, so its least |qi . qj| is at most the bound exactly
+    when some pair's is."""
+    if len(quats) > 1 and mean is not None:
+        first, second = np.sort(np.abs(quats.dot(mean)))[:2].tolist()  # the farthest two
+        if math.acos(min(first, 1.0)) + math.acos(min(second, 1.0)) < _QUARTER_TURN_ANGLE:
+            return False
+    return len(quats) > 1 and bool(
         np.fmin.reduce(np.abs(quats @ quats.T), axis=None) <= _QUARTER_TURN_DOT)
-    return RotationFusion(mean, dispersion_warning=warning)
 
 
 def _cl2_accumulator(quats: np.ndarray, weights: np.ndarray) -> np.ndarray:

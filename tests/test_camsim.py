@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import taglok.camsim
 from taglok.camsim import (
     _ZIGGURAT_KI,
     _ZIGGURAT_WI,
@@ -19,7 +20,7 @@ from taglok.camsim import (
     parse_detection_stream,
     visible_tags,
 )
-from taglok.geometry import Pose, UnitQuaternion, quat_rotation_angle
+from taglok.geometry import Pose, UnitQuaternion, quat_from_yaw, quat_rotation_angle
 from taglok.harness import RunConfig, simulate, spline_trajectory_t3
 from taglok.pipeline import PipelineConfig
 from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
@@ -231,6 +232,35 @@ def test_noise_draws_carry_nothing_from_one_call_to_the_next():
         assert normals.tobytes() == again_normals.tobytes(), key
         rng = np.random.default_rng((*key, int(ids[key][1])))
         assert uniform[1] == rng.random() and np.array_equal(normals[1], rng.standard_normal(7))
+
+
+def test_detect_keeps_no_state_between_calls():
+    # the same (pose, frame, seed) gives the same rows before and after 50
+    # calls at other poses, frames and seeds, and no cache of the module
+    # grows with those calls: the hash chains are keyed by the entropy word
+    # count only, and the slow tags' sampler is one generator
+    tag_map, cam = build_pattern_map((3.0, 5.0)), default_camera()
+    noise = NoiseModel(0.01, 0.02, 100.0, outlier_probability=0.1,
+                       outlier_position_scale=5.0, outlier_rotation_scale=5.0, seed=7)
+    pose = Pose(np.array([1.5, 2.5, 2.0]), quat_from_yaw(0.4))
+
+    def rows():
+        got = detect(tag_map, cam, noise, pose, 3)
+        return [got.ids.tobytes(), got.positions.tobytes(), got.quats.tobytes(),
+                got.apparent.tobytes()]
+
+    before = rows()
+    caches = {name: value for name, value in vars(taglok.camsim).items()
+              if hasattr(value, "cache_info")}
+    assert {"_hash_chain", "_stream_sampler"} <= caches.keys()
+    sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    rng = np.random.default_rng(2501)
+    for k in range(50):
+        other = Pose(np.array([rng.uniform(0.5, 2.5), rng.uniform(0.5, 4.5),
+                               rng.uniform(0.8, 2.5)]), quat_from_yaw(rng.uniform(-3.0, 3.0)))
+        detect(tag_map, cam, replace(noise, seed=int(rng.integers(2**32))), other, k + 4)
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} == sizes
+    assert rows() == before
 
 
 class TestNoiseStatistics:

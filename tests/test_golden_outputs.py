@@ -101,3 +101,12 @@ def test_replay_t3_csv(tmp_path, capsys, t3_stream, variant, digest):
     assert main(["replay", "--config", config, "--detections", str(stream),
                  "--variant", variant, "--out", str(out)]) == 0
     assert _sha256(out) == digest
+
+
+def test_run_hover_log_at_the_first_two_word_seed(tmp_path, capsys):
+    # 2**32 is the first seed SeedSequence takes as two uint32 words
+    log = tmp_path / "hover.jsonl"
+    assert main(["run", "--config", _config(tmp_path, "h.ini", HOVER_INI),
+                 "--seed", "4294967296", "--log", str(log)]) == 0
+    assert len(log.read_text(encoding="utf-8").splitlines()) == 100
+    assert _sha256(log) == "a2490a95ddc30ca7f159d00ebd7641d26a6a349174371a15f2a9702d2de2048b"

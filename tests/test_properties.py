@@ -1,6 +1,8 @@
 """Property tests of outlier removal, the rotation means and `step`
 (hypothesis)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from oracles import (  # noqa: E402
     Detection,
     PerTagEstimate,
     as_bundle,
+    loop_pairwise_dispersion_exceeds,
     naive_outlier_partition,
     rows_from,
     step_detections,
@@ -82,6 +85,40 @@ def test_rotation_means_invariant_to_input_signs(entries):
     assert a.degenerate == b.degenerate
     if not a.degenerate:
         assert np.array_equal(quat_to_matrix(a.quaternion), quat_to_matrix(b.quaternion))
+
+
+# rows a rotation of up to 1.1 rad from a common centre, about any axis: two
+# of them on opposite sides are up to 2.2 rad apart, so clusters fall on
+# both sides of ql2's quarter-turn flag (pi/2 apart) and of the fused-mean
+# bound that skips its Gram
+_axis = st.tuples(_unit, _unit, _unit).filter(lambda a: sum(c * c for c in a) > 1e-2)
+_cluster = st.lists(st.tuples(_axis, st.floats(0.0, 1.1), st.sampled_from([1.0, 2.0, 4.0, 8.0])),
+                    min_size=1, max_size=40)
+
+
+def _gram_flag(rows):
+    """ql2's dispersion flag as the n x n Gram decides it."""
+    return len(rows) > 1 and bool(
+        np.fmin.reduce(np.abs(rows @ rows.T), axis=None) <= math.sqrt(0.5))
+
+
+@settings(deadline=None, max_examples=400)
+@given(centre=_quat, cluster=_cluster)
+def test_ql2_dispersion_flag_matches_the_gram_and_the_pairwise_oracle(centre, cluster):
+    quats, weights = [], []
+    for axis, angle, weight in cluster:
+        s = math.sin(0.5 * angle) / math.sqrt(sum(c * c for c in axis))
+        turn = UnitQuaternion(math.cos(0.5 * angle), *(s * c for c in axis))
+        quats.append(quat_multiply(centre, turn))
+        weights.append(weight)
+    rows = np.array([q.as_array() for q in quats])
+    flag = fuse_rotations_ql2(_estimates(quats, weights)).dispersion_warning
+    assert flag == _gram_flag(rows)
+    # the oracle takes each pair's angle by atan2: a pair within rounding
+    # of the quarter turn may fall on either side
+    dots = np.abs(rows @ rows.T)
+    if not np.any(np.abs(dots - math.sqrt(0.5)) < 1e-9):
+        assert flag == loop_pairwise_dispersion_exceeds(quats, math.pi / 2.0)
 
 
 # one tile: 17 tags of every size class, ids 0-16
