@@ -241,16 +241,16 @@ def _uint32_words(value: int) -> list[int]:
 
 
 @cache
-def _hash_chain(const: int, mult: int, count: int) -> tuple[tuple[int, ...], np.ndarray]:
+def _hash_chain(const: int, mult: int, count: int) -> np.ndarray:
     """`count + 1` successive values of SeedSequence's running hash
-    multiplier, starting at `const`, as ints and as a read-only
-    (count + 1, 1) uint32 column."""
+    multiplier, starting at `const`, as a read-only (count + 1, 1) uint32
+    column."""
     chain = [const]
     for _ in range(count):
         chain.append(chain[-1] * mult & _MASK32)
     column = np.array(chain, dtype=np.uint32)[:, None]
     column.flags.writeable = False
-    return tuple(chain), column
+    return column
 
 
 def _hash(words: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -267,68 +267,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed
 
 
-def _hash_int(word: int, chain: tuple[int, ...], k: int) -> int:
-    """`_hash` of one word at step k of `chain`, on ints mod 2**32."""
-    mixed = (word ^ chain[k]) * chain[k + 1] & _MASK32
-    return mixed ^ (mixed >> 16)
-
-
-def _mix_int(x: int, y: int) -> int:
-    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return mixed ^ (mixed >> 16)
-
-
 def _mixing_chain(src: int) -> np.ndarray:
     """For source word `src` of SeedSequence's all-into-all mixing, a (5, 1)
     chain that `_hash` turns into one hash per pool word: the source's three
     steps in turn for the other words, and for its own row a repeat, whose
     result is dropped."""
-    own = _hash_chain(_INIT_A, _MULT_A, 16)[0][4 + 3 * src:8 + 3 * src]
-    return np.array([*own[:src + 1], *own[src:]], dtype=np.uint32)[:, None]
+    own = _hash_chain(_INIT_A, _MULT_A, 16)[4 + 3 * src:8 + 3 * src]
+    return np.concatenate((own[:src + 1], own[src:]))
 
 
 _MIXING_CHAINS = [_mixing_chain(src) for src in range(4)]
-
-
-def _seed_pool(prefix: list[int], id_words: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool (4, n) of the entropy words `prefix + [lo, hi]`
-    per column of `id_words` (2, n), its rows being the ids' low and high
-    words; `prefix` has two words or more.
-
-    In the first four words a zero `hi` hashes as a missing word would; a
-    later `hi` is mixed in only where it is nonzero. A pool word that holds
-    prefix words only is the same for every id, so it stays an int until an
-    id word enters it."""
-    lo, hi = id_words
-    words = [*prefix, lo, hi]
-    ints, chain = _hash_chain(_INIT_A, _MULT_A, 4 * len(words))
-    held = min(len(prefix), 4)  # pool words 0 ... held - 1 start from prefix words
-    pool = [_hash_int(word, ints, k) for k, word in enumerate(prefix[:held])]
-    rows = _hash(id_words[:4 - held], chain[held:5])  # the others start from id words
-    # every word into every other, in numpy's order; an int word's hashes are ints too
-    for src in range(held):
-        hashed = [_hash_int(pool[src], ints, 4 + 3 * src + j) for j in range(3)]
-        pool = [x if d == src else _mix_int(x, hashed[d - (d > src)])
-                for d, x in enumerate(pool)]
-        rows = _mix(rows, np.array(hashed[held - 1:], dtype=np.uint32)[:, None])
-    if held < 4:  # id words enter the int words from here on
-        rows = np.concatenate([np.array(pool, dtype=np.uint32)[:, None].repeat(len(lo), axis=1),
-                               rows])
-    for src in range(held, 4):  # into all four rows at once; the source's own keeps its value
-        mixed = _mix(rows, _hash(rows[src], _MIXING_CHAINS[src]))
-        mixed[src] = rows[src]
-        rows = mixed
-    c = 16
-    for k, word in enumerate(words[4:], start=4):
-        if k < len(prefix):  # every pool word is still an int
-            pool = [_mix_int(x, _hash_int(word, ints, c + j)) for j, x in enumerate(pool)]
-        else:
-            if k == len(prefix):  # the first id word enters the int words
-                rows = np.array(pool, dtype=np.uint32)[:, None]
-            mixed = _mix(rows, _hash(word, chain[c:c + 5]))
-            rows = mixed if k < len(words) - 1 else np.where(hi != 0, mixed, rows)
-        c += 4
-    return rows
 
 
 def _jump_constants(steps: int) -> tuple[np.ndarray, ...]:
@@ -354,9 +302,7 @@ def _jump_constants(steps: int) -> tuple[np.ndarray, ...]:
 # the seeded state is one step past inc + seed; each tag's first draws (one
 # uniform and seven normals, each one raw word when the normals take the
 # ziggurat's fast path) come from the states 2 ... 9 steps past it
-_JUMP_FACTORS = _jump_constants(9)
-_SEEDED = tuple(part[:1] for part in _JUMP_FACTORS)
-_DRAWS = tuple(part[1:] for part in _JUMP_FACTORS)
+_DRAWS = tuple(part[1:] for part in _jump_constants(9))
 
 
 def _jump(words: np.ndarray, factors: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -496,7 +442,7 @@ _ZIGGURAT_KI = np.frombuffer(bytes.fromhex("""
 
 # SeedSequence's generate_state: eight hash steps over the pool's four words
 # twice, as (2, 4, 1) xor and multiplier constants against a (4, n) pool
-_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)[1]
+_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 8)
 _STATE_XOR, _STATE_MULT = _STATE_CHAIN[:-1].reshape(2, 4, 1), _STATE_CHAIN[1:].reshape(2, 4, 1)
 
 
@@ -510,11 +456,27 @@ def _stream_seeds(seed: int, frame_index: int, ids: np.ndarray) -> np.ndarray:
     four uint64 words from it; pcg_setseq_128_srandom_r makes the last two
     the increment, sets the state to inc + seed and steps once. That add
     and step are left to `_jump`, whose factors fold them in.
+
+    The entropy words are the rows of one (k, n) array, the seed's and the
+    frame's repeated across the ids, each id's low then high word last. In
+    the first four rows a zero high word hashes as a missing word would; a
+    later one is mixed in only where it is nonzero.
     """
     if seed < 0 or frame_index < 0 or (len(ids) and ids.min() < 0):
         raise ValueError("noise stream keys (seed, frame, tag id) must be non-negative")
-    id_words = ids.astype("<u8").view("<u4").reshape(-1, 2).T  # (low, high) words
-    pool = _seed_pool(_uint32_words(seed) + _uint32_words(frame_index), id_words)
+    prefix = _uint32_words(seed) + _uint32_words(frame_index)
+    entropy = np.empty((len(prefix) + 2, len(ids)), dtype=np.uint32)
+    entropy[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+    entropy[len(prefix):] = ids.astype("<u8").view("<u4").reshape(-1, 2).T
+    chain = _hash_chain(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hash(entropy[:4], chain[:5])
+    for src in range(4):  # every word into the other three, in numpy's order
+        mixed = _mix(pool, _hash(pool[src], _MIXING_CHAINS[src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for k in range(4, len(entropy)):  # each later word into all four
+        mixed = _mix(pool, _hash(entropy[k], chain[4 * k:4 * k + 5]))
+        pool = mixed if k < len(entropy) - 1 else np.where(entropy[k] != 0, mixed, pool)
     mixed = (pool ^ _STATE_XOR) * _STATE_MULT
     mixed ^= mixed >> _U32_16
     drawn = mixed.reshape(8, -1)
@@ -528,15 +490,6 @@ def _stream_seeds(seed: int, frame_index: int, ids: np.ndarray) -> np.ndarray:
     inc_lo <<= _U64_1
     inc_lo |= _U64_1
     return words
-
-
-def _seeded_states(seed: int, frame_index: int, ids: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The 128-bit state and increment of `PCG64((seed, frame_index, id))`
-    per id, as uint64 halves (state high, state low, inc high, inc low)."""
-    words = _stream_seeds(seed, frame_index, ids)
-    hi, lo = _jump(words, _SEEDED)
-    return hi[0], lo[0], words[2], words[3]
 
 
 @cache

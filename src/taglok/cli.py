@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +31,6 @@ from .camsim import (
 )
 from .harness import (
     ErrorStats,
-    FrameRecord,
     RunConfig,
     Trajectory,
     compare_matrix,
@@ -391,15 +389,14 @@ def _configure(settings: Settings, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _error_text(stats: ErrorStats, records: list[FrameRecord]) -> str:
-    """The error statistics of `records`, or, when none of them produced an
-    estimate, that and their dropped count per reason."""
+def _error_text(stats: ErrorStats) -> str:
+    """The error statistics, or, when no frame produced an estimate, that
+    and the dropped count per reason."""
     if stats.frames:
         return (f"ep {stats.ep_mnv_cm:.3f} +/- {stats.ep_std_cm:.3f} cm, "
                 f"eo {stats.eo_mnv_deg:.3f} +/- {stats.eo_std_deg:.3f} deg")
-    reasons = Counter(r.output.stage_trace.reason for r in records if r.output.pose is None)
     return (f"no frame produced an estimate ({stats.dropped} dropped: "
-            + ", ".join(f"{reason} {n}" for reason, n in reasons.items()) + ")")
+            + ", ".join(f"{reason} {n}" for reason, n in stats.drop_reasons) + ")")
 
 
 def cmd_map_build(args: argparse.Namespace) -> int:
@@ -419,10 +416,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = run(cfg)
         s = result.stats
         counts = f" ({s.frames} frames, {s.dropped} dropped)" if s.frames else ""
-        print(f"{cfg.trajectory.label}: {_error_text(s, result.frames)}{counts}")
+        print(f"{cfg.trajectory.label}: {_error_text(s)}{counts}")
         for phase, stats in result.phase_stats.items():
-            in_phase = [r for r in result.frames if r.phase == phase]
-            print(f"  {phase}: {_error_text(stats, in_phase)}")
+            print(f"  {phase}: {_error_text(stats)}")
         write("--out", [format_timeseries_csv(result.frames)])
         write("--log", (json.dumps(frame_to_json(r)) + "\n" for r in result.frames))
     return 0

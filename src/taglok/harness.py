@@ -255,7 +255,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ErrorStats:
-    """mnv/std of position error [cm] and orientation error [deg]."""
+    """mnv/std of position error [cm] and orientation error [deg], with the
+    dropped frames' count per reason as (reason, count) pairs in the order
+    the reasons first appear."""
 
     ep_mnv_cm: float
     ep_std_cm: float
@@ -263,6 +265,7 @@ class ErrorStats:
     eo_std_deg: float
     frames: int
     dropped: int
+    drop_reasons: tuple[tuple[str, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -335,15 +338,22 @@ def run(cfg: RunConfig, frames: Iterable[Frame] | None = None, *,
 
 def _stats_of(frames: Sequence[FrameRecord]) -> ErrorStats:
     """mnv/std over the frames scored against ground truth; NaN when none was."""
-    used = [f for f in frames if f.ep_cm is not None]
-    dropped = sum(1 for f in frames if f.output.pose is None)
+    used: list[FrameRecord] = []
+    reasons: dict[str, int] = {}
+    for f in frames:
+        if f.ep_cm is not None:
+            used.append(f)
+        elif f.output.pose is None:
+            reason = f.output.stage_trace.reason
+            reasons[reason] = reasons.get(reason, 0) + 1
+    dropped, drop_reasons = sum(reasons.values()), tuple(reasons.items())
     if not used:
         nan = float("nan")
-        return ErrorStats(nan, nan, nan, nan, 0, dropped)
+        return ErrorStats(nan, nan, nan, nan, 0, dropped, drop_reasons)
     ep = np.array([f.ep_cm for f in used])
     eo = np.array([f.eo_deg for f in used])
     return ErrorStats(float(ep.mean()), float(ep.std()), float(eo.mean()), float(eo.std()),
-                      len(used), dropped)
+                      len(used), dropped, drop_reasons)
 
 
 def _phase_stats_of(frames: Sequence[FrameRecord]) -> dict[str, ErrorStats]:

@@ -109,6 +109,11 @@ class TagMap:
     def __init__(self, entries: Iterable[TagEntry], extent: tuple[float, float]):
         listed = list(entries)
         self.entries = table = tuple(sorted(listed, key=lambda e: e.tag_id))
+        # the noise stream keys on the id and the arrays stack it as int64;
+        # sorted, the table's ends hold its extremes
+        for e in table[:1] + table[-1:]:
+            if not 0 <= e.tag_id < 2**63:
+                raise ValueError(f"tag id {e.tag_id} out of range (must be in [0, 2**63))")
         ids = np.array([e.tag_id for e in table], dtype=np.int64)
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if len(repeated):

@@ -16,7 +16,9 @@ reads back from numpy's own sampler, and the line-by-line grouping form of
 its stream reader (`loop_read_detection_stream`). `step_detections` is no
 oracle: it feeds one frame's detections to `step` through the frame chain,
 as `run` does for a whole stream. Neither is `iqr_bounds`: it returns the fences that
-`remove_outliers` computes, in the form the quartile tests read.
+`remove_outliers` computes, in the form the quartile tests read. Nor is
+`_seeded_states`: it reads each tag's seeded PCG64 state off `camsim`'s own
+seeding and jump-ahead, for the test that sets it against numpy's.
 """
 
 from __future__ import annotations
@@ -40,7 +42,15 @@ from taglok.geometry import (
     rotate_rows,
     wrap_angle,
 )
-from taglok.camsim import DetectionRows, Frame, parse_detection_line, visible_tags
+from taglok.camsim import (
+    DetectionRows,
+    Frame,
+    _jump,
+    _jump_constants,
+    _stream_seeds,
+    parse_detection_line,
+    visible_tags,
+)
 from taglok.pipeline import (
     EQUAL_SPREAD_TOL,
     EstimateOutput,
@@ -674,6 +684,16 @@ def _noise_rng(noise, frame_index: int, tag_id: int) -> np.random.Generator:
     # one independent, reproducible stream per (seed, frame, tag): adding or
     # removing a tag never shifts any other tag's noise
     return np.random.default_rng((noise.seed, int(frame_index), int(tag_id)))
+
+
+def _seeded_states(seed: int, frame_index: int, ids: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 128-bit state and increment of `PCG64((seed, frame_index, id))`
+    per id, as uint64 halves (state high, state low, inc high, inc low):
+    one LCG step past inc + seed, from `camsim`'s seeding and jump-ahead."""
+    words = _stream_seeds(seed, frame_index, ids)
+    hi, lo = _jump(words, _jump_constants(1))
+    return hi[0], lo[0], words[2], words[3]
 
 
 def _perturb(pose: Pose, apparent: float, noise,

@@ -15,7 +15,6 @@ import pytest
 from taglok.camsim import (
     NoiseModel,
     _noise_draws,
-    _seeded_states,
     default_camera,
     detect,
     visible_tags,
@@ -26,6 +25,7 @@ from taglok.tagmap import TagEntry, TagMap, build_pattern_map
 
 from oracles import (
     _noise_rng,
+    _seeded_states,
     loop_detect,
     pose_to_hmat,
     random_unit_quat,
@@ -187,14 +187,20 @@ def assert_draws_match_streams(seed, frame, ids):
 
 
 # SeedSequence hashes each key as little-endian uint32 words (0 is one word),
-# so a frame's keys take 3 to 7 words; past four the pool mixes them in later
+# so a frame's keys take 3 to 9 words; past four the pool mixes them in later
 WORD_BOUNDARY_IDS = [0, 2**32 - 1, 2**32, 2**63 - 1]
 
 
-@pytest.mark.parametrize("frame", [0, 2**32])
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64])
+@pytest.mark.parametrize("frame", [0, 2**32, 2**64])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**96 + 5])
 def test_noise_draws_at_word_boundaries(seed, frame):
     assert_draws_match_streams(seed, frame, WORD_BOUNDARY_IDS)
+
+
+@pytest.mark.parametrize("seed, frame", [(0, 0), (11, 7), (2**96 + 5, 2**64)])
+def test_noise_draws_of_no_tags(seed, frame):
+    uniform, normals = _noise_draws(seed, frame, np.array([], dtype=np.int64))
+    assert uniform.shape == (0,) and normals.shape == (0, 7)
 
 
 @pytest.mark.parametrize("seed, frame", [(11, 7), (2**32 + 7, 2**31), (2**64, 2**32)])

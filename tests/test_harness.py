@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from taglok.camsim import NoiseModel, default_camera
+from taglok.camsim import DetectionRows, NoiseModel, default_camera
 from taglok.harness import (
     DEFAULT_T3_WAYPOINTS,
     HOVER_ALTITUDE_PRESETS,
@@ -21,6 +21,7 @@ from taglok.harness import (
     frame_to_json,
     hover_trajectory,
     run,
+    simulate,
     spline_trajectory_t3,
     square_trajectory_t1,
     steps_trajectory_t2,
@@ -320,6 +321,19 @@ class TestRun:
         assert result.stats.dropped == 20
         assert result.stats.frames == 0
         assert math.isnan(result.stats.ep_mnv_cm)
+
+    def test_dropped_frames_counted_per_reason(self, default_map):
+        # frames 1 and 3 of five lose their detections; the others are scored
+        cfg = quick_config(default_map, hover_trajectory((1.5, 2.5, 1.4), duration=0.25))
+        frames = list(simulate(cfg))
+        empty = DetectionRows(np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty((0, 4)),
+                              np.empty(0))
+        frames[1:4:2] = [replace(f, detections=empty) for f in frames[1:4:2]]
+        stats = run(cfg, frames).stats
+        assert (stats.frames, stats.dropped, stats.drop_reasons) == (3, 2, (("no-tags", 2),))
+        off_map = quick_config(default_map, hover_trajectory((50.0, 50.0, 1.0), duration=1.0))
+        assert run(off_map).stats.drop_reasons == (("no-tags", 20),)
+        assert ErrorStats(0.0, 0.0, 0.0, 0.0, 1, 0).drop_reasons == ()
 
     def test_phase_stats_partition_samples(self, default_map):
         # 72 frames at 2.5 Hz, 18 a leg

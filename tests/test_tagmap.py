@@ -139,6 +139,18 @@ class TestTagMap:
         with pytest.raises(ValueError, match="duplicate"):
             TagMap([entry, other], (2.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [-5, -1, 2**63, 2**70])
+    def test_id_outside_the_noise_streams_range_rejected(self, bad):
+        # a negative id once built a map whose run died when the tag came
+        # into view; one of 2**63 or more raised OverflowError
+        entries = [TagEntry(tag_id, Pose(np.array([2.0 * k, 0.0, 0.0]), UnitQuaternion.identity()),
+                            SizeClass.S) for k, tag_id in enumerate((3, bad, 9))]
+        with pytest.raises(ValueError, match=f"tag id {bad} out of range"):
+            TagMap(entries, (10.0, 2.0))
+        edges = [TagEntry(tag_id, entry.pose_in_world, SizeClass.S)
+                 for tag_id, entry in zip((0, 7, 2**63 - 1), entries)]
+        assert TagMap(edges, (10.0, 2.0)).world_frames().ids.tolist() == [0, 7, 2**63 - 1]
+
     def test_same_class_overlap_rejected(self):
         a = TagEntry(0, Pose(np.array([0.0, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.L)
         b = TagEntry(1, Pose(np.array([0.1, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.L)
