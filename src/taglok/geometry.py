@@ -209,6 +209,15 @@ class Pose:
         object.__setattr__(self, "orientation", orientation)
 
     @staticmethod
+    def holding(position: np.ndarray, orientation: UnitQuaternion) -> "Pose":
+        """A Pose of a new (3,) float row that nothing else holds: the row
+        itself, made read-only, where the constructor would copy it."""
+        position.setflags(write=False)
+        pose = object.__new__(Pose)
+        pose.__dict__.update(position=position, orientation=orientation)
+        return pose
+
+    @staticmethod
     def identity() -> "Pose":
         return Pose(np.zeros(3), UnitQuaternion.identity())
 

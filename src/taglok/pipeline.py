@@ -107,7 +107,13 @@ class PipelineConfig:
             raise ValueError("fir_length must be at least 1")
 
 
-@dataclass(frozen=True)
+# The value types `step` builds every frame set their frozen fields straight
+# into the instance's __dict__: a dataclass's generated __init__ calls
+# object.__setattr__ once per field, which costs up to twice as much (1.6
+# against 0.7 us for the eleven fields of a `StageTrace`).
+
+
+@dataclass(frozen=True, init=False)
 class TagEstimates:
     """Body poses in the world frame recovered from detections, one row per
     detection: ids (n,), positions (n, 3), unit quaternions (n, 4) as
@@ -117,6 +123,10 @@ class TagEstimates:
     positions: np.ndarray
     quats: np.ndarray
     weights: np.ndarray
+
+    def __init__(self, ids: np.ndarray, positions: np.ndarray, quats: np.ndarray,
+                 weights: np.ndarray) -> None:
+        self.__dict__.update(ids=ids, positions=positions, quats=quats, weights=weights)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -148,8 +158,13 @@ _CHAIN_BLOCK_ROWS = 4096
 # no renormalization
 _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
+# a row's sign in a sign-aligned mean, at index 0 when the row is kept and 1
+# when it is flipped, and the same for a FIR window row's seven columns
+_SIGNS = np.array([1.0, -1.0])
+_WINDOW_SIGNS = np.array([[1.0] * 7, [1.0] * 3 + [-1.0] * 4])
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class StageTrace:
     """Per-frame diagnostics of every stage."""
 
@@ -165,6 +180,18 @@ class StageTrace:
     fir_taps: int = 0
     reason: str | None = None
 
+    def __init__(self, n_detections: int = 0, unknown_ids: tuple[int, ...] = (),
+                 corrupt_ids: tuple[int, ...] = (), selected_ids: tuple[int, ...] = (),
+                 or_applied: bool = False, rejected_ids: tuple[int, ...] = (),
+                 fusion_method: str | None = None, dispersion_warning: bool = False,
+                 fusion_degenerate: bool = False, fir_taps: int = 0,
+                 reason: str | None = None) -> None:
+        self.__dict__.update(
+            n_detections=n_detections, unknown_ids=unknown_ids, corrupt_ids=corrupt_ids,
+            selected_ids=selected_ids, or_applied=or_applied, rejected_ids=rejected_ids,
+            fusion_method=fusion_method, dispersion_warning=dispersion_warning,
+            fusion_degenerate=fusion_degenerate, fir_taps=fir_taps, reason=reason)
+
     def to_dict(self) -> dict:
         """The fields in declaration order, tuples as lists; corrupt rows
         are rare, so their key appears only when there are some."""
@@ -173,26 +200,38 @@ class StageTrace:
                 for name, value in items if value or name != "corrupt_ids"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EstimateOutput:
     pose: Pose | None
     tags_used: tuple[int, ...]
     stage_trace: StageTrace
 
+    def __init__(self, pose: Pose | None, tags_used: tuple[int, ...],
+                 stage_trace: StageTrace) -> None:
+        self.__dict__.update(pose=pose, tags_used=tags_used, stage_trace=stage_trace)
+
 
 @dataclass(frozen=True, eq=False)
 class PipelineState:
     """Carried between frames: the FIR window, the last few raw (pre-FIR)
-    fused poses, oldest first, as position rows (k, 3) and unit quaternion
-    rows (k, 4) in (w, x, y, z) order."""
+    fused poses, oldest first, as (k, 7) rows of a position (x, y, z) and a
+    unit quaternion (w, x, y, z); `fir_positions` and `fir_quats` are views
+    of its columns."""
 
-    fir_positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    fir_quats: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    window: np.ndarray = field(default_factory=lambda: np.zeros((0, 7)))
+
+    @property
+    def fir_positions(self) -> np.ndarray:
+        return self.window[:, :3]
+
+    @property
+    def fir_quats(self) -> np.ndarray:
+        return self.window[:, 3:]
 
     def pushed(self, position: np.ndarray, quat: np.ndarray, length: int) -> "PipelineState":
         """The window with one more raw pose, cut to its last `length` rows."""
-        return PipelineState(np.concatenate((self.fir_positions, position[None]))[-length:],
-                             np.concatenate((self.fir_quats, quat[None]))[-length:])
+        rows = np.concatenate((self.window.reshape(-1), position, quat)).reshape(-1, 7)
+        return PipelineState(rows[-length:])
 
 
 @dataclass(frozen=True)
@@ -281,13 +320,14 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
 
 
 @functools.lru_cache(maxsize=256)
-def _quartile_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _quartile_terms(n: int) -> tuple[np.ndarray, tuple[float, float]]:
     """Where Q1 and Q3 of n samples sorted along axis 0 come from, as
     np.percentile's default (linear, type 7) method interpolates them bit
     for bit. Around a quantile's index lie rows a and b, and the quantile is
     a + (b - a) * t; at t >= 0.5 numpy switches to b - (b - a) * (1 - t),
-    which is b + (b - a) * (t - 1) exactly. Returns the rows (a1, a3, b1,
-    b3, base1, base3), the base being a or b, and the factors (2, 1)."""
+    which is b + (b - a) * (t - 1) exactly. Returns the rows (first, a1,
+    a3, b1, b3, base1, base3, last), the base being a or b, and the factors
+    (f1, f3)."""
     picks, bases, factors = [[], []], [], []
     for q in (0.25, 0.75):
         index = (n - 1) * q
@@ -297,27 +337,33 @@ def _quartile_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
         picks[0].append(below)
         picks[1].append(above)
         bases.append(above if t >= 0.5 else below)
-        factors.append([t - 1.0 if t >= 0.5 else t])
-    rows, factors = np.array(picks[0] + picks[1] + bases), np.array(factors)
+        factors.append(t - 1.0 if t >= 0.5 else t)
+    rows = np.array([0] + picks[0] + picks[1] + bases + [n - 1])
     rows.setflags(write=False)
-    factors.setflags(write=False)
-    return rows, factors
+    return rows, (factors[0], factors[1])
 
 
 def _sorted_fences(samples: np.ndarray, gain: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (n, k) samples sorted along axis 0 (a column with a NaN all
-    NaN, as numpy's quartiles of it are) and their Tukey fences per column."""
-    ordered = np.sort(samples, axis=0)
-    nan_columns = np.isnan(ordered[-1])  # NaN sorts last
-    if np.logical_or.reduce(nan_columns):
-        ordered[:, nan_columns] = np.nan
-    picks, factors = _quartile_terms(len(ordered))
-    rows = ordered.take(picks, axis=0)
-    quartiles = rows[4:] + (rows[2:4] - rows[:2]) * factors
-    q1, q3 = quartiles[0], quartiles[1]
-    margin = gain * (q3 - q1)
-    return ordered, q1 - margin, q3 + margin
+    """From one sort of the (n, k) samples along axis 0: each column's
+    spread (max - min) and its Tukey fences, Q1 - gain * IQR and Q3 + gain
+    * IQR, all NaN for a column with a NaN, as numpy's quartiles of it are.
+    The few values picked from the sort are combined as Python floats,
+    whose arithmetic is numpy's float64 arithmetic bit for bit."""
+    ordered = samples.copy()  # np.sort's own steps, without its Python layer
+    ordered.sort(axis=0)
+    picks, (f1, f3) = _quartile_terms(len(ordered))
+    spread, lower, upper = [], [], []
+    for first, a1, a3, b1, b3, base1, base3, last in zip(*ordered.take(picks, axis=0).tolist()):
+        if last != last:  # NaN sorts last
+            base1 = base3 = math.nan
+        q1 = base1 + (b1 - a1) * f1
+        q3 = base3 + (b3 - a3) * f3
+        margin = gain * (q3 - q1)
+        spread.append(last - first)
+        lower.append(q1 - margin)
+        upper.append(q3 + margin)
+    return np.array(spread), np.array(lower), np.array(upper)
 
 
 def remove_outliers(estimates: TagEstimates, gain: float = 1.5
@@ -327,12 +373,12 @@ def remove_outliers(estimates: TagEstimates, gain: float = 1.5
     sets). With fewer than three estimates the stage passes everything
     through; an axis with negligible spread keeps all samples on that axis.
     When nothing is rejected, `kept` is `estimates` itself."""
-    if len(estimates) < 3:
-        return estimates, _NO_ESTIMATES
     positions = estimates.positions
-    ordered, lower, upper = _sorted_fences(positions, gain)
-    flat = ordered[-1] - ordered[0] <= EQUAL_SPREAD_TOL  # np.ptp, from the sort
-    keep = np.logical_and.reduce(flat | ((positions > lower) & (positions < upper)), axis=1)
+    if len(positions) < 3:
+        return estimates, _NO_ESTIMATES
+    spread, lower, upper = _sorted_fences(positions, gain)
+    inside = (positions > lower) & (positions < upper) | (spread <= EQUAL_SPREAD_TOL)
+    keep = np.logical_and.reduce(inside, axis=1)
     kept = keep.nonzero()[0]
     if len(kept) == len(keep):
         return estimates, _NO_ESTIMATES
@@ -341,32 +387,39 @@ def remove_outliers(estimates: TagEstimates, gain: float = 1.5
 
 def fuse_positions(kept: TagEstimates) -> np.ndarray:
     """Weighted Euclidean mean of the kept positions."""
-    if not len(kept):
-        raise ValueError("cannot fuse an empty estimate set")
     weights = kept.weights
+    if not len(weights):
+        raise ValueError("cannot fuse an empty estimate set")
     return np.add.reduce(weights[:, None] * kept.positions, axis=0) / np.add.reduce(weights)
 
 
 def _reference_index(kept: TagEstimates) -> int:
     """Largest weight wins, ties broken by smallest tag id."""
-    if len(kept) == 1:
+    ids = kept.ids
+    if len(ids) == 1:
         return 0
-    return int(np.lexsort((kept.ids, -kept.weights))[0])
+    return int(np.lexsort((ids, -kept.weights))[0])
 
 
 def _sign_aligned_weighted_sum(quats: np.ndarray, weights: np.ndarray,
                                ref_index: int) -> np.ndarray | None:
     """Flip each (n, 4) quaternion row to the hemisphere of row ref_index,
     then return the normalized weighted sum, or None when the sum collapses.
-    A weight times a flipped row is the row times the flipped weight (with
-    weights of 1, exactly the flipped row), and np.linalg.norm of a vector
-    is the square root of its dot with itself; the sum divided by its norm
-    is unit to a few ulps, so `UnitQuaternion` keeps it as it is.
+    A weight times a flipped row is the row times the flipped weight, the
+    weight times its row's sign in `_SIGNS` (`take` reads a flip as index
+    1, and no flip as 0), exactly.
     `quats.dot` and `quats @` make the same BLAS call, and the method costs
     half as much."""
     flip = quats.dot(quats[ref_index]) < 0.0
-    terms = np.where(flip, -weights, weights)[:, None] * quats
-    total = np.add.reduce(terms, axis=0)
+    terms = (_SIGNS.take(flip) * weights)[:, None] * quats
+    return _normalized(np.add.reduce(terms, axis=0))
+
+
+def _normalized(total: np.ndarray) -> np.ndarray | None:
+    """A quaternion sum divided by its norm, None when the norm is too small
+    to divide by. np.linalg.norm of a vector is the square root of its dot
+    with itself; the result is unit to a few ulps, so `UnitQuaternion`
+    keeps it as it is."""
     norm = math.sqrt(total.dot(total))
     if norm < _NORM_TOL:  # too small to normalize, as for unit_components
         return None
@@ -380,9 +433,9 @@ def fuse_rotations_ql2(kept: TagEstimates) -> RotationFusion:
     result is still returned but flagged. A pair's angle is
     2*atan2(|v|, |w|) of its relative rotation with |w| = |qi . qj|, so the
     flag is |qi . qj| <= 1/sqrt(2) for some pair."""
-    if not len(kept):
-        raise ValueError("cannot fuse an empty estimate set")
     quats = kept.quats
+    if not len(quats):
+        raise ValueError("cannot fuse an empty estimate set")
     mean = _sign_aligned_weighted_sum(quats, kept.weights, _reference_index(kept))
     return RotationFusion(mean, dispersion_warning=_quarter_turn_apart(quats, mean))
 
@@ -397,12 +450,15 @@ def _quarter_turn_apart(quats: np.ndarray, mean: np.ndarray | None) -> bool:
     Gram: a lone row has no pair (and a unit row's dot with itself is 1),
     and fmin skips NaN, so its least |qi . qj| is at most the bound exactly
     when some pair's is."""
-    if len(quats) > 1 and mean is not None:
-        first, second = np.sort(np.abs(quats.dot(mean)))[:2].tolist()  # the farthest two
+    if len(quats) < 2:
+        return False
+    if mean is not None:
+        closeness = np.abs(quats.dot(mean))
+        closeness.sort()
+        first, second = closeness[:2].tolist()  # the farthest two
         if math.acos(min(first, 1.0)) + math.acos(min(second, 1.0)) < _QUARTER_TURN_ANGLE:
             return False
-    return len(quats) > 1 and bool(
-        np.fmin.reduce(np.abs(quats @ quats.T), axis=None) <= _QUARTER_TURN_DOT)
+    return bool(np.fmin.reduce(np.abs(quats @ quats.T), axis=None) <= _QUARTER_TURN_DOT)
 
 
 def _cl2_accumulator(quats: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -419,9 +475,10 @@ def fuse_rotations_cl2(kept: TagEstimates) -> RotationFusion:
     Q = sum(w * q * q^T), with the sign `UnitQuaternion.canonical` gives it.
     Insensitive to input sign flips by construction; an (almost) repeated
     top eigenvalue marks the fusion degenerate."""
-    if not len(kept):
+    quats = kept.quats
+    if not len(quats):
         raise ValueError("cannot fuse an empty estimate set")
-    eigenvalues, eigenvectors = np.linalg.eigh(_cl2_accumulator(kept.quats, kept.weights))
+    eigenvalues, eigenvectors = np.linalg.eigh(_cl2_accumulator(quats, kept.weights))
     if eigenvalues[-1] - eigenvalues[-2] < _EIGENVALUE_GAP_TOL:
         return RotationFusion(None)
     mean = np.array(unit_components(*eigenvectors[:, -1].tolist()))
@@ -438,23 +495,35 @@ def fir_smooth(history: Sequence[Pose] | PipelineState, new_pose: Pose | None,
 
     `history` holds the earlier raw poses, as Pose objects or as a state's
     FIR window, and `new_pose` is the newest; it is None when `history` is a
-    state whose window already ends with it, as `step`'s new state does."""
+    state whose window already ends with it, as `step`'s new state does.
+    A length below 1 or an empty window raises ValueError."""
+    if length < 1:
+        raise ValueError(f"FIR length must be at least 1, got {length!r}")
     if not isinstance(history, PipelineState):
-        history = PipelineState(
-            np.array([p.position for p in history]).reshape(-1, 3),
-            np.array([p.orientation.as_array() for p in history]).reshape(-1, 4))
-    window = history
+        history = PipelineState(np.array(
+            [(*p.position, *p.orientation.as_array()) for p in history]).reshape(-1, 7))
     if new_pose is not None:
-        window = history.pushed(new_pose.position, new_pose.orientation.as_array(), length)
-    positions, quats = window.fir_positions, window.fir_quats
-    if (np.logical_and.reduce(positions == positions[0], axis=None)
-            and np.logical_and.reduce(quats == quats[0], axis=None)):
-        return Pose(positions[0], UnitQuaternion.from_array(quats[0]))
-    mean = _sign_aligned_weighted_sum(quats, np.ones(len(quats)), len(quats) - 1)
+        history = history.pushed(new_pose.position, new_pose.orientation.as_array(), length)
+    window = history.window
+    taps = len(window)
+    if not taps:
+        raise ValueError("cannot smooth an empty FIR window")
+    # a single row is a constant window too; np.count_nonzero is the
+    # cheapest reduction of a boolean array
+    if taps == 1 or not np.count_nonzero(window != window[0]):
+        return Pose(window[0, :3], UnitQuaternion.from_array(window[0, 3:]))
+    # the positions and the quaternions flipped to the newest one's
+    # hemisphere, summed along axis 0 in one pass: a row times its signs in
+    # `_WINDOW_SIGNS` is the row or the row with its quaternion negated,
+    # exactly, so each column's sum is the one positions.mean(axis=0) and
+    # the sign-aligned sum with weights of 1 take
+    quats = window[:, 3:]
+    flip = quats.dot(quats[-1]) < 0.0
+    sums = np.add.reduce(window * _WINDOW_SIGNS.take(flip, axis=0), axis=0)
+    mean = _normalized(sums[3:])
     if mean is None:
         mean = quats[-1]
-    # positions.mean(axis=0) without its Python overhead: the same sum and division
-    return Pose(np.add.reduce(positions, axis=0) / len(positions), UnitQuaternion.from_array(mean))
+    return Pose.holding(sums[:3] / taps, UnitQuaternion.from_array(mean))
 
 
 def step(body_poses: TagEstimates, config: PipelineConfig,
@@ -474,31 +543,37 @@ def step(body_poses: TagEstimates, config: PipelineConfig,
     """
     if state is None:
         state = PipelineState()
-    n_detections = len(body_poses)
+    ids, sizes, first = body_poses.ids, body_poses.weights, body_poses.quats[:, 0]
+    n_detections = len(ids)
     unknown_ids = corrupt_ids = ()
-    is_unknown = np.isnan(body_poses.weights)
-    unusable = is_unknown | np.isnan(body_poses.quats[:, 0])
-    if np.logical_or.reduce(unusable):
-        ids = body_poses.ids
-        unknown_ids = tuple(sorted(ids[is_unknown].tolist()))
-        corrupt_ids = tuple(sorted(ids[unusable & ~is_unknown].tolist()))
-        body_poses = body_poses.take(~unusable)
-    if not len(body_poses):
+    # a chain row's size is finite and its quaternion's components lie in
+    # [-1, 1] unless they are NaN, so one product is NaN when some row is
+    # unusable; infinite sizes could make it NaN too, which costs only the
+    # row by row test
+    if math.isnan(sizes.dot(first)):
+        is_unknown = np.isnan(sizes)
+        unusable = is_unknown | np.isnan(first)
+        if np.count_nonzero(unusable):
+            unknown_ids = tuple(sorted(ids[is_unknown].tolist()))
+            corrupt_ids = tuple(sorted(ids[unusable & ~is_unknown].tolist()))
+            body_poses = body_poses.take(~unusable)
+            ids, sizes = body_poses.ids, body_poses.weights
+    if not len(ids):
         trace = StageTrace(n_detections, unknown_ids, corrupt_ids, reason="no-tags")
         return EstimateOutput(None, (), trace), state
 
-    ids, sizes = body_poses.ids, body_poses.weights
     selected = select_tags(ids, sizes, config.ths)
     estimates = TagEstimates(ids.take(selected), body_poses.positions.take(selected, axis=0),
                              body_poses.quats.take(selected, axis=0),
                              config.weights.weights_of(sizes.take(selected)))
-    kept, rejected_ids = estimates, ()
+    selected_ids = tuple(estimates.ids.tolist())
+    kept, kept_ids, rejected_ids = estimates, selected_ids, ()
     if config.outlier_removal:
         kept, rejected = remove_outliers(estimates, config.iqr_gain)
-        rejected_ids = tuple(rejected.ids.tolist())
-    selected_ids = tuple(estimates.ids.tolist())
-    or_applied = config.outlier_removal and len(estimates) >= 3
-    if not len(kept):
+        if kept is not estimates:
+            kept_ids, rejected_ids = tuple(kept.ids.tolist()), tuple(rejected.ids.tolist())
+    or_applied = config.outlier_removal and len(selected_ids) >= 3
+    if not kept_ids:
         trace = StageTrace(n_detections, unknown_ids, corrupt_ids, selected_ids, or_applied,
                            rejected_ids, reason="all-rejected")
         return EstimateOutput(None, (), trace), state
@@ -517,8 +592,8 @@ def step(body_poses: TagEstimates, config: PipelineConfig,
     smoothed = fir_smooth(new_state, None, config.fir_length)
     trace = StageTrace(n_detections, unknown_ids, corrupt_ids, selected_ids, or_applied,
                        rejected_ids, config.rot_mean.value, fusion.dispersion_warning,
-                       fusion.degenerate, len(new_state.fir_positions))
-    return EstimateOutput(smoothed, tuple(kept.ids.tolist()), trace), new_state
+                       fusion.degenerate, len(new_state.window))
+    return EstimateOutput(smoothed, kept_ids, trace), new_state
 
 
 def apply_variant(config: PipelineConfig, variant: str) -> PipelineConfig:
