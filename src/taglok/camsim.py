@@ -56,10 +56,10 @@ _U32_16, _U32_MIX_L, _U32_MIX_R = (np.array(value, dtype=np.uint32)
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole intrinsics plus the fixed camera-in-body mount pose."""
+    """Pinhole intrinsics, the optical axis through the image centre, plus
+    the fixed camera-in-body mount pose."""
 
     focal_px: float
-    principal: tuple[float, float]
     image_size: tuple[int, int]
     pose_in_body: Pose
     detect_threshold_px: float = DEFAULT_DETECT_THRESHOLD_PX
@@ -87,10 +87,8 @@ def default_camera(focal_px: float = 600.0,
                    image_size: tuple[int, int] = (1280, 720),
                    mount_offset: np.ndarray | None = None,
                    detect_threshold_px: float = DEFAULT_DETECT_THRESHOLD_PX) -> CameraModel:
-    width, height = image_size
     return CameraModel(
         focal_px=focal_px,
-        principal=(width / 2.0, height / 2.0),
         image_size=image_size,
         pose_in_body=down_facing_mount(mount_offset),
         detect_threshold_px=detect_threshold_px,
@@ -173,7 +171,7 @@ def _world_in_camera(body: Pose, mount: Pose) -> tuple[list[float], list[float],
     offset = _rotated(b.w, b.x, b.y, b.z, *mount.position.tolist())
     cam_p = [p + d for p, d in zip(body.position.tolist(), offset)]
     w, x, y, z = unit_components(*_hamilton(b.w, b.x, b.y, b.z, m.w, m.x, m.y, m.z))
-    q = unit_components(w, -x, -y, -z)  # the conjugate
+    q = (w, -x, -y, -z)  # the conjugate, unit as its source is
     return cam_p, list(q), [-d for d in _rotated(*q, *cam_p)]
 
 
@@ -190,6 +188,7 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
     R, t = np.array(_matrix(*cam_q)), np.array(t)
 
     width, height = cam.image_size
+    cx, cy = width / 2.0, height / 2.0  # where the optical axis meets the image
     # a tag whose four corners project into the image has its centre there
     # too (the image is convex), so only tags whose centre projects within
     # a pixel of the image can be visible; the margin covers rounding
@@ -199,8 +198,8 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
     # a far tag, or any tag at a depth of a few subnormals (a hover at
     # z = 5e-324), projects to inf and is culled below
     with np.errstate(over="ignore"):
-        u = cam.principal[0] + cam.focal_px * centers[:, 0] / z_safe
-        v = cam.principal[1] + cam.focal_px * centers[:, 1] / z_safe
+        u = cx + cam.focal_px * centers[:, 0] / z_safe
+        v = cy + cam.focal_px * centers[:, 1] / z_safe
     # normal . (camera - centre), summed left to right as .sum(axis=1) sums
     facing = m.normals * (np.array(cam_p) - m.positions)
     candidates = np.flatnonzero((facing[:, 0] + facing[:, 1] + facing[:, 2] > 0.0) & ahead
@@ -212,8 +211,8 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
     # a corner not in front of the camera projects to NaN, which no bound takes
     z = corners_cam[:, :, 2]
     z_safe = np.where(z > 1e-9, z, np.nan)
-    u = cam.principal[0] + cam.focal_px * corners_cam[:, :, 0] / z_safe
-    v = cam.principal[1] + cam.focal_px * corners_cam[:, :, 1] / z_safe
+    u = cx + cam.focal_px * corners_cam[:, :, 0] / z_safe
+    v = cy + cam.focal_px * corners_cam[:, :, 1] / z_safe
     seen = np.logical_and.reduce((u >= 0) & (u <= width) & (v >= 0) & (v <= height),
                                  axis=1)  # every corner in front and inside the image
 

@@ -35,6 +35,7 @@ from .harness import (
     Trajectory,
     compare_matrix,
     format_compare_csv,
+    format_estimate_csv,
     format_timeseries_csv,
     frame_to_json,
     hover_trajectory,
@@ -446,8 +447,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
           f"{len(variants) or 1} variants) to {args.out}")
     for row in rows:
         if not row.stats.frames:
-            print(f"{row.scenario} {row.variant}: no frame produced an estimate "
-                  f"({row.stats.dropped} dropped)")
+            print(f"{row.scenario} {row.variant}: {_error_text(row.stats)}")
     return 0
 
 
@@ -468,16 +468,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     frames = _read("--detections", args.detections, parse_detection_stream)
     with _outputs(args, "--out", "--log") as write:
         records = run(cfg, frames).frames
-        out_lines = ["frame,t,px,py,pz,qw,qx,qy,qz,tags_used"]
-        for record in records:
-            output = record.output
-            if output.pose is None:
-                out_lines.append(f"{record.frame},{record.t:.6f},,,,,,,,0")
-            else:
-                p, q = output.pose.position, output.pose.orientation
-                out_lines.append(f"{record.frame},{record.t:.6f},{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
-                                 f"{q.w:.9f},{q.x:.9f},{q.y:.9f},{q.z:.9f},{len(output.tags_used)}")
-        write("--out", ["\n".join(out_lines) + "\n"])
+        write("--out", [format_estimate_csv(records)])
         write("--log", (json.dumps(frame_to_json(r)) + "\n" for r in records))
     print(f"replayed {len(records)} frames to {args.out}")
     return 0

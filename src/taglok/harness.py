@@ -72,6 +72,7 @@ class Trajectory:
 def hover_trajectory(position: Sequence[float], yaw: float = 0.0,
                      duration: float = 10.0) -> Trajectory:
     fixed = np.array(position, dtype=float)
+    fixed.setflags(write=False)  # every call returns it
     return Trajectory("hover", duration, lambda t: (fixed, yaw, None))
 
 
@@ -257,15 +258,18 @@ class RunConfig:
 class ErrorStats:
     """mnv/std of position error [cm] and orientation error [deg], with the
     dropped frames' count per reason as (reason, count) pairs in the order
-    the reasons first appear."""
+    the reasons first appear; `dropped` is their sum."""
 
     ep_mnv_cm: float
     ep_std_cm: float
     eo_mnv_deg: float
     eo_std_deg: float
     frames: int
-    dropped: int
     drop_reasons: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def dropped(self) -> int:
+        return sum(n for _, n in self.drop_reasons)
 
 
 @dataclass(frozen=True, init=False)
@@ -352,10 +356,10 @@ def _stats_of(frames: Sequence[FrameRecord]) -> ErrorStats:
         elif f.output.pose is None:
             reason = f.output.stage_trace.reason
             reasons[reason] = reasons.get(reason, 0) + 1
-    dropped, drop_reasons = sum(reasons.values()), tuple(reasons.items())
+    drop_reasons = tuple(reasons.items())
     if not used:
         nan = float("nan")
-        return ErrorStats(nan, nan, nan, nan, 0, dropped, drop_reasons)
+        return ErrorStats(nan, nan, nan, nan, 0, drop_reasons)
     # np.mean and np.std of each row, by the steps numpy's `_mean` and `_var`
     # take (a sum, the squared deviations summed, a square root): the same
     # bits without their Python layer, both rows in one pass
@@ -364,7 +368,7 @@ def _stats_of(frames: Sequence[FrameRecord]) -> ErrorStats:
     deviations = errors - mnv[:, None]
     var = np.add.reduce(deviations * deviations, axis=1) / len(used)
     (ep_mnv, eo_mnv), (ep_var, eo_var) = mnv.tolist(), var.tolist()
-    return ErrorStats(ep_mnv, math.sqrt(ep_var), eo_mnv, math.sqrt(eo_var), len(used), dropped,
+    return ErrorStats(ep_mnv, math.sqrt(ep_var), eo_mnv, math.sqrt(eo_var), len(used),
                       drop_reasons)
 
 
@@ -435,6 +439,21 @@ def format_timeseries_csv(frames: Sequence[FrameRecord]) -> str:
         ep = f"{f.ep_cm:.6f}" if f.ep_cm is not None else ""
         eo = f"{f.eo_deg:.6f}" if f.eo_deg is not None else ""
         lines.append(f"{f.t:.6f},{ep},{eo},{len(f.output.tags_used)}")
+    return "\n".join(lines) + "\n"
+
+
+def format_estimate_csv(frames: Sequence[FrameRecord]) -> str:
+    """One line per frame: its index, time, estimated pose and tag count;
+    a frame without an estimate has empty pose fields and 0 tags."""
+    lines = ["frame,t,px,py,pz,qw,qx,qy,qz,tags_used"]
+    for f in frames:
+        output = f.output
+        if output.pose is None:
+            lines.append(f"{f.frame},{f.t:.6f},,,,,,,,0")
+        else:
+            p, q = output.pose.position, output.pose.orientation
+            lines.append(f"{f.frame},{f.t:.6f},{p[0]:.9f},{p[1]:.9f},{p[2]:.9f},"
+                         f"{q.w:.9f},{q.x:.9f},{q.y:.9f},{q.z:.9f},{len(output.tags_used)}")
     return "\n".join(lines) + "\n"
 
 

@@ -132,12 +132,10 @@ class TagEstimates:
         return len(self.ids)
 
     def take(self, rows) -> "TagEstimates":
-        """The rows picked by a boolean mask, index array or slice."""
+        """The rows picked by an index array or slice."""
         if isinstance(rows, slice):
             return TagEstimates(self.ids[rows], self.positions[rows], self.quats[rows],
                                 self.weights[rows])
-        if rows.dtype == bool:
-            rows = rows.nonzero()[0]
         # ndarray.take copies the same rows as fancy indexing, at a fraction of its cost
         return TagEstimates(self.ids.take(rows), self.positions.take(rows, axis=0),
                             self.quats.take(rows, axis=0), self.weights.take(rows))
@@ -215,18 +213,9 @@ class EstimateOutput:
 class PipelineState:
     """Carried between frames: the FIR window, the last few raw (pre-FIR)
     fused poses, oldest first, as (k, 7) rows of a position (x, y, z) and a
-    unit quaternion (w, x, y, z); `fir_positions` and `fir_quats` are views
-    of its columns."""
+    unit quaternion (w, x, y, z)."""
 
     window: np.ndarray = field(default_factory=lambda: np.zeros((0, 7)))
-
-    @property
-    def fir_positions(self) -> np.ndarray:
-        return self.window[:, :3]
-
-    @property
-    def fir_quats(self) -> np.ndarray:
-        return self.window[:, 3:]
 
     def pushed(self, position: np.ndarray, quat: np.ndarray, length: int) -> "PipelineState":
         """The window with one more raw pose, cut to its last `length` rows."""
@@ -241,10 +230,6 @@ class RotationFusion:
 
     quat: np.ndarray | None
     dispersion_warning: bool = False
-
-    @property
-    def degenerate(self) -> bool:
-        return self.quat is None
 
     @property
     def quaternion(self) -> UnitQuaternion | None:
@@ -556,7 +541,7 @@ def step(body_poses: TagEstimates, config: PipelineConfig,
         if np.count_nonzero(unusable):
             unknown_ids = tuple(sorted(ids[is_unknown].tolist()))
             corrupt_ids = tuple(sorted(ids[unusable & ~is_unknown].tolist()))
-            body_poses = body_poses.take(~unusable)
+            body_poses = body_poses.take(np.flatnonzero(~unusable))
             ids, sizes = body_poses.ids, body_poses.weights
     if not len(ids):
         trace = StageTrace(n_detections, unknown_ids, corrupt_ids, reason="no-tags")
@@ -592,7 +577,7 @@ def step(body_poses: TagEstimates, config: PipelineConfig,
     smoothed = fir_smooth(new_state, None, config.fir_length)
     trace = StageTrace(n_detections, unknown_ids, corrupt_ids, selected_ids, or_applied,
                        rejected_ids, config.rot_mean.value, fusion.dispersion_warning,
-                       fusion.degenerate, len(new_state.window))
+                       fusion.quat is None, len(new_state.window))
     return EstimateOutput(smoothed, kept_ids, trace), new_state
 
 

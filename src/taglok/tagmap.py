@@ -32,13 +32,6 @@ class SizeClass(Enum):
     def side_length(self) -> float:
         return _BASE_SIDE * (2 ** self.value)
 
-    @classmethod
-    def from_label(cls, label: str) -> "SizeClass":
-        try:
-            return cls[label]
-        except KeyError:
-            raise ValueError(f"unknown size class {label!r}") from None
-
 
 TILE_SIDE = 0.94  # the built-in tile is a square [m]
 _NEAR = SizeClass.S.side_length  # center inset of the edge-hugging S and M tags
@@ -78,7 +71,7 @@ class MapArrays:
     """A map's tags as arrays, one row per tag in tag-id order: ids (n,)
     int64, size-class indices (n,), positions (n, 3), unit quaternions
     (n, 4) as (w, x, y, z) rows, face normals (n, 3) and corners (n, 4, 3),
-    counterclockwise in the tag plane."""
+    counterclockwise in the tag plane; the arrays are read-only."""
 
     ids: np.ndarray
     classes: np.ndarray
@@ -86,6 +79,10 @@ class MapArrays:
     quats: np.ndarray
     normals: np.ndarray
     corners: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in vars(self).values():  # every caller shares them
+            array.setflags(write=False)
 
     def rows_of(self, ids) -> np.ndarray:
         """The row of each tag id, -1 for an id not in the map."""
@@ -258,8 +255,8 @@ def parse_map(text: str) -> TagMap:
             raise MapFormatError(f"line {line_no}: duplicate id {tag_id}")
         line_of[tag_id] = line_no
         try:
-            size_class = SizeClass.from_label(tokens[1])
-        except ValueError:
+            size_class = SizeClass[tokens[1]]
+        except KeyError:
             raise MapFormatError(f"line {line_no}: bad class {tokens[1]!r}") from None
         px, py, pz = (_parse_float(tokens[2 + k], line_no, f"p{'xyz'[k]}") for k in range(3))
         margin = max(header)

@@ -645,7 +645,7 @@ def loop_step(body_poses: TagEstimates, config, history: tuple = ()):
     smoothed = loop_fir_smooth(history, raw, config.fir_length)
     history = (history + (raw,))[-config.fir_length:]
     trace.update(fusion_method=config.rot_mean.value, dispersion_warning=fusion.dispersion_warning,
-                 fusion_degenerate=fusion.degenerate, fir_taps=len(history))
+                 fusion_degenerate=fusion.quat is None, fir_taps=len(history))
     return EstimateOutput(smoothed, tuple(e.tag_id for e in kept), StageTrace(**trace)), history
 
 
@@ -665,9 +665,9 @@ def unculled_visible_tags(tag_map, cam, body_pose_true: Pose) -> DetectionRows:
     z = corners_cam[:, :, 2]
     in_front = np.all(z > 1e-9, axis=1)
     z_safe = np.where(z > 1e-9, z, 1.0)
-    u = cam.principal[0] + cam.focal_px * corners_cam[:, :, 0] / z_safe
-    v = cam.principal[1] + cam.focal_px * corners_cam[:, :, 1] / z_safe
     width, height = cam.image_size
+    u = width / 2.0 + cam.focal_px * corners_cam[:, :, 0] / z_safe
+    v = height / 2.0 + cam.focal_px * corners_cam[:, :, 1] / z_safe
     inside = np.all((u >= 0) & (u <= width) & (v >= 0) & (v <= height), axis=1)
 
     pixels = np.stack([u, v], axis=-1)

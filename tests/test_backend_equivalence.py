@@ -91,7 +91,7 @@ def test_stages_bitwise_equal_to_loop_forms():
             got, want = fuse(bundle), loop_fuse(estimates)
             assert got.quaternion == want.quaternion
             assert got.dispersion_warning == want.dispersion_warning
-            assert got.degenerate == want.degenerate
+            assert (got.quat is None) == (want.quat is None)
 
 
 def test_cl2_accumulator_equals_outer_product_stack_sum():

@@ -48,7 +48,7 @@ class TestCameraModel:
         with pytest.raises(ValueError):
             default_camera(focal_px=-1.0)
         with pytest.raises(ValueError):
-            CameraModel(600.0, (0, 0), (0, 720), down_facing_mount())
+            CameraModel(600.0, (0, 720), down_facing_mount())
 
     def test_down_facing_mount_points_camera_down(self):
         # camera z-axis expressed in body coordinates must be -z

@@ -836,7 +836,8 @@ class TestCompareCommand:
         variants = ("jbt", "all-noor", "all-or", "tbs-noor", "tbs-or")
         assert capsys.readouterr().out == "".join(
             [f"wrote 5 rows (1 scenarios x 5 variants) to {out}\n"]
-            + [f"hover:1e308:2:1 {v}: no frame produced an estimate (3 dropped)\n"
+            + [f"hover:1e308:2:1 {v}: no frame produced an estimate "
+               f"(3 dropped: no-tags 3)\n"
                for v in variants])
 
     @pytest.mark.parametrize("line, printed, cells", [

@@ -95,8 +95,8 @@ def projected_visible_ids(tag_map, cam, body_pose):
         in_cam = [world_to_cam @ c for c in corners]
         if any(c[2] <= 1e-9 for c in in_cam):
             continue
-        pixels = [np.array([cam.principal[0] + cam.focal_px * c[0] / c[2],
-                            cam.principal[1] + cam.focal_px * c[1] / c[2]]) for c in in_cam]
+        pixels = [np.array([width / 2.0 + cam.focal_px * c[0] / c[2],
+                            height / 2.0 + cam.focal_px * c[1] / c[2]]) for c in in_cam]
         if not all(0 <= u <= width and 0 <= v <= height for u, v in pixels):
             continue
         side = np.mean([np.linalg.norm(pixels[k] - pixels[k - 1]) for k in range(4)])
@@ -275,7 +275,8 @@ def test_visible_tags_cull_on_the_image_border(pattern_map):
     flips = 0
     for k in range(400):
         cam = CAMERAS[2 * (k % 2)]  # mount without offset: the camera sits at the body
-        (cx, cy), (width, height), f = cam.principal, cam.image_size, cam.focal_px
+        (width, height), f = cam.image_size, cam.focal_px
+        cx, cy = width / 2.0, height / 2.0
         tag = int(rng.integers(len(m.ids)))
         corners, (bx, by) = m.corners[tag], m.positions[tag][:2]
         altitude = rng.uniform(0.3, 3.0)

@@ -80,6 +80,15 @@ def test_run_hover_all_noor_ql2_log(tmp_path, capsys):
     assert _sha256(log) == "b1379f85ba5bde737f1fbe6d57df6972215b01aa6d39ff4933d31b9ae447512e"
 
 
+def test_run_t1_timeseries_csv(tmp_path, capsys):
+    # one of its 576 frames has no estimate, so a row with empty error fields
+    out = tmp_path / "t1.csv"
+    assert main(["run", "--config", _config(tmp_path, "t1.ini", T1_INI),
+                 "--seed", "4", "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 577
+    assert _sha256(out) == "194f99fa670882b5aa3849270d44958908b2240dcc5309f6a3b06d3e11ed9573"
+
+
 @pytest.fixture(scope="module")
 def t3_stream(tmp_path_factory):
     folder = tmp_path_factory.mktemp("t3")
@@ -110,3 +119,12 @@ def test_run_hover_log_at_the_first_two_word_seed(tmp_path, capsys):
                  "--seed", "4294967296", "--log", str(log)]) == 0
     assert len(log.read_text(encoding="utf-8").splitlines()) == 100
     assert _sha256(log) == "a2490a95ddc30ca7f159d00ebd7641d26a6a349174371a15f2a9702d2de2048b"
+
+
+def test_replay_t3_log(tmp_path, capsys, t3_stream):
+    config, stream = t3_stream
+    out, log = tmp_path / "replay.csv", tmp_path / "replay.jsonl"
+    assert main(["replay", "--config", config, "--detections", str(stream),
+                 "--out", str(out), "--log", str(log)]) == 0
+    assert len(log.read_text(encoding="utf-8").splitlines()) == 442
+    assert _sha256(log) == "98a356cc56bad8909b53bbf5c00f7742e64a2d1ecf369d5a029df657ff780ffd"

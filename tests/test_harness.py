@@ -65,6 +65,12 @@ class TestHoverTrajectory:
             assert np.array_equal(position, [0.0, 0.0, 0.8])
             assert yaw == 0.0
 
+    def test_the_shared_position_is_read_only(self):
+        traj = hover_trajectory((1.5, 2.5, 0.8))
+        with pytest.raises(ValueError, match="read-only"):
+            traj.at(0.0)[0][0] = 99.0
+        assert traj.at(1.0)[0].tolist() == traj.sample(2.0)[0].tolist() == [1.5, 2.5, 0.8]
+
     def test_altitude_presets(self):
         assert HOVER_ALTITUDE_PRESETS == (0.8, 1.4, 2.0)
 
@@ -333,7 +339,7 @@ class TestRun:
         assert (stats.frames, stats.dropped, stats.drop_reasons) == (3, 2, (("no-tags", 2),))
         off_map = quick_config(default_map, hover_trajectory((50.0, 50.0, 1.0), duration=1.0))
         assert run(off_map).stats.drop_reasons == (("no-tags", 20),)
-        assert ErrorStats(0.0, 0.0, 0.0, 0.0, 1, 0).drop_reasons == ()
+        assert ErrorStats(0.0, 0.0, 0.0, 0.0, 1).drop_reasons == ()
 
     def test_phase_stats_partition_samples(self, default_map):
         # 72 frames at 2.5 Hz, 18 a leg
@@ -436,5 +442,5 @@ class TestEmission:
 
     def test_a_cell_without_estimates_has_empty_error_fields(self):
         nan = float("nan")
-        row = CompareRow("empty", "base", ErrorStats(nan, nan, nan, nan, 0, 5))
+        row = CompareRow("empty", "base", ErrorStats(nan, nan, nan, nan, 0, (("no-tags", 5),)))
         assert format_compare_csv([row]).splitlines()[1] == "empty,base,,,,,0,5"

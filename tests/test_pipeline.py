@@ -375,7 +375,7 @@ class TestFuseRotationsQl2:
         q = quat_from_yaw(0.8)
         result = fuse_rotations_ql2(quats_to_estimates([q.as_array(), q.as_array()]))
         assert quat_rotation_angle(result.quaternion, q) < 1e-12
-        assert not result.degenerate and not result.dispersion_warning
+        assert result.quat is not None and not result.dispersion_warning
 
     def test_symmetric_pair_averages_to_identity(self):
         plus = quat_from_yaw(math.radians(10)).as_array()
@@ -393,7 +393,7 @@ class TestFuseRotationsQl2:
         b = quat_from_yaw(math.pi).as_array()  # 180 degrees apart: orthogonal quats
         result = fuse_rotations_ql2(quats_to_estimates([a, b]))
         assert result.dispersion_warning
-        assert result.quaternion is not None and not result.degenerate
+        assert result.quaternion is not None and result.quat is not None
 
     def test_degenerate_sum_detected(self):
         # reference alignment makes the public path non-degenerate (the sum
@@ -462,7 +462,7 @@ class TestFuseRotationsCl2:
         a = UnitQuaternion.identity().as_array()
         b = quat_from_yaw(math.pi).as_array()
         result = fuse_rotations_cl2(quats_to_estimates([a, b]))
-        assert result.degenerate and result.quaternion is None
+        assert result.quat is None and result.quaternion is None
 
 
 class TestFirSmooth:
@@ -523,7 +523,7 @@ class TestStep:
         out, state = step_detections(rows_from([]), tag_map, PipelineConfig())
         assert out.pose is None
         assert out.stage_trace.reason == "no-tags"
-        assert state.fir_positions.shape == (0, 3) and state.fir_quats.shape == (0, 4)
+        assert state.window[:, :3].shape == (0, 3) and state.window[:, 3:].shape == (0, 4)
 
     def test_unknown_ids_dropped_and_counted(self):
         tag_map = make_map({0: SizeClass.L})
@@ -554,7 +554,7 @@ class TestStep:
         assert out.pose is None
         assert out.stage_trace.reason == "all-rejected"
         assert len(out.stage_trace.rejected_ids) == 5
-        assert state.fir_positions.shape == (0, 3) and state.fir_quats.shape == (0, 4)
+        assert state.window[:, :3].shape == (0, 3) and state.window[:, 3:].shape == (0, 4)
 
     def test_stage_by_stage_replay_oracle(self):
         cam = default_camera()

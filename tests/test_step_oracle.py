@@ -105,9 +105,9 @@ def test_step_equals_loop_step(stream, pipeline, fir_length):
         trace = got.stage_trace
         reasons.add(trace.reason)
         flags.add((trace.dispersion_warning, trace.fusion_degenerate))
-        assert np.array_equal(state.fir_positions,
+        assert np.array_equal(state.window[:, :3],
                               np.array([p.position for p in history]).reshape(-1, 3))
-        assert np.array_equal(state.fir_quats,
+        assert np.array_equal(state.window[:, 3:],
                               np.array([p.orientation.as_array() for p in history]).reshape(-1, 4))
     assert {None, "no-tags"} <= reasons
     if pipeline.ths.value != "jbt":  # the crafted frames reach every fallback

@@ -35,9 +35,9 @@ class TestSizeClass:
 
     def test_labels_round_trip(self):
         for c in SizeClass:
-            assert SizeClass.from_label(c.name) is c
-        with pytest.raises(ValueError):
-            SizeClass.from_label("XXL")
+            assert SizeClass[c.name] is c
+        with pytest.raises(KeyError):
+            SizeClass["XXL"]
 
 
 class TestDefaultPattern:
@@ -173,6 +173,14 @@ class TestTagMap:
         # floor map: all normals point up, corners at z = 0
         assert np.allclose(m.normals, [0.0, 0.0, 1.0])
         assert np.allclose(m.corners[:, :, 2], 0.0)
+
+    def test_world_frames_are_read_only(self):
+        # every caller of world_frames() gets the map's own arrays
+        m = build_pattern_map((3.0, 5.0)).world_frames()
+        for name in ("ids", "classes", "positions", "quats", "normals", "corners"):
+            array = getattr(m, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
 
     def test_world_frames_corner_geometry(self):
         entry = TagEntry(7, Pose(np.array([1.0, 2.0, 0.0]), UnitQuaternion.identity()), SizeClass.XL)
