@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,8 +150,7 @@ class DetectionRows:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """One frame of input to the estimator: its detections, plus, when the
     frame was simulated, the true body pose and the trajectory's phase label
     at its time (None for a shape without phases). A frame read from a

@@ -458,7 +458,7 @@ def cmd_dump_detections(args: argparse.Namespace) -> int:
     with _outputs(args, "--out") as write:
         for n_frames, frame in enumerate(simulate(cfg), 1):
             lines += format_detection_lines(frame.index, frame.t, frame.detections)
-        write("--out", ["\n".join(lines) + "\n"])
+        write("--out", [line + "\n" for line in lines])
     print(f"wrote {len(lines)} detections over {n_frames} frames to {args.out}")
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -272,8 +272,7 @@ class ErrorStats:
         return sum(n for _, n in self.drop_reasons)
 
 
-@dataclass(frozen=True, init=False)
-class FrameRecord:
+class FrameRecord(NamedTuple):
     frame: int
     t: float
     phase: str | None
@@ -281,12 +280,6 @@ class FrameRecord:
     output: EstimateOutput
     ep_cm: float | None
     eo_deg: float | None
-
-    def __init__(self, frame: int, t: float, phase: str | None, pose_true: Pose | None,
-                 output: EstimateOutput, ep_cm: float | None, eo_deg: float | None) -> None:
-        # the fields straight into __dict__, as `pipeline`'s per-frame types set them
-        self.__dict__.update(frame=frame, t=t, phase=phase, pose_true=pose_true, output=output,
-                             ep_cm=ep_cm, eo_deg=eo_deg)
 
 
 @dataclass(frozen=True)

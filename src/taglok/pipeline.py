@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,12 +107,6 @@ class PipelineConfig:
             raise ValueError("fir_length must be at least 1")
 
 
-# The value types `step` builds every frame set their frozen fields straight
-# into the instance's __dict__: a dataclass's generated __init__ calls
-# object.__setattr__ once per field, which costs up to twice as much (1.6
-# against 0.7 us for the eleven fields of a `StageTrace`).
-
-
 @dataclass(frozen=True, init=False)
 class TagEstimates:
     """Body poses in the world frame recovered from detections, one row per
@@ -126,6 +120,10 @@ class TagEstimates:
 
     def __init__(self, ids: np.ndarray, positions: np.ndarray, quats: np.ndarray,
                  weights: np.ndarray) -> None:
+        # built several times a frame, so the fields go straight into
+        # __dict__: a generated __init__ calls object.__setattr__ once per
+        # field, at about twice the cost (a NamedTuple would be cheaper
+        # still, but its len() is its field count, not the row count)
         self.__dict__.update(ids=ids, positions=positions, quats=quats, weights=weights)
 
     def __len__(self) -> int:
@@ -162,8 +160,7 @@ _SIGNS = np.array([1.0, -1.0])
 _WINDOW_SIGNS = np.array([[1.0] * 7, [1.0] * 3 + [-1.0] * 4])
 
 
-@dataclass(frozen=True, init=False)
-class StageTrace:
+class StageTrace(NamedTuple):
     """Per-frame diagnostics of every stage."""
 
     n_detections: int = 0
@@ -178,35 +175,17 @@ class StageTrace:
     fir_taps: int = 0
     reason: str | None = None
 
-    def __init__(self, n_detections: int = 0, unknown_ids: tuple[int, ...] = (),
-                 corrupt_ids: tuple[int, ...] = (), selected_ids: tuple[int, ...] = (),
-                 or_applied: bool = False, rejected_ids: tuple[int, ...] = (),
-                 fusion_method: str | None = None, dispersion_warning: bool = False,
-                 fusion_degenerate: bool = False, fir_taps: int = 0,
-                 reason: str | None = None) -> None:
-        self.__dict__.update(
-            n_detections=n_detections, unknown_ids=unknown_ids, corrupt_ids=corrupt_ids,
-            selected_ids=selected_ids, or_applied=or_applied, rejected_ids=rejected_ids,
-            fusion_method=fusion_method, dispersion_warning=dispersion_warning,
-            fusion_degenerate=fusion_degenerate, fir_taps=fir_taps, reason=reason)
-
     def to_dict(self) -> dict:
         """The fields in declaration order, tuples as lists; corrupt rows
         are rare, so their key appears only when there are some."""
-        items = ((f.name, getattr(self, f.name)) for f in fields(self))
         return {name: list(value) if isinstance(value, tuple) else value
-                for name, value in items if value or name != "corrupt_ids"}
+                for name, value in zip(self._fields, self) if value or name != "corrupt_ids"}
 
 
-@dataclass(frozen=True, init=False)
-class EstimateOutput:
+class EstimateOutput(NamedTuple):
     pose: Pose | None
     tags_used: tuple[int, ...]
     stage_trace: StageTrace
-
-    def __init__(self, pose: Pose | None, tags_used: tuple[int, ...],
-                 stage_trace: StageTrace) -> None:
-        self.__dict__.update(pose=pose, tags_used=tags_used, stage_trace=stage_trace)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +202,7 @@ class PipelineState:
         return PipelineState(rows[-length:])
 
 
-@dataclass(frozen=True)
-class RotationFusion:
+class RotationFusion(NamedTuple):
     """A rotation mean: `quat` is the (w, x, y, z) row of a unit quaternion
     as `UnitQuaternion` holds it, None when the fusion is degenerate."""
 

@@ -166,7 +166,9 @@ def build_pattern_map(extent: tuple[float, float],
     for name, side in zip(names, (width, height)):
         if not side / TILE_SIDE + 1e-9 >= 1:
             raise ValueError(f"{name}: {side!r} m does not fit one {TILE_SIDE} m tile")
-    cols, rows = (math.floor(side / TILE_SIDE + 1e-9) for side in (width, height))
+    # a count clipped at 2**63 is rejected below as the true one would be,
+    # and it stays finite where side / TILE_SIDE overflows
+    cols, rows = (math.floor(min(side / TILE_SIDE + 1e-9, 2.0**63)) for side in (width, height))
     if cols * rows * len(TILE) > 2**63:  # ids are stacked as int64
         raise ValueError(f"{names[0]} x {names[1]}: {width!r} x {height!r} m holds so many "
                          "tiles that tag ids would reach 2**63")

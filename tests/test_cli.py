@@ -184,6 +184,12 @@ class TestExitCodes:
          "frame count"),
         ("run", "[map]\nwidth = 1e300\n", "map.width x map.height: 1e+300 x 5.0 m holds so many "
                                            "tiles that tag ids would reach 2**63"),
+        ("run", "[map]\nwidth = 1.7976931348623157e308\n",
+         "map.width x map.height: 1.7976931348623157e+308 x 5.0 m holds so many tiles that tag "
+         "ids would reach 2**63"),
+        ("run", "[map]\nheight = 1.7976931348623157e308\n",
+         "map.width x map.height: 3.0 x 1.7976931348623157e+308 m holds so many tiles that tag "
+         "ids would reach 2**63"),
         ("run", "[map]\nwidth = 1e-300\n", "map.width: 1e-300 m does not fit one 0.94 m tile"),
         ("run", "[map]\nheight = 0.9\n", "map.height: 0.9 m does not fit one 0.94 m tile"),
         ("run", f"[camera]\nimage_width = {'9' * 400}\n",
@@ -201,7 +207,8 @@ class TestExitCodes:
     ], ids=["mount-inf", "x-nan", "yaw-nan", "sigma-inf", "exponent-nan",
             "exponent-overflows-at-threshold", "exponent-overflows-at-diagonal",
             "rotation-sigma-overflows", "position-sigma-overflows", "rate-inf",
-            "duration-overflows", "map-width-1e300", "map-width-1e-300", "map-height-0.9",
+            "duration-overflows", "map-width-1e300", "map-width-max-float",
+            "map-height-max-float", "map-width-1e-300", "map-height-0.9",
             "width-400-digits", "height-above-2**53",
             "waypoint-nan", "scenario-nan", "scenario-z-negative", "scenario-z-zero"])
     def test_non_finite_input_names_key_token_or_line(self, tmp_path, capsys,
@@ -530,7 +537,12 @@ class TestMapBuild:
         (["--height", "1e-300"], "--height: 1e-300 m does not fit one 0.94 m tile"),
         (["--width", "1e300"],
          "--width x --height: 1e+300 x 5.0 m holds so many tiles that tag ids would reach 2**63"),
-    ], ids=["height-1e-300", "width-1e300"])
+        (["--width", "1.7e308"],
+         "--width x --height: 1.7e+308 x 5.0 m holds so many tiles that tag ids would reach 2**63"),
+        (["--height", "1.7976931348623157e308"],
+         "--width x --height: 3.0 x 1.7976931348623157e+308 m holds so many tiles that tag ids "
+         "would reach 2**63"),
+    ], ids=["height-1e-300", "width-1e300", "width-1.7e308", "height-max-float"])
     def test_out_of_range_extent_names_the_flag(self, tmp_path, capsys, args, named):
         out = tmp_path / "x.txt"
         assert main(["map-build", "--out", str(out), *args]) == 2
@@ -995,3 +1007,15 @@ class TestDumpAndReplay:
         assert main(["dump-detections", "--config", cfg_path, "--out", str(s1)]) == 0
         assert main(["dump-detections", "--config", cfg_path, "--out", str(s2)]) == 0
         assert s1.read_bytes() == s2.read_bytes()
+
+    def test_a_dump_without_detections_is_an_empty_file(self, tmp_path, capsys):
+        # at 500 m the camera sees no tag, so no frame leaves a line
+        cfg_path = write_cfg(tmp_path, "[trajectory]\nz = 500\n")
+        stream = tmp_path / "stream.txt"
+        assert main(["dump-detections", "--config", cfg_path, "--out", str(stream),
+                     "--frames", "4"]) == 0
+        assert "wrote 0 detections over 4 frames" in capsys.readouterr().out
+        assert stream.read_bytes() == b""
+        assert main(["replay", "--config", cfg_path, "--detections", str(stream),
+                     "--out", str(tmp_path / "est.csv")]) == 0
+        assert "replayed 0 frames" in capsys.readouterr().out

@@ -128,3 +128,28 @@ def test_replay_t3_log(tmp_path, capsys, t3_stream):
                  "--out", str(out), "--log", str(log)]) == 0
     assert len(log.read_text(encoding="utf-8").splitlines()) == 442
     assert _sha256(log) == "98a356cc56bad8909b53bbf5c00f7742e64a2d1ecf369d5a029df657ff780ffd"
+
+
+@pytest.mark.parametrize("text, seed, printed", [
+    pytest.param(T1_INI, "4", [
+        "t1: ep 2.493 +/- 0.236 cm, eo 0.113 +/- 0.066 deg (575 frames, 1 dropped)",
+        "  F: ep 2.450 +/- 0.304 cm, eo 0.113 +/- 0.061 deg",
+        "  R: ep 2.490 +/- 0.215 cm, eo 0.107 +/- 0.075 deg",
+        "  B: ep 2.489 +/- 0.177 cm, eo 0.108 +/- 0.055 deg",
+        "  L: ep 2.541 +/- 0.220 cm, eo 0.125 +/- 0.068 deg",
+    ], id="t1"),
+    pytest.param(T2_INI, "3", [
+        "t2: ep 0.784 +/- 1.432 cm, eo 0.099 +/- 0.050 deg (632 frames, 0 dropped)",
+        "  S0: ep 0.255 +/- 0.183 cm, eo 0.120 +/- 0.067 deg",
+        "  A1: ep 0.909 +/- 1.531 cm, eo 0.127 +/- 0.048 deg",
+        "  A2: ep 0.815 +/- 1.530 cm, eo 0.075 +/- 0.036 deg",
+        "  A3: ep 0.888 +/- 1.554 cm, eo 0.096 +/- 0.038 deg",
+        "  D1: ep 0.844 +/- 1.478 cm, eo 0.085 +/- 0.045 deg",
+        "  D2: ep 0.869 +/- 1.502 cm, eo 0.096 +/- 0.050 deg",
+        "  D3: ep 0.837 +/- 1.493 cm, eo 0.096 +/- 0.044 deg",
+    ], id="t2"),
+])
+def test_run_prints_overall_and_phase_stats(tmp_path, capsys, text, seed, printed):
+    # the error statistics `run` reads off its frame records, as printed
+    assert main(["run", "--config", _config(tmp_path, "run.ini", text), "--seed", seed]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in printed)

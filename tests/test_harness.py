@@ -26,7 +26,7 @@ from taglok.harness import (
     square_trajectory_t1,
     steps_trajectory_t2,
 )
-from taglok.pipeline import PipelineConfig, ThsMode, apply_variant
+from taglok.pipeline import PipelineConfig, RotationFusion, ThsMode, apply_variant
 from taglok.tagmap import build_pattern_map
 
 from oracles import two_pass_mean_std
@@ -334,7 +334,7 @@ class TestRun:
         frames = list(simulate(cfg))
         empty = DetectionRows(np.empty(0, dtype=np.int64), np.empty((0, 3)), np.empty((0, 4)),
                               np.empty(0))
-        frames[1:4:2] = [replace(f, detections=empty) for f in frames[1:4:2]]
+        frames[1:4:2] = [f._replace(detections=empty) for f in frames[1:4:2]]
         stats = run(cfg, frames).stats
         assert (stats.frames, stats.dropped, stats.drop_reasons) == (3, 2, (("no-tags", 2),))
         off_map = quick_config(default_map, hover_trajectory((50.0, 50.0, 1.0), duration=1.0))
@@ -369,6 +369,17 @@ class TestRun:
         calls.clear()
         rows = compare_matrix(cfg, ["jbt", "tbs-or"], [("t1", cfg.trajectory)])
         assert len(calls) == 72 and [r.stats.frames + r.stats.dropped for r in rows] == [72, 72]
+
+    def test_per_frame_records_are_immutable(self, default_map):
+        # a simulated frame, its record, estimate and stage trace, and a rotation mean
+        cfg = quick_config(default_map, hover_trajectory((1.5, 2.5, 1.4), duration=0.05))
+        frame = next(simulate(cfg))
+        record = run(cfg, [frame]).frames[0]
+        fusion = RotationFusion(np.array([1.0, 0.0, 0.0, 0.0]))
+        for value, name in [(frame, "detections"), (record, "ep_cm"), (record.output, "pose"),
+                            (record.output.stage_trace, "reason"), (fusion, "quat")]:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
 
 
 class TestCompareMatrix:

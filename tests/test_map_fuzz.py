@@ -30,7 +30,8 @@ st = hypothesis.strategies
 
 CONFIG = "[trajectory]\nkind = hover\nz = 1.4\nduration = 0.2\n\n[run]\nseed = 2\n"
 HOSTILE = ["nan", "-nan", "inf", "-inf", "-1", "0", "1e400", "-1e400", "1e308", "-1e308",
-           "1e200", "-1e200", "5e-324", str(2**63), str(2**64), str(-2**63 - 1), "9" * 5000,
+           "1.7976931348623157e308", "-1.7976931348623157e308", "1e200", "-1e200", "5e-324",
+           str(2**63), str(2**64), str(-2**63 - 1), "9" * 5000,
            "x", "S", "XL", "0x1p3", "1.5.2", "--1", "+", "_1", "#",
            # one ulp beyond the bound on a tag's distance from the map's extent
            "-2.0000000000000004", "2.0000000000000004", "4.000000000000001"]

@@ -194,21 +194,22 @@ def test_corrupt_row_costs_only_that_row(base, column, index, value, fused):
         row = int(np.flatnonzero(rows.ids == clean[1].output.tags_used[0])[0])
     else:  # a tag of a class TBS passes over
         row = int(np.flatnonzero(~np.isin(rows.ids, trace.selected_ids))[0])
-    spoiled = replace(bad_frame, detections=_spoiled(rows, row, column, index, value))
-    without = replace(bad_frame, detections=take(rows, np.arange(len(rows)) != row))
+    spoiled = bad_frame._replace(detections=_spoiled(rows, row, column, index, value))
+    without = bad_frame._replace(detections=take(rows, np.arange(len(rows)) != row))
     got = run(base, [frames[0], spoiled, *frames[2:]]).frames
     want = run(base, [frames[0], without, *frames[2:]]).frames
     bad_id = int(rows.ids[row])
     assert bad_id not in got[1].output.tags_used
     # the spoiled frame differs from the one without the row in its trace only
-    want[1] = replace(want[1], output=replace(want[1].output, stage_trace=replace(
-        want[1].output.stage_trace, n_detections=len(rows), corrupt_ids=(bad_id,))))
+    want[1] = want[1]._replace(output=want[1].output._replace(
+        stage_trace=want[1].output.stage_trace._replace(n_detections=len(rows),
+                                                         corrupt_ids=(bad_id,))))
     for record, reference in zip(got, want):
         assert record.ep_cm == reference.ep_cm and record.eo_deg == reference.eo_deg
         _assert_same_output(record.output, reference.output)
     if not fused:
-        _assert_same_output(got[1].output, replace(clean[1].output, stage_trace=replace(
-            trace, corrupt_ids=(bad_id,))))
+        _assert_same_output(got[1].output, clean[1].output._replace(
+            stage_trace=trace._replace(corrupt_ids=(bad_id,))))
 
 
 def test_off_unit_quaternion_row_is_normalized(base):
@@ -220,7 +221,7 @@ def test_off_unit_quaternion_row_is_normalized(base):
     rows = frames[1].detections
     for scale in (3.0, 1e150, 1e-100):
         scaled = _with(rows, quats=np.vstack([rows.quats[:1] * scale, rows.quats[1:]]))
-        got = run(cfg, [frames[0], replace(frames[1], detections=scaled), *frames[2:]]).frames
+        got = run(cfg, [frames[0], frames[1]._replace(detections=scaled), *frames[2:]]).frames
         if scale == 1e-100:  # too small to normalize: corrupt, as before
             assert got[1].output.stage_trace.corrupt_ids == (int(rows.ids[0]),)
             continue
