@@ -202,9 +202,9 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
         v = cy + cam.focal_px * centers[:, 1] / z_safe
     # normal . (camera - centre), summed left to right as .sum(axis=1) sums
     facing = m.normals * (np.array(cam_p) - m.positions)
-    candidates = np.flatnonzero((facing[:, 0] + facing[:, 1] + facing[:, 2] > 0.0) & ahead
-                                & (u >= -_CULL_MARGIN_PX) & (u <= width + _CULL_MARGIN_PX)
-                                & (v >= -_CULL_MARGIN_PX) & (v <= height + _CULL_MARGIN_PX))
+    candidates = ((facing[:, 0] + facing[:, 1] + facing[:, 2] > 0.0) & ahead
+                  & (u >= -_CULL_MARGIN_PX) & (u <= width + _CULL_MARGIN_PX)
+                  & (v >= -_CULL_MARGIN_PX) & (v <= height + _CULL_MARGIN_PX)).nonzero()[0]
 
     # one 2-D product projects every corner: (k, 4, 3)
     corners_cam = (m.corners.take(candidates, axis=0).reshape(-1, 3) @ R.T).reshape(-1, 4, 3) + t
@@ -222,7 +222,7 @@ def visible_tags(tag_map: TagMap, cam: CameraModel, body_pose_true: Pose) -> Det
     sides = np.sqrt(du * du + dv * dv)
     apparent = (sides[:, 0] + sides[:, 1] + sides[:, 2] + sides[:, 3]) / 4.0  # their mean
 
-    keep = np.flatnonzero(seen & (apparent >= cam.detect_threshold_px))
+    keep = (seen & (apparent >= cam.detect_threshold_px)).nonzero()[0]
     rows, apparent = candidates.take(keep), apparent.take(keep)
     cam_q = np.array(cam_q)
     return DetectionRows(m.ids.take(rows), t + rotate_rows(cam_q, m.positions.take(rows, axis=0)),
@@ -529,7 +529,7 @@ def _noise_draws(seed: int, frame_index: int, ids: np.ndarray
     # bit 8 of the raw word is the sign: it becomes the float's sign bit
     signed = (drawn.view(np.uint64) | (draws >> _U64_8 << _U64_63)).view(np.float64)
     normals = np.ascontiguousarray(signed.T)
-    slow = np.flatnonzero((magnitude >= _ZIGGURAT_KI.take(layer)).any(axis=0))
+    slow = (magnitude >= _ZIGGURAT_KI.take(layer)).any(axis=0).nonzero()[0]
     if len(slow):
         bit_generator, sampler = _stream_sampler()
         state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
@@ -594,8 +594,11 @@ def detect(tag_map: TagMap, cam: CameraModel, noise: NoiseModel,
     delta_q[:, 1:] = np.fromiter(map(math.sin, half), float, n)[:, None] * axis
     noisy_p = exact.positions + delta_p
     noisy_q = quat_multiply_rows(exact.quats, delta_q)
-    # a NaN depth reaches DetectionRows, which rejects it
-    keep = np.flatnonzero(~(noisy_p[:, 2] <= 0.0))
+    # a NaN depth is not behind: it reaches DetectionRows, which rejects it
+    behind = noisy_p[:, 2] <= 0.0
+    if not np.count_nonzero(behind):
+        return DetectionRows(exact.ids, noisy_p, noisy_q, exact.apparent)
+    keep = (~behind).nonzero()[0]
     return DetectionRows(exact.ids.take(keep), noisy_p.take(keep, axis=0),
                          noisy_q.take(keep, axis=0), exact.apparent.take(keep))
 

@@ -256,30 +256,29 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
     (h its size-class index) as its weight, the W2 fusion weight, from
     which `step` derives every scheme's weights."""
     m = tag_map.world_frames()
-    rows = m.rows_of(detections.ids)
+    ids, p, q = detections.ids, detections.positions, detections.quats
+    n = len(ids)
+    if not len(m.ids):  # no row to look up: every id is unknown
+        return TagEstimates(ids, *(np.full(shape, np.nan) for shape in ((n, 3), (n, 4), n)))
+    rows = m.rows_of(ids)
     known = rows >= 0
     mount = inverse(camera_in_body)
-    mount_q = mount.orientation.as_array()
-    n = len(detections)
-    estimates = TagEstimates(detections.ids, np.full((n, 3), np.nan), np.full((n, 4), np.nan),
-                             np.full(n, np.nan))
-    # a corrupt row's squares may overflow; the row then turns NaN
-    with np.errstate(over="ignore"):
-        p = detections.positions
-        usable = np.flatnonzero(known & np.isfinite((p * p).sum(axis=1)))
-        # a block of rows at a time, so that a long stream's temporaries stay small
-        for start in range(0, len(usable), _CHAIN_BLOCK_ROWS):
-            picked = usable[start:start + _CHAIN_BLOCK_ROWS]
-            tag = rows[picked]
-            tag_q = m.quats[tag]
-            inv_q = _normalize_rows(detections.quats[picked]) * _CONJUGATE  # inverse(detection)
-            inv_p = -rotate_rows(inv_q, p[picked])
+    positions, quats = np.empty((n, 3)), np.empty((n, 4))
+    # contiguous blocks keep a long stream's temporaries small; unknown ids (row
+    # -1: the last map row) and corrupt rows (overflow, inf - inf) turn NaN below
+    with np.errstate(over="ignore", invalid="ignore"):
+        unusable = ~(known & np.isfinite((p * p).sum(axis=1)))
+        for start in range(0, n, _CHAIN_BLOCK_ROWS):
+            block = slice(start, start + _CHAIN_BLOCK_ROWS)
+            tag_q = m.quats.take(rows[block], axis=0)
+            inv_q = _normalize_rows(q[block]) * _CONJUGATE  # inverse(detection)
+            inv_p = -rotate_rows(inv_q, p[block])
             chain_p = inv_p + rotate_rows(inv_q, mount.position)  # ... composed with the mount
-            chain_q = quat_multiply_rows(inv_q, mount_q)
-            estimates.positions[picked] = m.positions[tag] + rotate_rows(tag_q, chain_p)
-            estimates.quats[picked] = quat_multiply_rows(tag_q, chain_q)
-    estimates.weights[known] = 2.0 ** m.classes[rows[known]]
-    return estimates
+            chain_q = quat_multiply_rows(inv_q, mount.orientation.as_array())
+            positions[block] = m.positions.take(rows[block], axis=0) + rotate_rows(tag_q, chain_p)
+            quats[block] = quat_multiply_rows(tag_q, chain_q)
+    positions[unusable] = quats[unusable] = np.nan
+    return TagEstimates(ids, positions, quats, np.where(known, 2.0 ** m.classes.take(rows), np.nan))
 
 
 @functools.lru_cache(maxsize=256)

@@ -157,11 +157,18 @@ def _check_no_same_class_overlap(entries: list[TagEntry]) -> None:
                         f"{cls.name}) have overlapping footprints", members[j].tag_id)
 
 
+# the most tags `build_pattern_map` builds: a tag takes about 850 B at the
+# build's peak, so the cap is about 1.8 GB (a 160 m square holds 491,300)
+MAX_PATTERN_TAGS = 2**21
+
+
 def build_pattern_map(extent: tuple[float, float],
                       names: tuple[str, str] = ("width", "height")) -> TagMap:
     """Tile the extent with the built-in tile, mirroring odd columns about the
     tile's y-axis (mirrored tags get the yaw -0.0). Tag ids run in row-major
-    tile order, table order within a tile; errors call the extent `names`."""
+    tile order, table order within a tile. An extent that holds more than
+    MAX_PATTERN_TAGS tags is refused before any is built; errors call the
+    extent `names`."""
     width, height = float(extent[0]), float(extent[1])
     for name, side in zip(names, (width, height)):
         if not side / TILE_SIDE + 1e-9 >= 1:
@@ -169,9 +176,13 @@ def build_pattern_map(extent: tuple[float, float],
     # a count clipped at 2**63 is rejected below as the true one would be,
     # and it stays finite where side / TILE_SIDE overflows
     cols, rows = (math.floor(min(side / TILE_SIDE + 1e-9, 2.0**63)) for side in (width, height))
-    if cols * rows * len(TILE) > 2**63:  # ids are stacked as int64
+    count = cols * rows * len(TILE)
+    if count > 2**63:  # ids are stacked as int64
         raise ValueError(f"{names[0]} x {names[1]}: {width!r} x {height!r} m holds so many "
                          "tiles that tag ids would reach 2**63")
+    if count > MAX_PATTERN_TAGS:
+        raise ValueError(f"{names[0]} x {names[1]}: {width!r} x {height!r} m holds {count} "
+                         f"tags, more than the {MAX_PATTERN_TAGS} a built map may hold")
     entries = []
     for row in range(rows):
         for col in range(cols):

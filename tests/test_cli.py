@@ -190,6 +190,9 @@ class TestExitCodes:
         ("run", "[map]\nheight = 1.7976931348623157e308\n",
          "map.width x map.height: 3.0 x 1.7976931348623157e+308 m holds so many tiles that tag "
          "ids would reach 2**63"),
+        ("run", "[map]\nwidth = 2000\nheight = 2000\n",
+         "map.width x map.height: 2000.0 x 2000.0 m holds 76910193 tags, more than the 2097152 "
+         "a built map may hold"),
         ("run", "[map]\nwidth = 1e-300\n", "map.width: 1e-300 m does not fit one 0.94 m tile"),
         ("run", "[map]\nheight = 0.9\n", "map.height: 0.9 m does not fit one 0.94 m tile"),
         ("run", f"[camera]\nimage_width = {'9' * 400}\n",
@@ -208,7 +211,7 @@ class TestExitCodes:
             "exponent-overflows-at-threshold", "exponent-overflows-at-diagonal",
             "rotation-sigma-overflows", "position-sigma-overflows", "rate-inf",
             "duration-overflows", "map-width-1e300", "map-width-max-float",
-            "map-height-max-float", "map-width-1e-300", "map-height-0.9",
+            "map-height-max-float", "map-2000-m-square", "map-width-1e-300", "map-height-0.9",
             "width-400-digits", "height-above-2**53",
             "waypoint-nan", "scenario-nan", "scenario-z-negative", "scenario-z-zero"])
     def test_non_finite_input_names_key_token_or_line(self, tmp_path, capsys,
@@ -542,7 +545,15 @@ class TestMapBuild:
         (["--height", "1.7976931348623157e308"],
          "--width x --height: 3.0 x 1.7976931348623157e+308 m holds so many tiles that tag ids "
          "would reach 2**63"),
-    ], ids=["height-1e-300", "width-1e300", "width-1.7e308", "height-max-float"])
+        (["--width", "2000", "--height", "2000"],
+         "--width x --height: 2000.0 x 2000.0 m holds 76910193 tags, more than the 2097152 a "
+         "built map may hold"),
+        # 351 x 352 tiles, the fewest past the cap
+        (["--width", "330", "--height", "331"],
+         "--width x --height: 330.0 x 331.0 m holds 2100384 tags, more than the 2097152 a "
+         "built map may hold"),
+    ], ids=["height-1e-300", "width-1e300", "width-1.7e308", "height-max-float", "2000-m-square",
+            "just-past-the-tag-cap"])
     def test_out_of_range_extent_names_the_flag(self, tmp_path, capsys, args, named):
         out = tmp_path / "x.txt"
         assert main(["map-build", "--out", str(out), *args]) == 2
@@ -1019,3 +1030,43 @@ class TestDumpAndReplay:
         assert main(["replay", "--config", cfg_path, "--detections", str(stream),
                      "--out", str(tmp_path / "est.csv")]) == 0
         assert "replayed 0 frames" in capsys.readouterr().out
+
+    def test_a_map_without_tags_drops_every_frame(self, tmp_path, capsys):
+        # a header-only map: replay's one detection has an unknown id, and
+        # run sees no tag at all
+        (tmp_path / "map.txt").write_text("tagmap v1 3 5\n", encoding="utf-8")
+        cfg_path = write_cfg(tmp_path, f"[map]\nfile = {tmp_path / 'map.txt'}\n\n"
+                                       "[trajectory]\nduration = 0.2\n")
+        stream, log = tmp_path / "stream.txt", tmp_path / "replay.jsonl"
+        stream.write_text("0 0.0 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0\n", encoding="utf-8")
+        assert main(["replay", "--config", cfg_path, "--detections", str(stream),
+                     "--out", str(tmp_path / "est.csv"), "--log", str(log)]) == 0
+        (record,) = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert record["pose_est"] is None
+        assert record["trace"]["unknown_ids"] == [5] and record["trace"]["reason"] == "no-tags"
+        run_log = tmp_path / "run.jsonl"
+        assert main(["run", "--config", cfg_path, "--log", str(run_log)]) == 0
+        records = [json.loads(line) for line in run_log.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == 4
+        assert all(r["pose_est"] is None and r["trace"]["reason"] == "no-tags" for r in records)
+        assert "no frame produced an estimate (4 dropped: no-tags 4)" in capsys.readouterr().out
+
+    def test_a_position_whose_square_overflows_is_a_corrupt_row(self, tmp_path):
+        # px = 1e200 is finite, so the reader takes it; its squared norm
+        # overflows, so the chain marks the row corrupt and fuses the rest
+        cfg_path = write_cfg(tmp_path, QUICK)
+        stream, log = tmp_path / "stream.txt", tmp_path / "replay.jsonl"
+        assert main(["dump-detections", "--config", cfg_path, "--out", str(stream),
+                     "--frames", "1"]) == 0
+        lines = stream.read_text(encoding="utf-8").splitlines()
+        tokens = lines[2].split()
+        tokens[3] = "1e200"
+        lines[2] = " ".join(tokens)
+        stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["replay", "--config", cfg_path, "--detections", str(stream),
+                     "--out", str(tmp_path / "est.csv"), "--log", str(log)]) == 0
+        (record,) = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        trace = record["trace"]
+        assert trace["corrupt_ids"] == [int(tokens[2])] and trace["unknown_ids"] == []
+        assert trace["n_detections"] == len(lines) and trace["reason"] is None
+        assert record["pose_est"] is not None and int(tokens[2]) not in trace["selected_ids"]

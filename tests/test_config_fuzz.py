@@ -11,9 +11,9 @@ a `hover:X:Y:Z:YAW` scenario. Whatever the input, `run` and
 duration of 3 frames) and `map-build` must exit 0, 1 or 2 without a
 traceback; exit 2 must name the key, the flag, or the file and its line; on
 exit 0 every number on stdout and in `--out` must be finite (a compare cell
-without estimates leaves its error fields empty). No hostile token is a map
-extent that is valid but enormous: such an extent is still built (1e9 m is
-about 1e11 tags), like a long `--frames` run.
+without estimates leaves its error fields empty). A map extent that is
+valid but enormous (1e9 m is about 1e11 tags) exits 2 before any tag is
+built, as does one whose tag ids would reach 2**63.
 """
 
 import contextlib
