@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .geometry import Pose, UnitQuaternion, quat_from_yaw, quat_to_matrix
+from .geometry import Pose, _matrix, unit_components
 
 _BASE_SIDE = 0.0575  # class S side length [m]; each class doubles the previous
 # a tag's corners in its own plane per unit side, counterclockwise
@@ -101,64 +101,64 @@ class FootprintOverlapError(ValueError):
 
 
 class TagMap:
-    """Immutable tag table over a rectangular extent: `entries` by id, and their arrays."""
+    """Immutable tag table over a rectangular extent, kept as its `MapArrays` alone."""
 
     def __init__(self, entries: Iterable[TagEntry], extent: tuple[float, float]):
         listed = list(entries)
-        self.entries = table = tuple(sorted(listed, key=lambda e: e.tag_id))
-        # the noise stream keys on the id and the arrays stack it as int64;
-        # sorted, the table's ends hold its extremes
-        for e in table[:1] + table[-1:]:
-            if not 0 <= e.tag_id < 2**63:
-                raise ValueError(f"tag id {e.tag_id} out of range (must be in [0, 2**63))")
-        ids = np.array([e.tag_id for e in table], dtype=np.int64)
-        repeated = ids[1:][ids[1:] == ids[:-1]]
-        if len(repeated):
-            raise ValueError(f"duplicate tag id {repeated[0]}")
+        ids = [e.tag_id for e in listed]
+        # the noise stream keys on the id and the arrays stack it as int64
+        for tag_id in (min(ids, default=0), max(ids, default=0)):
+            if not 0 <= tag_id < 2**63:
+                raise ValueError(f"tag id {tag_id} out of range (must be in [0, 2**63))")
+        poses = [e.pose_in_world for e in listed]
+        self._stack(extent, ids, [e.size_class.value for e in listed],
+                    [p.position for p in poses], [p.orientation.as_array() for p in poses])
+
+    def _stack(self, extent, ids, classes, positions, quats) -> TagMap:
+        """Every map's construction core: check the columns, sort them by id, derive the rest."""
+        ids, classes = np.asarray(ids, dtype=np.int64), np.asarray(classes, dtype=np.intp)
+        positions, quats = np.reshape(positions, (-1, 3)), np.reshape(quats, (-1, 4))
+        sorted_ids, order, counts = np.unique(ids, return_index=True, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"duplicate tag id {sorted_ids[counts > 1][0]}")
         self.extent = (float(extent[0]), float(extent[1]))
-        _check_no_same_class_overlap(listed)
-        sides = np.array([e.size_class.side_length for e in table])
-        positions = np.array([e.pose_in_world.position for e in table]).reshape(-1, 3)
-        rots = np.array([quat_to_matrix(e.pose_in_world.orientation) for e in table]).reshape(-1, 3, 3)
-        self._arrays = MapArrays(
-            ids,
-            np.array([e.size_class.value for e in table], dtype=np.intp),
-            positions,
-            np.array([e.pose_in_world.orientation.as_array() for e in table]).reshape(-1, 4),
-            rots[:, :, 2],
-            positions[:, None, :] + np.einsum("nij,kj,n->nki", rots, _UNIT_SQUARE, sides),
-        )
+        _check_no_same_class_overlap(ids, classes, positions)
+        classes, positions, quats = classes[order], positions[order], quats[order]
+        rots = np.moveaxis(np.array(_matrix(*quats.T)), -1, 0).copy()  # quat_to_matrix's bits
+        sides = np.array([c.side_length for c in SizeClass])[classes]
+        corners = np.einsum("nij,kj,n->nki", rots, _UNIT_SQUARE, sides)
+        corners += positions[:, None, :]
+        self._arrays = MapArrays(sorted_ids, classes, positions, quats, rots[:, :, 2], corners)
+        return self
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._arrays.ids)
 
     def world_frames(self) -> MapArrays:
         """The map stacked as arrays, rows in tag-id order."""
         return self._arrays
 
 
-def _check_no_same_class_overlap(entries: list[TagEntry]) -> None:
-    # tags in input order, so the error names the later of the first clashing pair
-    for cls in dict.fromkeys(e.size_class for e in entries):
-        members = [e for e in entries if e.size_class is cls]
-        side = cls.side_length
-        centers = np.array([e.pose_in_world.position[:2] for e in members])
-        # an infinite delta is no clash; parse_map's bound on a tag's distance
-        # from the extent does not rule one out (an extent near the float
-        # limit), nor does a TagMap built directly
+def _check_no_same_class_overlap(ids, classes, positions) -> None:
+    # rows in input order, so the error names the later of the first clashing pair
+    for value in dict.fromkeys(classes.tolist()):
+        members = np.flatnonzero(classes == value)
+        cls = SizeClass(value)
+        centers = positions[members, :2]
+        # an infinite delta is no clash: neither parse_map's bound on a tag's distance from
+        # the extent (an extent near the float limit) nor a TagMap built directly rules one out
         with np.errstate(over="ignore"):
             for i in range(len(members)):
                 deltas = np.abs(centers[i + 1:] - centers[i])
-                clash = np.all(deltas < side - 1e-12, axis=1)
+                clash = np.all(deltas < cls.side_length - 1e-12, axis=1)
                 if np.any(clash):
-                    j = i + 1 + int(np.argmax(clash))
-                    raise FootprintOverlapError(
-                        f"tags {members[i].tag_id} and {members[j].tag_id} (class "
-                        f"{cls.name}) have overlapping footprints", members[j].tag_id)
+                    first, later = ids[members[[i, i + 1 + int(np.argmax(clash))]]].tolist()
+                    raise FootprintOverlapError(f"tags {first} and {later} (class {cls.name}) "
+                                                "have overlapping footprints", later)
 
 
-# the most tags `build_pattern_map` builds: a tag takes about 850 B at the
-# build's peak, so the cap is about 1.8 GB (a 160 m square holds 491,300)
+# the most tags `build_pattern_map` builds, about 330 B each at the build's peak (0.7 GB in
+# all); the quadratic same-class overlap check, not memory, bounds a larger built map
 MAX_PATTERN_TAGS = 2**21
 
 
@@ -183,17 +183,16 @@ def build_pattern_map(extent: tuple[float, float],
     if count > MAX_PATTERN_TAGS:
         raise ValueError(f"{names[0]} x {names[1]}: {width!r} x {height!r} m holds {count} "
                          f"tags, more than the {MAX_PATTERN_TAGS} a built map may hold")
-    entries = []
-    for row in range(rows):
-        for col in range(cols):
-            mirrored = col % 2 == 1
-            ox, oy = col * TILE_SIDE, row * TILE_SIDE
-            orientation = quat_from_yaw(-0.0 if mirrored else 0.0)
-            for size_class, x, y in TILE:
-                x = TILE_SIDE - x if mirrored else x
-                pose = Pose(np.array([ox + x, oy + y, 0.0]), orientation)
-                entries.append(TagEntry(len(entries), pose, size_class))
-    return TagMap(entries, (width, height))
+    tile_x, tile_y = np.array([(x, y) for _, x, y in TILE]).T
+    col = np.arange(cols)[:, None]
+    positions = np.zeros((rows, cols, len(TILE), 3))
+    positions[..., 0] = col * TILE_SIDE + np.where(col % 2 == 1, TILE_SIDE - tile_x, tile_x)
+    positions[..., 1] = (np.arange(rows) * TILE_SIDE)[:, None, None] + tile_y
+    quats = np.zeros((rows, cols, len(TILE), 4))
+    quats[..., 0] = 1.0
+    quats[:, 1::2, :, 3] = -0.0  # odd columns: quat_from_yaw(-0.0), whose z is -0.0
+    classes = np.tile([c.value for c, _, _ in TILE], rows * cols)
+    return TagMap.__new__(TagMap)._stack(extent, np.arange(count), classes, positions, quats)
 
 
 class MapFormatError(ValueError):
@@ -201,14 +200,13 @@ class MapFormatError(ValueError):
 
 
 def serialize_map(tag_map: TagMap) -> str:
+    m = tag_map.world_frames()
+    # each row's canonical sign (UnitQuaternion.canonical): its first nonzero component positive
+    lead = np.take_along_axis(m.quats, np.argmax(m.quats != 0.0, axis=1)[:, None], axis=1)
+    rows = np.concatenate([m.positions, np.where(lead < 0.0, -m.quats, m.quats)], axis=1).tolist()
     lines = [f"tagmap v1 {tag_map.extent[0]!r} {tag_map.extent[1]!r}"]
-    for entry in tag_map.entries:
-        p = [float(v) for v in entry.pose_in_world.position]
-        q = entry.pose_in_world.orientation.canonical()
-        lines.append(
-            f"{entry.tag_id} {entry.size_class.name} "
-            f"{p[0]!r} {p[1]!r} {p[2]!r} {q.w!r} {q.x!r} {q.y!r} {q.z!r}"
-        )
+    for tag_id, value, row in zip(m.ids.tolist(), m.classes.tolist(), rows):
+        lines.append(" ".join([str(tag_id), SizeClass(value).name, *map(repr, row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -236,8 +234,8 @@ def _parse_float(token: str, line_no: int, field: str) -> float:
 
 def parse_map(text: str) -> TagMap:
     header = None
-    entries = []
-    line_of = {}  # tag id -> its line
+    classes, positions, quats = [], [], []
+    line_of = {}  # tag id -> its line, in input order
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -282,13 +280,14 @@ def parse_map(text: str) -> TagMap:
                 f"outside the {header[0]!r} x {header[1]!r} m extent")
         qw, qx, qy, qz = (_parse_float(tokens[5 + k], line_no, f"q{'wxyz'[k]}") for k in range(4))
         try:
-            orientation = UnitQuaternion(qw, qx, qy, qz)
+            quats.append(unit_components(qw, qx, qy, qz))  # as UnitQuaternion keeps them
         except ValueError as exc:
             raise MapFormatError(f"line {line_no}: bad quaternion ({exc})") from None
-        entries.append(TagEntry(tag_id, Pose(np.array([px, py, pz]), orientation), size_class))
+        classes.append(size_class.value)
+        positions.append((px, py, pz))
     if header is None:
         raise MapFormatError("line 1: missing header 'tagmap v1 <width> <height>'")
     try:
-        return TagMap(entries, header)
+        return TagMap.__new__(TagMap)._stack(header, list(line_of), classes, positions, quats)
     except FootprintOverlapError as exc:
         raise MapFormatError(f"line {line_of[exc.tag_id]}: {exc}") from None

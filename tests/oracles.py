@@ -13,7 +13,10 @@ composed of them, and the object form of detections (`Detection`,
 unculled form of its `visible_tags`, the bitwise references for their
 array forms in `taglok.camsim`, whose ziggurat tables `probe_ziggurat_tables`
 reads back from numpy's own sampler, and the line-by-line grouping form of
-its stream reader (`loop_read_detection_stream`). `step_detections` is no
+its stream reader (`loop_read_detection_stream`), and the map's arrays
+stacked tag by tag (`tiled_entries`, `stacked_frames`), the bitwise reference
+for `TagMap`'s column form; `entries_of` reads a map's rows back as
+`TagEntry` objects for the per-tag oracles. `step_detections` is no
 oracle: it feeds one frame's detections to `step` through the frame chain,
 as `run` does for a whole stream. Neither is `iqr_bounds`: it returns the fences that
 `remove_outliers` computes, in the form the quartile tests read. Nor is
@@ -36,6 +39,7 @@ from taglok.geometry import (
     compose,
     inverse,
     quat_multiply,
+    quat_from_yaw,
     quat_multiply_rows,
     quat_rotation_angle,
     quat_to_matrix,
@@ -65,6 +69,7 @@ from taglok.pipeline import (
     select_tags,
     step,
 )
+from taglok.tagmap import _UNIT_SQUARE, TILE, TILE_SIDE, SizeClass, TagEntry
 
 _ORTHO_TOL = 1e-6
 
@@ -396,13 +401,61 @@ def detections_from(rows: DetectionRows) -> list:
 
 
 @functools.lru_cache(maxsize=16)
+def entries_of(tag_map) -> tuple:
+    """The map's tags as `TagEntry` objects in tag-id order, read back from
+    its id, class, position and quaternion rows; the per-tag oracles derive
+    each tag's normal and corners from these themselves."""
+    m = tag_map.world_frames()
+    rows = zip(m.ids.tolist(), m.classes.tolist(), m.positions, m.quats.tolist())
+    return tuple(TagEntry(tag_id, Pose(p, UnitQuaternion(*q)), SizeClass(value))
+                 for tag_id, value, p, q in rows)
+
+
+@functools.lru_cache(maxsize=16)
 def _entries_by_id(tag_map) -> dict:
-    return {e.tag_id: e for e in tag_map.entries}
+    return {e.tag_id: e for e in entries_of(tag_map)}
 
 
 def entry_of(tag_map, tag_id: int):
     """The map entry of a tag id, None when the id is not in the map."""
     return _entries_by_id(tag_map).get(tag_id)
+
+
+# --- the map's arrays stacked tag by tag (bitwise reference) ---
+
+def tiled_entries(extent) -> list:
+    """`build_pattern_map`'s tiling, one `TagEntry` per tag: ids in row-major
+    tile order and table order within a tile, odd columns mirrored about the
+    tile's y-axis with the yaw -0.0."""
+    cols, rows = (math.floor(side / TILE_SIDE + 1e-9) for side in extent)
+    entries = []
+    for row in range(rows):
+        for col in range(cols):
+            mirrored = col % 2 == 1
+            ox, oy = col * TILE_SIDE, row * TILE_SIDE
+            orientation = quat_from_yaw(-0.0 if mirrored else 0.0)
+            for size_class, x, y in TILE:
+                x = TILE_SIDE - x if mirrored else x
+                pose = Pose(np.array([ox + x, oy + y, 0.0]), orientation)
+                entries.append(TagEntry(len(entries), pose, size_class))
+    return entries
+
+
+def stacked_frames(entries) -> tuple:
+    """`MapArrays`' six arrays (ids, classes, positions, quats, normals,
+    corners) of these entries, stacked tag by tag in tag-id order: one
+    `quat_to_matrix` per tag, then the corners of the unit square scaled by
+    each tag's side."""
+    table = sorted(entries, key=lambda e: e.tag_id)
+    sides = np.array([e.size_class.side_length for e in table])
+    positions = np.array([e.pose_in_world.position for e in table]).reshape(-1, 3)
+    rots = np.array([quat_to_matrix(e.pose_in_world.orientation) for e in table]).reshape(-1, 3, 3)
+    return (np.array([e.tag_id for e in table], dtype=np.int64),
+            np.array([e.size_class.value for e in table], dtype=np.intp),
+            positions,
+            np.array([e.pose_in_world.orientation.as_array() for e in table]).reshape(-1, 4),
+            rots[:, :, 2],
+            positions[:, None, :] + np.einsum("nij,kj,n->nki", rots, _UNIT_SQUARE, sides))
 
 
 # --- per-tag loop forms of the estimator's stages (bitwise reference) ---

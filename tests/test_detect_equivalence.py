@@ -26,6 +26,7 @@ from taglok.tagmap import TagEntry, TagMap, build_pattern_map
 from oracles import (
     _noise_rng,
     _seeded_states,
+    entries_of,
     loop_detect,
     pose_to_hmat,
     random_unit_quat,
@@ -85,7 +86,7 @@ def projected_visible_ids(tag_map, cam, body_pose):
     camera_center = np.linalg.inv(world_to_cam)[:3, 3]
     width, height = cam.image_size
     ids = []
-    for entry in tag_map.entries:
+    for entry in entries_of(tag_map):
         tag_to_world = pose_to_hmat(entry.pose_in_world)
         half = 0.5 * entry.size_class.side_length
         corners = [tag_to_world @ (x, y, 0.0, 1.0)
@@ -221,7 +222,7 @@ def test_wide_map_ids(pattern_map):
     # the same tags under ids of two uint32 words: detect still equals the
     # per-tag streams
     wide = TagMap([TagEntry(2**33 * (entry.tag_id + 1) + entry.tag_id, entry.pose_in_world,
-                            entry.size_class) for entry in pattern_map.entries],
+                            entry.size_class) for entry in entries_of(pattern_map)],
                   pattern_map.extent)
     detected, _ = assert_same_detections(wide, default_camera(), DEFAULT_NOISE,
                                          hover_poses(1.4, 3))

@@ -43,6 +43,7 @@ from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 from oracles import (
     Detection,
     detections_from,
+    entries_of,
     loop_estimate_body_pose_per_tag,
     loop_select_tags,
     random_unit_quat,
@@ -265,7 +266,7 @@ def edge_quat_rows(draw) -> list:
 
 EDGE_MAP = build_pattern_map((1.0, 1.0))
 EDGE_MOUNT = Pose(np.array([0.04, -0.02, 0.03]), UnitQuaternion(0.9, 0.1, -0.3, 0.2))
-EDGE_DETECTIONS = st.tuples(st.sampled_from([e.tag_id for e in EDGE_MAP.entries]),
+EDGE_DETECTIONS = st.tuples(st.sampled_from([e.tag_id for e in entries_of(EDGE_MAP)]),
                             st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
                                       st.floats(0.1, 4.0)),
                             edge_quat_rows())

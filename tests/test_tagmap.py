@@ -8,6 +8,7 @@ from taglok.geometry import Pose, UnitQuaternion
 from taglok.tagmap import (
     TILE,
     TILE_SIDE,
+    FootprintOverlapError,
     MapFormatError,
     SizeClass,
     TagEntry,
@@ -16,6 +17,8 @@ from taglok.tagmap import (
     parse_map,
     serialize_map,
 )
+
+from oracles import entries_of, stacked_frames, tiled_entries
 
 
 class TestSizeClass:
@@ -56,7 +59,7 @@ class TestBuildPatternMap:
     def test_default_extent_histogram(self):
         tag_map = build_pattern_map((3.0, 5.0))
         # 3 columns x 5 rows of 0.94 m tiles
-        histogram = Counter(e.size_class for e in tag_map.entries)
+        histogram = Counter(e.size_class for e in entries_of(tag_map))
         assert histogram == {
             SizeClass.S: 15 * 8,
             SizeClass.M: 15 * 4,
@@ -68,7 +71,7 @@ class TestBuildPatternMap:
     def test_single_tile_is_untransformed_base_pattern(self):
         tag_map = build_pattern_map((TILE_SIDE, TILE_SIDE))
         assert len(tag_map) == len(TILE)
-        for entry, (size_class, x, y) in zip(tag_map.entries, TILE):
+        for entry, (size_class, x, y) in zip(entries_of(tag_map), TILE):
             assert entry.pose_in_world.position[0] == pytest.approx(x, abs=1e-12)
             assert entry.pose_in_world.position[1] == pytest.approx(y, abs=1e-12)
             assert entry.pose_in_world.position[2] == 0.0
@@ -77,8 +80,8 @@ class TestBuildPatternMap:
     def test_odd_column_mirrors_x_about_tile_axis(self):
         tag_map = build_pattern_map((2 * TILE_SIDE, TILE_SIDE))
         n = len(TILE)
-        base = tag_map.entries[:n]
-        mirrored = tag_map.entries[n:]
+        base = entries_of(tag_map)[:n]
+        mirrored = entries_of(tag_map)[n:]
         for b, m, (_, x, _) in zip(base, mirrored, TILE):
             # oracle: reflect the base tile, then translate by one tile width
             expected_x = (TILE_SIDE - x) + TILE_SIDE
@@ -87,7 +90,7 @@ class TestBuildPatternMap:
 
     def test_all_footprints_inside_extent(self):
         tag_map = build_pattern_map((3.0, 5.0))
-        for entry in tag_map.entries:
+        for entry in entries_of(tag_map):
             half = entry.size_class.side_length / 2
             x, y = entry.pose_in_world.position[:2]
             assert x - half >= -1e-12 and x + half <= 3.0 + 1e-12
@@ -117,7 +120,7 @@ class TestTagMap:
     def test_every_generated_id_resolves(self):
         tag_map = build_pattern_map((3.0, 5.0))
         m = tag_map.world_frames()
-        entries = tag_map.entries
+        entries = entries_of(tag_map)
         rows = m.rows_of(np.array([e.tag_id for e in entries]))
         assert rows.tolist() == list(range(len(entries)))
         for row, entry in zip(rows, entries):
@@ -157,6 +160,20 @@ class TestTagMap:
         with pytest.raises(ValueError, match="overlap"):
             TagMap([a, b], (2.0, 2.0))
 
+    def test_overlap_names_the_first_clashing_pair_in_input_order(self):
+        # id 9 (first given) clashes with id 7 (third); a check that sorted
+        # the rows by id first would name "7 and 9"
+        rows = ((9, 0.0), (4, 1.0), (7, 0.1))
+        entries = [TagEntry(tag_id, Pose(np.array([x, 0.0, 0.0]), UnitQuaternion.identity()),
+                            SizeClass.L) for tag_id, x in rows]
+        message = r"tags 9 and 7 \(class L\) have overlapping footprints$"
+        with pytest.raises(FootprintOverlapError, match="^" + message) as raised:
+            TagMap(entries, (2.0, 2.0))
+        assert raised.value.tag_id == 7
+        text = "tagmap v1 2.0 2.0\n" + "".join(f"{i} L {x!r} 0.0 0.0 1 0 0 0\n" for i, x in rows)
+        with pytest.raises(MapFormatError, match="^line 4: " + message):
+            parse_map(text)
+
     def test_different_class_overlap_allowed(self):
         a = TagEntry(0, Pose(np.array([0.0, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.L)
         b = TagEntry(1, Pose(np.array([0.1, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.M)
@@ -193,13 +210,55 @@ class TestTagMap:
         assert np.allclose(corners[0], expected)
 
 
+FIELDS = ("ids", "classes", "positions", "quats", "normals", "corners")
+
+
+def assert_same_bytes(tag_map, entries):
+    """Each of the map's arrays equals the tag-by-tag stacking's, dtype,
+    shape and bytes."""
+    m = tag_map.world_frames()
+    for name, expected in zip(FIELDS, stacked_frames(entries)):
+        got = getattr(m, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+class TestRowMath:
+    """The map's column form against `oracles.stacked_frames`, bit for bit,
+    so a reordered rotation-matrix expression fails here."""
+
+    def test_tilted_tags_under_shuffled_sparse_ids(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 7, 40) * 8:
+            quats = rng.normal(size=(n, 4))
+            quats[::2, 0] = -np.abs(quats[::2, 0])  # w < 0 on every other row
+            zeros = rng.random((n, 3)) < 0.3  # signed zeros in x, y and z
+            quats[:, 1:][zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+            quats[0] = (-1.0, -0.0, 0.0, -0.0)
+            ids = rng.choice(2**40, size=n, replace=False)  # shuffled and sparse
+            # the first tag of each class sits within a millimetre of the
+            # origin, where adding its centre rounds away no bit of a corner
+            # offset; the others stand a metre apart
+            entries = [TagEntry(int(tag_id), Pose(np.array([k // 4, *rng.uniform(-1e-3, 1e-3, 2)]),
+                                                  UnitQuaternion(*q)), SizeClass(k % 4))
+                       for k, (tag_id, q) in enumerate(zip(ids, quats.tolist()))]
+            assert_same_bytes(TagMap(entries, (n / 4 + 1.0, 2.0)), entries)
+
+    @pytest.mark.parametrize("cols", [1, 2, 5])
+    def test_pattern_map(self, cols):
+        extent = (cols * TILE_SIDE, 2 * TILE_SIDE)
+        entries = tiled_entries(extent)
+        assert len(entries) == cols * 2 * len(TILE)
+        assert_same_bytes(build_pattern_map(extent), entries)
+
+
 class TestMapFile:
     def test_round_trip(self):
         tag_map = build_pattern_map((3.0, 5.0))
         loaded = parse_map(serialize_map(tag_map))
         assert loaded.extent == tag_map.extent
         assert len(loaded) == len(tag_map)
-        for a, b in zip(tag_map.entries, loaded.entries):
+        for a, b in zip(entries_of(tag_map), entries_of(loaded)):
             assert a.tag_id == b.tag_id
             assert a.size_class is b.size_class
             assert np.array_equal(a.pose_in_world.position, b.pose_in_world.position)
@@ -216,7 +275,7 @@ class TestMapFile:
         tag_map = parse_map(text)
         assert len(tag_map) == 2
         assert tag_map.extent == (2.0, 3.0)
-        xl, s = tag_map.entries
+        xl, s = entries_of(tag_map)
         assert xl.tag_id == 4 and s.tag_id == 9
         assert xl.size_class is SizeClass.XL
         assert np.array_equal(xl.pose_in_world.position, [0.5, 0.25, 0.0])
