@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -649,16 +649,16 @@ def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, floa
     return frame, t, tag_id, (px, py, pz), (qw, qx, qy, qz), apparent
 
 
-def parse_detection_stream(text: str) -> list[Frame]:
-    """Frames of a dumped detection stream's text in frame order, without
-    ground truth. A frame takes its time from its first line and keeps its
-    lines in stream order; errors name the line.
+def parse_detection_stream(lines: Iterable[str]) -> list[Frame]:
+    """Frames of a dumped detection stream's lines (its text's `splitlines()`)
+    in frame order, without ground truth. A frame takes its time from its
+    first line and keeps its lines in stream order; errors name the line.
 
     Each line is packed into one whole-stream buffer as it is parsed, and
     every frame's arrays are slices of the columns read back from it, so no
     per-line object outlives its line."""
     packed, first_t = bytearray(), {}
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:

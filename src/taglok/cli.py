@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 usage error (nothing written), 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import configparser
+import io
 import json
 import math
 import os
@@ -18,7 +20,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -75,6 +77,54 @@ def _read(name: str, path: str, parse: Callable[[str], object]):
         text = Path(path).read_text(encoding="utf-8")
     with _named(path, ValueError):
         return parse(text)
+
+
+# characters (and, in the UTF-8 check, bytes) a stream file is decoded in at
+# a time; at least 4, the longest UTF-8 sequence
+_PIECE = 1 << 16
+
+
+def _utf8_checked(data: bytes) -> bytes:
+    """`data`, once it has decoded as UTF-8 a piece at a time; else the error
+    `data.decode("utf-8")` raises, at the same absolute position."""
+    view, start = memoryview(data), 0
+    while start < len(data):
+        end = start + _PIECE
+        try:  # a sequence cut at the piece's end is decoded with the next piece
+            start += codecs.utf_8_decode(view[start:end], "strict", end >= len(data))[1]
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError("utf-8", data, start + exc.start, start + exc.end,
+                                     exc.reason) from None
+    return data
+
+
+def _lines_of(data: bytes) -> Iterator[str]:
+    """The lines `read_text(encoding="utf-8").splitlines()` gives of the
+    UTF-8 bytes `data`, decoded a piece at a time. With universal newlines
+    no "\r" is left, so a cut after a piece's last "\n" splits no line
+    break; the text after it waits for the next piece, in a list, so a line
+    longer than a piece is joined once."""
+    text, tail = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), []
+    while piece := text.read(_PIECE):
+        cut = piece.rfind("\n") + 1
+        if cut:
+            tail.append(piece[:cut])
+            yield from "".join(tail).splitlines()
+            tail = [piece[cut:]]
+        else:
+            tail.append(piece)
+    yield from "".join(tail).splitlines()
+
+
+def _read_lines(name: str, path: str, parse: Callable[[Iterable[str]], object]):
+    """parse(lines) of the UTF-8 file `path`, read once (so a pipe works) and
+    checked to decode whole before its lines are fed to `parse` a piece at a
+    time; the errors are named as `_read` names them. Only the lines hold the
+    file's bytes, so they are freed once `parse` has read its last line."""
+    with _named(name, OSError, UnicodeDecodeError):
+        lines = _lines_of(_utf8_checked(Path(path).read_bytes()))
+    with _named(path, ValueError):
+        return parse(lines)
 
 
 @contextmanager
@@ -453,19 +503,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_dump_detections(args: argparse.Namespace) -> int:
     cfg = _configure(_load_config(args), args)
-    lines: list[str] = []
-    n_frames = 0
+    n_lines = n_frames = 0
     with _outputs(args, "--out") as write:
         for n_frames, frame in enumerate(simulate(cfg), 1):
-            lines += format_detection_lines(frame.index, frame.t, frame.detections)
-        write("--out", [line + "\n" for line in lines])
-    print(f"wrote {len(lines)} detections over {n_frames} frames to {args.out}")
+            lines = format_detection_lines(frame.index, frame.t, frame.detections)
+            write("--out", (line + "\n" for line in lines))
+            n_lines += len(lines)
+    print(f"wrote {n_lines} detections over {n_frames} frames to {args.out}")
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = _configure(_load_config(args), args)
-    frames = _read("--detections", args.detections, parse_detection_stream)
+    frames = _read_lines("--detections", args.detections, parse_detection_stream)
     with _outputs(args, "--out", "--log") as write:
         records = run(cfg, frames).frames
         write("--out", [format_estimate_csv(records)])

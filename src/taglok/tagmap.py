@@ -128,7 +128,9 @@ class TagMap:
         sides = np.array([c.side_length for c in SizeClass])[classes]
         corners = np.einsum("nij,kj,n->nki", rots, _UNIT_SQUARE, sides)
         corners += positions[:, None, :]
-        self._arrays = MapArrays(sorted_ids, classes, positions, quats, rots[:, :, 2], corners)
+        # the normals own their bits: a view would keep all of `rots` alive
+        normals = np.ascontiguousarray(rots[:, :, 2])
+        self._arrays = MapArrays(sorted_ids, classes, positions, quats, normals, corners)
         return self
 
     def __len__(self) -> int:
@@ -157,7 +159,7 @@ def _check_no_same_class_overlap(ids, classes, positions) -> None:
                                                 "have overlapping footprints", later)
 
 
-# the most tags `build_pattern_map` builds, about 330 B each at the build's peak (0.7 GB in
+# the most tags `build_pattern_map` builds, about 360 B each at the build's peak (0.75 GB in
 # all); the quadratic same-class overlap check, not memory, bounds a larger built map
 MAX_PATTERN_TAGS = 2**21
 

@@ -393,7 +393,7 @@ class TestStreamFormat:
     def test_stream_grouped_by_frame_in_frame_order(self):
         lines = [format_detection_lines(frame, t, one_row(tag, (0.1, -0.2, 1.5)))[0]
                  for frame, t, tag in ((3, 0.15, 7), (1, 0.05, 2), (3, 0.15, 4))]
-        frames = parse_detection_stream("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        frames = parse_detection_stream(lines[:2] + [""] + lines[2:])
         assert [(f.index, f.t, f.truth) for f in frames] == [(1, 0.05, None), (3, 0.15, None)]
         assert [f.detections.ids.tolist() for f in frames] == [[2], [7, 4]]
 
@@ -414,7 +414,7 @@ class TestStreamFormat:
         lines += format_detection_lines(last.index + 1, 2.05, repeated)
         lines += format_detection_lines(last.index + 2, 2.1, unknown)
 
-        frames = parse_detection_stream("\n".join(lines) + "\n")
+        frames = parse_detection_stream(lines)
         expected = [(f.index, f.t, f.detections) for f in simulated]
         expected += [(last.index + 1, 2.05, repeated), (last.index + 2, 2.1, unknown)]
         assert len(frames) == len(expected) > 30

@@ -319,7 +319,10 @@ class TestExitCodes:
 
     BAD_UTF8 = {"leading-ff-fe": lambda text: b"\xff\xfe" + text,
                 "lone-80-mid-line": lambda text: text[:5] + b"\x80" + text[5:],
-                "truncated-e2-82-at-end": lambda text: text + b"\xe2\x82"}
+                "truncated-e2-82-at-end": lambda text: text + b"\xe2\x82",
+                # past the 2**16-byte pieces the detection stream is checked in
+                "lone-80-past-the-first-piece":
+                    lambda text: text * (2**17 // len(text)) + b"\x80" + text}
 
     @pytest.mark.parametrize("case", BAD_UTF8)
     @pytest.mark.parametrize("command, config, args, named", [
@@ -930,7 +933,8 @@ class TestDumpAndReplay:
             rows[int(frame)] = rest
         assert rows == expected
 
-        replayed = run_experiment(cfg, parse_detection_stream(stream.read_text(encoding="utf-8")))
+        lines = stream.read_text(encoding="utf-8").splitlines()
+        replayed = run_experiment(cfg, parse_detection_stream(lines))
         no_estimate = [r.frame for r in replayed.frames if r.output.pose is None]
         assert no_estimate == [10]
         assert replayed.stats.frames == 0

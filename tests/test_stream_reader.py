@@ -97,7 +97,7 @@ def assert_same_frames(got, want):
 @hypothesis.given(lines=stream_lines())
 def test_reader_equals_grouping_reader(lines):
     text = stream_text(lines)
-    assert_same_frames(parse_detection_stream(text), loop_read_detection_stream(text))
+    assert_same_frames(parse_detection_stream(text.splitlines()), loop_read_detection_stream(text))
 
 
 @pytest.mark.parametrize("lines", [
@@ -111,7 +111,7 @@ def test_reader_equals_grouping_reader(lines):
 ], ids=["empty", "blank-only", "one-line", "interleaved-repeated"])
 def test_reader_equals_grouping_reader_on_edge_streams(lines):
     text = stream_text(lines)
-    frames = parse_detection_stream(text)
+    frames = parse_detection_stream(text.splitlines())
     assert_same_frames(frames, loop_read_detection_stream(text))
     assert len(frames) == len({line.split()[0].lstrip("+") for line in lines if line.strip()})
 
@@ -126,7 +126,7 @@ def test_first_bad_line_wins_in_both_readers(lines, bad, where):
         lines.insert(min(at, len(lines)), line)
     text = stream_text(lines)
     with pytest.raises(ValueError) as got:
-        parse_detection_stream(text)
+        parse_detection_stream(text.splitlines())
     with pytest.raises(ValueError) as want:
         loop_read_detection_stream(text)
     assert str(got.value) == str(want.value)

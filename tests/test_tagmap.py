@@ -199,6 +199,14 @@ class TestTagMap:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[1]
 
+    def test_world_frames_own_their_data(self):
+        # a view, such as the normals as a column of the rotation stack,
+        # would keep the whole array it views alive with the map
+        m = build_pattern_map((3.0, 5.0)).world_frames()
+        for name in ("ids", "classes", "positions", "quats", "normals", "corners"):
+            array = getattr(m, name)
+            assert array.base is None and array.flags.c_contiguous, name
+
     def test_world_frames_corner_geometry(self):
         entry = TagEntry(7, Pose(np.array([1.0, 2.0, 0.0]), UnitQuaternion.identity()), SizeClass.XL)
         tag_map = TagMap([entry], (4.0, 4.0))
