@@ -624,23 +624,28 @@ _STREAM_ROW_DTYPE = np.dtype([("frame", np.int64), ("id", np.int64), ("floats", 
 def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, float]:
     """(frame, t, tag id, (px, py, pz), (qw, qx, qy, qz), apparent side) of
     one stream line, the quaternion as written (the frame chain normalizes
-    it) unless UnitQuaternion refuses it, which raises its error."""
+    it) unless UnitQuaternion refuses it, which raises its error. The checks
+    run in this order: the field count, the frame, the tag id, the floats
+    (t first), their finiteness (the first non-finite field is named), pz,
+    the quaternion."""
     tokens = line.split()
     if len(tokens) != 11:
         raise ValueError(f"expected 11 fields in detection line, got {len(tokens)}")
-    frame = int(tokens[0])
+    frame_token, t_token, id_token, px, py, pz, qw, qx, qy, qz, apparent = tokens
+    frame = int(frame_token)
     if not -2**63 <= frame < 2**63:
-        raise ValueError(f"frame {tokens[0]!r} out of range")
-    tag_id = int(tokens[2])
+        raise ValueError(f"frame {frame_token!r} out of range")
+    tag_id = int(id_token)
     if not -2**63 <= tag_id < 2**63:
-        raise ValueError(f"tag id {tokens[2]!r} out of range")
-    float_tokens = [tokens[1], *tokens[3:]]
-    t, px, py, pz, qw, qx, qy, qz, apparent = values = tuple(map(float, float_tokens))
-    if not all(map(math.isfinite, values)):
-        name, token = next((name, token) for name, token, value
-                           in zip(_LINE_FLOAT_FIELDS, float_tokens, values)
-                           if not math.isfinite(value))
-        raise ValueError(f"non-finite {name} {token!r}")
+        raise ValueError(f"tag id {id_token!r} out of range")
+    t = float(t_token)
+    px, py, pz, qw, qx, qy, qz, apparent = map(float, (px, py, pz, qw, qx, qy, qz, apparent))
+    # a finite sum has no inf or NaN term; a sum that overflows sends the
+    # line to the named scan, which then finds no field to name
+    if not math.isfinite(t + px + py + pz + qw + qx + qy + qz + apparent):
+        for name, token in zip(_LINE_FLOAT_FIELDS, (t_token, *tokens[3:])):
+            if not math.isfinite(float(token)):
+                raise ValueError(f"non-finite {name} {token!r}")
     if not pz > 0:
         raise ValueError("detected tag must lie in front of the camera (z > 0)")
     # a squared norm this close to 1 is a norm unit_components accepts
@@ -657,7 +662,7 @@ def parse_detection_stream(lines: Iterable[str]) -> list[Frame]:
     Each line is packed into one whole-stream buffer as it is parsed, and
     every frame's arrays are slices of the columns read back from it, so no
     per-line object outlives its line."""
-    packed, first_t = bytearray(), {}
+    packed, first_t, pack = bytearray(), {}, _STREAM_ROW.pack
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -665,8 +670,9 @@ def parse_detection_stream(lines: Iterable[str]) -> list[Frame]:
             index, t, tag_id, position, quat, apparent = parse_detection_line(line)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
-        packed += _STREAM_ROW.pack(index, tag_id, *position, *quat, apparent)
-        first_t.setdefault(index, t)
+        packed += pack(index, tag_id, *position, *quat, apparent)
+        if index not in first_t:
+            first_t[index] = t
     if not first_t:
         return []
     rows = np.frombuffer(packed, dtype=_STREAM_ROW_DTYPE)

@@ -267,7 +267,8 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
     # contiguous blocks keep a long stream's temporaries small; unknown ids (row
     # -1: the last map row) and corrupt rows (overflow, inf - inf) turn NaN below
     with np.errstate(over="ignore", invalid="ignore"):
-        unusable = ~(known & np.isfinite((p * p).sum(axis=1)))
+        squares = p * p
+        unusable = ~(known & np.isfinite(squares[:, 0] + squares[:, 1] + squares[:, 2]))
         for start in range(0, n, _CHAIN_BLOCK_ROWS):
             block = slice(start, start + _CHAIN_BLOCK_ROWS)
             tag_q = m.quats.take(rows[block], axis=0)

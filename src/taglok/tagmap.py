@@ -142,25 +142,75 @@ class TagMap:
 
 
 def _check_no_same_class_overlap(ids, classes, positions) -> None:
-    # rows in input order, so the error names the later of the first clashing pair
+    """Raise FootprintOverlapError on the first class, in order of first
+    appearance, with two tags closer than its side length less 1e-12 on
+    both axes, naming its least clashing pair in input order: the first tag
+    that clashes with a later one, and the first such later tag."""
     for value in dict.fromkeys(classes.tolist()):
         members = np.flatnonzero(classes == value)
         cls = SizeClass(value)
-        centers = positions[members, :2]
-        # an infinite delta is no clash: neither parse_map's bound on a tag's distance from
-        # the extent (an extent near the float limit) nor a TagMap built directly rules one out
-        with np.errstate(over="ignore"):
-            for i in range(len(members)):
-                deltas = np.abs(centers[i + 1:] - centers[i])
-                clash = np.all(deltas < cls.side_length - 1e-12, axis=1)
-                if np.any(clash):
-                    first, later = ids[members[[i, i + 1 + int(np.argmax(clash))]]].tolist()
-                    raise FootprintOverlapError(f"tags {first} and {later} (class {cls.name}) "
-                                                "have overlapping footprints", later)
+        pair = _first_clash(positions[members, :2], cls.side_length)
+        if pair is not None:
+            first, later = ids[members[list(pair)]].tolist()
+            raise FootprintOverlapError(f"tags {first} and {later} (class {cls.name}) "
+                                        "have overlapping footprints", later)
+
+
+# below this, np.floor_divide returns the floor of a centre's exact quotient by
+# the side, so two centres closer than the side lie in the same or adjacent cells
+_GRID_LIMIT = 2.0**51
+
+
+def _first_clash(centers: np.ndarray, side: float) -> tuple[int, int] | None:
+    """The least (i, j), i < j, of two rows of the (k, 2) `centers` whose
+    deltas are both below `side` - 1e-12, or None. The rows are put on a
+    grid of cells `side` across and compared with the rows of the 3 x 3
+    cells around their own; a finite row off that grid (2**51 cells or more
+    from the origin on an axis) is compared with every row. A delta that is
+    not finite clashes with nothing: a row with an inf or NaN coordinate
+    never clashes, and neither does an infinite delta of two finite rows,
+    which neither parse_map's bound on a tag's distance from the extent (an
+    extent near the float limit) nor a TagMap built directly rules out."""
+    limit = side - 1e-12
+    clashes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.floor_divide(centers, side)
+        gridded = (np.abs(cells) < _GRID_LIMIT).all(axis=1)
+        for row in np.flatnonzero(np.isfinite(centers).all(axis=1) & ~gridded).tolist():
+            clash = (np.abs(centers - centers[row]) < limit).all(axis=1)
+            clash[row] = False
+            if clash.any():
+                other = int(np.argmax(clash))
+                clashes.append((min(row, other), max(row, other)))
+    rows = np.flatnonzero(gridded)
+    # numpy orders complex numbers by real part, then imaginary part: each
+    # key is a cell's (x, y), and a stable sort keeps a cell's rows in order
+    keys = cells[rows].view(np.complex128)[:, 0]
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], rows[order]
+    # five rows of one cell clash (two of them share a quarter of it), so the
+    # least pair starts before the earliest fifth row of a cell; at most four
+    # rows of each cell start a pair, which bounds the pairs by 36 per row
+    fifth = rows[np.arange(len(keys)) - np.searchsorted(keys, keys) == 4]
+    starts = np.flatnonzero(rows < (fifth.min() if len(fifth) else len(centers)))
+    # a column of three cells is one run of keys: (x + dx, y - 1) to (x + dx, y + 1)
+    low = (keys[starts, None] + np.array([-1 - 1j, -1j, 1 - 1j])).ravel()
+    begin = np.searchsorted(keys, low)
+    count = np.searchsorted(keys, low + 2j, side="right") - begin
+    firsts = np.repeat(np.repeat(rows[starts], 3), count)
+    seconds = rows[np.repeat(begin - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    later = firsts < seconds
+    firsts, seconds = firsts[later], seconds[later]
+    clash = (np.abs(centers[seconds] - centers[firsts]) < limit).all(axis=1)
+    if clash.any():
+        firsts, seconds = firsts[clash], seconds[clash]
+        first = firsts.min()
+        clashes.append((int(first), int(seconds[firsts == first].min())))
+    return min(clashes, default=None)
 
 
 # the most tags `build_pattern_map` builds, about 360 B each at the build's peak (0.75 GB in
-# all); the quadratic same-class overlap check, not memory, bounds a larger built map
+# all): memory, not the same-class overlap check (a grid, linear in the tags), bounds it
 MAX_PATTERN_TAGS = 2**21
 
 

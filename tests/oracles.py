@@ -12,10 +12,12 @@ composed of them, and the object form of detections (`Detection`,
 `rows_from`) with the per-tag loop form of the simulator's `detect` and the
 unculled form of its `visible_tags`, the bitwise references for their
 array forms in `taglok.camsim`, whose ziggurat tables `probe_ziggurat_tables`
-reads back from numpy's own sampler, and the line-by-line grouping form of
-its stream reader (`loop_read_detection_stream`), and the map's arrays
-stacked tag by tag (`tiled_entries`, `stacked_frames`), the bitwise reference
-for `TagMap`'s column form; `entries_of` reads a map's rows back as
+reads back from numpy's own sampler, and the field-by-field form of its
+stream-line parser (`loop_parse_detection_line`) and the line-by-line
+grouping form of its stream reader (`loop_read_detection_stream`), and the
+map's arrays stacked tag by tag (`tiled_entries`, `stacked_frames`), the
+bitwise reference for `TagMap`'s column form, with the row-against-later-rows
+form of its overlap check (`loop_check_no_same_class_overlap`); `entries_of` reads a map's rows back as
 `TagEntry` objects for the per-tag oracles. `step_detections` is no
 oracle: it feeds one frame's detections to `step` through the frame chain,
 as `run` does for a whole stream. Neither is `iqr_bounds`: it returns the fences that
@@ -34,6 +36,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from taglok.geometry import (
+    _NORM_TOL,
     Pose,
     UnitQuaternion,
     compose,
@@ -44,15 +47,16 @@ from taglok.geometry import (
     quat_rotation_angle,
     quat_to_matrix,
     rotate_rows,
+    unit_components,
     wrap_angle,
 )
 from taglok.camsim import (
+    _LINE_FLOAT_FIELDS,
     DetectionRows,
     Frame,
     _jump,
     _jump_constants,
     _stream_seeds,
-    parse_detection_line,
     visible_tags,
 )
 from taglok.pipeline import (
@@ -69,7 +73,7 @@ from taglok.pipeline import (
     select_tags,
     step,
 )
-from taglok.tagmap import _UNIT_SQUARE, TILE, TILE_SIDE, SizeClass, TagEntry
+from taglok.tagmap import _UNIT_SQUARE, TILE, TILE_SIDE, FootprintOverlapError, SizeClass, TagEntry
 
 _ORTHO_TOL = 1e-6
 
@@ -458,6 +462,25 @@ def stacked_frames(entries) -> tuple:
             positions[:, None, :] + np.einsum("nij,kj,n->nki", rots, _UNIT_SQUARE, sides))
 
 
+def loop_check_no_same_class_overlap(ids, classes, positions) -> None:
+    """`TagMap`'s same-class footprint check as one row against all later
+    rows, class by class in order of first appearance: the first tag that
+    clashes with a later one, and the first such later tag, are named."""
+    for value in dict.fromkeys(classes.tolist()):
+        members = np.flatnonzero(classes == value)
+        cls = SizeClass(value)
+        centers = positions[members, :2]
+        # an infinite or NaN delta is no clash
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(len(members)):
+                deltas = np.abs(centers[i + 1:] - centers[i])
+                clash = np.all(deltas < cls.side_length - 1e-12, axis=1)
+                if np.any(clash):
+                    first, later = ids[members[[i, i + 1 + int(np.argmax(clash))]]].tolist()
+                    raise FootprintOverlapError(f"tags {first} and {later} (class {cls.name}) "
+                                                "have overlapping footprints", later)
+
+
 # --- per-tag loop forms of the estimator's stages (bitwise reference) ---
 
 def weight_for(scheme: WeightScheme, size_class) -> float:
@@ -784,7 +807,34 @@ def loop_detect(tag_map, cam, noise, body_pose_true: Pose, frame_index: int) -> 
     return detections
 
 
-# --- the detection stream grouped line by line (bitwise reference) ---
+# --- the detection stream parsed and grouped line by line (bitwise reference) ---
+
+def loop_parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, float]:
+    """`parse_detection_line` field by field: the same value or the same
+    error, the checks in the same order, and the non-finite scan over
+    every field."""
+    tokens = line.split()
+    if len(tokens) != 11:
+        raise ValueError(f"expected 11 fields in detection line, got {len(tokens)}")
+    frame = int(tokens[0])
+    if not -2**63 <= frame < 2**63:
+        raise ValueError(f"frame {tokens[0]!r} out of range")
+    tag_id = int(tokens[2])
+    if not -2**63 <= tag_id < 2**63:
+        raise ValueError(f"tag id {tokens[2]!r} out of range")
+    float_tokens = [tokens[1], *tokens[3:]]
+    t, px, py, pz, qw, qx, qy, qz, apparent = values = tuple(map(float, float_tokens))
+    if not all(map(math.isfinite, values)):
+        name, token = next((name, token) for name, token, value
+                           in zip(_LINE_FLOAT_FIELDS, float_tokens, values)
+                           if not math.isfinite(value))
+        raise ValueError(f"non-finite {name} {token!r}")
+    if not pz > 0:
+        raise ValueError("detected tag must lie in front of the camera (z > 0)")
+    if not abs(qw * qw + qx * qx + qy * qy + qz * qz - 1.0) <= 0.5 * _NORM_TOL:
+        unit_components(qw, qx, qy, qz)
+    return frame, t, tag_id, (px, py, pz), (qw, qx, qy, qz), apparent
+
 
 def loop_read_detection_stream(text: str) -> list[Frame]:
     """Frames of a dumped detection stream's text in frame order, without
@@ -795,7 +845,7 @@ def loop_read_detection_stream(text: str) -> list[Frame]:
         if not line.strip():
             continue
         try:
-            index, t, *row = parse_detection_line(line)
+            index, t, *row = loop_parse_detection_line(line)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
         by_index.setdefault(index, (t, []))[1].append(row)

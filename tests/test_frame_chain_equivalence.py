@@ -193,8 +193,8 @@ def test_chain_bitwise_equal_on_every_frame_of_a_hover_at_two_meters():
 def test_chain_blocks_leave_every_row_bit_identical(monkeypatch):
     # a multi-frame stack, one unknown id and corrupt rows among its rows (a
     # zero quaternion, and positions whose squared norm overflows, one of
-    # them first in its block), in blocks of 7 rows against the default
-    # single pass
+    # them first in its block, one with every square finite but not their
+    # sum), in blocks of 7 rows against the default single pass
     camera = default_camera(mount_offset=np.array([0.05, -0.02, 0.03]))
     cfg = RunConfig(hover_trajectory((1.5, 2.5, 0.8), duration=0.25), build_pattern_map((3.0, 5.0)),
                     camera, NoiseModel(0.01, 0.02, 100.0, seed=5), PipelineConfig(), 20.0)
@@ -204,13 +204,16 @@ def test_chain_blocks_leave_every_row_bit_identical(monkeypatch):
     ids[3] = 10**9
     quats[11] = 0.0
     positions[20, 0], positions[30, 1], positions[35, 2] = 1e200, 1e155, 1e200
+    positions[40] = 1.1e154
+    assert np.isfinite(positions[40] ** 2).all() and not math.isfinite(
+        sum(x * x for x in positions[40].tolist()))
     stack = DetectionRows(ids, positions, quats, apparent)
     assert len(stack) > 7 * 10
     default = estimate_body_pose_per_tag(stack, cfg.tag_map, camera.pose_in_body)
     monkeypatch.setattr("taglok.pipeline._CHAIN_BLOCK_ROWS", 7)
     blocked = estimate_body_pose_per_tag(stack, cfg.tag_map, camera.pose_in_body)
     assert np.isnan(default.positions[[3, 11]]).all() and np.isnan(default.weights[3])
-    corrupt = [11, 20, 30, 35]
+    corrupt = [11, 20, 30, 35, 40]
     assert np.isnan(default.positions[corrupt]).all() and np.isnan(default.quats[corrupt]).all()
     assert not np.isnan(default.weights[corrupt]).any()
     usable = np.setdiff1d(np.arange(len(stack)), [3, *corrupt])

@@ -6,6 +6,8 @@ keeps one tuple per line, groups them by frame in a dict and stacks each
 frame's rows. Both must give the same frames bit for bit: the same frame
 indices and times, and the same bytes, shapes and dtypes in every column.
 On a bad stream both must raise the same text, naming the first bad line.
+`parse_detection_line` must give the field-by-field parser's values, or its
+error text, on hostile lines too.
 
 `parse_detection_line` returns the quaternion as written, bit for bit, and
 leaves its normalization to the frame chain; it must refuse exactly the
@@ -21,7 +23,7 @@ import pytest
 from taglok.camsim import parse_detection_line, parse_detection_stream
 from taglok.geometry import UnitQuaternion
 
-from oracles import loop_read_detection_stream
+from oracles import loop_parse_detection_line, loop_read_detection_stream
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -169,3 +171,57 @@ def test_near_unit_quaternion_parsed_like_unit_quaternion(q, k):
 def test_off_unit_quaternion_parsed_like_unit_quaternion(q):
     assert_parsed_like_unit_quaternion(q)
 
+
+
+# tokens that break one check each: non-finite, overflowing (alone or in a
+# sum), out of the int64 range, not positive, not a number
+HOSTILE_TOKENS = ["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e308", "-1e308", "1.7e308",
+                  "1e154", "0", "-0.0", "-1", "5e-324", str(2**63), str(-2**63 - 1), str(2**63 - 1),
+                  "1.5", "x", "", "0x1p3", "9" * 5000]
+
+
+def parsed_outcome(parse, line):
+    """What a line parser makes of a line: its values with every float as
+    its bits, or its error's type and text."""
+    try:
+        frame, t, tag_id, position, quat, apparent = parse(line)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    return "ok", frame, tag_id, bits([t, *position, *quat, apparent])
+
+
+@hypothesis.settings(max_examples=1500, deadline=None)
+@hypothesis.given(
+    frame=FRAMES, tag_id=IDS, t=FINITE, p=st.tuples(FINITE, FINITE, FINITE),
+    q=quaternions(), apparent=FINITE,
+    swaps=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(HOSTILE_TOKENS)), max_size=3),
+    extra=st.integers(-2, 2))
+def test_parser_equals_field_by_field_parser_on_hostile_lines(frame, tag_id, t, p, q, apparent,
+                                                              swaps, extra):
+    tokens = [str(frame), repr(t), str(tag_id), *map(repr, p), *map(repr, q), repr(apparent)]
+    for at, token in swaps:
+        tokens[at % len(tokens)] = token
+    # a wrong field count: tokens dropped from, or added to, the end
+    tokens = tokens[:len(tokens) + extra] if extra < 0 else tokens + ["1.0"] * extra
+    line = " ".join(tokens)
+    assert parsed_outcome(parse_detection_line, line) == \
+        parsed_outcome(loop_parse_detection_line, line)
+
+
+@pytest.mark.parametrize("line", [
+    "0 1e308 5 1e308 0.0 1.0 1.0 0.0 0.0 0.0 50.0",  # a sum that overflows, every field finite
+    "0 -1.7e308 5 -1.7e308 0.0 1.0 1.0 0.0 0.0 0.0 50.0",
+    "0 1e308 5 -1e308 1e308 1.0 1.0 0.0 0.0 0.0 1e308",
+    "0 1e308 5 1e308 0.0 -1.0 1.0 0.0 0.0 0.0 50.0",  # ... and pz refused after it
+    "0 1e308 5 1e308 0.0 1.0 1e200 0.0 0.0 0.0 50.0",  # ... and the quaternion
+    "0 inf 5 -inf 0.0 1.0 1.0 0.0 0.0 0.0 50.0",  # an inf - inf sum names t
+    "0 0.0 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 nan",  # only the last field non-finite
+    "0 0.0 5 0.0 0.0 -1.0 1.0 0.0 0.0 0.0 inf",  # non-finite before pz
+    f"{2**63} nan 5 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0",  # the frame before the floats
+    f"0 x {2**63} 0.0 0.0 1.0 1.0 0.0 0.0 0.0 50.0",  # the id before the floats
+    "0 x 5 nan 0.0 1.0 1.0 0.0 0.0 0.0 50.0",  # t's conversion before any finiteness
+    "0 x 5 y 0.0 1.0 1.0 0.0 0.0 0.0 50.0",  # ... and before the other floats'
+])
+def test_parser_equals_field_by_field_parser_on_check_order(line):
+    assert parsed_outcome(parse_detection_line, line) == \
+        parsed_outcome(loop_parse_detection_line, line)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,12 +14,13 @@ from taglok.tagmap import (
     SizeClass,
     TagEntry,
     TagMap,
+    _check_no_same_class_overlap,
     build_pattern_map,
     parse_map,
     serialize_map,
 )
 
-from oracles import entries_of, stacked_frames, tiled_entries
+from oracles import entries_of, loop_check_no_same_class_overlap, stacked_frames, tiled_entries
 
 
 class TestSizeClass:
@@ -173,6 +175,57 @@ class TestTagMap:
         text = "tagmap v1 2.0 2.0\n" + "".join(f"{i} L {x!r} 0.0 0.0 1 0 0 0\n" for i, x in rows)
         with pytest.raises(MapFormatError, match="^line 4: " + message):
             parse_map(text)
+
+    def test_tags_at_infinite_or_nan_positions_build_without_a_warning(self):
+        # an inf or NaN delta is no clash, and computing it warns of nothing
+        rows = ((0, math.inf, 0.0), (1, math.inf, 0.0), (2, -math.inf, math.inf),
+                (3, math.nan, 0.0), (4, 0.0, math.nan), (5, 1.7e308, 0.0), (6, -1.7e308, 0.0),
+                (7, 0.0, 0.0))
+        entries = [TagEntry(tag_id, Pose(np.array([x, y, 0.0]), UnitQuaternion.identity()),
+                            SizeClass.S) for tag_id, x, y in rows]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(TagMap(entries, (2.0, 2.0))) == len(rows)
+            with pytest.raises(FootprintOverlapError, match="^tags 5 and 8 ") as raised:
+                TagMap([*entries, TagEntry(8, Pose(np.array([1.7e308, 0.01, 0.0]),
+                                                   UnitQuaternion.identity()), SizeClass.S)],
+                       (2.0, 2.0))
+        assert raised.value.tag_id == 8
+
+    def test_overlap_check_equals_the_row_loop(self):
+        # random maps of clashing and clear tags: dense clusters, the class's
+        # side length give or take 1e-12 on a lattice, many tags in one cell,
+        # and coordinates far from the origin, huge, infinite or NaN
+        rng = np.random.default_rng(33)
+        odd = [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 1e300, 2.0**51 * 0.0575,
+               2.0**52 * 0.46, 1e16, -1e16]
+        clashes = 0
+        for _ in range(600):
+            n = int(rng.integers(0, 50))
+            positions = rng.uniform(-1.0, 1.0, (n, 3)) * rng.choice([0.1, 0.5, 3.0, 1e6, 1e15])
+            if rng.random() < 0.5:
+                side = SizeClass(int(rng.integers(4))).side_length
+                positions[:, :2] = (rng.integers(-4, 4, (n, 2)) * side
+                                    + rng.choice([0.0, 1e-12, -1e-12, 2e-12, 1e-13], (n, 2)))
+            if n:
+                for _ in range(int(rng.integers(0, 4))):
+                    positions[rng.integers(n), rng.integers(2)] = rng.choice(odd)
+                if rng.random() < 0.2:
+                    positions[rng.integers(n, size=8), :2] = positions[rng.integers(n), :2]
+            classes = rng.integers(0, 4 if rng.random() < 0.5 else 1, n)
+            ids = rng.permutation(10 * n + 1)[:n]
+            outcomes = []
+            for check in (_check_no_same_class_overlap, loop_check_no_same_class_overlap):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        check(ids, classes, positions)
+                    outcomes.append(None)
+                except FootprintOverlapError as exc:
+                    outcomes.append((str(exc), exc.tag_id))
+            assert outcomes[0] == outcomes[1]
+            clashes += outcomes[1] is not None
+        assert 100 < clashes < 500
 
     def test_different_class_overlap_allowed(self):
         a = TagEntry(0, Pose(np.array([0.0, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.L)
@@ -341,6 +394,15 @@ class TestMapFile:
                                                  r"0\.0\) lies more than 2\.0 m outside the "
                                                  r"2\.0 x 1\.0 m extent"):
             parse_map(text)
+
+    def test_warehouse_floor_round_trip_keeps_every_array(self):
+        tag_map = build_pattern_map((40.0, 40.0))
+        loaded = parse_map(serialize_map(tag_map))
+        assert len(loaded) == 29988 and loaded.extent == tag_map.extent
+        for name in FIELDS:
+            a, b = getattr(tag_map.world_frames(), name), getattr(loaded.world_frames(), name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("extent", [(0.94, 0.94), (1.5, 2.0), (3.0, 5.0), (9.5, 0.94)])
     def test_every_pattern_map_reads_back(self, extent):
