@@ -269,6 +269,7 @@ def estimate_body_pose_per_tag(detections: DetectionRows, tag_map: TagMap,
     with np.errstate(over="ignore", invalid="ignore"):
         squares = p * p
         unusable = ~(known & np.isfinite(squares[:, 0] + squares[:, 1] + squares[:, 2]))
+        del squares  # a whole-stream (n, 3) temporary: freed before the blocks run
         for start in range(0, n, _CHAIN_BLOCK_ROWS):
             block = slice(start, start + _CHAIN_BLOCK_ROWS)
             tag_q = m.quats.take(rows[block], axis=0)

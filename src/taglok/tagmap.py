@@ -165,27 +165,43 @@ def _first_clash(centers: np.ndarray, side: float) -> tuple[int, int] | None:
     """The least (i, j), i < j, of two rows of the (k, 2) `centers` whose
     deltas are both below `side` - 1e-12, or None. The rows are put on a
     grid of cells `side` across and compared with the rows of the 3 x 3
-    cells around their own; a finite row off that grid (2**51 cells or more
-    from the origin on an axis) is compared with every row. A delta that is
-    not finite clashes with nothing: a row with an inf or NaN coordinate
-    never clashes, and neither does an infinite delta of two finite rows,
-    which neither parse_map's bound on a tag's distance from the extent (an
-    extent near the float limit) nor a TagMap built directly rules out."""
+    cells around their own. A row 2**51 cells or more from the origin on an
+    axis, and every row in the cells next to it, get a second grid, whose
+    cells are the exact floors of the quotients. A delta that is not finite
+    clashes with nothing: a row with an inf or NaN coordinate never clashes,
+    and neither does an infinite delta of two finite rows, which neither
+    parse_map's bound on a tag's distance from the extent (an extent near
+    the float limit) nor a TagMap built directly rules out."""
     limit = side - 1e-12
-    clashes = []
     with np.errstate(over="ignore", invalid="ignore"):
         cells = np.floor_divide(centers, side)
-        gridded = (np.abs(cells) < _GRID_LIMIT).all(axis=1)
-        for row in np.flatnonzero(np.isfinite(centers).all(axis=1) & ~gridded).tolist():
-            clash = (np.abs(centers - centers[row]) < limit).all(axis=1)
-            clash[row] = False
-            if clash.any():
-                other = int(np.argmax(clash))
-                clashes.append((min(row, other), max(row, other)))
-    rows = np.flatnonzero(gridded)
+    rows = np.flatnonzero((np.abs(cells) < _GRID_LIMIT).all(axis=1))
+    clashes = [_grid_clash(centers, rows, cells[rows], limit)]
+    far = np.flatnonzero(np.isfinite(centers).all(axis=1)
+                         & ~(np.abs(cells) < _GRID_LIMIT - 1).all(axis=1))
+    if len(far):
+        exact = [_exact_cells(centers[far, axis].tolist(), side) for axis in (0, 1)]
+        clashes.append(_grid_clash(centers, far, np.column_stack(exact), limit))
+    return min(filter(None, clashes), default=None)
+
+
+def _exact_cells(values: list[float], side: float) -> list[float]:
+    """floor(value / side) of each value, computed exactly on Python ints and
+    numbered in order so that adjacent cells stay adjacent and others do not."""
+    num, den = side.as_integer_ratio()
+    floors = [(a * den) // (b * num) for a, b in map(float.as_integer_ratio, values)]
+    number, last = {}, -2.0
+    for cell in sorted(set(floors)):
+        last = number[cell] = last + (1.0 if cell - 1 in number else 2.0)
+    return [number[cell] for cell in floors]
+
+
+def _grid_clash(centers, rows, cells, limit) -> tuple[int, int] | None:
+    """The least clashing pair among `rows` of `centers`, whose cells are the
+    float integers `cells` ((len(rows), 2), each below 2**51 in size)."""
     # numpy orders complex numbers by real part, then imaginary part: each
     # key is a cell's (x, y), and a stable sort keeps a cell's rows in order
-    keys = cells[rows].view(np.complex128)[:, 0]
+    keys = cells.view(np.complex128)[:, 0]
     order = np.argsort(keys, kind="stable")
     keys, rows = keys[order], rows[order]
     # five rows of one cell clash (two of them share a quarter of it), so the
@@ -202,11 +218,11 @@ def _first_clash(centers: np.ndarray, side: float) -> tuple[int, int] | None:
     later = firsts < seconds
     firsts, seconds = firsts[later], seconds[later]
     clash = (np.abs(centers[seconds] - centers[firsts]) < limit).all(axis=1)
-    if clash.any():
-        firsts, seconds = firsts[clash], seconds[clash]
-        first = firsts.min()
-        clashes.append((int(first), int(seconds[firsts == first].min())))
-    return min(clashes, default=None)
+    if not clash.any():
+        return None
+    firsts, seconds = firsts[clash], seconds[clash]
+    first = firsts.min()
+    return int(first), int(seconds[firsts == first].min())
 
 
 # the most tags `build_pattern_map` builds, about 360 B each at the build's peak (0.75 GB in

@@ -14,7 +14,7 @@ TREE = ROOT / "src" / "taglok"
 
 def abbench(base_tree: Path, tree: Path) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, str(ROOT / "tools" / "abbench.py"), "--base-tree",
-                           str(base_tree), "--tree", str(tree), "--small", "--pairs", "2"],
+                           str(base_tree), "--tree", str(tree), "--small"],
                           capture_output=True, text=True, timeout=300)
 
 

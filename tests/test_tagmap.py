@@ -227,6 +227,27 @@ class TestTagMap:
             clashes += outcomes[1] is not None
         assert 100 < clashes < 500
 
+    def test_tags_far_from_the_origin_are_checked_like_the_row_loop(self):
+        # 3000 class-S tags at x near 1e299, where neighbouring floats lie far
+        # more than a side apart, in pairs at the same x on a column of y: no
+        # clash, then one clash between a tag and the last, at a gridded y
+        side = SizeClass.S.side_length
+        n = 3000
+        positions = np.zeros((n, 3))
+        positions[:, 0] = 1e299
+        positions[1::2, 0] = np.nextafter(1e299, math.inf)
+        positions[:, 1] = np.arange(n) // 2 * 1.5 * side
+        ids, classes = np.arange(n)[::-1].copy(), np.zeros(n, dtype=np.intp)
+        assert _check_no_same_class_overlap(ids, classes, positions) is None
+        positions[-1, :2] = positions[1234, :2] + [0.0, side / 2]
+        outcomes = []
+        for check in (_check_no_same_class_overlap, loop_check_no_same_class_overlap):
+            with pytest.raises(FootprintOverlapError) as raised:
+                check(ids, classes, positions)
+            outcomes.append((str(raised.value), raised.value.tag_id))
+        assert outcomes[0] == outcomes[1] == (
+            f"tags {ids[1234]} and 0 (class S) have overlapping footprints", 0)
+
     def test_different_class_overlap_allowed(self):
         a = TagEntry(0, Pose(np.array([0.0, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.L)
         b = TagEntry(1, Pose(np.array([0.1, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.M)

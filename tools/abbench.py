@@ -1,7 +1,7 @@
 """Time taglok's layers in one process: a base tree against a changed one.
 
     python3 tools/abbench.py [--base REV | --base-tree DIR] [--tree DIR]
-                             [--pairs N] [--small]
+                             [--small]
 
 The base is `src/taglok` of the git revision REV (default HEAD), taken with
 `git archive` into a temporary directory, or the package directory DIR. The
@@ -13,7 +13,7 @@ tree loads as it is under another name.
 Each layer first runs once on each side, on the same inputs, and the two
 outputs must be equal byte for byte. A layer whose outputs differ is
 reported and not timed, and the script then exits 1. A layer that passes
-is timed in N pairs of samples (default 15), the side that runs first
+is timed in PAIRS (15) pairs of samples, the side that runs first
 alternating from pair to pair; a sample repeats the call until it has run
 for at least 20 ms, with the same repeat count on both sides. Each layer
 prints the median time per call (or per line) of each side, and the median,
@@ -28,7 +28,8 @@ The layers:
 - compare_matrix: the default variants x hover at 0.8 / 1.4 / 2.0 m, 10
   frames each (perfbench's compare_table).
 `--small` shrinks every input (5 stream frames, a 5 m square, 5 hover frames,
-2 frames per compare cell) for a quick check that the script runs.
+2 frames per compare cell) and times 2 pairs per layer, for a quick check
+that the script runs.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_NS = 20_000_000  # a sample runs its call at least this long
+PAIRS = 15  # timed pairs per layer; --small times 2
 
 T3_CONFIG = "[trajectory]\nkind = t3\n\n[run]\nseed = 1\n"
 HOVER_CONFIG = ("[trajectory]\nkind = hover\nx = 1.5\ny = 2.5\nz = 2.0\nduration = {duration}\n\n"
@@ -189,11 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     source.add_argument("--base-tree", type=Path, help="package directory of the base tree")
     parser.add_argument("--tree", type=Path, default=ROOT / "src" / "taglok",
                         help="package directory of the changed tree")
-    parser.add_argument("--pairs", type=int, default=15, help="timed pairs per layer")
-    parser.add_argument("--small", action="store_true", help="tiny inputs, for a quick check")
+    parser.add_argument("--small", action="store_true",
+                        help="tiny inputs and 2 pairs, for a quick check")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     with tempfile.TemporaryDirectory(prefix="abbench-") as scratch:
         work = Path(scratch)
         base_tree = args.base_tree or archived_tree(args.base, work / "base")
@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             number = max(1, math.ceil(SAMPLE_NS / max(sample(call_a, 1), 1)))
             times_a, times_b = [], []
-            for pair in range(args.pairs):
+            for pair in range(2 if args.small else PAIRS):
                 order = [(call_a, times_a), (call_b, times_b)]
                 for call, times in order[::-1] if pair % 2 else order:
                     times.append(sample(call, number) / number)
