@@ -247,6 +247,14 @@ class TestTagMap:
             outcomes.append((str(raised.value), raised.value.tag_id))
         assert outcomes[0] == outcomes[1] == (
             f"tags {ids[1234]} and 0 (class S) have overlapping footprints", 0)
+        # the float below 2**51 cells lies in the last gridded cell, and clashes
+        # with the tag at 2**51 cells, one float further out
+        edge = 2.0**51 * side
+        straddle = np.array([[np.nextafter(edge, 0.0), 0.0, 0.0], [0.0, 0.0, 0.0], [edge, 0.0, 0.0]])
+        for check in (_check_no_same_class_overlap, loop_check_no_same_class_overlap):
+            with pytest.raises(FootprintOverlapError, match="^tags 5 and 7 ") as raised:
+                check(np.array([5, 6, 7]), np.zeros(3, dtype=np.intp), straddle)
+            assert raised.value.tag_id == 7
 
     def test_different_class_overlap_allowed(self):
         a = TagEntry(0, Pose(np.array([0.0, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.L)
