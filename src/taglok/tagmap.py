@@ -121,7 +121,7 @@ class TagMap:
         sorted_ids, order, counts = np.unique(ids, return_index=True, return_counts=True)
         if (counts > 1).any():
             raise ValueError(f"duplicate tag id {sorted_ids[counts > 1][0]}")
-        self.extent = (float(extent[0]), float(extent[1]))
+        self.extent = _checked_extent(extent)
         _check_no_same_class_overlap(ids, classes, positions)
         classes, positions, quats = classes[order], positions[order], quats[order]
         rots = np.moveaxis(np.array(_matrix(*quats.T)), -1, 0).copy()  # quat_to_matrix's bits
@@ -141,6 +141,25 @@ class TagMap:
         return self._arrays
 
 
+# the largest side of a map's extent [m]. parse_map keeps a tag centre
+# within the larger side of the extent, so each coordinate of a map read
+# from a file is at most 2e150 m, and a camera that sees a tag is a few
+# metres from it: a fused position's weighted sum (weights up to 64), the
+# FIR window's sum and a frame's squared position error in cm (at most
+# 3 * (4e152)**2) stay far below the float limit, 1.8e308
+MAX_EXTENT = 1e150
+
+
+def _checked_extent(extent) -> tuple[float, float]:
+    """`extent` as two floats; ValueError unless each is positive, finite
+    and at most MAX_EXTENT."""
+    width, height = float(extent[0]), float(extent[1])
+    if not (0.0 < width <= MAX_EXTENT and 0.0 < height <= MAX_EXTENT):
+        raise ValueError(f"map extent must be positive and at most {MAX_EXTENT!r} m, "
+                         f"got {width!r} x {height!r}")
+    return width, height
+
+
 def _check_no_same_class_overlap(ids, classes, positions) -> None:
     """Raise FootprintOverlapError on the first class, in order of first
     appearance, with two tags closer than its side length less 1e-12 on
@@ -149,80 +168,41 @@ def _check_no_same_class_overlap(ids, classes, positions) -> None:
     for value in dict.fromkeys(classes.tolist()):
         members = np.flatnonzero(classes == value)
         cls = SizeClass(value)
-        pair = _first_clash(positions[members, :2], cls.side_length)
+        pair = _first_clash(positions[members, :2].tolist(), cls.side_length)
         if pair is not None:
             first, later = ids[members[list(pair)]].tolist()
             raise FootprintOverlapError(f"tags {first} and {later} (class {cls.name}) "
                                         "have overlapping footprints", later)
 
 
-# below this, np.floor_divide returns the floor of a centre's exact quotient by
-# the side, so two centres closer than the side lie in the same or adjacent cells
-_GRID_LIMIT = 2.0**51
-
-
-def _first_clash(centers: np.ndarray, side: float) -> tuple[int, int] | None:
-    """The least (i, j), i < j, of two rows of the (k, 2) `centers` whose
-    deltas are both below `side` - 1e-12, or None. The rows are put on a
-    grid of cells `side` across and compared with the rows of the 3 x 3
-    cells around their own. A row 2**51 cells or more from the origin on an
-    axis, and every row in the cells next to it, get a second grid, whose
-    cells are the exact floors of the quotients. A delta that is not finite
-    clashes with nothing: a row with an inf or NaN coordinate never clashes,
-    and neither does an infinite delta of two finite rows, which neither
-    parse_map's bound on a tag's distance from the extent (an extent near
-    the float limit) nor a TagMap built directly rules out."""
+def _first_clash(centers: list[list[float]], side: float) -> tuple[int, int] | None:
+    """The least (i, j), i < j, of two (x, y) rows of `centers` whose deltas
+    are both below `side` - 1e-12, or None. Each finite row lands in the
+    cell of the exact floors of its coordinates over `side`, on Python ints,
+    and is compared with the earlier rows of the 3 x 3 cells around its own.
+    Five rows of one cell clash (two of them share a quarter of it), so the
+    least pair starts at one of the first four rows of a cell: only those
+    are kept, which bounds the comparisons by 36 per row. A row with an inf
+    or NaN coordinate clashes with nothing."""
     limit = side - 1e-12
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = np.floor_divide(centers, side)
-    rows = np.flatnonzero((np.abs(cells) < _GRID_LIMIT).all(axis=1))
-    clashes = [_grid_clash(centers, rows, cells[rows], limit)]
-    far = np.flatnonzero(np.isfinite(centers).all(axis=1)
-                         & ~(np.abs(cells) < _GRID_LIMIT - 1).all(axis=1))
-    if len(far):
-        exact = [_exact_cells(centers[far, axis].tolist(), side) for axis in (0, 1)]
-        clashes.append(_grid_clash(centers, far, np.column_stack(exact), limit))
-    return min(filter(None, clashes), default=None)
-
-
-def _exact_cells(values: list[float], side: float) -> list[float]:
-    """floor(value / side) of each value, computed exactly on Python ints and
-    numbered in order so that adjacent cells stay adjacent and others do not."""
     num, den = side.as_integer_ratio()
-    floors = [(a * den) // (b * num) for a, b in map(float.as_integer_ratio, values)]
-    number, last = {}, -2.0
-    for cell in sorted(set(floors)):
-        last = number[cell] = last + (1.0 if cell - 1 in number else 2.0)
-    return [number[cell] for cell in floors]
-
-
-def _grid_clash(centers, rows, cells, limit) -> tuple[int, int] | None:
-    """The least clashing pair among `rows` of `centers`, whose cells are the
-    float integers `cells` ((len(rows), 2), each below 2**51 in size)."""
-    # numpy orders complex numbers by real part, then imaginary part: each
-    # key is a cell's (x, y), and a stable sort keeps a cell's rows in order
-    keys = cells.view(np.complex128)[:, 0]
-    order = np.argsort(keys, kind="stable")
-    keys, rows = keys[order], rows[order]
-    # five rows of one cell clash (two of them share a quarter of it), so the
-    # least pair starts before the earliest fifth row of a cell; at most four
-    # rows of each cell start a pair, which bounds the pairs by 36 per row
-    fifth = rows[np.arange(len(keys)) - np.searchsorted(keys, keys) == 4]
-    starts = np.flatnonzero(rows < (fifth.min() if len(fifth) else len(centers)))
-    # a column of three cells is one run of keys: (x + dx, y - 1) to (x + dx, y + 1)
-    low = (keys[starts, None] + np.array([-1 - 1j, -1j, 1 - 1j])).ravel()
-    begin = np.searchsorted(keys, low)
-    count = np.searchsorted(keys, low + 2j, side="right") - begin
-    firsts = np.repeat(np.repeat(rows[starts], 3), count)
-    seconds = rows[np.repeat(begin - np.cumsum(count) + count, count) + np.arange(count.sum())]
-    later = firsts < seconds
-    firsts, seconds = firsts[later], seconds[later]
-    clash = (np.abs(centers[seconds] - centers[firsts]) < limit).all(axis=1)
-    if not clash.any():
-        return None
-    firsts, seconds = firsts[clash], seconds[clash]
-    first = firsts.min()
-    return int(first), int(seconds[firsts == first].min())
+    # cells by column, then row: an empty column skips its three cells at once
+    columns: dict[int, dict[int, list[tuple[int, float, float]]]] = {}
+    best = None
+    for j, (x, y) in enumerate(centers):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            continue
+        (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+        col, row = a * den // (b * num), c * den // (d * num)
+        for column in filter(None, map(columns.get, (col - 1, col, col + 1))):
+            for cy in (row - 1, row, row + 1):
+                for i, u, v in column.get(cy, ()):
+                    if abs(u - x) < limit and abs(v - y) < limit and (best is None or i < best[0]):
+                        best = (i, j)
+        kept = columns.setdefault(col, {}).setdefault(row, [])
+        if len(kept) < 4:
+            kept.append((j, x, y))
+    return best
 
 
 # the most tags `build_pattern_map` builds, about 360 B each at the build's peak (0.75 GB in
@@ -312,12 +292,12 @@ def parse_map(text: str) -> TagMap:
         if header is None:
             if len(tokens) != 4 or tokens[0] != "tagmap" or tokens[1] != "v1":
                 raise MapFormatError(f"line {line_no}: expected header 'tagmap v1 <width> <height>'")
-            header = (
-                _parse_float(tokens[2], line_no, "width"),
-                _parse_float(tokens[3], line_no, "height"),
-            )
-            if min(header) <= 0.0:
-                raise MapFormatError(f"line {line_no}: map extent must be positive")
+            extent = (_parse_float(tokens[2], line_no, "width"),
+                      _parse_float(tokens[3], line_no, "height"))
+            try:
+                header = _checked_extent(extent)
+            except ValueError as exc:
+                raise MapFormatError(f"line {line_no}: {exc}") from None
             continue
         if len(tokens) != 9:
             raise MapFormatError(f"line {line_no}: expected 9 fields, got {len(tokens)}")

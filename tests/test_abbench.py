@@ -25,7 +25,7 @@ def test_the_same_tree_on_both_sides_passes_with_finite_ratios():
     assert header.split() == ["layer", "unit", "base", "change", "ratio", "q1", "q3"]
     assert [row.rsplit(None, 6)[0] for row in rows] == [
         "parse_detection_stream", "build_pattern_map 3x5", "build_pattern_map 5x5",
-        "parse_map 5x5", "replay", "harness.run", "compare_matrix"]
+        "parse_map 5x5", "parse_map far", "replay", "harness.run", "compare_matrix"]
     for row in rows:
         values = [float(v) for v in row.split()[-5:]]
         assert all(math.isfinite(v) and v > 0 for v in values), row

@@ -21,7 +21,7 @@ import re
 import pytest
 
 from taglok import cli
-from taglok.tagmap import build_pattern_map, serialize_map
+from taglok.tagmap import MAX_EXTENT, build_pattern_map, serialize_map
 
 from test_stream_fuzz import _mutated
 
@@ -134,3 +134,23 @@ def test_tag_at_the_extent_bound_runs_and_one_ulp_beyond_names_the_line(files, f
     code, message = _run(files, _mutated(files["lines"], [("swap", 3, field, outside)]))
     assert code == 2
     assert message.startswith(f"taglok: {files['map']}: line 4: tag at ("), message
+
+
+def test_a_hover_over_a_tag_at_the_extent_bound_writes_finite_numbers(files, tmp_path):
+    # the header's width at MAX_EXTENT and a tag at its far edge: a hover
+    # over that tag estimates positions near 1e150 m, and every number run
+    # writes is finite; one ulp wider and the header's line is named
+    edge, y = repr(MAX_EXTENT), files["lines"][3].split()[3]
+    config = tmp_path / "far.cfg"
+    config.write_text(CONFIG.replace("kind = hover\n", f"kind = hover\nx = {edge}\ny = {y}\n"),
+                      encoding="utf-8")
+    far = {**files, "config": config}
+    lines = _mutated(files["lines"], [("swap", 0, 2, edge), ("swap", 3, 2, edge)])
+    _assert_run_is_clean(far, lines)
+    rows = [row.split(",") for row in far["out"].read_text(encoding="utf-8").splitlines()[1:]]
+    assert any(row[1] for row in rows)  # the tag was seen and ep_cm scored
+    wider = repr(math.nextafter(MAX_EXTENT, math.inf))
+    code, message = _run(far, _mutated(lines, [("swap", 0, 2, wider)]))
+    assert code == 2
+    assert message.startswith(f"taglok: {files['map']}: line 1: map extent must be positive "
+                              f"and at most {MAX_EXTENT!r} m"), message

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from collections import Counter
 
@@ -255,6 +256,30 @@ class TestTagMap:
             with pytest.raises(FootprintOverlapError, match="^tags 5 and 7 ") as raised:
                 check(np.array([5, 6, 7]), np.zeros(3, dtype=np.intp), straddle)
             assert raised.value.tag_id == 7
+
+    def test_hostile_maps_are_checked_in_linear_time(self):
+        # every tag at one point (a grid that kept every row of a cell would
+        # compare 4.5e8 pairs), and clear tags beyond 2**51 side lengths
+        n = 30_000
+        ids, classes = np.arange(n)[::-1].copy(), np.zeros(n, dtype=np.intp)
+        start = time.perf_counter()
+        with pytest.raises(FootprintOverlapError, match=f"^tags {n - 1} and {n - 2} "):
+            _check_no_same_class_overlap(ids, classes, np.zeros((n, 3)))
+        assert time.perf_counter() - start < 5.0
+        n, side = 32_000, SizeClass.S.side_length
+        far = np.zeros((n, 3))
+        far[:, 0] = 2.0**60 + np.arange(n) % 160 * 1024.0
+        far[:, 1] = np.arange(n) // 160 * 2.0 * side
+        assert far[0, 0] / side > 2.0**51
+        start = time.perf_counter()
+        assert _check_no_same_class_overlap(np.arange(n), np.zeros(n, dtype=np.intp), far) is None
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("extent", [(math.nan, -1.0), (0.0, 2.0), (math.inf, 2.0)])
+    def test_an_extent_parse_map_would_refuse_is_refused(self, extent):
+        # serialize_map once wrote such a map, and parse_map refused its output
+        with pytest.raises(ValueError, match="map extent must be positive and at most 1e\\+150 m"):
+            TagMap([], extent)
 
     def test_different_class_overlap_allowed(self):
         a = TagEntry(0, Pose(np.array([0.0, 0.0, 0.0]), UnitQuaternion.identity()), SizeClass.L)

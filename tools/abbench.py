@@ -22,13 +22,15 @@ first and third quartile of the change/base ratios of its pairs.
 The layers:
 - parse_detection_stream: the lines of a dumped t3 stream, per line;
 - build_pattern_map on the 3 x 5 m map and on the 40 m square, and
-  parse_map of the 40 m square's map file;
+  parse_map of the 40 m square's map file and of a file of FAR_TAGS
+  class-S tags near 1e149 m, beyond 2**51 side lengths from the origin but
+  inside the largest extent a map file may give;
 - replay: `cli.main(["replay", ...])` of that stream with `--variant cl2`;
 - harness.run: the 40-frame hover at 2.0 m (perfbench's hover_dense);
 - compare_matrix: the default variants x hover at 0.8 / 1.4 / 2.0 m, 10
   frames each (perfbench's compare_table).
-`--small` shrinks every input (5 stream frames, a 5 m square, 5 hover frames,
-2 frames per compare cell) and times 2 pairs per layer, for a quick check
+`--small` shrinks every input (5 stream frames, a 5 m square, 300 far tags,
+5 hover frames, 2 frames per compare cell) and times 2 pairs per layer, for a quick check
 that the script runs.
 """
 
@@ -57,6 +59,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_NS = 20_000_000  # a sample runs its call at least this long
 PAIRS = 15  # timed pairs per layer; --small times 2
+FAR_TAGS = 30_000  # the far map's tags, as many as the 40 m square's; --small has 300
 
 T3_CONFIG = "[trajectory]\nkind = t3\n\n[run]\nseed = 1\n"
 HOVER_CONFIG = ("[trajectory]\nkind = hover\nx = 1.5\ny = 2.5\nz = 2.0\nduration = {duration}\n\n"
@@ -120,6 +123,7 @@ def layers(side, work: Path, small: bool) -> list[tuple[str, str, int, object, o
     lines = stream.read_text(encoding="utf-8").splitlines()
     big = (big_side(small),) * 2
     map_text = (work / "map.txt").read_text(encoding="utf-8")
+    far_text = (work / "far.txt").read_text(encoding="utf-8")
     out = work / f"replay-{side.__name__}.csv"
     argv = ["replay", "--config", str(work / "t3.cfg"), "--detections", str(stream),
             "--out", str(out), "--variant", "cl2"]
@@ -146,6 +150,7 @@ def layers(side, work: Path, small: bool) -> list[tuple[str, str, int, object, o
          lambda: tagmap.build_pattern_map(big), map_bytes),
         (f"parse_map {big[0]:g}x{big[1]:g}", "ms", 1, lambda: tagmap.parse_map(map_text),
          map_bytes),
+        ("parse_map far", "ms", 1, lambda: tagmap.parse_map(far_text), map_bytes),
         ("replay", "ms", 1, replay, replayed),
         ("harness.run", "ms", 1, lambda: harness.run(hover),
          lambda result: (harness.format_timeseries_csv(result.frames)
@@ -155,8 +160,19 @@ def layers(side, work: Path, small: bool) -> list[tuple[str, str, int, object, o
     ]
 
 
+def far_map(count: int) -> str:
+    """A map file of `count` clear class-S tags near x = 1e149 m, rows of
+    100 tags on floats 1e136 m apart, the rows 0.1 m apart in y."""
+    lines = ["tagmap v1 1e+149 1e+149"]
+    for k in range(count):
+        lines.append(f"{k} S {1e149 + k % 100 * 1e136!r} {k // 100 * 0.1!r} 0.0 1.0 0.0 0.0 0.0")
+    return "\n".join(lines) + "\n"
+
+
 def write_inputs(side, work: Path, small: bool) -> None:
-    """The configs, the t3 stream and the big map's file, written by `side`."""
+    """The configs, the t3 stream and the two maps' files; `side` writes the
+    stream and the big square's map."""
+    (work / "far.txt").write_text(far_map(300 if small else FAR_TAGS), encoding="utf-8")
     (work / "t3.cfg").write_text(T3_CONFIG, encoding="utf-8")
     (work / "hover.cfg").write_text(HOVER_CONFIG.format(duration=0.25 if small else 2.0),
                                     encoding="utf-8")
