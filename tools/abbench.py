@@ -30,8 +30,8 @@ The layers:
 - compare_matrix: the default variants x hover at 0.8 / 1.4 / 2.0 m, 10
   frames each (perfbench's compare_table).
 `--small` shrinks every input (5 stream frames, a 5 m square, 300 far tags,
-5 hover frames, 2 frames per compare cell) and times 2 pairs per layer, for a quick check
-that the script runs.
+5 hover frames, 2 frames per compare cell) and times 2 pairs per layer, for
+a quick check that the script runs.
 """
 
 from __future__ import annotations
