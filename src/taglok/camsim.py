@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import compress, count, repeat, starmap
+from math import isfinite
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -615,19 +617,22 @@ def format_detection_lines(frame: int, t: float, rows: DetectionRows) -> list[st
 
 
 _LINE_FLOAT_FIELDS = ("t", "px", "py", "pz", "qw", "qx", "qy", "qz", "apparent_side")
-# one parsed stream line as parse_detection_stream packs it: frame, tag id,
-# then position, quaternion and apparent side as 8 floats
-_STREAM_ROW = struct.Struct("=qq8d")
-_STREAM_ROW_DTYPE = np.dtype([("frame", np.int64), ("id", np.int64), ("floats", np.float64, 8)])
+_HALF_NORM_TOL = 0.5 * _NORM_TOL
+# one parsed stream line as parse_detection_stream packs it: frame, t, tag
+# id, then position, quaternion and apparent side as 8 floats
+_STREAM_ROW = struct.Struct("=qdq8d")
+_STREAM_ROW_DTYPE = np.dtype([("frame", np.int64), ("t", np.float64), ("id", np.int64),
+                              ("floats", np.float64, 8)])
 
 
-def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, float]:
-    """(frame, t, tag id, (px, py, pz), (qw, qx, qy, qz), apparent side) of
-    one stream line, the quaternion as written (the frame chain normalizes
-    it) unless UnitQuaternion refuses it, which raises its error. The checks
-    run in this order: the field count, the frame, the tag id, the floats
-    (t first), their finiteness (the first non-finite field is named), pz,
-    the quaternion."""
+def parse_detection_line(line: str) -> tuple[int, float, int, float, float, float, float, float,
+                                             float, float, float]:
+    """(frame, t, tag id, px, py, pz, qw, qx, qy, qz, apparent side) of one
+    stream line, flat in line order, the quaternion as written (the frame
+    chain normalizes it) unless UnitQuaternion refuses it, which raises its
+    error. The checks run in this order: the field count, the frame, the tag
+    id, the floats (t first), their finiteness (the first non-finite field
+    is named), pz, the quaternion."""
     tokens = line.split()
     if len(tokens) != 11:
         raise ValueError(f"expected 11 fields in detection line, got {len(tokens)}")
@@ -642,16 +647,16 @@ def parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, floa
     px, py, pz, qw, qx, qy, qz, apparent = map(float, (px, py, pz, qw, qx, qy, qz, apparent))
     # a finite sum has no inf or NaN term; a sum that overflows sends the
     # line to the named scan, which then finds no field to name
-    if not math.isfinite(t + px + py + pz + qw + qx + qy + qz + apparent):
+    if not isfinite(t + px + py + pz + qw + qx + qy + qz + apparent):
         for name, token in zip(_LINE_FLOAT_FIELDS, (t_token, *tokens[3:])):
-            if not math.isfinite(float(token)):
+            if not isfinite(float(token)):
                 raise ValueError(f"non-finite {name} {token!r}")
     if not pz > 0:
         raise ValueError("detected tag must lie in front of the camera (z > 0)")
     # a squared norm this close to 1 is a norm unit_components accepts
-    if not abs(qw * qw + qx * qx + qy * qy + qz * qz - 1.0) <= 0.5 * _NORM_TOL:
+    if not abs(qw * qw + qx * qx + qy * qy + qz * qz - 1.0) <= _HALF_NORM_TOL:
         unit_components(qw, qx, qy, qz)
-    return frame, t, tag_id, (px, py, pz), (qw, qx, qy, qz), apparent
+    return frame, t, tag_id, px, py, pz, qw, qx, qy, qz, apparent
 
 
 def parse_detection_stream(lines: Iterable[str]) -> list[Frame]:
@@ -659,21 +664,19 @@ def parse_detection_stream(lines: Iterable[str]) -> list[Frame]:
     in frame order, without ground truth. A frame takes its time from its
     first line and keeps its lines in stream order; errors name the line.
 
-    Each line is packed into one whole-stream buffer as it is parsed, and
-    every frame's arrays are slices of the columns read back from it, so no
-    per-line object outlives its line."""
-    packed, first_t, pack = bytearray(), {}, _STREAM_ROW.pack
-    for line_no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            index, t, tag_id, position, quat, apparent = parse_detection_line(line)
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
-        packed += pack(index, tag_id, *position, *quat, apparent)
-        if index not in first_t:
-            first_t[index] = t
-    if not first_t:
+    The loop over the lines runs in C iterators: each non-blank line is one
+    `parse_detection_line` call (the module's name, looked up on each call
+    of this function), whose fields are packed and appended to one
+    whole-stream buffer. Every frame's arrays are slices of the columns read
+    back from it, so no per-line object outlives its line."""
+    packed, numbers = bytearray(), count(1)
+    # compress takes each line, then its number, so during line n the next number is n + 1
+    fields = map(parse_detection_line, filter(str.strip, compress(lines, numbers)))
+    try:
+        deque(map(packed.extend, starmap(_STREAM_ROW.pack, fields)), maxlen=0)
+    except ValueError as exc:
+        raise ValueError(f"line {next(numbers) - 1}: {exc}") from None
+    if not packed:
         return []
     rows = np.frombuffer(packed, dtype=_STREAM_ROW_DTYPE)
     order = np.argsort(rows["frame"], kind="stable")
@@ -682,6 +685,8 @@ def parse_detection_stream(lines: Iterable[str]) -> list[Frame]:
                floats[:, 7][order])
     in_order = rows["frame"][order]
     bounds = [0, *(np.flatnonzero(in_order[1:] != in_order[:-1]) + 1).tolist(), len(order)]
-    return [Frame(index, first_t[index], None,
-                  DetectionRows(*(column[start:end] for column in columns)))
-            for index, start, end in zip(sorted(first_t), bounds, bounds[1:])]
+    # the sort is stable, so a frame's first row is its first line
+    firsts = order[bounds[:-1]]
+    return [Frame(index, t, None, DetectionRows(*(column[start:end] for column in columns)))
+            for index, t, start, end in zip(rows["frame"][firsts].tolist(),
+                                            rows["t"][firsts].tolist(), bounds, bounds[1:])]

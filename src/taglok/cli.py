@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -98,22 +99,22 @@ def _utf8_checked(data: bytes) -> bytes:
     return data
 
 
-def _lines_of(data: bytes) -> Iterator[str]:
+def _lines_of(data: bytes) -> Iterator[list[str]]:
     """The lines `read_text(encoding="utf-8").splitlines()` gives of the
-    UTF-8 bytes `data`, decoded a piece at a time. With universal newlines
-    no "\r" is left, so a cut after a piece's last "\n" splits no line
-    break; the text after it waits for the next piece, in a list, so a line
-    longer than a piece is joined once."""
+    UTF-8 bytes `data`, decoded a piece at a time, as one list per piece.
+    With universal newlines no "\r" is left, so a cut after a piece's last
+    "\n" splits no line break; the text after it waits for the next piece,
+    in a list, so a line longer than a piece is joined once."""
     text, tail = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), []
     while piece := text.read(_PIECE):
         cut = piece.rfind("\n") + 1
         if cut:
             tail.append(piece[:cut])
-            yield from "".join(tail).splitlines()
+            yield "".join(tail).splitlines()
             tail = [piece[cut:]]
         else:
             tail.append(piece)
-    yield from "".join(tail).splitlines()
+    yield "".join(tail).splitlines()
 
 
 def _read_lines(name: str, path: str, parse: Callable[[Iterable[str]], object]):
@@ -122,7 +123,7 @@ def _read_lines(name: str, path: str, parse: Callable[[Iterable[str]], object]):
     time; the errors are named as `_read` names them. Only the lines hold the
     file's bytes, so they are freed once `parse` has read its last line."""
     with _named(name, OSError, UnicodeDecodeError):
-        lines = _lines_of(_utf8_checked(Path(path).read_bytes()))
+        lines = chain.from_iterable(_lines_of(_utf8_checked(Path(path).read_bytes())))
     with _named(path, ValueError):
         return parse(lines)
 

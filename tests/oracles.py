@@ -809,7 +809,7 @@ def loop_detect(tag_map, cam, noise, body_pose_true: Pose, frame_index: int) -> 
 
 # --- the detection stream parsed and grouped line by line (bitwise reference) ---
 
-def loop_parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple, float]:
+def loop_parse_detection_line(line: str) -> tuple:
     """`parse_detection_line` field by field: the same value or the same
     error, the checks in the same order, and the non-finite scan over
     every field."""
@@ -833,7 +833,7 @@ def loop_parse_detection_line(line: str) -> tuple[int, float, int, tuple, tuple,
         raise ValueError("detected tag must lie in front of the camera (z > 0)")
     if not abs(qw * qw + qx * qx + qy * qy + qz * qz - 1.0) <= 0.5 * _NORM_TOL:
         unit_components(qw, qx, qy, qz)
-    return frame, t, tag_id, (px, py, pz), (qw, qx, qy, qz), apparent
+    return frame, t, tag_id, px, py, pz, qw, qx, qy, qz, apparent
 
 
 def loop_read_detection_stream(text: str) -> list[Frame]:
@@ -845,10 +845,12 @@ def loop_read_detection_stream(text: str) -> list[Frame]:
         if not line.strip():
             continue
         try:
-            index, t, *row = loop_parse_detection_line(line)
+            index, t, tag_id, px, py, pz, qw, qx, qy, qz, apparent = \
+                loop_parse_detection_line(line)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
-        by_index.setdefault(index, (t, []))[1].append(row)
+        by_index.setdefault(index, (t, []))[1].append(
+            (tag_id, (px, py, pz), (qw, qx, qy, qz), apparent))
     return [Frame(index, t, None, DetectionRows(*(np.array(column) for column in zip(*rows))))
             for index, (t, rows) in sorted(by_index.items())]
 

@@ -25,7 +25,8 @@ def test_the_same_tree_on_both_sides_passes_with_finite_ratios():
     assert header.split() == ["layer", "unit", "base", "change", "ratio", "q1", "q3"]
     assert [row.rsplit(None, 6)[0] for row in rows] == [
         "parse_detection_stream", "build_pattern_map 3x5", "build_pattern_map 5x5",
-        "parse_map 5x5", "parse_map far", "replay", "harness.run", "compare_matrix"]
+        "parse_map 5x5", "parse_map far", "replay", "step jbt", "step tbs-or", "step tbs-or-cl2",
+        "harness.run", "compare_matrix"]
     for row in rows:
         values = [float(v) for v in row.split()[-5:]]
         assert all(math.isfinite(v) and v > 0 for v in values), row
@@ -36,8 +37,9 @@ def test_a_patched_layer_fails_its_output_check(tmp_path):
     shutil.copytree(TREE, patched, ignore=shutil.ignore_patterns("__pycache__"))
     camsim = patched / "camsim.py"
     source = camsim.read_text(encoding="utf-8")
-    assert source.count("first_t[index] = t\n") == 1
-    camsim.write_text(source.replace("first_t[index] = t\n", "first_t[index] = t + 1.0\n"),
+    times = 'rows["t"][firsts].tolist()'
+    assert source.count(times) == 1
+    camsim.write_text(source.replace(times, '(rows["t"][firsts] + 1.0).tolist()'),
                       encoding="utf-8")
     done = abbench(TREE, patched)
     assert done.returncode == 1, done.stdout + done.stderr

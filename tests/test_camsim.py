@@ -348,7 +348,8 @@ class TestStreamFormat:
         rows = one_row(17, (0.123456789012345, -0.2, 1.5),
                        (0.7071067811865476, 0.0, 0.0, 0.7071067811865476), 86.5)
         line, = format_detection_lines(9, 0.45, rows)
-        frame, t, tag_id, position, quat, apparent = parse_detection_line(line)
+        frame, t, tag_id, px, py, pz, qw, qx, qy, qz, apparent = parse_detection_line(line)
+        position, quat = (px, py, pz), (qw, qx, qy, qz)
         assert frame == 9 and t == 0.45
         assert tag_id == 17
         assert position == tuple(rows.positions[0].tolist())
@@ -359,7 +360,7 @@ class TestStreamFormat:
         for q in ((2.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5000001), (0.1, -0.3, 0.2, 0.9)):
             line = "0 0.0 5 0.0 0.0 1.0 " + " ".join(map(repr, q)) + " 50.0"
             UnitQuaternion(*q)  # accepted, so the line parses to the quaternion as written
-            assert parse_detection_line(line)[4] == q
+            assert parse_detection_line(line)[6:10] == q
         with pytest.raises(ValueError, match="quaternion norm"):
             parse_detection_line("0 0.0 5 0.0 0.0 1.0 0.0 0.0 0.0 0.0 50.0")
 

@@ -6,7 +6,9 @@ piece at a time, then feeds `parse_detection_stream` the lines of one decoded
 piece at a time. The lines must be exactly `read_text(encoding="utf-8")
 .splitlines()` of the file, whatever line breaks it mixes and wherever a piece
 or a read cuts them; a file that is not UTF-8 must fail as `data.decode("utf-8")`
-fails, at the same absolute position, before any line is parsed. Only the
+fails, at the same absolute position, before any line is parsed. Under
+perfbench's tracer, a replay makes one `camsim.parse_detection_line` call per
+non-blank line, and blank lines change no output byte. Only the
 packed rows of the stream stay resident while it is parsed, and
 `dump-detections` writes each frame's lines as it goes, so the peak memory of
 either command grows by less per stream line than when the text, its lines or
@@ -14,16 +16,20 @@ the dump's lines were held whole.
 """
 
 import contextlib
+import importlib.util
 import io
 import os
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from taglok import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -159,6 +165,37 @@ def test_a_fifo_replays_as_its_file_does(dumped, tmp_path):
     assert not writer.is_alive()
     assert replay(config, stream, tmp_path / "file.csv") == (0, "")
     assert (tmp_path / "fifo.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def spans():
+    """perfbench/spans.py, loaded as tests/test_bench_contract.py loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_replay_parses_each_non_blank_line_once(spans, dumped, tmp_path):
+    # the reader must reach the parser through `camsim` on each call, where
+    # the tracer's wrapper is, and call it on no blank line
+    config, stream = dumped
+    lines = stream.read_text(encoding="utf-8").splitlines()
+    blank = tmp_path / "blank.txt"
+    blank.write_text("".join(line + "\n" + ["", " ", "\t", " \t "][k % 4] + "\n"
+                             for k, line in enumerate(lines)), encoding="utf-8")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = replay(config, blank, tmp_path / "blank.csv")
+    finally:
+        tracer.uninstall()
+    assert traced == (0, "")
+    assert tracer.absent == [] and tracer.leftover_wrappers() == []
+    parsed = [span for span in tracer.spans if span[0] == "camsim.parse_detection_line"]
+    assert len(parsed) == len(lines) > 5
+    assert replay(config, stream, tmp_path / "plain.csv") == (0, "")
+    assert (tmp_path / "blank.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 # --- memory -----------------------------------------------------------------

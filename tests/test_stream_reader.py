@@ -145,7 +145,7 @@ def outcome(make):
 
 def assert_parsed_like_unit_quaternion(q):
     line = "0 0.0 5 0.0 0.0 1.0 " + " ".join(map(repr, q)) + " 50.0"
-    parsed = outcome(lambda: parse_detection_line(line)[4])
+    parsed = outcome(lambda: parse_detection_line(line)[6:10])
     # q as written, unless UnitQuaternion refuses it
     unit = outcome(lambda: (UnitQuaternion(*q), q)[1])
     assert parsed == unit
@@ -184,10 +184,10 @@ def parsed_outcome(parse, line):
     """What a line parser makes of a line: its values with every float as
     its bits, or its error's type and text."""
     try:
-        frame, t, tag_id, position, quat, apparent = parse(line)
+        frame, t, tag_id, *floats = parse(line)
     except ValueError as exc:
         return "error", type(exc), str(exc)
-    return "ok", frame, tag_id, bits([t, *position, *quat, apparent])
+    return "ok", frame, tag_id, bits([t, *floats])
 
 
 @hypothesis.settings(max_examples=1500, deadline=None)

@@ -26,6 +26,9 @@ The layers:
   class-S tags near 1e149 m, beyond 2**51 side lengths from the origin but
   inside the largest extent a map file may give;
 - replay: `cli.main(["replay", ...])` of that stream with `--variant cl2`;
+- step per variant (STEP_VARIANTS): `pipeline.step` on the frame-chain
+  rows of the last frame of the 40-frame hover at 2.0 m (114 detections),
+  with the FIR state its variant leaves after the frames before it;
 - harness.run: the 40-frame hover at 2.0 m (perfbench's hover_dense);
 - compare_matrix: the default variants x hover at 0.8 / 1.4 / 2.0 m, 10
   frames each (perfbench's compare_table).
@@ -50,6 +53,7 @@ import sys
 import tarfile
 import tempfile
 import time
+from itertools import accumulate
 from pathlib import Path
 
 # numpy's BLAS must not start threads of its own (as in perfbench/run.py)
@@ -60,6 +64,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_NS = 20_000_000  # a sample runs its call at least this long
 PAIRS = 15  # timed pairs per layer; --small times 2
 FAR_TAGS = 30_000  # the far map's tags, as many as the 40 m square's; --small has 300
+STEP_VARIANTS = ("jbt", "tbs-or", "tbs-or-cl2")
 
 T3_CONFIG = "[trajectory]\nkind = t3\n\n[run]\nseed = 1\n"
 HOVER_CONFIG = ("[trajectory]\nkind = hover\nx = 1.5\ny = 2.5\nz = 2.0\nduration = {duration}\n\n"
@@ -74,7 +79,7 @@ def load_tree(name: str, tree: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("camsim", "cli", "harness", "tagmap"):
+    for module in ("camsim", "cli", "harness", "pipeline", "tagmap"):
         importlib.import_module(f"{name}.{module}")  # and so an attribute of `package`
     return package
 
@@ -105,6 +110,32 @@ def map_bytes(tag_map) -> bytes:
         for name in ("ids", "classes", "positions", "quats", "normals", "corners"))
 
 
+def stepped_bytes(result) -> bytes:
+    """`step`'s output and new state as bytes: the fused pose, the tags
+    used, the stage trace and the FIR window."""
+    output, state = result
+    pose = output.pose
+    head = b"" if pose is None else pose.position.tobytes() + pose.orientation.as_array().tobytes()
+    return head + repr((output.tags_used, output.stage_trace)).encode() + state.window.tobytes()
+
+
+def warmed_steps(side, cfg) -> list[tuple]:
+    """(variant, the last frame's chain rows, its config, the FIR state the
+    frames before it leave) of `cfg`'s simulated frames, per STEP_VARIANTS."""
+    harness, pipeline = side.harness, side.pipeline
+    frames = list(harness.simulate(cfg))
+    body_poses = harness.body_poses_of(cfg, frames)
+    ends = [0, *accumulate(len(frame.detections) for frame in frames)]
+    rows = [body_poses.take(slice(start, end)) for start, end in zip(ends, ends[1:])]
+    steps = []
+    for variant in STEP_VARIANTS:
+        config, state = pipeline.apply_variant(cfg.pipeline, variant), None
+        for frame_rows in rows[:-1]:
+            state = pipeline.step(frame_rows, config, state)[1]
+        steps.append((variant, rows[-1], config, state))
+    return steps
+
+
 def quiet_main(cli, argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main(argv)
@@ -118,7 +149,7 @@ def big_side(small: bool) -> float:
 def layers(side, work: Path, small: bool) -> list[tuple[str, str, int, object, object]]:
     """(layer, unit, items per call, call, its result as bytes) for one side;
     the inputs are written under `work` before any layer runs."""
-    cli, harness, tagmap = side.cli, side.harness, side.tagmap
+    cli, harness, pipeline, tagmap = side.cli, side.harness, side.pipeline, side.tagmap
     stream = work / "stream.txt"
     lines = stream.read_text(encoding="utf-8").splitlines()
     big = (big_side(small),) * 2
@@ -152,6 +183,10 @@ def layers(side, work: Path, small: bool) -> list[tuple[str, str, int, object, o
          map_bytes),
         ("parse_map far", "ms", 1, lambda: tagmap.parse_map(far_text), map_bytes),
         ("replay", "ms", 1, replay, replayed),
+        *((f"step {variant}", "us", 1,
+           lambda rows=rows, config=config, state=state: pipeline.step(rows, config, state),
+           stepped_bytes)
+          for variant, rows, config, state in warmed_steps(side, hover)),
         ("harness.run", "ms", 1, lambda: harness.run(hover),
          lambda result: (harness.format_timeseries_csv(result.frames)
                          + repr(result.stats)).encode()),
@@ -232,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
                     times.append(sample(call, number) / number)
             ratios = [tb / ta for ta, tb in zip(times_a, times_b)]
             q1, ratio, q3 = quartiles(ratios)
-            scale = 1e3 * items if unit == "us/line" else 1e6  # from ns
+            scale = (1e3 if unit.startswith("us") else 1e6) * items  # from ns
             print(f"{name:24} {unit:8} {statistics.median(times_a) / scale:10.3f} "
                   f"{statistics.median(times_b) / scale:10.3f} {ratio:7.3f} {q1:7.3f} {q3:7.3f}")
     return 1 if failed else 0
