@@ -33,7 +33,8 @@ from .geometry import (
     rotate_rows,
     unit_components,
 )
-from .tagmap import TagMap
+from .tagmap import (FINITE, NON_NEGATIVE, NON_NEGATIVE_INT, PIXELS, POSITIVE, PROBABILITY,
+                     TagMap, check_fields)
 
 DEFAULT_DETECT_THRESHOLD_PX = 12.0
 _Z_AXIS = np.array([0.0, 0.0, 1.0])  # rotation axis when the drawn one is ~zero
@@ -67,13 +68,10 @@ class CameraModel:
     pose_in_body: Pose
     detect_threshold_px: float = DEFAULT_DETECT_THRESHOLD_PX
 
+    RULES = {"focal_px": POSITIVE, "image_size": PIXELS, "detect_threshold_px": POSITIVE}
+
     def __post_init__(self) -> None:
-        if self.focal_px <= 0:
-            raise ValueError("focal length must be positive")
-        if self.image_size[0] <= 0 or self.image_size[1] <= 0:
-            raise ValueError("image size must be positive")
-        if self.detect_threshold_px <= 0:
-            raise ValueError("detectability threshold must be positive")
+        check_fields(self.RULES, vars(self))
 
 
 def down_facing_mount(offset: np.ndarray | None = None) -> Pose:
@@ -90,12 +88,7 @@ def default_camera(focal_px: float = 600.0,
                    image_size: tuple[int, int] = (1280, 720),
                    mount_offset: np.ndarray | None = None,
                    detect_threshold_px: float = DEFAULT_DETECT_THRESHOLD_PX) -> CameraModel:
-    return CameraModel(
-        focal_px=focal_px,
-        image_size=image_size,
-        pose_in_body=down_facing_mount(mount_offset),
-        detect_threshold_px=detect_threshold_px,
-    )
+    return CameraModel(focal_px, image_size, down_facing_mount(mount_offset), detect_threshold_px)
 
 
 @dataclass(frozen=True)
@@ -118,15 +111,13 @@ class NoiseModel:
     outlier_rotation_scale: float = 1.0
     seed: int = 0
 
+    RULES = {"position_sigma_at_ref": NON_NEGATIVE, "rotation_sigma_at_ref": NON_NEGATIVE,
+             "reference_apparent_size": POSITIVE, "size_exponent": FINITE,
+             "outlier_probability": PROBABILITY, "outlier_position_scale": POSITIVE,
+             "outlier_rotation_scale": POSITIVE, "seed": NON_NEGATIVE_INT}
+
     def __post_init__(self) -> None:
-        if self.position_sigma_at_ref < 0 or self.rotation_sigma_at_ref < 0:
-            raise ValueError("noise sigmas must be non-negative")
-        if not 0.0 <= self.outlier_probability <= 1.0:
-            raise ValueError("outlier probability must be in [0, 1]")
-        if self.reference_apparent_size <= 0:
-            raise ValueError("reference apparent size must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_fields(self.RULES, vars(self))
 
     @staticmethod
     def zero() -> "NoiseModel":

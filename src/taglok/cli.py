@@ -2,8 +2,9 @@
 
 Commands: map-build, run, compare, dump-detections, replay. Configuration is
 flat key-value text with one section per subsystem (map/camera/noise/
-pipeline/trajectory/run/compare); unknown sections or keys are rejected and
-every value is range-checked with the offending key named in the error.
+pipeline/trajectory/run/compare). Unknown sections or keys are rejected; each
+value is checked at load under the rule of the library field it sets
+(`CameraModel.RULES` and the like), so that the error names its key.
 Exit codes: 0 success, 1 usage error (nothing written), 2 runtime failure.
 """
 
@@ -33,6 +34,7 @@ from .camsim import (
     parse_detection_stream,
 )
 from .harness import (
+    HOVER_RULES,
     ErrorStats,
     RunConfig,
     Trajectory,
@@ -50,7 +52,8 @@ from .harness import (
     steps_trajectory_t2,
 )
 from .pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme, apply_variant
-from .tagmap import build_pattern_map, parse_finite_float, parse_map, serialize_map
+from .tagmap import (FINITE, POSITIVE, Rule, build_pattern_map, check_fields, parse_finite_float,
+                     parse_map, serialize_map)
 
 
 class ConfigError(ValueError):
@@ -179,60 +182,54 @@ def _choice(*options: str) -> Callable[[str], str]:
 class _Key:
     parse: Callable[[str], object]
     default: object
-    check: Callable[[object], bool] | None = None
-    why: str = ""
+    rule: Rule | None = None  # the rule of the field the key sets
 
 
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
-_PROBABILITY = (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
-# beyond 2**53 a pixel count has no exact float
-_PIXELS = (lambda v: 0 < v <= 2**53, "must be positive and at most 2**53")
-
+_CAMERA, _NOISE, _PIPELINE = CameraModel.RULES, NoiseModel.RULES, PipelineConfig.RULES
 _SCHEMA: dict[str, dict[str, _Key]] = {
     "map": {
         "file": _Key(str, ""),
-        "width": _Key(parse_finite_float, 3.0, *_POSITIVE),
-        "height": _Key(parse_finite_float, 5.0, *_POSITIVE),
+        "width": _Key(parse_finite_float, 3.0, POSITIVE),
+        "height": _Key(parse_finite_float, 5.0, POSITIVE),
     },
     "camera": {
-        "focal_px": _Key(parse_finite_float, 600.0, *_POSITIVE),
-        "image_width": _Key(int, 1280, *_PIXELS),
-        "image_height": _Key(int, 720, *_PIXELS),
-        "detect_threshold_px": _Key(parse_finite_float, 12.0, *_POSITIVE),
+        "focal_px": _Key(parse_finite_float, 600.0, _CAMERA["focal_px"]),
+        "image_width": _Key(int, 1280, _CAMERA["image_size"]),
+        "image_height": _Key(int, 720, _CAMERA["image_size"]),
+        "detect_threshold_px": _Key(parse_finite_float, 12.0, _CAMERA["detect_threshold_px"]),
         "mount_x": _Key(parse_finite_float, 0.0),
         "mount_y": _Key(parse_finite_float, 0.0),
         "mount_z": _Key(parse_finite_float, 0.0),
     },
     "noise": {
-        "position_sigma": _Key(parse_finite_float, 0.01, *_NON_NEGATIVE),
-        "rotation_sigma": _Key(parse_finite_float, 0.02, *_NON_NEGATIVE),
-        "reference_apparent": _Key(parse_finite_float, 100.0, *_POSITIVE),
-        "size_exponent": _Key(parse_finite_float, 1.0),
-        "outlier_probability": _Key(parse_finite_float, 0.05, *_PROBABILITY),
-        "outlier_position_scale": _Key(parse_finite_float, 12.0, *_POSITIVE),
-        "outlier_rotation_scale": _Key(parse_finite_float, 8.0, *_POSITIVE),
+        "position_sigma": _Key(parse_finite_float, 0.01, _NOISE["position_sigma_at_ref"]),
+        "rotation_sigma": _Key(parse_finite_float, 0.02, _NOISE["rotation_sigma_at_ref"]),
+        "reference_apparent": _Key(parse_finite_float, 100.0, _NOISE["reference_apparent_size"]),
+        "size_exponent": _Key(parse_finite_float, 1.0, _NOISE["size_exponent"]),
+        "outlier_probability": _Key(parse_finite_float, 0.05, _NOISE["outlier_probability"]),
+        "outlier_position_scale": _Key(parse_finite_float, 12.0, _NOISE["outlier_position_scale"]),
+        "outlier_rotation_scale": _Key(parse_finite_float, 8.0, _NOISE["outlier_rotation_scale"]),
     },
     "pipeline": {
         "ths": _Key(_choice("jbt", "all", "tbs"), "tbs"),
         "outlier_removal": _Key(_parse_bool, True),
-        "iqr_gain": _Key(parse_finite_float, 1.5, *_POSITIVE),
+        "iqr_gain": _Key(parse_finite_float, 1.5, _PIPELINE["iqr_gain"]),
         "weights": _Key(_choice("w1", "w2", "uniform"), "w2"),
         "rot_mean": _Key(_choice("ql2", "cl2"), "ql2"),
-        "fir_length": _Key(int, 5, lambda v: v >= 1, "must be at least 1"),
+        "fir_length": _Key(int, 5, _PIPELINE["fir_length"]),
     },
     "trajectory": {
         "kind": _Key(_choice("hover", "t1", "t2", "t3"), "hover"),
-        "x": _Key(parse_finite_float, 1.5),
-        "y": _Key(parse_finite_float, 2.5),
-        "z": _Key(parse_finite_float, 0.8, *_POSITIVE),
-        "yaw": _Key(parse_finite_float, 0.0),
-        "duration": _Key(parse_finite_float, 10.0, *_POSITIVE),
+        "x": _Key(parse_finite_float, 1.5, HOVER_RULES["x"]),
+        "y": _Key(parse_finite_float, 2.5, HOVER_RULES["y"]),
+        "z": _Key(parse_finite_float, 0.8, HOVER_RULES["z"]),
+        "yaw": _Key(parse_finite_float, 0.0, HOVER_RULES["yaw"]),
+        "duration": _Key(parse_finite_float, 10.0, HOVER_RULES["duration"]),
         "waypoints": _Key(str, ""),
     },
     "run": {
-        "sample_rate": _Key(parse_finite_float, 20.0, *_POSITIVE),
-        "seed": _Key(int, 0, *_NON_NEGATIVE),
+        "sample_rate": _Key(parse_finite_float, 20.0, RunConfig.RULES["sample_rate"]),
+        "seed": _Key(int, 0, _NOISE["seed"]),
     },
     "compare": {
         "variants": _Key(_parse_tokens, ("jbt", "all-noor", "all-or", "tbs-noor", "tbs-or")),
@@ -281,8 +278,8 @@ def load_settings(path: str | Path) -> Settings:
                 raise ConfigError(f"unknown key {section}.{key} (known: {known})")
             with _named(f"{section}.{key}", ValueError):
                 value = spec.parse(raw)
-            if spec.check is not None and not spec.check(value):
-                raise ConfigError(f"{section}.{key}: {spec.why} (got {raw})")
+            if spec.rule is not None and not spec.rule.holds(value):
+                raise ConfigError(f"{section}.{key}: {spec.rule.why} (got {raw})")
             settings.values[section][key] = value
             provided.add(f"{section}.{key}")
     settings.provided = frozenset(provided)
@@ -292,92 +289,39 @@ def load_settings(path: str | Path) -> Settings:
 # --- settings -> objects ---------------------------------------------------
 
 def _build_trajectory(settings: Settings) -> Trajectory:
-    kind = settings.get("trajectory", "kind")
-    x, y = settings.get("trajectory", "x"), settings.get("trajectory", "y")
-    z = settings.get("trajectory", "z")
-    yaw = settings.get("trajectory", "yaw")
+    values = settings.values["trajectory"]
+    kind, x, y, z, yaw = (values[key] for key in ("kind", "x", "y", "z", "yaw"))
     if kind == "hover":
-        return hover_trajectory((x, y, z), yaw, settings.get("trajectory", "duration"))
+        return hover_trajectory((x, y, z), yaw, values["duration"])
     if kind == "t1":
         return square_trajectory_t1(center=(x, y), altitude=z, yaw=yaw)
     if kind == "t2":
         return steps_trajectory_t2(xy=(x, y), yaw=yaw)
-    waypoint_file = settings.get("trajectory", "waypoints")
-    if not waypoint_file:
+    if not values["waypoints"]:
         return spline_trajectory_t3()
-    return _read("trajectory.waypoints", waypoint_file,
+    return _read("trajectory.waypoints", values["waypoints"],
                  lambda text: spline_trajectory_t3(parse_waypoints(text)))
-
-
-def _check_noise_scale(camera: CameraModel, noise: NoiseModel) -> None:
-    """The noise scale (reference / apparent) ** size_exponent must be a
-    float at every apparent size the camera reports, from the detectability
-    threshold up to the image diagonal, and so must 16 times the largest
-    sigma `detect` draws with there: numpy's standard normals stay below 13.8
-    in magnitude (the ziggurat's tail bound r + 53 ln 2 / r). Both are
-    monotone in the apparent size, so the two ends decide."""
-    outliers = noise.outlier_probability > 0
-    sigmas = (("position_sigma", noise.position_sigma_at_ref, noise.outlier_position_scale),
-              ("rotation_sigma", noise.rotation_sigma_at_ref, noise.outlier_rotation_scale))
-    ref, exponent = noise.reference_apparent_size, noise.size_exponent
-    ends = ((camera.detect_threshold_px, "camera.detect_threshold_px"),
-            (math.hypot(*camera.image_size), "camera.image_width, camera.image_height"))
-    for apparent, apparent_keys in ends:
-        try:
-            scale = (ref / apparent) ** exponent
-        except (OverflowError, ZeroDivisionError):  # 0.0 ** -1 is a ZeroDivisionError
-            scale = math.inf
-        if not math.isfinite(scale):  # ref / apparent itself may overflow
-            raise ConfigError(f"{apparent_keys}, noise.reference_apparent, noise.size_exponent: "
-                              f"the noise scale overflows at an apparent size of {apparent:g} px "
-                              f"(got reference_apparent {ref!r}, size_exponent {exponent!r})")
-        for key, sigma, outlier_scale in sigmas:
-            largest = sigma * scale * (max(outlier_scale, 1.0) if outliers else 1.0)
-            if not math.isfinite(16 * largest):
-                raise ConfigError(f"noise.{key}: the noise sigma overflows at an apparent "
-                                  f"size of {apparent:g} px (got {sigma!r})")
 
 
 def build_run_config(settings: Settings, map_file_name: str = "map.file") -> RunConfig:
     """The run config of `settings`; errors name [map] file `map_file_name`."""
-    mount = np.array([settings.get("camera", "mount_x"),
-                      settings.get("camera", "mount_y"),
-                      settings.get("camera", "mount_z")])
-    camera = default_camera(
-        focal_px=settings.get("camera", "focal_px"),
-        image_size=(settings.get("camera", "image_width"),
-                    settings.get("camera", "image_height")),
-        mount_offset=mount,
-        detect_threshold_px=settings.get("camera", "detect_threshold_px"),
-    )
-    noise = NoiseModel(
-        position_sigma_at_ref=settings.get("noise", "position_sigma"),
-        rotation_sigma_at_ref=settings.get("noise", "rotation_sigma"),
-        reference_apparent_size=settings.get("noise", "reference_apparent"),
-        size_exponent=settings.get("noise", "size_exponent"),
-        outlier_probability=settings.get("noise", "outlier_probability"),
-        outlier_position_scale=settings.get("noise", "outlier_position_scale"),
-        outlier_rotation_scale=settings.get("noise", "outlier_rotation_scale"),
-        seed=settings.get("run", "seed"),
-    )
-    _check_noise_scale(camera, noise)
-    pipeline = PipelineConfig(
-        ths=ThsMode(settings.get("pipeline", "ths")),
-        outlier_removal=settings.get("pipeline", "outlier_removal"),
-        iqr_gain=settings.get("pipeline", "iqr_gain"),
-        weights=WeightScheme(settings.get("pipeline", "weights")),
-        rot_mean=RotMeanMethod(settings.get("pipeline", "rot_mean")),
-        fir_length=settings.get("pipeline", "fir_length"),
-    )
+    cam, noise, pipe = (settings.values[section] for section in ("camera", "noise", "pipeline"))
     map_file = settings.get("map", "file")
     return RunConfig(
         trajectory=_build_trajectory(settings),
         tag_map=(_read(map_file_name, map_file, parse_map) if map_file else
                  build_pattern_map((settings.get("map", "width"), settings.get("map", "height")),
                                    ("map.width", "map.height"))),
-        camera=camera,
-        noise=noise,
-        pipeline=pipeline,
+        camera=default_camera(cam["focal_px"], (cam["image_width"], cam["image_height"]),
+                              np.array([cam[f"mount_{axis}"] for axis in "xyz"]),
+                              cam["detect_threshold_px"]),
+        noise=NoiseModel(noise["position_sigma"], noise["rotation_sigma"],
+                         noise["reference_apparent"], noise["size_exponent"],
+                         noise["outlier_probability"], noise["outlier_position_scale"],
+                         noise["outlier_rotation_scale"], settings.get("run", "seed")),
+        pipeline=PipelineConfig(ThsMode(pipe["ths"]), pipe["outlier_removal"], pipe["iqr_gain"],
+                                WeightScheme(pipe["weights"]), RotMeanMethod(pipe["rot_mean"]),
+                                pipe["fir_length"]),
         sample_rate=settings.get("run", "sample_rate"),
     )
 
@@ -403,12 +347,8 @@ def parse_scenario(token: str, settings: Settings) -> tuple[str, Trajectory]:
         if len(parts) not in (3, 4):
             raise ConfigError(f"scenario {token!r}: expected hover:X:Y:Z[:YAW]")
         with _named(f"scenario {token!r}", ValueError):
-            numbers = [parse_finite_float(p) for p in parts]
-        if not numbers[2] > 0:
-            raise ConfigError(f"scenario {token!r}: z must be positive")
-        yaw = numbers[3] if len(numbers) == 4 else 0.0
-        duration = settings.get("trajectory", "duration")
-        return token, hover_trajectory(numbers[:3], yaw, duration)
+            x, y, z, yaw = [parse_finite_float(p) for p in parts] + [0.0] * (4 - len(parts))
+            return token, hover_trajectory((x, y, z), yaw, settings.get("trajectory", "duration"))
     raise ConfigError(f"unknown scenario {token!r} (use hover:X:Y:Z, t1, t2 or t3)")
 
 
@@ -421,8 +361,8 @@ def _configure(settings: Settings, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "map", None):
         settings.values["map"]["file"] = args.map
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative (got {args.seed})")
+        if not _NOISE["seed"].holds(args.seed):
+            raise ValueError(f"--seed {_NOISE['seed'].why} (got {args.seed})")
         settings.values["run"]["seed"] = args.seed
     cfg = build_run_config(settings, "--map" if getattr(args, "map", None) else "map.file")
     if getattr(args, "variant", None):
@@ -452,10 +392,9 @@ def _error_text(stats: ErrorStats) -> str:
 
 
 def cmd_map_build(args: argparse.Namespace) -> int:
-    for flag, value in (("--width", args.width), ("--height", args.height)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be a finite number (got {value!r})")
-    tag_map = build_pattern_map((args.width, args.height), ("--width", "--height"))
+    extent = {"--width": args.width, "--height": args.height}
+    check_fields(dict.fromkeys(extent, FINITE), extent)
+    tag_map = build_pattern_map(tuple(extent.values()), tuple(extent))
     with _outputs(args, "--out") as write:
         write("--out", [serialize_map(tag_map)])
     print(f"wrote {len(tag_map)} tags to {args.out}")

@@ -31,7 +31,7 @@ from .pipeline import (
     estimate_body_pose_per_tag,
     step,
 )
-from .tagmap import TagMap, parse_finite_float
+from .tagmap import FINITE, POSITIVE, TagMap, check_fields, parse_finite_float
 
 HOVER_ALTITUDE_PRESETS = (0.8, 1.4, 2.0)
 
@@ -69,8 +69,13 @@ class Trajectory:
         return self.at(t)[:2]
 
 
+HOVER_RULES = {"x": FINITE, "y": FINITE, "z": POSITIVE, "yaw": FINITE, "duration": POSITIVE}
+
+
 def hover_trajectory(position: Sequence[float], yaw: float = 0.0,
                      duration: float = 10.0) -> Trajectory:
+    x, y, z = position
+    check_fields(HOVER_RULES, {"x": x, "y": y, "z": z, "yaw": yaw, "duration": duration})
     fixed = np.array(position, dtype=float)
     fixed.setflags(write=False)  # every call returns it
     return Trajectory("hover", duration, lambda t: (fixed, yaw, None))
@@ -233,6 +238,35 @@ def spline_trajectory_t3(waypoints: Sequence[tuple[Sequence[float], float]] = DE
     return Trajectory("t3", total, at)
 
 
+def _check_noise_scale(camera: CameraModel, noise: NoiseModel) -> None:
+    """The noise scale (reference / apparent) ** size_exponent must be a float
+    at every apparent size the camera reports, from the detectability
+    threshold up to the image diagonal, and so must 16 times the largest sigma
+    `detect` draws with there: numpy's standard normals stay below 13.8 in
+    magnitude (the ziggurat's tail bound r + 53 ln 2 / r). Both are monotone
+    in the apparent size, so the two ends decide. Errors name config keys."""
+    outliers = noise.outlier_probability > 0
+    sigmas = (("position_sigma", noise.position_sigma_at_ref, noise.outlier_position_scale),
+              ("rotation_sigma", noise.rotation_sigma_at_ref, noise.outlier_rotation_scale))
+    ref, exponent = noise.reference_apparent_size, noise.size_exponent
+    ends = ((camera.detect_threshold_px, "camera.detect_threshold_px"),
+            (math.hypot(*camera.image_size), "camera.image_width, camera.image_height"))
+    for apparent, apparent_keys in ends:
+        try:
+            scale = (ref / apparent) ** exponent
+        except (OverflowError, ZeroDivisionError):  # 0.0 ** -1 is a ZeroDivisionError
+            scale = math.inf
+        if not math.isfinite(scale):  # ref / apparent itself may overflow
+            raise ValueError(f"{apparent_keys}, noise.reference_apparent, noise.size_exponent: "
+                             f"the noise scale overflows at an apparent size of {apparent:g} px "
+                             f"(got reference_apparent {ref!r}, size_exponent {exponent!r})")
+        for key, sigma, outlier_scale in sigmas:
+            largest = sigma * scale * (max(outlier_scale, 1.0) if outliers else 1.0)
+            if not math.isfinite(16 * largest):
+                raise ValueError(f"noise.{key}: the noise sigma overflows at an apparent "
+                                 f"size of {apparent:g} px (got {sigma!r})")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one experiment needs; paired-seed comparisons vary only
@@ -245,9 +279,11 @@ class RunConfig:
     pipeline: PipelineConfig
     sample_rate: float = 20.0
 
+    RULES = {"sample_rate": POSITIVE}
+
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
+        check_fields(self.RULES, vars(self))
+        _check_noise_scale(self.camera, self.noise)
         if not math.isfinite(self.trajectory.duration * self.sample_rate):
             raise ValueError(f"run.sample_rate: {self.sample_rate!r} Hz over a "
                              f"trajectory.duration of {self.trajectory.duration!r} s gives "

@@ -32,7 +32,7 @@ from .geometry import (
     rotate_rows,
     unit_components,
 )
-from .tagmap import TagMap
+from .tagmap import AT_LEAST_ONE, POSITIVE, TagMap, check_fields
 
 # Treat a coordinate axis whose sample spread is below this as "all equal":
 # the strict IQR fences would otherwise reject every sample over floating-
@@ -98,13 +98,10 @@ class PipelineConfig:
     rot_mean: RotMeanMethod = RotMeanMethod.QL2
     fir_length: int = 5
 
+    RULES = {"iqr_gain": POSITIVE, "fir_length": AT_LEAST_ONE}
+
     def __post_init__(self) -> None:
-        if not 0.0 < self.iqr_gain < math.inf:  # NaN fails too
-            raise ValueError(f"iqr_gain must be positive and finite, got {self.iqr_gain!r}")
-        if isinstance(self.fir_length, bool) or not isinstance(self.fir_length, int):
-            raise ValueError(f"fir_length must be an int, got {self.fir_length!r}")
-        if self.fir_length < 1:
-            raise ValueError("fir_length must be at least 1")
+        check_fields(self.RULES, vars(self))
 
 
 @dataclass(frozen=True, init=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -271,6 +271,41 @@ def parse_finite_float(token: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {token!r}")
     return value
+
+
+class Rule(NamedTuple):
+    """A field's rule: a finite number (an int and no bool, if `integer`) for
+    which `holds` is true, else `why` says what it must be."""
+
+    holds: Callable[[Any], bool]
+    why: str = ""
+    integer: bool = False
+
+
+def check_fields(rules: dict[str, Rule], values) -> None:
+    """ValueError naming the first of `values` to break its name's rule (a tuple's, each item's)."""
+    for name, rule in rules.items():
+        for value in values[name] if isinstance(values[name], tuple) else (values[name],):
+            if rule.integer and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{name} must be an int (got {value!r})")
+            try:
+                finite = rule.integer or math.isfinite(value)
+            except (TypeError, OverflowError):  # not a number, or an int beyond every float
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite number (got {value!r})")
+            if not rule.holds(value):
+                raise ValueError(f"{name} {rule.why}")
+
+
+FINITE = Rule(lambda v: True)
+POSITIVE = Rule(lambda v: v > 0, "must be positive")
+NON_NEGATIVE = Rule(lambda v: v >= 0, "must be non-negative")
+PROBABILITY = Rule(lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+# beyond 2**53 a pixel count has no exact float
+PIXELS = Rule(lambda v: 0 < v <= 2**53, "must be positive and at most 2**53", integer=True)
+AT_LEAST_ONE = Rule(lambda v: v >= 1, "must be at least 1", integer=True)
+NON_NEGATIVE_INT = Rule(NON_NEGATIVE.holds, NON_NEGATIVE.why, integer=True)
 
 
 def _parse_float(token: str, line_no: int, field: str) -> float:

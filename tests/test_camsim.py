@@ -28,6 +28,9 @@ from taglok.tagmap import SizeClass, TagEntry, TagMap, build_pattern_map
 from oracles import hmat, pose_to_hmat, probe_ziggurat_tables, take
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
 def body_at(x, y, z):
     return Pose(np.array([x, y, z], dtype=float), UnitQuaternion.identity())
 
@@ -49,6 +52,19 @@ class TestCameraModel:
             default_camera(focal_px=-1.0)
         with pytest.raises(ValueError):
             CameraModel(600.0, (0, 720), down_facing_mount())
+        # each field refuses NaN, +-inf and each value out of its range, and says which it is
+        bad = {"focal_px": (0.0, -1.0, "600", 10**400), "detect_threshold_px": (0.0, -12.0)}
+        for field, values in bad.items():
+            for value in (*NON_FINITE, *values):
+                with pytest.raises(ValueError, match=f"^{field} "):
+                    default_camera(**{field: value})
+        sizes = [(1280.5, 720), (1280, 720.0), (True, 720), (np.int64(1280), 720), (0, 720),
+                 (1280, -1), (2**53 + 1, 720), (10**400, 720), (1280, math.nan),
+                 *((value, 720) for value in NON_FINITE)]
+        for size in sizes:
+            with pytest.raises(ValueError, match="^image_size "):
+                CameraModel(600.0, size, down_facing_mount())
+        assert default_camera(image_size=(2**53, 1)).image_size == (2**53, 1)
 
     def test_down_facing_mount_points_camera_down(self):
         # camera z-axis expressed in body coordinates must be -z
@@ -341,6 +357,19 @@ class TestDetectionInvariants:
             NoiseModel(outlier_probability=1.5)
         with pytest.raises(ValueError):
             NoiseModel(seed=-1)
+        # each field refuses NaN, +-inf and each value out of its range, and says which it is
+        bad = {"position_sigma_at_ref": (-0.1,), "rotation_sigma_at_ref": (-0.1,),
+               "reference_apparent_size": (0.0, -1.0), "size_exponent": (),
+               "outlier_probability": (-0.1, 1.5), "outlier_position_scale": (0.0, -1.0),
+               "outlier_rotation_scale": (0.0, -1.0)}
+        for field, values in bad.items():
+            for value in (*NON_FINITE, *values, None, "1"):
+                with pytest.raises(ValueError, match=f"^{field} "):
+                    NoiseModel(**{field: value})
+        for seed in (-1, -(2**80), True, False, 1.5, 1.0, np.int64(3), *NON_FINITE, "1"):
+            with pytest.raises(ValueError, match="^seed "):
+                NoiseModel(seed=seed)
+        assert NoiseModel(seed=2**80).seed == 2**80  # a Python int of any size
 
 
 class TestStreamFormat:

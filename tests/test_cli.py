@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from taglok import cli
+from taglok.camsim import CameraModel, NoiseModel
 from taglok.cli import (
     ConfigError,
     default_settings,
@@ -17,8 +19,9 @@ from taglok.cli import (
     parse_scenario,
 )
 from taglok.geometry import UnitQuaternion
+from taglok.harness import HOVER_RULES, RunConfig
 from taglok.pipeline import PipelineConfig, RotMeanMethod, ThsMode, WeightScheme
-from taglok.tagmap import build_pattern_map, parse_map, serialize_map
+from taglok.tagmap import POSITIVE, build_pattern_map, parse_map, serialize_map
 
 
 def save_map(tag_map, path):
@@ -394,6 +397,71 @@ class TestSettings:
     def test_iqr_gain_validation_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="pipeline.iqr_gain"):
             load_settings(write_cfg(tmp_path, "[pipeline]\niqr_gain = -1\n"))
+
+    def test_each_key_holds_the_rule_of_the_field_it_sets(self):
+        # a key checks its value at load under the library's own rule object,
+        # so no rule is written a second time in the CLI
+        camera, noise, pipeline = CameraModel.RULES, NoiseModel.RULES, PipelineConfig.RULES
+        owners = {
+            "map.width": POSITIVE, "map.height": POSITIVE,  # a pattern map's extent
+            "camera.focal_px": camera["focal_px"],
+            "camera.image_width": camera["image_size"],
+            "camera.image_height": camera["image_size"],
+            "camera.detect_threshold_px": camera["detect_threshold_px"],
+            "noise.position_sigma": noise["position_sigma_at_ref"],
+            "noise.rotation_sigma": noise["rotation_sigma_at_ref"],
+            "noise.reference_apparent": noise["reference_apparent_size"],
+            "noise.size_exponent": noise["size_exponent"],
+            "noise.outlier_probability": noise["outlier_probability"],
+            "noise.outlier_position_scale": noise["outlier_position_scale"],
+            "noise.outlier_rotation_scale": noise["outlier_rotation_scale"],
+            "pipeline.iqr_gain": pipeline["iqr_gain"],
+            "pipeline.fir_length": pipeline["fir_length"],
+            **{f"trajectory.{key}": rule for key, rule in HOVER_RULES.items()},
+            "run.sample_rate": RunConfig.RULES["sample_rate"],
+            "run.seed": noise["seed"],
+        }
+        held = {f"{section}.{key}": spec.rule for section, keys in cli._SCHEMA.items()
+                for key, spec in keys.items() if spec.rule is not None}
+        assert held.keys() == owners.keys()
+        for key, rule in held.items():
+            assert rule is owners[key], key
+
+    @pytest.mark.parametrize("config, named", [
+        ("[map]\nwidth = 0\n", "map.width: must be positive (got 0)"),
+        ("[map]\nheight = -1\n", "map.height: must be positive (got -1)"),
+        ("[camera]\nfocal_px = 0\n", "camera.focal_px: must be positive (got 0)"),
+        ("[camera]\nimage_width = 0\n",
+         "camera.image_width: must be positive and at most 2**53 (got 0)"),
+        ("[camera]\ndetect_threshold_px = -1\n",
+         "camera.detect_threshold_px: must be positive (got -1)"),
+        ("[noise]\nposition_sigma = -0.5\n",
+         "noise.position_sigma: must be non-negative (got -0.5)"),
+        ("[noise]\nrotation_sigma = -1e-300\n",
+         "noise.rotation_sigma: must be non-negative (got -1e-300)"),
+        ("[noise]\nreference_apparent = 0\n",
+         "noise.reference_apparent: must be positive (got 0)"),
+        ("[noise]\noutlier_probability = 1.01\n",
+         "noise.outlier_probability: must be in [0, 1] (got 1.01)"),
+        ("[noise]\noutlier_position_scale = -1\n",
+         "noise.outlier_position_scale: must be positive (got -1)"),
+        ("[noise]\noutlier_rotation_scale = 0\n",
+         "noise.outlier_rotation_scale: must be positive (got 0)"),
+        ("[pipeline]\niqr_gain = 0\n", "pipeline.iqr_gain: must be positive (got 0)"),
+        ("[pipeline]\nfir_length = 0\n", "pipeline.fir_length: must be at least 1 (got 0)"),
+        ("[trajectory]\nz = -1\n", "trajectory.z: must be positive (got -1)"),
+        ("[trajectory]\nkind = t2\nz = -1\n", "trajectory.z: must be positive (got -1)"),
+        ("[trajectory]\nkind = t3\nz = 0\n", "trajectory.z: must be positive (got 0)"),
+        ("[trajectory]\nduration = 0\n", "trajectory.duration: must be positive (got 0)"),
+        ("[run]\nsample_rate = -20\n", "run.sample_rate: must be positive (got -20)"),
+        ("[run]\nseed = -1\n", "run.seed: must be non-negative (got -1)"),
+    ])
+    def test_a_value_out_of_its_fields_range_names_the_key(self, tmp_path, capsys, config,
+                                                           named):
+        out = tmp_path / "out.csv"
+        assert main(["run", "--config", write_cfg(tmp_path, config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"taglok: {named}\n"
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key pipeline.gian"):

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from taglok.camsim import DetectionRows, NoiseModel, default_camera
+from taglok.camsim import (
+    CameraModel,
+    DetectionRows,
+    NoiseModel,
+    default_camera,
+    down_facing_mount,
+)
 from taglok.harness import (
     DEFAULT_T3_WAYPOINTS,
     HOVER_ALTITUDE_PRESETS,
@@ -78,6 +84,15 @@ class TestHoverTrajectory:
         traj = hover_trajectory((1.0, 1.0, 1.4), yaw=math.pi / 4)
         for t in (0.0, 1.3, 9.9):
             assert traj.sample(t)[1] == math.pi / 4
+
+    @pytest.mark.parametrize("field", ["x", "y", "z", "yaw", "duration"])
+    def test_each_field_refuses_a_bad_value_and_names_it(self, field):
+        bad = {"z": (0.0, -1.0), "duration": (0.0, -1.0)}.get(field, ())
+        for value in (math.nan, math.inf, -math.inf, *bad, "1"):
+            values = {"x": 1.5, "y": 2.5, "z": 1.0, "yaw": 0.0, "duration": 1.0, field: value}
+            with pytest.raises(ValueError, match=f"^{field} "):
+                hover_trajectory((values["x"], values["y"], values["z"]), values["yaw"],
+                                 values["duration"])
 
 
 class TestSquareTrajectoryT1:
@@ -281,6 +296,52 @@ class TestNaturalSplineMatchesCubicSpline:
     def test_a_spline_that_is_not_finite_is_rejected(self, waypoints, message):
         with pytest.raises(ValueError, match=message):
             spline_trajectory_t3(waypoints)
+
+
+HOVER = hover_trajectory((1.5, 2.5, 1.0), duration=0.15)
+
+# Each value that `run` used to take and then fail on inside `detect`, or run
+# to the end with every frame dropped as no-tags: the part of the RunConfig
+# that holds it, that part built with the value, and the field to be named.
+BAD_PARTS = [
+    ("noise", lambda: NoiseModel(size_exponent=math.nan), "size_exponent"),
+    ("noise", lambda: NoiseModel(position_sigma_at_ref=math.inf), "position_sigma_at_ref"),
+    ("noise", lambda: NoiseModel(outlier_position_scale=-1.0), "outlier_position_scale"),
+    ("noise", lambda: NoiseModel(outlier_rotation_scale=0.0), "outlier_rotation_scale"),
+    ("noise", lambda: NoiseModel(seed=True), "seed"),
+    ("noise", lambda: NoiseModel(seed=1.5), "seed"),
+    ("camera", lambda: default_camera(image_size=(10**400, 720)), "image_size"),
+    ("camera", lambda: CameraModel(600.0, (1280.5, 720), down_facing_mount()), "image_size"),
+    ("camera", lambda: default_camera(focal_px=math.inf), "focal_px"),
+    ("camera", lambda: default_camera(detect_threshold_px=math.nan), "detect_threshold_px"),
+    ("trajectory", lambda: hover_trajectory((1.5, 2.5, -1.0)), "z"),
+    ("trajectory", lambda: hover_trajectory((1.5, 2.5, 1.0), duration=-1.0), "duration"),
+    ("pipeline", lambda: PipelineConfig(iqr_gain=math.inf), "iqr_gain"),
+    ("sample_rate", lambda: math.nan, "sample_rate"),
+]
+
+
+class TestRunConfigValidation:
+    @pytest.mark.parametrize("part, build, field", BAD_PARTS,
+                             ids=[f"{field}-{k}" for k, (_, _, field) in enumerate(BAD_PARTS)])
+    def test_a_bad_field_fails_at_construction(self, default_map, part, build, field):
+        base = quick_config(default_map, HOVER)
+        with pytest.raises(ValueError, match=f"^{field} ") as caught:
+            run(replace(base, **{part: build()}))
+        names = {entry.name for entry in caught.traceback}
+        assert not names & {"run", "simulate", "detect"}, names
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -20.0])
+    def test_sample_rate_refuses_a_bad_value_and_names_it(self, default_map, rate):
+        with pytest.raises(ValueError, match="^sample_rate "):
+            quick_config(default_map, HOVER, sample_rate=rate)
+
+    def test_a_noise_scale_that_overflows_is_refused_for_library_callers(self, default_map):
+        with pytest.raises(ValueError, match="the noise scale overflows at an apparent size of "
+                                             "12 px"):
+            quick_config(default_map, HOVER, noise=NoiseModel(0.01, size_exponent=1000.0))
+        with pytest.raises(ValueError, match="^noise.position_sigma: the noise sigma overflows"):
+            quick_config(default_map, HOVER, noise=NoiseModel(1e307, size_exponent=2.0))
 
 
 class TestRun:

@@ -722,6 +722,13 @@ class TestApplyVariant:
             PipelineConfig(iqr_gain=-1.0)
         with pytest.raises(ValueError):
             PipelineConfig(fir_length=0)
+        # each field refuses NaN, +-inf and each value out of its range, and says which it is
+        for gain in (math.nan, math.inf, -math.inf, 0.0, -1.0, "1.5"):
+            with pytest.raises(ValueError, match="^iqr_gain "):
+                PipelineConfig(iqr_gain=gain)
+        for length in (math.nan, math.inf, -math.inf, 0, -1, 2.5, False, 5 + 0j):
+            with pytest.raises(ValueError, match="^fir_length "):
+                PipelineConfig(fir_length=length)
 
     @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
     def test_non_finite_iqr_gain_rejected(self, gain):
